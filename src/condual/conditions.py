@@ -25,12 +25,12 @@ from fractions import Fraction
 
 from .convex import Cone, ProjectionMatrix, min_norm_solution, \
     predictable_range_projection, projected_set_closed
-from .dual import measure_from_weights
+from .dual import _max_margin_measure, measure_from_weights
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible
 from .numbers import INF, all_exact
 from .primal import find_free_lunch_direction
-from .treelp import node_direction, subtree_weights, variable_layout
+from .treelp import node_direction, subtree_weights, tree_lp
 
 
 # ---------------------------------------------------------------------------
@@ -55,20 +55,15 @@ def check_nonempty(market: MarketModel) -> NonemptyReport:
         return NonemptyReport(True, witness)
     if market.floor is None:  # centers are in their sets by construction
         return NonemptyReport(False, None)  # pragma: no cover
-    from .dual import _stacked_rows
-
+    lp = tree_lp(market)
     try:
-        A, b = _stacked_rows(market)
+        A, b = lp.A, lp.b
     except NotImplementedError:
         return NonemptyReport(False, None)
-    res = solve_lp([0] * len(A[0]), A_ub=A, b_ub=b, exact=market.exact)
+    res = solve_lp([0] * lp.n_h, A_ub=A, b_ub=b, exact=market.exact)
     if res.status != OPTIMAL:
         return NonemptyReport(False, None)
-    offsets, _ = variable_layout(market)
-    witness = PortfolioProcess({
-        i: tuple(res.x[offsets[i] + k] for k in range(market.dim))
-        for i in market.tree.nonleaf})
-    return NonemptyReport(True, witness)
+    return NonemptyReport(True, lp.portfolio(res.x))
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +241,19 @@ def _searched_measure(market):
 
 
 def _positive_measure_lp(market, require_zero_drift):
-    """Margin-maximizing LP over leaf measures.
+    """Margin-maximizing measure LP (dual._max_margin_measure).
 
     With zero drift required the rows pin every induced direction to zero;
     otherwise they only require a nonnegative-multiplier representation,
     i.e. membership of the barrier cone (finite support value).
     """
-    from .dual import _stacked_rows
-    from .treelp import terminal_gain_rows
-
-    probs = [float(p) for p in market.tree.leaf_probabilities()]
-    n = len(probs)
     try:
-        A, b = _stacked_rows(market)
+        found = _max_margin_measure(market, multipliers=not require_zero_drift)
     except NotImplementedError:
         return None
-    L = terminal_gain_rows(market)
-    n_h = len(L[0])
-    n_mu = 0 if require_zero_drift else len(A)
-    total = n + n_mu + 1  # q, (mu), margin
-    A_ub, b_ub = [], []
-    for k in range(n):  # q_k >= margin * p_k
-        row = [0.0] * total
-        row[k] = -1.0
-        row[-1] = probs[k]
-        A_ub.append(row)
-        b_ub.append(0.0)
-    for j in range(n_mu):
-        row = [0.0] * total
-        row[n + j] = -1.0
-        A_ub.append(row)
-        b_ub.append(0.0)
-    cap = [0.0] * total
-    cap[-1] = -1.0
-    A_ub.append(cap)
-    b_ub.append(1.0)
-    A_eq = [[1.0] * n + [0.0] * (n_mu + 1)]
-    b_eq = [1.0]
-    for j in range(n_h):
-        row = [-float(L[k][j]) for k in range(n)]
-        row += [float(A[r][j]) for r in range(n_mu)]
-        row += [0.0]
-        A_eq.append(row)
-        b_eq.append(0.0)
-    res = solve_lp([0.0] * (total - 1) + [-1.0], A_ub=A_ub, b_ub=b_ub,
-                   A_eq=A_eq, b_eq=b_eq, exact=False)
-    if res.status != OPTIMAL or -res.value <= 1e-10:
+    if found is None or found[1] <= 1e-10:
         return None
-    weights = res.x[:n]
+    weights = found[0]
     if market.exact:
         exact = _snap_rational(market, weights, require_zero_drift)
         if exact is not None:
@@ -434,11 +394,8 @@ def check_drift_condition(span, drift, barrier: Cone) -> DriftResult:
         for j in range(d):
             row = [basis[i][j] for i in range(k)] + [gens[g][j] for g in range(m)]
             A_eq.append(row)
-        A_ub = [[0] * k + [-1 if g == gg else 0 for g in range(m)]
-                for gg in range(m)]
-        b_ub = [0] * m
-        res = solve_lp([0] * (k + m), A_ub=A_ub or None, b_ub=b_ub or None,
-                       A_eq=A_eq, b_eq=b_eq, exact=exact)
+        res = solve_lp([0] * (k + m), A_eq=A_eq, b_eq=b_eq, exact=exact,
+                       nonneg=range(k, k + m))
         if res.status != OPTIMAL:
             return DriftResult(False)
         nu0 = res.x[:k]

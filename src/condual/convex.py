@@ -725,10 +725,8 @@ class Cone:
         # x in cone{rows}: solvable nonnegative combination
         k = len(self.rows)
         A_eq = [[self.rows[j][i] for j in range(k)] for i in range(self.dim)]
-        res = solve_lp([0] * k,
-                       A_ub=[_unit(k, j, -1) for j in range(k)],
-                       b_ub=[0] * k,
-                       A_eq=A_eq, b_eq=list(x), exact=exact)
+        res = solve_lp([0] * k, A_eq=A_eq, b_eq=list(x), exact=exact,
+                       nonneg=range(k))
         return res.status == OPTIMAL
 
     def is_trivial(self) -> bool:
@@ -769,8 +767,8 @@ class Cone:
                 return False
             k = len(rest)
             A_eq = [[rest[j][i] for j in range(k)] for i in range(self.dim)]
-            res = solve_lp([0] * k, A_ub=[_unit(k, j, -1) for j in range(k)],
-                           b_ub=[0] * k, A_eq=A_eq, b_eq=list(row), exact=exact)
+            res = solve_lp([0] * k, A_eq=A_eq, b_eq=list(row), exact=exact,
+                           nonneg=range(k))
             return res.status == OPTIMAL
         # halfspace: row is implied by the others
         res = solve_lp([-v for v in row],

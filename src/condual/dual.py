@@ -19,13 +19,7 @@ import numpy as np
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel
 from .numbers import INF, NEG_INF, all_exact, scale_extended
-from .treelp import (
-    constraint_rows,
-    node_direction,
-    node_gain_rows,
-    subtree_weights,
-    terminal_gain_rows,
-)
+from .treelp import node_direction, subtree_weights, tree_lp
 from .utility import UtilityFunction, conjugate, conjugate_marginal
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,34 +151,22 @@ def alpha_argmax_gains(market: MarketModel, weights, zero_tol=0.0):
     value, x = _alpha_lp(market, weights)
     if x is None:
         return INF, None
-    L = terminal_gain_rows(market)
-    gains = tuple(sum(a * b for a, b in zip(row, x)) for row in L)
+    gains = tuple(sum(a * b for a, b in zip(row, x)) for row in tree_lp(market).L)
     return value, gains
 
 
 def _alpha_lp(market, weights):
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    c = [-sum(float(weights[k]) * float(L[k][j]) for k in range(len(L)))
-         for j in range(len(L[0]))]
-    exact = market.exact and all_exact(weights)
-    if exact:
-        c = [-sum(weights[k] * L[k][j] for k in range(len(L)))
-             for j in range(len(L[0]))]
-    res = solve_lp(c, A_ub=A, b_ub=b, exact=exact)
+    lp = tree_lp(market)
+    if market.exact and all_exact(weights):
+        c = [-sum(w * row[j] for w, row in zip(weights, lp.L))
+             for j in range(lp.n_h)]
+        res = solve_lp(c, A_ub=lp.A, b_ub=lp.b, exact=True)
+    else:
+        c = -(lp.L_f.T @ np.asarray(weights, dtype=float))
+        res = solve_lp(c, A_ub=lp.A_f, b_ub=lp.b_f)
     if res.status == UNBOUNDED:
         return INF, None
     return -res.value, res.x
-
-
-def _stacked_rows(market):
-    """Constraint rows plus floor rows over the stacked portfolio variables."""
-    A, b = constraint_rows(market)
-    if market.floor is not None:
-        for row in node_gain_rows(market):
-            A.append([-v for v in row])
-            b.append(market.floor)
-    return A, b
 
 
 # ---------------------------------------------------------------------------
@@ -197,49 +179,25 @@ def _stacked_rows(market):
 
 def _lifted_lp(market, q_objective, maximize_payoff=None, mu_cost_scale=1,
                force_float=False):
-    """Solve min/max over the lifted (q, mu) polytope.
+    """Solve min/max over the lifted (q, mu) polytope (TreeLP.lifted).
 
-    Variables: q (one per leaf), mu (one per stacked constraint row).
-    Constraints: q >= 0, sum q = 1, mu >= 0, A^T mu = L^T q.
     Minimizes q_objective . q + mu_cost_scale * (b . mu); for fixed q the
     inner minimum over mu is exactly alpha(q) scaled, so this is
     min over the finite-alpha face of [q_objective . q + scale * alpha(q)].
     When maximize_payoff is given the objective is
     max payoff . q - b . mu instead.
     """
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    n_leaves = len(L)
-    n_h = len(L[0])
-    n_mu = len(A)
-    total = n_leaves + n_mu
+    lp = tree_lp(market)
     exact = market.exact and not force_float
-
-    A_ub, b_ub = [], []
-    for j in range(total):  # q >= 0, mu >= 0
-        row = [0] * total
-        row[j] = -1
-        A_ub.append(row)
-        b_ub.append(0)
-
-    A_eq, b_eq = [], []
-    A_eq.append([1] * n_leaves + [0] * n_mu)
-    b_eq.append(1)
-    for j in range(n_h):  # A^T mu - L^T q = 0, coordinate j
-        row = [-L[k][j] for k in range(n_leaves)]
-        row += [A[r][j] for r in range(n_mu)]
-        A_eq.append(row)
-        b_eq.append(0)
-
+    A_eq, b_eq, nonneg = lp.lifted(exact)
     if maximize_payoff is not None:
-        c = [-v for v in maximize_payoff] + list(b)
+        c = [-v for v in maximize_payoff] + list(lp.b)
     else:
-        c = list(q_objective) + [mu_cost_scale * v for v in b]
+        c = list(q_objective) + [mu_cost_scale * v for v in lp.b]
     if not exact:
         c = [float(v) for v in c]
-        A_eq = [[float(v) for v in row] for row in A_eq]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, exact=exact)
-    return res, n_leaves
+    res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, exact=exact, nonneg=nonneg)
+    return res, len(lp.p)
 
 
 @dataclass
@@ -288,15 +246,12 @@ def min_support(market: MarketModel) -> MinSupportResult:
 
 
 def _sup_essinf(market):
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    total = len(L[0])
-    A2 = [row + [0] for row in A]
-    b2 = list(b)
-    for row in L:  # m - gains_l <= 0
-        A2.append([-v for v in row] + [1])
-        b2.append(0)
-    res = solve_lp([0] * total + [-1], A_ub=A2, b_ub=b2, exact=market.exact)
+    lp = tree_lp(market)
+    # variables (H, m): m - gains_l <= 0 on every leaf
+    A2 = [row + (0,) for row in lp.A] + [tuple(-v for v in row) + (1,)
+                                         for row in lp.L]
+    b2 = list(lp.b) + [0] * len(lp.L)
+    res = solve_lp([0] * lp.n_h + [-1], A_ub=A2, b_ub=b2, exact=market.exact)
     if res.status == UNBOUNDED:
         return INF
     if res.status == INFEASIBLE:  # empty admissible class
@@ -333,18 +288,14 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
     leaves = market.tree.leaves
     if len(payoff) != len(leaves):
         raise ValueError("payoff must assign one value per leaf")
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    total = len(L[0])
+    lp = tree_lp(market)
     exact = market.exact and all_exact(payoff)
 
-    # primal: variables (x, H)
-    A2 = [[0] + list(row) for row in A]
-    b2 = list(b)
-    for row, f in zip(L, payoff):
-        A2.append([-1] + [-v for v in row])
-        b2.append(-f)
-    res = solve_lp([1] + [0] * total, A_ub=A2, b_ub=b2, exact=exact)
+    # primal: variables (x, H), x + gains_l >= payoff_l on every leaf
+    A2 = [(0,) + row for row in lp.A] + [(-1,) + tuple(-v for v in row)
+                                         for row in lp.L]
+    b2 = list(lp.b) + [-f for f in payoff]
+    res = solve_lp([1] + [0] * lp.n_h, A_ub=A2, b_ub=b2, exact=exact)
     if res.status == INFEASIBLE:
         # cannot happen once constraint sets are nonempty
         raise RuntimeError("superhedging LP infeasible")
@@ -360,8 +311,8 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
     else:
         witness, dual_value = None, NEG_INF
 
-    ms = min_support(market)
-    bound = abs(ms.sup_essinf) if ms.sup_essinf not in (INF, NEG_INF) else INF
+    essinf = _sup_essinf(market)
+    bound = abs(essinf) if essinf not in (INF, NEG_INF) else INF
     return SuperhedgeResult(price, x, dual_value, witness, bound)
 
 
@@ -418,62 +369,56 @@ def _objective_subgradient(market, utility, y, weights, zero_tol=0.0):
     return np.asarray(grad)
 
 
+def _max_margin_measure(market, multipliers=True):
+    """(q, t): a leaf measure maximizing the margin t in q >= t p, found by
+    a float LP over the lifted polytope with margin t <= 1; None when that
+    LP has no optimum.
+
+    With multipliers q ranges over the finite-alpha face; without them it
+    must give zero drift at every node (a martingale measure).
+    """
+    lp = tree_lp(market)
+    n = len(lp.p)
+    A_eq, b_eq, nonneg = lp.lifted(False, extra=1, multipliers=multipliers)
+    A_ub = np.zeros((n + 1, A_eq.shape[1]))
+    A_ub[:n, :n] = -np.eye(n)  # q_k >= t p_k
+    A_ub[:n, -1] = lp.p_f
+    A_ub[n, -1] = 1.0
+    b_ub = np.zeros(n + 1)
+    b_ub[n] = 1.0
+    c = np.zeros(A_eq.shape[1])
+    c[-1] = -1.0
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   nonneg=nonneg)
+    if res.status != OPTIMAL:
+        return None
+    return res.x[:n], -res.value
+
+
 def _face_interior_point(market):
     """Strictly positive q on the finite-alpha face, or None if the face is
     empty; found by maximizing a proportional margin."""
-    probs = [float(p) for p in market.tree.leaf_probabilities()]
-    n = len(probs)
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    n_mu = len(A)
-    n_h = len(L[0])
-    total = n + n_mu + 1  # q, mu, margin
-    A_ub, b_ub = [], []
-    for k in range(n):  # q_k >= margin * p_k
-        row = [0] * total
-        row[k] = -1
-        row[-1] = probs[k]
-        A_ub.append(row)
-        b_ub.append(0)
-    for j in range(n_mu):
-        row = [0] * total
-        row[n + j] = -1
-        A_ub.append(row)
-        b_ub.append(0)
-    row = [0] * total
-    row[-1] = -1
-    A_ub.append(row)
-    b_ub.append(1)  # margin <= 1 keeps the LP bounded
-    A_eq = [[1] * n + [0] * n_mu + [0]]
-    b_eq = [1]
-    for j in range(n_h):
-        row = [-float(L[k][j]) for k in range(n)]
-        row += [float(A[r][j]) for r in range(n_mu)]
-        row += [0]
-        A_eq.append(row)
-        b_eq.append(0)
-    c = [0] * (total - 1) + [-1]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, exact=False)
-    if res.status != OPTIMAL or -res.value <= 1e-12:
+    found = _max_margin_measure(market)
+    if found is None or found[1] <= 1e-12:
         # fall back to any face point (possibly on the simplex boundary)
-        res2, n_leaves = _lifted_lp(market, [0] * n, force_float=True)
-        if res2.status != OPTIMAL:
+        res, n_leaves = _lifted_lp(market, [0] * len(market.tree.leaves),
+                                   force_float=True)
+        if res.status != OPTIMAL:
             return None
-        return np.asarray([float(v) for v in res2.x[:n_leaves]])
-    return np.asarray([float(v) for v in res.x[:n]])
+        return np.asarray([float(v) for v in res.x[:n_leaves]])
+    return np.asarray(found[0], dtype=float)
 
 
 def _face_equality_basis(market):
     """Equality rows pinning the face's affine hull: the mass-one row plus
     the components of L^T q outside the span of the stacked constraint
     rows, which must vanish for the support value to stay finite."""
-    A, _ = _stacked_rows(market)
-    L = np.asarray([[float(v) for v in row] for row in terminal_gain_rows(market)])
+    lp = tree_lp(market)
+    A, L = lp.A_f, lp.L_f
     n = L.shape[0]
     rows = [np.ones(n)]
-    if A:
-        arr = np.asarray([[float(v) for v in row] for row in A])
-        u, s, vt = np.linalg.svd(arr, full_matrices=True)
+    if len(A):
+        u, s, vt = np.linalg.svd(A, full_matrices=True)
         rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
         null_basis = vt[rank:]  # orthocomplement of the row span
     else:
@@ -561,34 +506,17 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
 
 def _face_segment(market, q0, direction):
     """Feasible t-range of q0 + t * direction within the lifted polytope."""
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    n = len(q0)
-    n_mu = len(A)
-    n_h = len(L[0])
-    Lq0 = [sum(float(L[k][j]) * q0[k] for k in range(n)) for j in range(n_h)]
-    Ld = [sum(float(L[k][j]) * direction[k] for k in range(n)) for j in range(n_h)]
+    lp = tree_lp(market)
+    n_mu = len(lp.b_f)
+    # variables (t, mu): q0 + t d >= 0, A^T mu = L^T (q0 + t d), mu >= 0
+    A_ub = np.zeros((len(q0), 1 + n_mu))
+    A_ub[:, 0] = -np.asarray(direction)
+    A_eq = np.hstack([-(lp.L_f.T @ direction)[:, None], lp.A_f.T])
+    b_eq = lp.L_f.T @ q0
     out = []
     for sign in (1, -1):
-        total = 1 + n_mu
-        A_ub, b_ub = [], []
-        for k in range(n):  # q0 + t d >= 0
-            row = [0.0] * total
-            row[0] = -direction[k]
-            A_ub.append(row)
-            b_ub.append(q0[k])
-        for j in range(n_mu):
-            row = [0.0] * total
-            row[1 + j] = -1.0
-            A_ub.append(row)
-            b_ub.append(0.0)
-        A_eq, b_eq = [], []
-        for j in range(n_h):
-            row = [-Ld[j]] + [float(A[r][j]) for r in range(n_mu)]
-            A_eq.append(row)
-            b_eq.append(Lq0[j])
-        res = solve_lp([sign] + [0.0] * n_mu, A_ub=A_ub, b_ub=b_ub,
-                       A_eq=A_eq, b_eq=b_eq, exact=False)
+        res = solve_lp([sign] + [0.0] * n_mu, A_ub=A_ub, b_ub=q0,
+                       A_eq=A_eq, b_eq=b_eq, nonneg=range(1, 1 + n_mu))
         if res.status == UNBOUNDED:  # cannot happen: the simplex is bounded
             out.append(INF if sign < 0 else NEG_INF)
         else:
@@ -675,27 +603,15 @@ def _lifted_smooth_solve(market, utility, y, q0):
     """
     from scipy.optimize import minimize
 
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    probs = np.asarray([float(p) for p in market.tree.leaf_probabilities()])
-    n = len(probs)
-    n_h = len(L[0])
-    Lf = np.asarray([[float(v) for v in row] for row in L])
-    Af = np.asarray([[float(v) for v in row] for row in A]) if A \
-        else np.zeros((0, n_h))
-    bf = np.asarray([float(v) for v in b]) if A else np.zeros(0)
-    n_mu = len(bf)
+    lp = tree_lp(market)
+    probs, bf = lp.p_f, lp.b_f
+    n, n_mu = len(probs), len(bf)
+    E, e, _ = lp.lifted(False)
 
     # feasible multipliers for the starting measure
-    target = Lf.T @ q0
+    target = lp.L_f.T @ q0
     if n_mu:
-        res = solve_lp(list(bf),
-                       A_ub=[[-1.0 if j == i else 0.0 for j in range(n_mu)]
-                             for i in range(n_mu)],
-                       b_ub=[0.0] * n_mu,
-                       A_eq=[[Af[r][j] for r in range(n_mu)]
-                             for j in range(n_h)],
-                       b_eq=list(target), exact=False)
+        res = solve_lp(bf, A_eq=lp.A_f.T, b_eq=target, nonneg=range(n_mu))
         if res.status != OPTIMAL:
             return None
         mu0 = np.asarray(res.x)
@@ -721,24 +637,21 @@ def _lifted_smooth_solve(market, utility, y, q0):
                          for d in dens])
         return np.concatenate([y * vp, y * bf])
 
-    eq_jac = np.zeros((n_h + 1, n + n_mu))
-    eq_jac[:n_h, :n] = -Lf.T
-    if n_mu:
-        eq_jac[:n_h, n:] = Af.T
-    eq_jac[n_h, :n] = 1.0
-
-    def eq_fun(z):
-        q, mu = z[:n], z[n:]
-        top = (Af.T @ mu if n_mu else np.zeros(n_h)) - Lf.T @ q
-        return np.concatenate([top, [q.sum() - 1.0]])
-
-    z0 = np.concatenate([q0, mu0])
-    result = minimize(fun, z0, jac=jac, method="SLSQP",
-                      bounds=[(0.0, None)] * (n + n_mu),
-                      constraints=[{"type": "eq", "fun": eq_fun,
-                                    "jac": lambda z: eq_jac}],
-                      options={"maxiter": 300, "ftol": 1e-14})
-    q = np.clip(result.x[:n], 0.0, None)
+    # SLSQP often stops on a failed line search short of ftol, where the
+    # minorant gap (and so `attained`) turns on rounding noise; restarting
+    # from its last point while the objective still falls settles it
+    z = np.concatenate([q0, mu0])
+    best = fun(z)
+    for _ in range(8):
+        result = minimize(fun, z, jac=jac, method="SLSQP",
+                          bounds=[(0.0, None)] * (n + n_mu),
+                          constraints=[{"type": "eq", "fun": lambda w: E @ w - e,
+                                        "jac": lambda w: E}],
+                          options={"maxiter": 300, "ftol": 1e-14})
+        if not result.fun < best:
+            break
+        z, best = result.x, result.fun
+    q = np.clip(z[:n], 0.0, None)
     if abs(q.sum() - 1.0) > 1e-6:
         return None
     return q
@@ -774,21 +687,14 @@ def _piecewise_dual_lp(market, utility, y, lines_and_edge):
     multiplier form as usual.  One LP, no iterations.
     """
     lines, domain_edge = lines_and_edge
-    A, b = _stacked_rows(market)
-    L = terminal_gain_rows(market)
-    probs = [float(p) for p in market.tree.leaf_probabilities()]
-    n = len(probs)
-    n_h = len(L[0])
-    n_mu = len(A)
-    total = n + n_mu + n  # q, mu, t
+    lp = tree_lp(market)
+    probs = lp.p_f
+    n, n_mu = len(probs), len(lp.b_f)
+    A_eq, b_eq, nonneg = lp.lifted(False, extra=n)  # columns q, mu, t
+    total = A_eq.shape[1]
     y = float(y)
 
     A_ub, b_ub = [], []
-    for j in range(n + n_mu):  # q >= 0, mu >= 0
-        row = [0.0] * total
-        row[j] = -1.0
-        A_ub.append(row)
-        b_ub.append(0.0)
     for k in range(n):
         if domain_edge > 0:  # V infinite below the final slope
             row = [0.0] * total
@@ -802,17 +708,9 @@ def _piecewise_dual_lp(market, utility, y, lines_and_edge):
             A_ub.append(row)
             b_ub.append(-float(v_i))
 
-    A_eq = [[1.0] * n + [0.0] * (n_mu + n)]
-    b_eq = [1.0]
-    for j in range(n_h):
-        row = [-float(L[k][j]) for k in range(n)]
-        row += [float(A[r][j]) for r in range(n_mu)]
-        row += [0.0] * n
-        A_eq.append(row)
-        b_eq.append(0.0)
-
-    c = [0.0] * n + [y * float(v) for v in b] + probs
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, exact=False)
+    c = np.concatenate([np.zeros(n), y * lp.b_f, probs])
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   nonneg=nonneg)
     if res.status != OPTIMAL:
         return None
     return np.clip(np.asarray(res.x[:n], dtype=float), 0.0, None)

@@ -1,8 +1,10 @@
-"""Linear programming over free variables, in float or exact-rational mode.
+"""Linear programming in float or exact-rational mode.
 
-Float mode delegates to scipy's HiGHS backend.  Exact mode runs a two-phase
-full-tableau simplex over :class:`fractions.Fraction`; problem sizes here are
-desk scale (tens of variables), so the tableau method is plenty.
+Variables are free unless listed as nonnegative.  Float mode delegates to
+scipy's HiGHS backend, which takes the sign restrictions as variable bounds.
+Exact mode runs a two-phase full-tableau simplex over
+:class:`fractions.Fraction`; problem sizes here are desk scale (tens to
+hundreds of variables), so the tableau method is plenty.
 """
 
 from __future__ import annotations
@@ -29,29 +31,42 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False):
-    """Minimize c @ x over free x subject to A_ub x <= b_ub, A_eq x = b_eq."""
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False, *,
+             nonneg=()):
+    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, and x_j >= 0
+    for every column index j in nonneg; all other columns are free.
+
+    Rows may be sequences or 2-d numpy arrays.
+    """
     n = len(c)
     A_ub = [] if A_ub is None else A_ub
     b_ub = [] if b_ub is None else b_ub
     A_eq = [] if A_eq is None else A_eq
     b_eq = [] if b_eq is None else b_eq
-    for row in list(A_ub) + list(A_eq):
-        if len(row) != n:
+    for block in (A_ub, A_eq):
+        if any(len(row) != n for row in block):
             raise ValueError("LP row length does not match objective length")
+    nonneg = sorted(set(nonneg))
+    if nonneg and not 0 <= nonneg[0] <= nonneg[-1] < n:
+        raise ValueError("nonnegative column index out of range")
     if exact:
-        return _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
-    return _solve_float(c, A_ub, b_ub, A_eq, b_eq)
+        return _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, nonneg)
+    return _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg)
 
 
-def _solve_float(c, A_ub, b_ub, A_eq, b_eq):
+def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     n = len(c)
+    bounds = [(None, None)] * n
+    for j in nonneg:
+        bounds[j] = (0, None)
     kwargs = dict(
-        A_ub=np.asarray(A_ub, dtype=float).reshape(len(A_ub), n) if A_ub else None,
-        b_ub=np.asarray(b_ub, dtype=float) if A_ub else None,
-        A_eq=np.asarray(A_eq, dtype=float).reshape(len(A_eq), n) if A_eq else None,
-        b_eq=np.asarray(b_eq, dtype=float) if A_eq else None,
-        bounds=[(None, None)] * n,
+        A_ub=np.asarray(A_ub, dtype=float).reshape(len(A_ub), n)
+        if len(A_ub) else None,
+        b_ub=np.asarray(b_ub, dtype=float) if len(A_ub) else None,
+        A_eq=np.asarray(A_eq, dtype=float).reshape(len(A_eq), n)
+        if len(A_eq) else None,
+        b_eq=np.asarray(b_eq, dtype=float) if len(A_eq) else None,
+        bounds=bounds,
     )
     # degenerate instances occasionally leave a HiGHS backend undecided;
     # walk the ladder, then settle the question in exact arithmetic
@@ -69,7 +84,8 @@ def _solve_float(c, A_ub, b_ub, A_eq, b_eq):
             return LPResult(UNBOUNDED, None, None)
     exact = _simplex_exact([Fraction(v) for v in c],
                            _frac_rows(A_ub), [Fraction(v) for v in b_ub],
-                           _frac_rows(A_eq), [Fraction(v) for v in b_eq])
+                           _frac_rows(A_eq), [Fraction(v) for v in b_eq],
+                           nonneg)
     if exact.status == OPTIMAL:
         return LPResult(OPTIMAL, [float(v) for v in exact.x],
                         float(exact.value))
@@ -80,10 +96,11 @@ def _frac_rows(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
+def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     """Two-phase tableau simplex with Bland anti-cycling, all in Fractions.
 
-    Free variables are split x = u - w; <= rows get slack columns.
+    Nonnegative columns enter the tableau as they are; free columns are
+    split x = u - w; <= rows get slack columns.
     """
     c = [Fraction(v) for v in c]
     A_ub = _frac_rows(A_ub)
@@ -92,21 +109,24 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     b_eq = [Fraction(v) for v in b_eq]
 
     n = len(c)
+    is_nonneg = set(nonneg)
+    free = [j for j in range(n) if j not in is_nonneg]
     m_ub, m_eq = len(A_ub), len(A_eq)
     m = m_ub + m_eq
     n_slack = m_ub
-    n_struct = 2 * n + n_slack  # u, w, slacks
+    n_split = n + len(free)
+    n_struct = n_split + n_slack  # x (or u), w of the free columns, slacks
 
     # Rows in standard form A z = b, z >= 0, with b >= 0 after sign flips.
     rows = []
     rhs = []
     for i in range(m_ub):
-        row = A_ub[i] + [-v for v in A_ub[i]] + [Fraction(0)] * n_slack
-        row[2 * n + i] = Fraction(1)
+        row = A_ub[i] + [-A_ub[i][j] for j in free] + [Fraction(0)] * n_slack
+        row[n_split + i] = Fraction(1)
         rows.append(row)
         rhs.append(b_ub[i])
     for i in range(m_eq):
-        row = A_eq[i] + [-v for v in A_eq[i]] + [Fraction(0)] * n_slack
+        row = A_eq[i] + [-A_eq[i][j] for j in free] + [Fraction(0)] * n_slack
         rows.append(row)
         rhs.append(b_eq[i])
     for i in range(m):
@@ -127,7 +147,7 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
         tab.append(row)
     basis = [n_struct + i for i in range(m)]
 
-    cost2_full = c + [-v for v in c] + [zero] * n_slack + [zero] * m
+    cost2_full = c + [-c[j] for j in free] + [zero] * n_slack + [zero] * m
     # reduced costs under the artificial basis
     red1 = [-sum(tab[i][j] for i in range(m)) for j in range(n_struct)] \
         + [zero] * m + [-sum(rhs)]
@@ -213,6 +233,8 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     for i in range(m):
         if basis[i] < n_struct:
             z[basis[i]] = tab[i][-1]
-    x = [z[j] - z[n + j] for j in range(n)]
+    x = z[:n]
+    for k, j in enumerate(free):
+        x[j] -= z[n + k]
     value = sum(ci * xi for ci, xi in zip(c, x))
     return LPResult(OPTIMAL, x, value)

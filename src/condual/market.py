@@ -57,7 +57,12 @@ class EventTree:
         return p
 
     def leaf_probabilities(self):
-        return tuple(self.path_probability(i) for i in self.leaves)
+        """Path probability of each leaf, computed once per tree."""
+        probs = self.__dict__.get("_leaf_probabilities")
+        if probs is None:
+            probs = tuple(self.path_probability(i) for i in self.leaves)
+            object.__setattr__(self, "_leaf_probabilities", probs)
+        return probs
 
     def subtree_leaves(self, index: int):
         """Leaves below (or equal to) the given node, in leaf-list order."""

@@ -19,16 +19,14 @@ import numpy as np
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, validate_market
 from .numbers import INF, NEG_INF
-from .treelp import (
-    constraint_rows,
-    node_gain_rows,
-    recession_rows,
-    terminal_gain_rows,
-    variable_layout,
-)
+from .treelp import tree_lp
 from .utility import UtilityFunction
 
 _DOMAIN_EPS = 1e-12
+# Cap on the worst-leaf slack in _feasible_start's max-min LP, above |x|.
+# It only keeps that LP bounded on a free-lunch market; being positive, it
+# never changes the sign of the slack, which is the feasibility verdict.
+_SLACK_CAP = 10 ** 6
 
 
 @dataclass
@@ -68,25 +66,16 @@ def primal_feasible(market: MarketModel, x) -> bool:
     A per-x phase-1 question, used by the bisection route to the critical
     wealth level; deliberately not the max-min-slack LP.
     """
+    lp = tree_lp(market)
     try:
-        A, b = constraint_rows(market)
+        A, b = lp.A, lp.b
     except NotImplementedError:
         return _feasible_start(market, x)[0]
-    gains = terminal_gain_rows(market)
     exact = market.exact and isinstance(x, (int, Fraction))
-    for row in gains:
-        A.append([-v for v in row])
-        b.append(x if exact else float(x))
-    A2, b2 = _floor_rows(market)
-    res = solve_lp([0] * len(A[0]), A_ub=A + A2, b_ub=b + b2, exact=exact)
+    A_ub = list(A) + [tuple(-v for v in row) for row in lp.L]
+    b_ub = list(b) + [x if exact else float(x)] * len(lp.L)
+    res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=b_ub, exact=exact)
     return res.status == OPTIMAL
-
-
-def _floor_rows(market):
-    if market.floor is None:
-        return [], []
-    rows = node_gain_rows(market)
-    return [[-v for v in row] for row in rows], [market.floor] * len(rows)
 
 
 def _feasible_start(market: MarketModel, x):
@@ -94,35 +83,24 @@ def _feasible_start(market: MarketModel, x):
 
     Returns (feasible, starting holdings dict, worst-leaf slack).
     """
-    offsets, total = variable_layout(market)
+    lp = tree_lp(market)
     try:
-        A, b = constraint_rows(market)
+        A, b = lp.A, lp.b
     except NotImplementedError:
         return _feasible_start_nonpolyhedral(market, x)
-    gains = terminal_gain_rows(market)
     exact = market.exact and isinstance(x, (int, Fraction))
-    # variables (H, m): maximize m subject to x + gains_l >= m; m is capped
-    # so a free-lunch market cannot make the LP unbounded
-    A2 = [row + [0] for row in A]
-    b2 = list(b)
-    for row in gains:
-        A2.append([-v for v in row] + [1])
-        b2.append(x if exact else float(x))
-    fr, fb = _floor_rows(market)
-    A2 += [row + [0] for row in fr]
-    b2 += fb
-    cap = (abs(x) if exact else abs(float(x))) + 10 ** 6
-    A2.append([0] * total + [1])
-    b2.append(cap)
-    c = [0] * total + [-1]
-    res = solve_lp(c, A_ub=A2, b_ub=b2, exact=exact)
+    x = x if exact else float(x)
+    # variables (H, m): maximize m subject to x + gains_l >= m, m <= cap
+    A_ub = [row + (0,) for row in A] \
+        + [tuple(-v for v in row) + (1,) for row in lp.L] \
+        + [(0,) * lp.n_h + (1,)]
+    b_ub = list(b) + [x] * len(lp.L) + [abs(x) + _SLACK_CAP]
+    res = solve_lp([0] * lp.n_h + [-1], A_ub=A_ub, b_ub=b_ub, exact=exact)
     if res.status != OPTIMAL:
         # infeasible only when the floor empties the admissible class
         return False, None, NEG_INF
     m = -res.value
-    holdings = {i: tuple(res.x[offsets[i] + k] for k in range(market.dim))
-                for i in market.tree.nonleaf}
-    return m >= 0, holdings, m
+    return m >= 0, lp.portfolio(res.x).as_dict(), m
 
 
 def _feasible_start_nonpolyhedral(market, x):
@@ -138,27 +116,14 @@ def _feasible_start_nonpolyhedral(market, x):
 def find_free_lunch_direction(market: MarketModel):
     """Admissible recession direction whose terminal gains are >= 0 on every
     leaf and sum to 1: a certificate that the attainable set is unbounded."""
-    try:
-        A = recession_rows(market)
-    except NotImplementedError:
-        return None
-    _, total = variable_layout(market)
-    gains = terminal_gain_rows(market)
-    A_ub = [list(r) for r in A] + [[-v for v in row] for row in gains]
-    b_ub = [0] * (len(A) + len(gains))
-    if market.floor is not None:
-        rows = node_gain_rows(market)
-        A_ub += [[-v for v in row] for row in rows]
-        b_ub += [0] * len(rows)
-    A_eq = [[sum(col) for col in zip(*gains)]] if gains else None
-    res = solve_lp([0] * total, A_ub=A_ub, b_ub=b_ub,
+    lp = tree_lp(market)
+    A_ub = list(lp.R) + [tuple(-v for v in row) for row in lp.L]
+    A_eq = [[sum(col) for col in zip(*lp.L)]]
+    res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=[0] * len(A_ub),
                    A_eq=A_eq, b_eq=[1], exact=market.exact)
     if res.status != OPTIMAL:
         return None
-    offsets, _ = variable_layout(market)
-    return PortfolioProcess({
-        i: tuple(res.x[offsets[i] + k] for k in range(market.dim))
-        for i in market.tree.nonleaf})
+    return lp.portfolio(res.x)
 
 
 def _float_projector(cset):
@@ -215,13 +180,11 @@ def _vectorized_utility(utility):
 
 
 def _projected_gradient(market, utility, x, start, tol, max_iter):
-    offsets, total = variable_layout(market)
-    leaf_probs = np.asarray([float(p) for p in market.tree.leaf_probabilities()])
-    L = np.asarray([[float(v) for v in row] for row in terminal_gain_rows(market)])
+    lp = tree_lp(market)
+    offsets, leaf_probs, L = lp.offsets, lp.p_f, lp.L_f
     floor_rows = floor = None
     if market.floor is not None:
-        floor_rows = np.asarray([[float(v) for v in row]
-                                 for row in node_gain_rows(market)])
+        floor_rows = lp.N_f
         floor = float(market.floor)
     x = float(x)
     guard = utility.inf_value() == NEG_INF or utility.inada_zero()
@@ -266,7 +229,7 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         g = gradient(h)
         gm = float(np.linalg.norm(h - project(h + g)))
         if gm <= tol:
-            return _package(market, offsets, h, x, f, "optimal", it, gm, trace)
+            return _package(market, h, x, f, "optimal", it, gm, trace)
         if prev_g is not None:
             dh = h - prev_h
             dg = g - prev_g
@@ -294,13 +257,11 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         if len(trace) > 200:
             trace = trace[-100:]
     status = "optimal" if gm is not None and gm <= tol else "max-iterations"
-    return _package(market, offsets, h, x, f, status, max_iter, gm, trace)
+    return _package(market, h, x, f, status, max_iter, gm, trace)
 
 
-def _package(market, offsets, h, x, f, status, iters, gm, trace):
-    holdings = {i: tuple(float(v) for v in h[offsets[i]: offsets[i] + market.dim])
-                for i in market.tree.nonleaf}
-    portfolio = PortfolioProcess(holdings)
+def _package(market, h, x, f, status, iters, gm, trace):
+    portfolio = tree_lp(market).portfolio(h.tolist())
     from .market import wealth_process
 
     terminal = wealth_process(market, portfolio, x).leaf_values(market)
@@ -338,21 +299,17 @@ def brute_force_primal(market: MarketModel, utility: UtilityFunction, x,
     rounds = int(grid_spec.get("rounds", 1))
     radius = float(grid_spec.get("radius", 10.0))
     overrides = grid_spec.get("box", {})
-    offsets, total = variable_layout(market)
-    if points ** total * max(rounds, 1) > 10 ** 7:
+    lp = tree_lp(market)
+    if points ** lp.n_h * max(rounds, 1) > 10 ** 7:
         raise ValueError("grid too large: over the documented 1e7-evaluation cap")
 
-    L = np.asarray([[float(v) for v in row] for row in terminal_gain_rows(market)])
-    leaf_probs = np.asarray([float(p) for p in market.tree.leaf_probabilities()])
+    L, leaf_probs = lp.L_f, lp.p_f
     offset_vec = np.zeros(len(market.tree.leaves))
     if "terminal_offset" in grid_spec:
         ids = [market.tree.nodes[i].node_id for i in market.tree.leaves]
         offset_vec = np.asarray([float(grid_spec["terminal_offset"][nid])
                                  for nid in ids])
-    floor_rows = None
-    if market.floor is not None:
-        floor_rows = np.asarray([[float(v) for v in row]
-                                 for row in node_gain_rows(market)])
+    floor_rows = lp.N_f if market.floor is not None else None
 
     windows = []
     for i in market.tree.nonleaf:
@@ -372,7 +329,7 @@ def brute_force_primal(market: MarketModel, utility: UtilityFunction, x,
                 for lo, hi in windows]
         for combo in itertools.product(*axes):
             h = np.asarray(combo)
-            if not _grid_point_admissible(market, offsets, h):
+            if not _grid_point_admissible(market, lp.offsets, h):
                 continue
             w = x + L @ h + offset_vec
             if (w < 0).any():

@@ -17,7 +17,7 @@ from condual.dual import (
     support_alpha,
 )
 from condual.market import build_market
-from condual.numbers import INF, scale_extended
+from condual.numbers import INF, NEG_INF, scale_extended
 from condual.primal import solve_primal
 from condual.utility import LogUtility, PowerUtility
 
@@ -184,11 +184,14 @@ def test_superhedge_pinned_zero_claim(b1_pinned):
 def test_superhedge_lp_duality_random(two_period):
     rng = random.Random(17)
     leaves = len(two_period.tree.leaves)
+    essinf = min_support(two_period).sup_essinf
     for _ in range(25):
         f = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(leaves))
         res = superhedge_price(two_period, f)
         assert res.price == res.dual_value  # exact mode: LP duality on the nose
         assert abs(res.price) <= res.bound + max(abs(v) for v in f)
+        if essinf not in (INF, NEG_INF):
+            assert res.bound == abs(essinf)
 
 
 def test_hedging_characterization(b1_box):

@@ -82,16 +82,26 @@ def test_random_agreement_with_scipy(seed):
         row_hi[j] = Fraction(1)
         A += [row_lo, row_hi]
         b += [Fraction(10), Fraction(10)]
-    exact = solve_lp(c, A_ub=A, b_ub=b, exact=True)
+    nonneg = [j for j in range(n) if rng.random() < 0.5]
+    exact = solve_lp(c, A_ub=A, b_ub=b, exact=True, nonneg=nonneg)
     approx = solve_lp([float(v) for v in c],
                       A_ub=[[float(v) for v in row] for row in A],
-                      b_ub=[float(v) for v in b], exact=False)
-    assert exact.status == approx.status
+                      b_ub=[float(v) for v in b], exact=False, nonneg=nonneg)
+    rows = solve_lp(c, A_ub=A + _identity_rows(n, nonneg),
+                    b_ub=b + [0] * len(nonneg), exact=True)
+    assert exact.status == approx.status == rows.status
     if exact.status == OPTIMAL:
+        assert exact.value == rows.value
         assert abs(float(exact.value) - approx.value) < 1e-7
         # exact point is feasible
         for row, bound in zip(A, b):
             assert sum(a * x for a, x in zip(row, exact.x)) <= bound
+        assert all(exact.x[j] >= 0 for j in nonneg)
+
+
+def _identity_rows(n, nonneg):
+    """x_j >= 0 written as rows -x_j <= 0."""
+    return [[-1 if k == j else 0 for k in range(n)] for j in nonneg]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -110,12 +120,25 @@ def test_random_agreement_with_equalities(seed):
         A_ub += [lo, hi]
         b_ub += [Fraction(6), Fraction(6)]
     c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    exact = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, exact=True)
+    nonneg = [j for j in range(n) if rng.random() < 0.5]
+    exact = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, exact=True,
+                     nonneg=nonneg)
     approx = solve_lp([float(v) for v in c],
                       A_ub=[[float(v) for v in r] for r in A_ub],
                       b_ub=[float(v) for v in b_ub],
                       A_eq=[[float(v) for v in r] for r in A_eq],
-                      b_eq=[float(v) for v in b_eq], exact=False)
-    assert exact.status == approx.status == OPTIMAL
-    assert abs(float(exact.value) - approx.value) < 1e-7
-    assert sum(a * x for a, x in zip(A_eq[0], exact.x)) == b_eq[0]
+                      b_eq=[float(v) for v in b_eq], exact=False, nonneg=nonneg)
+    rows = solve_lp(c, A_ub=A_ub + _identity_rows(n, nonneg),
+                    b_ub=b_ub + [0] * len(nonneg), A_eq=A_eq, b_eq=b_eq,
+                    exact=True)
+    # nonnegativity can cut off every solution of the equality row
+    assert exact.status == approx.status == rows.status
+    if not nonneg:
+        assert exact.status == OPTIMAL
+    if exact.status == OPTIMAL:
+        assert exact.value == rows.value
+        assert abs(float(exact.value) - approx.value) < 1e-7
+        assert sum(a * x for a, x in zip(A_eq[0], exact.x)) == b_eq[0]
+        for row, bound in zip(A_ub, b_ub):
+            assert sum(a * x for a, x in zip(row, exact.x)) <= bound
+        assert all(exact.x[j] >= 0 for j in nonneg)
