@@ -3,14 +3,26 @@ value function, superhedging prices, and the critical initial wealth.
 
 Everything here runs over leaf measures.  Expected terminal gains decompose
 node by node, so the support function of the attainable set is a finite sum
-of per-node constraint-set support values, and its minimization over the
-probability simplex is a single LP once each support value is written in its
-dual (halfspace-multiplier) form.  A floor on intermediate wealth couples
-the nodes, in which case the stacked-LP route below is used instead.
+of per-node constraint-set support values.
+
+Superhedging prices and the critical wealth take one of two routes:
+
+* without a floor, when every set has a halfspace form, by backward
+  induction over the tree (:mod:`condual.recursion`): one closed-form step
+  per node in dimension one, one small LP per node otherwise;
+* with a floor, which couples the nodes, by global LPs over the stacked
+  holdings and over the lifted (measure, multiplier) polytope of
+  :class:`condual.treelp.TreeLP`.
+
+Either route returns certificates for both sides of LP duality: a hedging
+portfolio, whose worst leaf is read off its terminal gains, and a pricing
+measure, whose value is its expected payoff minus the support function
+evaluated at it.  Neither side is copied from the other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +31,7 @@ import numpy as np
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel
 from .numbers import INF, NEG_INF, all_exact, scale_extended
+from .recursion import backward_induction, interval_support
 from .treelp import node_direction, subtree_weights, tree_lp
 from .utility import UtilityFunction, conjugate, conjugate_marginal
 
@@ -92,8 +105,12 @@ def support_alpha(market: MarketModel, measure, zero_tol=0.0) -> object:
     if market.floor is None:
         total = 0
         mass = subtree_weights(market, weights)
+        intervals = tree_lp(market).intervals  # dimension one only
         for i, cset in market.constraints:
-            val = _support_with_floor_noise(cset, node_direction(market, mass, i),
+            support = cset.support if i not in intervals \
+                else functools.partial(interval_support, intervals[i])
+            val = _support_with_floor_noise(support,
+                                            node_direction(market, mass, i),
                                             zero_tol)
             if val == INF:
                 return INF
@@ -110,19 +127,19 @@ def _clean(xi, zero_tol):
     return tuple(0.0 if abs(float(v)) <= zero_tol else v for v in xi)
 
 
-def _support_with_floor_noise(cset, xi, zero_tol):
+def _support_with_floor_noise(support, xi, zero_tol):
     """Support value, retrying with denoised direction only when infinite.
 
     Finite values are never perturbed; the retry merely lets float-produced
     directions sit on equality faces they satisfy up to LP tolerance.
     """
-    val = cset.support(xi)
+    val = support(xi)
     if val != INF or zero_tol == 0:
         return val
     cleaned = _clean(xi, zero_tol)
     if cleaned == tuple(xi):
         return val
-    return cset.support(cleaned)
+    return support(cleaned)
 
 
 def alpha_argmax_gains(market: MarketModel, weights, zero_tol=0.0):
@@ -214,10 +231,36 @@ class MinSupportResult:
 def min_support(market: MarketModel) -> MinSupportResult:
     """(inf over measures of alpha, sup over claims of the worst leaf, xbar).
 
-    The two optimizations are solved as separate LPs; they are dual to each
-    other, so their agreement is an LP-duality identity, and the critical
-    initial wealth is the negation.
+    Both come from superhedging the zero claim: sup essinf of the attainable
+    gains is minus its price, and inf alpha is its measure-side value.  Each side
+    comes from its own certificate (TreeLP.L times the hedge for the worst
+    leaf; support_alpha at the minimizing measure for inf alpha), so their
+    agreement is an LP-duality identity.  The critical initial wealth is
+    -inf alpha.
+
+    Markets without a floor, with every set in halfspace form, are solved
+    by backward induction (recursion module); otherwise by the lifted LP
+    and the stacked worst-leaf LP.
     """
+    if _recursive(market):
+        return _min_support_recursive(market)
+    return _min_support_lp(market)
+
+
+def _min_support_recursive(market):
+    back = backward_induction(market, _zero_claim(market), market.exact)
+    if back.value == NEG_INF:  # constrained arbitrage
+        return MinSupportResult(INF, INF, NEG_INF, None)
+    minimizer = measure_from_weights(market, back.weights)
+    inf_alpha = support_alpha(market, minimizer,
+                              _zero_tol(market, market.exact))
+    minimizer = DualMeasure(minimizer.weights, minimizer.probabilities,
+                            inf_alpha)
+    return MinSupportResult(inf_alpha, _worst_gain(market, back.hedge),
+                            _xbar(inf_alpha), minimizer)
+
+
+def _min_support_lp(market):
     res, n_leaves = _lifted_lp(market, [0] * len(market.tree.leaves))
     if res.status == INFEASIBLE:
         # every measure sees an unbounded support value: constrained
@@ -234,15 +277,39 @@ def min_support(market: MarketModel) -> MinSupportResult:
         minimizer = measure_from_weights(market, res.x[:n_leaves])
         minimizer = DualMeasure(minimizer.weights, minimizer.probabilities,
                                 inf_alpha)
+    return MinSupportResult(inf_alpha, _sup_essinf(market), _xbar(inf_alpha),
+                            minimizer)
 
-    sup_essinf = _sup_essinf(market)
+
+def _xbar(inf_alpha):
     if inf_alpha == INF:
-        xbar = NEG_INF
-    elif inf_alpha == NEG_INF:
-        xbar = INF
-    else:
-        xbar = -inf_alpha
-    return MinSupportResult(inf_alpha, sup_essinf, xbar, minimizer)
+        return NEG_INF
+    if inf_alpha == NEG_INF:
+        return INF
+    return -inf_alpha
+
+
+def _recursive(market):
+    """True when backward induction prices the market: no floor, and a
+    halfspace form at every node."""
+    return market.floor is None and tree_lp(market).polyhedral
+
+
+def _zero_claim(market):
+    return (0,) * len(market.tree.leaves)
+
+
+def _zero_tol(market, exact):
+    return 0 if exact else _noise_floor(market)
+
+
+def _worst_gain(market, hedge):
+    """Least terminal gain over the leaves of a stacked hedge; +inf for the
+    free lunch (hedge None) of a constrained arbitrage."""
+    if hedge is None:
+        return INF
+    return min(sum(a * h for a, h in zip(row, hedge) if a)
+               for row in tree_lp(market).L)
 
 
 def _sup_essinf(market):
@@ -278,19 +345,43 @@ class SuperhedgeResult:
 def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
     """Least initial capital whose attainable wealth dominates the payoff.
 
-    Solved twice: directly (min x with x + gains >= payoff) and through the
-    measure-side LP (max expected payoff minus the support penalty).  Both
-    values are returned so LP duality is observable; the witness measure
-    comes from the measure-side solution and certifies prices > 0 in the
-    claim-membership test.
+    Returns both sides of LP duality, each from its own certificate:
+    ``price`` with ``portfolio_x = [price] + stacked H``, whose wealth
+    dominates the payoff on every leaf, and ``dual_value``, the expected
+    payoff minus the support penalty under the ``witness`` measure, which
+    certifies prices > 0 in the claim-membership test.  ``bound`` is
+    |sup essinf| from the zero claim (|price| <= bound + max |payoff|).
+
+    Markets without a floor, with every set in halfspace form, are priced
+    by backward induction (recursion module); otherwise by the stacked
+    primal LP, the lifted measure-side LP and the worst-leaf LP.
     """
     payoff = tuple(payoff)
     leaves = market.tree.leaves
     if len(payoff) != len(leaves):
         raise ValueError("payoff must assign one value per leaf")
-    lp = tree_lp(market)
     exact = market.exact and all_exact(payoff)
 
+    if _recursive(market):
+        return _superhedge_recursive(market, payoff, exact)
+    return _superhedge_lp(market, payoff, exact)
+
+
+def _superhedge_recursive(market, payoff, exact):
+    back = backward_induction(market, payoff, exact)
+    essinf = _worst_gain(market, backward_induction(
+        market, _zero_claim(market), market.exact).hedge)
+    if back.value == NEG_INF:
+        return SuperhedgeResult(NEG_INF, None, NEG_INF, None, _bound(essinf))
+    witness = measure_from_weights(market, back.weights)
+    dual_value = sum(q * f for q, f in zip(witness.weights, payoff)) \
+        - support_alpha(market, witness, _zero_tol(market, exact))
+    return SuperhedgeResult(back.value, [back.value] + back.hedge, dual_value,
+                            witness, _bound(essinf))
+
+
+def _superhedge_lp(market, payoff, exact):
+    lp = tree_lp(market)
     # primal: variables (x, H), x + gains_l >= payoff_l on every leaf
     A2 = [(0,) + row for row in lp.A] + [(-1,) + tuple(-v for v in row)
                                          for row in lp.L]
@@ -310,10 +401,12 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
         dual_value = -dual_res.value
     else:
         witness, dual_value = None, NEG_INF
+    return SuperhedgeResult(price, x, dual_value, witness,
+                            _bound(_sup_essinf(market)))
 
-    essinf = _sup_essinf(market)
-    bound = abs(essinf) if essinf not in (INF, NEG_INF) else INF
-    return SuperhedgeResult(price, x, dual_value, witness, bound)
+
+def _bound(essinf):
+    return abs(essinf) if essinf not in (INF, NEG_INF) else INF
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Variables are free unless listed as nonnegative.  Float mode delegates to
 scipy's HiGHS backend, which takes the sign restrictions as variable bounds.
 Exact mode runs a two-phase full-tableau simplex over
 :class:`fractions.Fraction`; problem sizes here are desk scale (tens to
-hundreds of variables), so the tableau method is plenty.
+hundreds of variables), so the tableau method is plenty.  Both modes report
+the multipliers of the inequality rows with an optimal answer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ class LPResult:
     status: str
     x: list | None
     value: object | None  # Fraction or float when optimal
+    # when optimal: multipliers lam >= 0 of the A_ub rows, so that
+    # c + A_ub^T lam - A_eq^T nu vanishes on the free columns for some nu
+    duals: list | None = None
 
     @property
     def ok(self) -> bool:
@@ -77,7 +81,10 @@ def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
         res = _scipy_linprog(np.asarray(c, dtype=float), method=method,
                              options=options, **kwargs)
         if res.status == 0:
-            return LPResult(OPTIMAL, list(map(float, res.x)), float(res.fun))
+            duals = [] if kwargs["A_ub"] is None \
+                else [-float(v) for v in res.ineqlin.marginals]
+            return LPResult(OPTIMAL, list(map(float, res.x)), float(res.fun),
+                            duals)
         if res.status == 2:
             return LPResult(INFEASIBLE, None, None)
         if res.status == 3:
@@ -88,7 +95,7 @@ def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
                            nonneg)
     if exact.status == OPTIMAL:
         return LPResult(OPTIMAL, [float(v) for v in exact.x],
-                        float(exact.value))
+                        float(exact.value), [float(v) for v in exact.duals])
     return exact
 
 
@@ -100,7 +107,8 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     """Two-phase tableau simplex with Bland anti-cycling, all in Fractions.
 
     Nonnegative columns enter the tableau as they are; free columns are
-    split x = u - w; <= rows get slack columns.
+    split x = u - w; <= rows get slack columns.  At the optimum the reduced
+    cost of a row's slack column is that row's multiplier.
     """
     c = [Fraction(v) for v in c]
     A_ub = _frac_rows(A_ub)
@@ -237,4 +245,4 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     for k, j in enumerate(free):
         x[j] -= z[n + k]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    return LPResult(OPTIMAL, x, value)
+    return LPResult(OPTIMAL, x, value, red2[n_split:n_split + m_ub])

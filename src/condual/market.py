@@ -141,11 +141,17 @@ class MarketModel:
 
     @property
     def exact(self) -> bool:
-        scalars = [n.cond_prob for n in self.tree.nodes]
-        scalars += [v for p in self.prices for v in p]
-        if self.floor is not None:
-            scalars.append(self.floor)
-        return all_exact(scalars) and all(s.exact for _, s in self.constraints)
+        """True when every input scalar is rational; computed once per market."""
+        exact = self.__dict__.get("_exact")
+        if exact is None:
+            scalars = [n.cond_prob for n in self.tree.nodes]
+            scalars += [v for p in self.prices for v in p]
+            if self.floor is not None:
+                scalars.append(self.floor)
+            exact = all_exact(scalars) and all(s.exact
+                                               for _, s in self.constraints)
+            object.__setattr__(self, "_exact", exact)
+        return exact
 
     def constraint(self, index: int) -> ConvexSet:
         return dict(self.constraints)[index]

@@ -72,8 +72,12 @@ def primal_feasible(market: MarketModel, x) -> bool:
     except NotImplementedError:
         return _feasible_start(market, x)[0]
     exact = market.exact and isinstance(x, (int, Fraction))
-    A_ub = list(A) + [tuple(-v for v in row) for row in lp.L]
-    b_ub = list(b) + [x if exact else float(x)] * len(lp.L)
+    if exact:
+        A_ub = list(A) + [tuple(-v for v in row) for row in lp.L]
+        b_ub = list(b) + [x] * len(lp.L)
+    else:
+        A_ub = np.vstack([lp.A_f, -lp.L_f])
+        b_ub = np.concatenate([lp.b_f, np.full(len(lp.L), float(x))])
     res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=b_ub, exact=exact)
     return res.status == OPTIMAL
 
@@ -91,10 +95,18 @@ def _feasible_start(market: MarketModel, x):
     exact = market.exact and isinstance(x, (int, Fraction))
     x = x if exact else float(x)
     # variables (H, m): maximize m subject to x + gains_l >= m, m <= cap
-    A_ub = [row + (0,) for row in A] \
-        + [tuple(-v for v in row) + (1,) for row in lp.L] \
-        + [(0,) * lp.n_h + (1,)]
     b_ub = list(b) + [x] * len(lp.L) + [abs(x) + _SLACK_CAP]
+    if exact:
+        A_ub = [row + (0,) for row in A] \
+            + [tuple(-v for v in row) + (1,) for row in lp.L] \
+            + [(0,) * lp.n_h + (1,)]
+    else:
+        cap = np.zeros((1, lp.n_h + 1))
+        cap[0, -1] = 1.0
+        A_ub = np.vstack([
+            np.hstack([lp.A_f, np.zeros((len(lp.b_f), 1))]),
+            np.hstack([-lp.L_f, np.ones((len(lp.L), 1))]),
+            cap])
     res = solve_lp([0] * lp.n_h + [-1], A_ub=A_ub, b_ub=b_ub, exact=exact)
     if res.status != OPTIMAL:
         # infeasible only when the floor empties the admissible class

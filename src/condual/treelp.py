@@ -12,7 +12,9 @@ nodes), ``dim`` entries each, into one vector H of width ``n_h``.  A
   gains accrued by the time of that node);
 * the recession rows ``R``, with ``R H <= 0`` the recession cone of the
   admissible class;
-* the leaf probabilities ``p``.
+* the leaf probabilities ``p``;
+* in dimension one, each node's constraint set as an interval ``(lo, hi)``
+  (``intervals``), read from its halfspace rows.
 
 Each item is kept in exact entries (tuples of the market's own numbers) and
 as a read-only float array under the same name with an ``_f`` suffix.
@@ -27,9 +29,12 @@ over q with alpha in its objective is one LP over the lifted pairs (q, mu);
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .market import MarketModel, PortfolioProcess
+from .numbers import INF, NEG_INF, is_exact
 
 
 def _frozen(values, *shape):
@@ -93,6 +98,7 @@ class TreeLP:
 
         A, b = [], []
         self._stacked = None
+        self.intervals = {}
         for i, cset in market.constraints:
             hs = cset.halfspaces()
             if hs is None:
@@ -103,6 +109,8 @@ class TreeLP:
                 break
             A += block_rows(i, hs[0])
             b += hs[1]
+            if d == 1:
+                self.intervals[i] = _interval(*hs)
         else:
             A, b = tuple(A + floor_rows), tuple(b) + (market.floor,) * len(floor_rows)
             self._stacked = (A, b, _frozen(A, len(A), n_h), _frozen(b, len(b)))
@@ -112,6 +120,11 @@ class TreeLP:
         self.L_f = _frozen(self.L, len(self.L), n_h)
         self.N_f = _frozen(self.N, len(self.N), n_h)
         self.R_f = _frozen(self.R, len(self.R), n_h)
+
+    @property
+    def polyhedral(self) -> bool:
+        """True when every constraint set has a halfspace form."""
+        return self._stacked is not None
 
     def lifted(self, exact, extra=0, multipliers=True):
         """(A_eq, b_eq, nonneg) of the lifted polytope {q >= 0, sum q = 1,
@@ -144,6 +157,21 @@ class TreeLP:
         """The portfolio whose stacked holdings vector is x."""
         return PortfolioProcess({i: tuple(x[o:o + self.dim])
                                  for i, o in self.offsets.items()})
+
+
+def _interval(A, b):
+    """(lo, hi) of the one-dimensional set {h : a h <= b_a for each row a}."""
+    lo, hi = NEG_INF, INF
+    for (a,), bound in zip(A, b):
+        if a == 0:
+            continue  # 0 <= bound: the set is nonempty
+        end = Fraction(bound) / a if is_exact(bound) and is_exact(a) \
+            else bound / a
+        if a > 0:
+            hi = min(hi, end)
+        else:
+            lo = max(lo, end)
+    return lo, hi
 
 
 def tree_lp(market: MarketModel) -> TreeLP:

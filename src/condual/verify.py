@@ -144,8 +144,10 @@ class XbarReport:
 
 def verify_xbar(market: MarketModel, tol=1e-6,
                 bracket=(-100.0, 100.0)) -> XbarReport:
-    """Three independent routes to the critical initial wealth: the support
-    LP, the worst-leaf LP, and bisection on primal feasibility.
+    """Three independent routes to the critical initial wealth: the two
+    sides of min_support (inf alpha and sup essinf), and bisection on
+    primal feasibility, halved until the bracket is within 1e-3 * tol (at
+    most 60 times).
 
     An infinite critical wealth (constrained arbitrage pushes it to -inf,
     an empty admissible class to +inf) counts as agreement when the
@@ -167,6 +169,8 @@ def verify_xbar(market: MarketModel, tol=1e-6,
         c = hi
     else:
         for _ in range(60):
+            if hi - lo <= 1e-3 * tol:
+                break  # narrower brackets are below the LPs' tolerance
             mid = 0.5 * (lo + hi)
             if primal_feasible(market, mid):
                 hi = mid

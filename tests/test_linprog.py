@@ -97,6 +97,20 @@ def test_random_agreement_with_scipy(seed):
         for row, bound in zip(A, b):
             assert sum(a * x for a, x in zip(row, exact.x)) <= bound
         assert all(exact.x[j] >= 0 for j in nonneg)
+        _check_multipliers(c, A, b, nonneg, exact, 0)
+        _check_multipliers(c, A, b, nonneg, approx, 1e-7)
+
+
+def _check_multipliers(c, A, b, nonneg, res, tol):
+    """KKT for min c x s.t. A x <= b: lam >= 0, c + A^T lam vanishes on the
+    free columns and is >= 0 on the nonnegative ones, and b . lam equals
+    minus the optimal value."""
+    lam = res.duals
+    assert len(lam) == len(A) and all(v >= -tol for v in lam)
+    for j, cj in enumerate(c):
+        reduced = cj + sum(row[j] * v for row, v in zip(A, lam))
+        assert reduced >= -tol if j in nonneg else abs(reduced) <= tol
+    assert abs(res.value + sum(bi * v for bi, v in zip(b, lam))) <= 100 * tol
 
 
 def _identity_rows(n, nonneg):
