@@ -35,8 +35,6 @@ from .recursion import backward_induction, interval_support
 from .treelp import node_direction, subtree_weights, tree_lp
 from .utility import UtilityFunction, conjugate, conjugate_marginal
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class DualMeasure:
@@ -140,36 +138,6 @@ def _support_with_floor_noise(support, xi, zero_tol):
     if cleaned == tuple(xi):
         return val
     return support(cleaned)
-
-
-def alpha_argmax_gains(market: MarketModel, weights, zero_tol=0.0):
-    """(alpha, per-leaf terminal gains of a sup-attaining portfolio).
-
-    The gains vector is a subgradient of alpha at the given weights.
-    Returns (inf, None) off the finite face.
-    """
-    if market.floor is None:
-        mass = subtree_weights(market, weights)
-        holdings = {}
-        total = 0
-        for i, cset in market.constraints:
-            xi = node_direction(market, mass, i)
-            val, point = cset.support_argmax(xi)
-            if point is None and zero_tol > 0:
-                val, point = cset.support_argmax(_clean(xi, zero_tol))
-            if point is None:
-                return INF, None
-            holdings[i] = point
-            total = total + val
-        from .market import PortfolioProcess, wealth_process
-
-        gains = wealth_process(market, PortfolioProcess(holdings), 0)
-        return total, gains.leaf_values(market)
-    value, x = _alpha_lp(market, weights)
-    if x is None:
-        return INF, None
-    gains = tuple(sum(a * b for a, b in zip(row, x)) for row in tree_lp(market).L)
-    return value, gains
 
 
 def _alpha_lp(market, weights):
@@ -445,23 +413,6 @@ def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights,
     return total + y * float(a)
 
 
-def _objective_subgradient(market, utility, y, weights, zero_tol=0.0):
-    """Per-leaf subgradient of the dual objective at an interior point."""
-    probs = market.tree.leaf_probabilities()
-    alpha, gains = alpha_argmax_gains(market, weights, zero_tol)
-    if gains is None:
-        return None
-    grad = []
-    for w, p, gain in zip(weights, probs, gains):
-        density = max(float(w), 0.0) / float(p)
-        z = y * density
-        if z <= 0:
-            return None  # boundary point: the conjugate slope may blow up
-        vprime = conjugate_marginal(utility, z)[1]
-        grad.append(y * vprime + y * float(gain))
-    return np.asarray(grad)
-
-
 def _max_margin_measure(market, multipliers=True):
     """(q, t): a leaf measure maximizing the margin t in q >= t p, found by
     a float LP over the lifted polytope with margin t <= 1; None when that
@@ -502,42 +453,26 @@ def _face_interior_point(market):
     return np.asarray(found[0], dtype=float)
 
 
-def _face_equality_basis(market):
-    """Equality rows pinning the face's affine hull: the mass-one row plus
-    the components of L^T q outside the span of the stacked constraint
-    rows, which must vanish for the support value to stay finite."""
-    lp = tree_lp(market)
-    A, L = lp.A_f, lp.L_f
-    n = L.shape[0]
-    rows = [np.ones(n)]
-    if len(A):
-        u, s, vt = np.linalg.svd(A, full_matrices=True)
-        rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
-        null_basis = vt[rank:]  # orthocomplement of the row span
-    else:
-        null_basis = np.eye(L.shape[1])
-    for w in null_basis:
-        rows.append(L @ w)  # (L^T q) . w == q . (L w)
-    E = np.asarray(rows)
-    # keep an independent subset
-    u, s, vt = np.linalg.svd(E, full_matrices=False)
-    rank = int((s > 1e-10 * s[0]).sum())
-    return E, rank
-
-
 def solve_dual(market: MarketModel, utility: UtilityFunction, y,
-               tol=1e-8, max_iter=4000) -> DualSolution:
+               tol=1e-8) -> DualSolution:
     """Minimize E[V(y dQ/dP)] + y alpha(Q) over mass-one measures Q.
 
-    Piecewise-linear conjugates make the whole problem one epigraph LP and
-    are solved that way outright.  Otherwise the finite-alpha face is
-    pinned down first (its affine hull comes from the equality part of the
-    support-penalty domain); the remaining free directions are searched by
-    golden section (one direction) or a feasible-descent subgradient pass
-    plus an SQP solve of the lifted multiplier form (more).  The reported
-    gap is the distance to the best subgradient-minorant lower bound, and
-    `attained` means that gap was closed to tolerance at a point of the
-    closed face.
+    The utility's class picks one route over the lifted (q, mu) polytope of
+    TreeLP.lifted, on which the least b . mu for a fixed q is alpha(q):
+
+    * a piecewise-linear conjugate makes the whole dual one epigraph LP;
+    * any other conjugate (power, log) is smooth, and the dual is one SQP
+      solve with linear constraints, started from a point of the
+      finite-alpha face that is strictly positive where the face allows.
+
+    When the route finds no answer, that face point itself is reported.
+    ``gap`` is the distance from the reported value down to the minimum of
+    its partial linearization (the first-order minorant of E[V] at the
+    reported measure plus the exact support penalty), a lower bound on the
+    dual value; it is +inf at a point where V or its slope is infinite.
+    ``attained`` means the value is finite and the gap is within
+    max(tol, 1e-6 * max(1, |value|)).  ``iterations`` counts SQP iterations
+    over all restarts, and is 0 on the LP route.
     """
     if y <= 0:
         raise ValueError("the dual is solved for y > 0")
@@ -546,144 +481,21 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         return DualSolution(INF, None, False, INF, y=y)
     zero_tol = _noise_floor(market)
 
-    E, rank = _face_equality_basis(market)
-    u, s, vt = np.linalg.svd(E, full_matrices=True)
-    basis = vt[rank:]  # null space of the equality rows: free directions
-    k = basis.shape[0]
-
-    evals = [0]
-
-    def g(q):
-        evals[0] += 1
-        return dual_objective(market, utility, y, tuple(q), zero_tol)
-
     lines = _conjugate_lines(utility)
-    q_lp = None
     if lines is not None:
-        # piecewise-linear conjugate: the whole dual is one epigraph LP
-        q_lp = _piecewise_dual_lp(market, utility, y, lines)
-
-    if q_lp is not None:
-        q_best, f_best = q_lp, g(q_lp)
-    elif k == 0:
-        value = g(q0)
-        measure = measure_from_weights(market, tuple(float(v) for v in q0)).scaled(y)
-        return DualSolution(value, measure, True, 0.0, evals[0], y)
-    elif k == 1:
-        direction = basis[0]
-        t_lo, t_hi = _face_segment(market, q0, direction)
-        t_best, f_best, iters = _golden_section(
-            lambda t: g(np.clip(q0 + t * direction, 0.0, None)), t_lo, t_hi, tol)
-        q_best = np.clip(q0 + t_best * direction, 0.0, None)
+        q, iterations = _piecewise_dual_lp(market, utility, y, lines), 0
     else:
-        q_best, f_best, iters = _feasible_descent(
-            market, utility, y, q0, basis, g, tol, max_iter, zero_tol)
-        if utility.smooth:
-            # the support penalty is the only nonsmooth term; in the lifted
-            # multiplier form the whole program is smooth with linear
-            # constraints, which an SQP solve handles far better than
-            # subgradient steps once several free directions remain
-            q_smooth = _lifted_smooth_solve(market, utility, y, q0)
-            if q_smooth is not None:
-                f_smooth = g(q_smooth)
-                if f_smooth < f_best:
-                    q_best, f_best = q_smooth, f_smooth
+        q, iterations = _lifted_smooth_solve(market, utility, y, q0)
+    if q is None:
+        q = q0
 
-    lower = _minorant_lower_bound(market, utility, y, q_best, zero_tol)
-    gap = max(0.0, float(f_best) - lower) if lower != NEG_INF else INF
-    measure = measure_from_weights(
-        market, tuple(float(v) for v in q_best)).scaled(y)
-    attained = gap <= max(tol, 1e-6 * max(1.0, abs(float(f_best))))
-    return DualSolution(f_best, measure, attained, gap, evals[0], y)
-
-
-def _face_segment(market, q0, direction):
-    """Feasible t-range of q0 + t * direction within the lifted polytope."""
-    lp = tree_lp(market)
-    n_mu = len(lp.b_f)
-    # variables (t, mu): q0 + t d >= 0, A^T mu = L^T (q0 + t d), mu >= 0
-    A_ub = np.zeros((len(q0), 1 + n_mu))
-    A_ub[:, 0] = -np.asarray(direction)
-    A_eq = np.hstack([-(lp.L_f.T @ direction)[:, None], lp.A_f.T])
-    b_eq = lp.L_f.T @ q0
-    out = []
-    for sign in (1, -1):
-        res = solve_lp([sign] + [0.0] * n_mu, A_ub=A_ub, b_ub=q0,
-                       A_eq=A_eq, b_eq=b_eq, nonneg=range(1, 1 + n_mu))
-        if res.status == UNBOUNDED:  # cannot happen: the simplex is bounded
-            out.append(INF if sign < 0 else NEG_INF)
-        else:
-            out.append(res.x[0])
-    return min(out), max(out)
-
-
-def _golden_section(fn, lo, hi, tol):
-    """Golden-section minimization; stops the first time the bracket is
-    within tol so achieved accuracy tracks the requested tolerance."""
-    a, b = float(lo), float(hi)
-    iters = 0
-    if b - a < 1e-15:
-        t = 0.5 * (a + b)
-        return t, fn(t), 1
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        iters += 1
-        if iters > 400:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    t = c if fc <= fd else d
-    return t, min(fc, fd), iters
-
-
-def _feasible_descent(market, utility, y, q0, basis, g, tol, max_iter,
-                      zero_tol):
-    """Backtracked subgradient descent in the face's free directions."""
-    q = q0.copy()
-    f = g(q)
-    best_q, best_f = q.copy(), f
-    step = 0.5
-    steps_taken = 0
-    for _ in range(max_iter):
-        steps_taken += 1
-        grad = _objective_subgradient(market, utility, y, tuple(q), zero_tol)
-        if grad is None or not np.isfinite(grad).all():
-            break
-        reduced = basis @ grad
-        norm = float(np.linalg.norm(reduced))
-        if norm <= tol:
-            break
-        d = -(basis.T @ reduced) / norm
-        s = step
-        improved = False
-        for _ in range(40):
-            cand = q + s * d
-            if (cand >= -1e-15).all():
-                cand = np.clip(cand, 0.0, None)
-                cand /= cand.sum()
-                fc = g(cand)
-                if fc < f:
-                    q, f = cand, fc
-                    improved = True
-                    break
-            s *= 0.5
-        if not improved:
-            step *= 0.5
-            if step < 1e-14:
-                break
-        else:
-            step = min(s * 2.0, 1.0)
-        if f < best_f:
-            best_q, best_f = q.copy(), f
-    return best_q, best_f, steps_taken
+    value = dual_objective(market, utility, y, tuple(q), zero_tol)
+    lower = _minorant_lower_bound(market, utility, y, q, zero_tol)
+    gap = max(0.0, float(value) - lower) if lower != NEG_INF else INF
+    measure = measure_from_weights(market, tuple(float(v) for v in q)).scaled(y)
+    attained = math.isfinite(value) \
+        and gap <= max(tol, 1e-6 * max(1.0, abs(float(value))))
+    return DualSolution(value, measure, attained, gap, iterations, y)
 
 
 def _lifted_smooth_solve(market, utility, y, q0):
@@ -692,7 +504,8 @@ def _lifted_smooth_solve(market, utility, y, q0):
     For fixed q the inner minimum over mu >= 0 of b . mu subject to
     A^T mu = L^T q is exactly the support penalty, so this program equals
     the dual restricted to the finite face, with the nonsmoothness traded
-    for multiplier variables.  Smooth conjugates only.
+    for multiplier variables.  Smooth conjugates only.  Returns (q, SLSQP
+    iterations over all restarts); q is None when there is no answer.
     """
     from scipy.optimize import minimize
 
@@ -706,11 +519,11 @@ def _lifted_smooth_solve(market, utility, y, q0):
     if n_mu:
         res = solve_lp(bf, A_eq=lp.A_f.T, b_eq=target, nonneg=range(n_mu))
         if res.status != OPTIMAL:
-            return None
+            return None, 0
         mu0 = np.asarray(res.x)
     else:
         if np.abs(target).max(initial=0.0) > 1e-9:
-            return None
+            return None, 0
         mu0 = np.zeros(0)
 
     floor_z = 1e-14
@@ -735,19 +548,21 @@ def _lifted_smooth_solve(market, utility, y, q0):
     # from its last point while the objective still falls settles it
     z = np.concatenate([q0, mu0])
     best = fun(z)
+    iterations = 0
     for _ in range(8):
         result = minimize(fun, z, jac=jac, method="SLSQP",
                           bounds=[(0.0, None)] * (n + n_mu),
                           constraints=[{"type": "eq", "fun": lambda w: E @ w - e,
                                         "jac": lambda w: E}],
                           options={"maxiter": 300, "ftol": 1e-14})
+        iterations += result.nit
         if not result.fun < best:
             break
         z, best = result.x, result.fun
     q = np.clip(z[:n], 0.0, None)
     if abs(q.sum() - 1.0) > 1e-6:
-        return None
-    return q
+        return None, iterations
+    return q, iterations
 
 
 def _conjugate_lines(utility):

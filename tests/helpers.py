@@ -1,7 +1,9 @@
 """Shared test oracles: small exact enumerators independent of the library."""
 
+import os
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from condual.linprog import OPTIMAL, solve_lp
 
@@ -82,3 +84,14 @@ def _cone_subset(rows_small, rows_big, dim, exact):
         if res.status != OPTIMAL or -res.value > 0:
             return False
     return True
+
+
+def subprocess_env():
+    """os.environ with the repository's src directory prepended to
+    PYTHONPATH, so a child `python -m condual...` imports this checkout
+    whether or not the package is installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

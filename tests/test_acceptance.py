@@ -40,6 +40,7 @@ from condual.utility import (
 from condual.verify import verify_conjugacy, verify_primal_dual_link, verify_xbar
 
 from conftest import binomial_spec, deterministic_spec, two_period_spec
+from helpers import subprocess_env
 from test_conditions import sample_admissible
 
 F = Fraction
@@ -257,7 +258,7 @@ def test_criterion_10_property_suite_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "condual.cli", "properties", "--seed", "42",
          "--format", "json"],
-        capture_output=True, timeout=120)
+        capture_output=True, timeout=120, env=subprocess_env())
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout.decode()[-2000:]
     doc = json.loads(proc.stdout.decode())

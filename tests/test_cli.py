@@ -12,6 +12,8 @@ from condual.cli import main
 from condual.market import build_market, market_to_json, parse_market_file
 from condual.reporting import emit_report
 
+from helpers import subprocess_env
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -156,7 +158,7 @@ def test_schema_violation_is_input_error(capsys, tmp_path):
 def test_unknown_command_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "condual.cli", "frobnicate"],
-        capture_output=True)
+        capture_output=True, env=subprocess_env())
     assert proc.returncode == 2
 
 

@@ -1,0 +1,18 @@
+"""Every demo script runs to completion."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import subprocess_env
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          timeout=300, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]

@@ -9,6 +9,7 @@ import pytest
 
 from condual.dual import (
     DualMeasure,
+    _face_interior_point,
     dual_objective,
     measure_from_weights,
     min_support,
@@ -19,7 +20,8 @@ from condual.dual import (
 from condual.market import build_market
 from condual.numbers import INF, NEG_INF, scale_extended
 from condual.primal import solve_primal
-from condual.utility import LogUtility, PowerUtility
+from condual.randomgen import random_market
+from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 
 from conftest import binomial_spec, two_period_spec
 
@@ -131,6 +133,51 @@ def test_dual_value_convex_lsc_on_grid(b1, b1_box, d1):
         vs = [solve_dual(market, LOG, float(y)).value for y in ys]
         second = [vs[i - 1] - 2 * vs[i] + vs[i + 1] for i in range(1, len(vs) - 1)]
         assert all(s >= -1e-8 for s in second)
+
+
+def test_dual_infinite_value_not_attained(b1_box):
+    # U keeps slope 1/2 for ever, so V(z) = +inf for z < 1/2; at y < 1/2 no
+    # measure on two equally likely leaves keeps both densities times y
+    # that high, and v(y) = +inf is no attained minimum
+    flat_tail = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.5))
+    for y in (0.2, 0.4):
+        sol = solve_dual(b1_box, flat_tail, y)
+        assert sol.value == INF and sol.gap == INF
+        assert not sol.attained
+
+
+SWEEP = [(seed, name, utility, y) for seed in range(20)
+         for name, utility in (("log", LOG), ("power", PowerUtility(0.5)))
+         for y in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("seed,name,utility,y", SWEEP,
+                         ids=[f"{s}-{n}-{y}" for s, n, _, y in SWEEP])
+def test_dual_random_sweep(seed, name, utility, y):
+    # the lifted SQP route on random trees up to T = 3: a finite answer has a
+    # finite nonnegative gap, is no worse than its start on the face, has
+    # mass y, and bounds the primal value from above (weak duality)
+    market = random_market(random.Random(seed), max_periods=3)
+    sol = solve_dual(market, utility, y)
+    if sol.value == INF:
+        return
+    assert math.isfinite(sol.gap) and sol.gap >= 0
+    start = dual_objective(market, utility, y, tuple(_face_interior_point(market)))
+    assert sol.value <= start + 1e-9 * max(1.0, abs(start))
+    assert sol.measure.mass == pytest.approx(y, rel=1e-9)
+    xbar = min_support(market).xbar
+    assert xbar not in (INF, NEG_INF)
+    x = float(xbar) + 1.0
+    u = solve_primal(market, utility, x, max_iter=500).value
+    assert u <= sol.value + x * y + 1e-7 * (1 + abs(u) + abs(sol.value) + x * y)
+
+
+def test_dual_log_attained_on_thirteen_leaf_market():
+    # a T = 3 face with many free directions: one SQP solve closes the
+    # minorant gap
+    market = random_market(random.Random(6), max_periods=3)
+    sol = solve_dual(market, LOG, 0.5)
+    assert sol.attained
 
 
 def test_dual_rejects_nonpositive_y(b1):
@@ -290,8 +337,6 @@ def test_ball_constraints_supported_analytically():
 def test_dual_piecewise_linear_exact_lp(b1_box):
     # kinked utility: the whole dual is an epigraph LP; cross-check against
     # a zooming 1-d grid over the measure
-    from condual.utility import PiecewiseLinearUtility
-
     kinked = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.0))
     for y in (0.5, 1.5, 3.5):
         sol = solve_dual(b1_box, kinked, y)
@@ -309,7 +354,6 @@ def test_dual_piecewise_linear_exact_lp(b1_box):
 def test_dual_piecewise_on_equality_face(b1):
     # unconstrained holding forces the martingale measure; the epigraph LP
     # must respect that equality and land on V evaluated there
-    from condual.utility import PiecewiseLinearUtility
     from condual.utility import conjugate
 
     kinked = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.0))
