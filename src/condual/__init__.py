@@ -63,7 +63,6 @@ from .market import (
     validate_market,
     wealth_process,
 )
-from .numbers import INF, NEG_INF, SchemaError
 from .primal import (
     PrimalSolution,
     brute_force_primal,
@@ -71,6 +70,7 @@ from .primal import (
     solve_primal,
 )
 from .properties import run_property_suite
+from .scalars import INF, NEG_INF, SchemaError
 from .utility import (
     ConjugateFunction,
     LogUtility,

@@ -24,10 +24,10 @@ from .conditions import (
 )
 from .dual import solve_dual, superhedge_price
 from .market import embed_endowment, market_to_json, parse_market_file
-from .numbers import SchemaError, parse_number
 from .primal import solve_primal
 from .properties import run_property_suite
 from .reporting import emit_report
+from .scalars import SchemaError, parse_number
 from .utility import parse_utility
 from .verify import verify_conjugacy, verify_primal_dual_link, verify_xbar
 

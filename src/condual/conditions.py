@@ -28,8 +28,8 @@ from .convex import Cone, ProjectionMatrix, min_norm_solution, \
 from .dual import _max_margin_measure, measure_from_weights
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible
-from .numbers import INF, all_exact
 from .primal import find_free_lunch_direction
+from .scalars import INF, all_exact
 from .treelp import node_direction, subtree_weights, tree_lp
 
 

@@ -15,13 +15,13 @@ degrades the computation to float mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from .numbers import INF, NEG_INF, all_exact, is_exact
+from .scalars import INF, NEG_INF, all_exact, is_exact
 
 _ABS_TOL = 1e-10
 
@@ -302,7 +302,6 @@ class Polyhedron(ConvexSet):
 
     A: tuple
     b: tuple
-    skip_validation: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", tuple(_as_tuple(r) for r in self.A))
@@ -312,7 +311,7 @@ class Polyhedron(ConvexSet):
         widths = {len(r) for r in self.A}
         if len(widths) > 1:
             raise ValueError("polyhedron rows have inconsistent widths")
-        if not self.skip_validation and self.A:
+        if self.A:
             res = solve_lp([0] * self.dim, A_ub=self.A, b_ub=self.b, exact=self.exact)
             if res.status == INFEASIBLE:
                 raise ValueError("empty polyhedron")
@@ -1072,7 +1071,7 @@ def _project_onto_halfspaces(A, b, z, start, tol=1e-11, max_iter=200):
 
 
 def set_from_json(doc, path="constraint"):
-    from .numbers import SchemaError, parse_number
+    from .scalars import SchemaError, parse_number
 
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError("constraint descriptor must be an object with a 'type'",
@@ -1123,7 +1122,7 @@ def set_from_json(doc, path="constraint"):
 
 
 def set_to_json(convex_set):
-    from .numbers import number_to_json as nj
+    from .scalars import number_to_json as nj
 
     if isinstance(convex_set, Box):
         return {"type": "box",

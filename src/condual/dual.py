@@ -30,10 +30,11 @@ import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel
-from .numbers import INF, NEG_INF, all_exact, scale_extended
 from .recursion import backward_induction, interval_support
+from .scalars import INF, NEG_INF, all_exact
 from .treelp import node_direction, subtree_weights, tree_lp
-from .utility import UtilityFunction, conjugate, conjugate_marginal
+from .utility import (PiecewiseLinearUtility, UtilityFunction, conjugate,
+                      conjugate_marginal)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class DualMeasure:
 
     weights: tuple
     probabilities: tuple
-    alpha: object = None  # cached support value, filled by the solvers
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -65,17 +65,9 @@ class DualMeasure:
     def exact(self):
         return all_exact(self.weights) and all_exact(self.probabilities)
 
-    def normalized(self):
-        m = self.mass
-        if m == 0:
-            raise ValueError("cannot normalize the zero measure")
-        return DualMeasure(tuple(w / m for w in self.weights), self.probabilities)
-
     def scaled(self, lam):
         return DualMeasure(tuple(lam * w for w in self.weights),
-                           self.probabilities,
-                           None if self.alpha is None
-                           else scale_extended(lam, self.alpha))
+                           self.probabilities)
 
 
 def measure_from_weights(market: MarketModel, weights) -> DualMeasure:
@@ -222,8 +214,6 @@ def _min_support_recursive(market):
     minimizer = measure_from_weights(market, back.weights)
     inf_alpha = support_alpha(market, minimizer,
                               _zero_tol(market, market.exact))
-    minimizer = DualMeasure(minimizer.weights, minimizer.probabilities,
-                            inf_alpha)
     return MinSupportResult(inf_alpha, _worst_gain(market, back.hedge),
                             _xbar(inf_alpha), minimizer)
 
@@ -243,8 +233,6 @@ def _min_support_lp(market):
     else:
         inf_alpha = res.value
         minimizer = measure_from_weights(market, res.x[:n_leaves])
-        minimizer = DualMeasure(minimizer.weights, minimizer.probabilities,
-                                inf_alpha)
     return MinSupportResult(inf_alpha, _sup_essinf(market), _xbar(inf_alpha),
                             minimizer)
 
@@ -460,38 +448,47 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
     The utility's class picks one route over the lifted (q, mu) polytope of
     TreeLP.lifted, on which the least b . mu for a fixed q is alpha(q):
 
-    * a piecewise-linear conjugate makes the whole dual one epigraph LP;
+    * a piecewise-linear utility (knots or a table) has a piecewise-linear
+      conjugate, and the whole dual is one epigraph LP;
     * any other conjugate (power, log) is smooth, and the dual is one SQP
       solve with linear constraints, started from a point of the
-      finite-alpha face that is strictly positive where the face allows.
+      finite-alpha face that is strictly positive where the face allows;
+      when the solve finds no answer, that face point itself is reported.
 
-    When the route finds no answer, that face point itself is reported.
-    ``gap`` is the distance from the reported value down to the minimum of
-    its partial linearization (the first-order minorant of E[V] at the
-    reported measure plus the exact support penalty), a lower bound on the
-    dual value; it is +inf at a point where V or its slope is infinite.
-    ``attained`` means the value is finite and the gap is within
-    max(tol, 1e-6 * max(1, |value|)).  ``iterations`` counts SQP iterations
-    over all restarts, and is 0 on the LP route.
+    The reported value is always the dual objective evaluated at the
+    reported measure.  ``gap`` is its distance to a bound on the dual value:
+    on the LP route the LP optimum (in absolute value, since the optimum is
+    the dual value itself), on the SQP route the lower bound given by the
+    minimum of the partial linearization at the reported measure (the
+    first-order minorant of E[V] plus the exact support penalty), which is
+    +inf at a point where V or its slope is infinite.  ``attained`` means the value is
+    finite and the gap is within max(tol, 1e-6 * max(1, |value|)).
+    ``iterations`` counts SQP iterations over all restarts, and is 0 on the
+    LP route.  A value of +inf (empty finite-alpha face, or V infinite at
+    every density y dQ/dP) or -inf (empty admissible class, LP route)
+    comes without a measure.
     """
     if y <= 0:
         raise ValueError("the dual is solved for y > 0")
-    q0 = _face_interior_point(market)
-    if q0 is None:
-        return DualSolution(INF, None, False, INF, y=y)
     zero_tol = _noise_floor(market)
-
-    lines = _conjugate_lines(utility)
-    if lines is not None:
-        q, iterations = _piecewise_dual_lp(market, utility, y, lines), 0
+    if isinstance(utility, PiecewiseLinearUtility):
+        q, optimum = _piecewise_dual_lp(market, utility, y)
+        if q is None:
+            return DualSolution(optimum, None, False, INF, y=y)
+        iterations = 0
+        value = dual_objective(market, utility, y, tuple(q), zero_tol)
+        # the LP optimum is the dual value: a difference either way is error
+        gap = abs(float(value) - float(optimum))
     else:
+        q0 = _face_interior_point(market)
+        if q0 is None:
+            return DualSolution(INF, None, False, INF, y=y)
         q, iterations = _lifted_smooth_solve(market, utility, y, q0)
-    if q is None:
-        q = q0
-
-    value = dual_objective(market, utility, y, tuple(q), zero_tol)
-    lower = _minorant_lower_bound(market, utility, y, q, zero_tol)
-    gap = max(0.0, float(value) - lower) if lower != NEG_INF else INF
+        if q is None:
+            q = q0
+        value = dual_objective(market, utility, y, tuple(q), zero_tol)
+        lower = _minorant_lower_bound(market, utility, y, q, zero_tol)
+        gap = max(0.0, float(value) - lower) if lower != NEG_INF else INF
     measure = measure_from_weights(market, tuple(float(v) for v in q)).scaled(y)
     attained = math.isfinite(value) \
         and gap <= max(tol, 1e-6 * max(1.0, abs(float(value))))
@@ -565,36 +562,16 @@ def _lifted_smooth_solve(market, utility, y, q0):
     return q, iterations
 
 
-def _conjugate_lines(utility):
-    """(value, slope-coefficient) pairs with V(z) = max_i (v_i - b_i z), or
-    None when the conjugate is not piecewise linear.  The final entry of the
-    second element is the domain edge: V = +inf below it."""
-    from .utility import PiecewiseLinearUtility, TabulatedUtility
-
-    if isinstance(utility, PiecewiseLinearUtility):
-        vals = utility._knot_values()
-        lines = [(v, b) for v, b, s in
-                 zip(vals, utility.breakpoints, utility.slopes) if s != INF]
-        if utility.slopes[0] == INF:
-            lines.append((vals[1], utility.breakpoints[1]))
-        finite_slopes = [s for s in utility.slopes if s != INF]
-        return lines, finite_slopes[-1]
-    if isinstance(utility, TabulatedUtility):
-        slopes = utility._segment_slopes()
-        lines = [(v, x) for v, x in zip(utility.values, utility.grid)]
-        lines.append((utility.inf_value(), 0.0))
-        return lines, slopes[-1]
-    return None
-
-
-def _piecewise_dual_lp(market, utility, y, lines_and_edge):
-    """Exact dual solve for piecewise-linear conjugates.
+def _piecewise_dual_lp(market, utility, y):
+    """Epigraph LP of the dual for a piecewise-linear conjugate.
 
     Epigraph variables t per leaf replace V(y q/p): t_l >= v_i - b_i y
-    q_l / p_l per supporting line; the support penalty enters through its
-    multiplier form as usual.  One LP, no iterations.
+    q_l / p_l for every line of V, and q_l >= p_l edge / y keeps y q_l / p_l
+    in the domain of V; the support penalty enters through its multiplier
+    form.  Returns (q, optimum), or (None, +inf) when the LP is infeasible
+    and (None, -inf) when it is unbounded (empty admissible class).
     """
-    lines, domain_edge = lines_and_edge
+    lines, domain_edge = utility.conjugate_lines()
     lp = tree_lp(market)
     probs = lp.p_f
     n, n_mu = len(probs), len(lp.b_f)
@@ -611,7 +588,7 @@ def _piecewise_dual_lp(market, utility, y, lines_and_edge):
             b_ub.append(-probs[k] * float(domain_edge) / y)
         for v_i, b_i in lines:
             row = [0.0] * total
-            row[k] = float(b_i) * y / probs[k]
+            row[k] = -float(b_i) * y / probs[k]
             row[n + n_mu + k] = -1.0
             A_ub.append(row)
             b_ub.append(-float(v_i))
@@ -619,9 +596,11 @@ def _piecewise_dual_lp(market, utility, y, lines_and_edge):
     c = np.concatenate([np.zeros(n), y * lp.b_f, probs])
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                    nonneg=nonneg)
-    if res.status != OPTIMAL:
-        return None
-    return np.clip(np.asarray(res.x[:n], dtype=float), 0.0, None)
+    if res.status == INFEASIBLE:
+        return None, INF
+    if res.status == UNBOUNDED:
+        return None, NEG_INF
+    return np.clip(np.asarray(res.x[:n], dtype=float), 0.0, None), res.value
 
 
 def _minorant_lower_bound(market, utility, y, q_hat, zero_tol=0.0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .convex import ConvexSet, set_from_json, set_to_json
-from .numbers import SchemaError, all_exact, number_to_json, parse_number
+from .scalars import SchemaError, all_exact, number_to_json, parse_number
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,6 @@ class EventTree:
             probs = tuple(self.path_probability(i) for i in self.leaves)
             object.__setattr__(self, "_leaf_probabilities", probs)
         return probs
-
-    def subtree_leaves(self, index: int):
-        """Leaves below (or equal to) the given node, in leaf-list order."""
-        stack, out = [index], []
-        while stack:
-            i = stack.pop()
-            node = self.nodes[i]
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                out.append(i)
-        return tuple(out)
 
     def path_to_leaf(self, leaf: int):
         """Node indices from the root down to the leaf."""
@@ -160,12 +148,6 @@ class MarketModel:
         """Price increment along the edge ending at `child`."""
         parent = self.tree.nodes[child].parent
         return tuple(c - p for c, p in zip(self.prices[child], self.prices[parent]))
-
-    def node_by_id(self, node_id: str) -> int:
-        for n in self.tree.nodes:
-            if n.node_id == node_id:
-                return n.index
-        raise KeyError(node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +381,7 @@ def embed_endowment(market: MarketModel, endowment: dict, measure) -> tuple:
     Returns (augmented market, offset x = -expected payoff).
     """
     from .convex import AffineFixed, Box, CrossFixed
-    from .numbers import INF, NEG_INF
+    from .scalars import INF, NEG_INF
 
     tree = market.tree
     leaves = tree.leaves

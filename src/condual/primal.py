@@ -11,14 +11,14 @@ recession direction produces a free lunch while the utility is unbounded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, validate_market
-from .numbers import INF, NEG_INF
+from .scalars import INF, NEG_INF
 from .treelp import tree_lp
 from .utility import UtilityFunction
 
@@ -37,7 +37,6 @@ class PrimalSolution:
     status: str  # optimal | infeasible | unbounded | max-iterations
     iterations: int = 0
     gradient_mapping: float | None = None
-    trace: list = field(default_factory=list)
 
 
 def solve_primal(market: MarketModel, utility: UtilityFunction, x,
@@ -235,13 +234,12 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     step = 1.0
     prev_h = prev_g = None
     recent = [f]  # nonmonotone line-search memory
-    trace = [f]
     gm = None
     for it in range(1, max_iter + 1):
         g = gradient(h)
         gm = float(np.linalg.norm(h - project(h + g)))
         if gm <= tol:
-            return _package(market, h, x, f, "optimal", it, gm, trace)
+            return _package(market, h, x, f, "optimal", it, gm)
         if prev_g is not None:
             dh = h - prev_h
             dg = g - prev_g
@@ -265,19 +263,16 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         recent.append(f)
         if len(recent) > 10:
             recent.pop(0)
-        trace.append(f)
-        if len(trace) > 200:
-            trace = trace[-100:]
     status = "optimal" if gm is not None and gm <= tol else "max-iterations"
-    return _package(market, h, x, f, status, max_iter, gm, trace)
+    return _package(market, h, x, f, status, max_iter, gm)
 
 
-def _package(market, h, x, f, status, iters, gm, trace):
+def _package(market, h, x, f, status, iters, gm):
     portfolio = tree_lp(market).portfolio(h.tolist())
     from .market import wealth_process
 
     terminal = wealth_process(market, portfolio, x).leaf_values(market)
-    return PrimalSolution(f, portfolio, terminal, status, iters, gm, trace)
+    return PrimalSolution(f, portfolio, terminal, status, iters, gm)
 
 
 def primal_value_grid(market: MarketModel, utility: UtilityFunction, xs,

@@ -24,7 +24,6 @@ from .convex import Cone, min_norm_solution, polar_cone, \
     predictable_range_projection, recession_cone, support_function
 from .dual import dual_objective, min_support, superhedge_price, support_alpha
 from .market import wealth_process
-from .numbers import INF
 from .primal import solve_primal
 from .randomgen import (
     random_admissible_portfolio,
@@ -33,6 +32,7 @@ from .randomgen import (
     random_payoff,
     sample_point,
 )
+from .scalars import INF
 from .utility import LogUtility, PowerUtility, conjugate, eval_utility, marginal
 
 F = Fraction
@@ -297,7 +297,7 @@ def _fenchel_young(rng, cases):
 
 @_property("alpha-homogeneity", 20)
 def _alpha_homogeneity(rng, cases):
-    from .numbers import scale_extended
+    from .scalars import scale_extended
 
     for _ in range(cases):
         market = random_market(rng, constraint_palette=("box", "halfline"))

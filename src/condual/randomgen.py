@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .convex import AffineFixed, Ball, Box, CrossFixed, Polyhedron, Singleton
 from .market import MarketModel, PortfolioProcess, build_market
-from .numbers import INF, NEG_INF
+from .scalars import INF, NEG_INF
 
 F = Fraction
 

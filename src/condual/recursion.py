@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel
-from .numbers import INF, NEG_INF
+from .scalars import INF, NEG_INF
 from .treelp import tree_lp
 
 

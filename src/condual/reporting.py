@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
-from .numbers import INF, NEG_INF, number_to_json
+from .scalars import INF, NEG_INF, number_to_json
 
 SCHEMA = "condual/1"
 

@@ -85,10 +85,6 @@ def scale_extended(lam, value):
     return lam * value
 
 
-def to_float(value) -> float:
-    return float(value)
-
-
 def number_to_json(value):
     """Serialize a scalar: Fractions as "p/q" strings, infinities as text."""
     if isinstance(value, float):

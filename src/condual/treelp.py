@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .market import MarketModel, PortfolioProcess
-from .numbers import INF, NEG_INF, is_exact
+from .scalars import INF, NEG_INF, is_exact
 
 
 def _frozen(values, *shape):

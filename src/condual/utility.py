@@ -1,22 +1,24 @@
 """Utility functions, their convex conjugates, and growth diagnostics.
 
 Supported families: power x^p/p with p in (0,1), logarithmic, piecewise
-linear concave, and tabulated concave (treated as its piecewise-linear
-interpolant).  Every U lives on (0, inf) and is extended by U(0) = inf U
-and U(x) = -inf for x < 0.
+linear concave, and tabulated concave (the piecewise-linear interpolant of
+its samples, built as a piecewise-linear utility).  Every U lives on
+(0, inf) and is extended by U(0) = inf U and U(x) = -inf for x < 0.
 
 The conjugate is V(y) = sup_x (U(x) - x y).  For the two smooth families it
 is closed form; for the piecewise families the supremum of a concave
 piecewise-linear function minus a linear one is attained at a breakpoint, so
-vertex enumeration is exact.
+V is the upper envelope of one line per breakpoint
+(:meth:`PiecewiseLinearUtility.conjugate_lines`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .numbers import INF, NEG_INF, SchemaError
+from .scalars import INF, NEG_INF, SchemaError
 
 
 class UtilityFunction:
@@ -162,7 +164,7 @@ class PiecewiseLinearUtility(UtilityFunction):
             raise ValueError("only the first slope may be infinite")
 
     def _knot_values(self):
-        vals = [self.anchor if self.slopes[0] != INF else self.anchor]
+        vals = [self.anchor]
         for i in range(len(self.breakpoints) - 1):
             step = self.breakpoints[i + 1] - self.breakpoints[i]
             s = self.slopes[i]
@@ -196,29 +198,38 @@ class PiecewiseLinearUtility(UtilityFunction):
                 return left, slopes[i]
         return slopes[-1], slopes[-1]
 
-    def conjugate(self, y):
-        if y < 0:
-            return INF
-        if y < self.slopes[-1]:
-            return INF
+    def conjugate_lines(self):
+        """(lines, domain_edge) with V(z) = max_i (v_i - b_i z) over the
+        (v_i, b_i) in lines for z >= domain_edge, and V = +inf below it.
+
+        One line per knot (its value and abscissa); an infinite first slope
+        drops the first knot and its line comes from the second one.
+        """
         vals = self._knot_values()
-        candidates = [v - b * y for v, b, s in
-                      zip(vals, self.breakpoints, self.slopes) if s != INF]
+        lines = [(v, b) for v, b, s in
+                 zip(vals, self.breakpoints, self.slopes) if s != INF]
         if self.slopes[0] == INF:
-            candidates.append(vals[1] - self.breakpoints[1] * y)
-        return max(candidates)
+            lines.append((vals[1], self.breakpoints[1]))
+        return lines, [s for s in self.slopes if s != INF][-1]
+
+    def conjugate(self, y):
+        # a y within rounding (1e-12 relative) below the domain edge counts
+        # as on it: densities of LP measures on that edge land either side
+        lines, edge = self.conjugate_lines()
+        if y < 0 or y < edge - 1e-12 * edge:
+            return INF
+        return max(v - b * y for v, b in lines)
 
     def conjugate_marginal(self, y):
         # V is the upper envelope of lines with slopes -b; just below a tie
         # the steeper line (larger b) is active, just above the flatter one.
-        vals = self._knot_values()
-        pairs = [(v - b * y, b) for v, b, s in
-                 zip(vals, self.breakpoints, self.slopes) if s != INF]
-        if self.slopes[0] == INF:
-            pairs.append((vals[1] - self.breakpoints[1] * y, self.breakpoints[1]))
-        best = max(p[0] for p in pairs)
-        arg_b = [b for v, b in pairs if v == best]
-        return -max(arg_b), -min(arg_b)
+        # Ties are taken up to rounding, 1e-12 relative to V.
+        lines, _ = self.conjugate_lines()
+        heights = [v - b * y for v, b in lines]
+        best = max(heights)
+        tied = [b for (_, b), h in zip(lines, heights)
+                if h >= best - 1e-12 * max(1.0, abs(best))]
+        return -max(tied), -min(tied)
 
     def sup_value(self):
         if self.slopes[-1] > 0:
@@ -235,14 +246,27 @@ class PiecewiseLinearUtility(UtilityFunction):
         return self.slopes[0] == INF
 
 
-@dataclass(frozen=True)
-class TabulatedUtility(UtilityFunction):
-    """Concave U given by samples; evaluated as the linear interpolant with
-    end slopes extrapolated."""
+INADA_SLOPE_THRESHOLD = 1e6  # first sampled slope that counts as blowing up
 
+
+@dataclass(frozen=True)
+class TabulatedUtility(PiecewiseLinearUtility):
+    """Concave U given by samples (grid[i], values[i]): the piecewise-linear
+    interpolant, extended with the first segment's slope down to 0 and with
+    the last segment's slope past the last sample.
+
+    The samples only set the knots of the piecewise-linear parent:
+    breakpoints (0, x_0, ..., x_{n-1}), slopes (s_0, s_0, s_1, ...,
+    s_{n-2}, s_{n-2}) for the segment slopes s_i, anchor u_0 - s_0 x_0.
+    Concavity and monotonicity are checked up to 1e-12, and slopes within
+    that tolerance are clamped to be nonincreasing and nonnegative.
+    """
+
+    breakpoints: tuple = field(init=False, repr=False, compare=False)
+    slopes: tuple = field(init=False, repr=False, compare=False)
+    anchor: float = field(init=False, repr=False, compare=False)
     grid: tuple
     values: tuple
-    inada_slope_threshold: float = 1e6
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
@@ -253,92 +277,30 @@ class TabulatedUtility(UtilityFunction):
             raise ValueError("sample grid must be strictly increasing")
         if self.grid[0] <= 0:
             raise ValueError("sample grid must be strictly positive")
-        slopes = self._segment_slopes()
-        if any(s2 > s1 + 1e-12 for s1, s2 in zip(slopes, slopes[1:])):
+        raw = _segment_slopes(self.grid, self.values)
+        if any(s2 > s1 + 1e-12 for s1, s2 in zip(raw, raw[1:])):
             raise ValueError("samples are not concave")
-        if slopes[-1] < -1e-12:
+        if raw[-1] < -1e-12:
             raise ValueError("samples are not nondecreasing")
-
-    def _segment_slopes(self):
-        return [(v2 - v1) / (x2 - x1) for (x1, x2), (v1, v2)
-                in zip(zip(self.grid, self.grid[1:]),
-                       zip(self.values, self.values[1:]))]
-
-    def value(self, x):
-        x = float(x)
-        g, v = self.grid, self.values
-        slopes = self._segment_slopes()
-        if x <= g[0]:
-            return v[0] - slopes[0] * (g[0] - x)
-        if x >= g[-1]:
-            return v[-1] + slopes[-1] * (x - g[-1])
-        for i in range(len(g) - 1):
-            if g[i] <= x <= g[i + 1]:
-                return v[i] + slopes[i] * (x - g[i])
-        raise AssertionError  # pragma: no cover
-
-    def marginal(self, x):
-        x = float(x)
-        g = self.grid
-        slopes = self._segment_slopes()
-        if x < g[0]:
-            return slopes[0], slopes[0]
-        if x > g[-1]:
-            return slopes[-1], slopes[-1]
-        left = right = None
-        for i, gx in enumerate(g):
-            if x == gx:
-                left = slopes[i - 1] if i > 0 else slopes[0]
-                right = slopes[i] if i < len(slopes) else slopes[-1]
-                return left, right
-        for i in range(len(g) - 1):
-            if g[i] < x < g[i + 1]:
-                return slopes[i], slopes[i]
-        raise AssertionError  # pragma: no cover
-
-    def conjugate(self, y, refine=0):
-        """Vertex-enumeration conjugate.
-
-        The interpolant is piecewise linear, so enumerating sample points is
-        already exact; `refine` inserts midpoints per segment purely as a
-        numerical cross-check knob.
-        """
-        y = float(y)
-        slopes = self._segment_slopes()
-        if y < slopes[-1] - 1e-15:
-            return INF
-        xs = list(self.grid)
-        for _ in range(refine):
-            xs = sorted(set(xs) | {0.5 * (a + b) for a, b in zip(xs, xs[1:])})
-        candidates = [self.value(x) - x * y for x in xs]
-        # left extrapolation piece: limit toward x = 0
-        candidates.append(self.values[0] - slopes[0] * self.grid[0])
-        return max(candidates)
-
-    def conjugate_marginal(self, y):
-        y = float(y)
-        xs = list(self.grid) + [0.0]
-        vals = [(self.value(x) if x > 0 else self.inf_value()) - x * y for x in xs]
-        best = max(vals)
-        args = [x for x, v in zip(xs, vals) if v >= best - 1e-12]
-        return -max(args), -min(args)
-
-    def sup_value(self):
-        slopes = self._segment_slopes()
-        if slopes[-1] > 0:
-            return INF
-        return self.values[-1]
-
-    def inf_value(self):
-        slopes = self._segment_slopes()
-        return self.values[0] - slopes[0] * self.grid[0]
+        slopes = [max(s, 0.0) for s in itertools.accumulate(raw, min)]
+        object.__setattr__(self, "breakpoints", (0.0,) + self.grid)
+        object.__setattr__(self, "slopes",
+                           (slopes[0],) + tuple(slopes) + (slopes[-1],))
+        object.__setattr__(self, "anchor",
+                           self.values[0] - slopes[0] * self.grid[0])
+        super().__post_init__()
 
     def inada_zero(self):
-        """Grid-based verdict: slopes must grow monotonically toward 0 and the
-        first one must exceed the documented threshold."""
-        slopes = self._segment_slopes()
+        """Grid-based verdict: the sampled slopes must grow monotonically
+        toward 0 and the first one must reach INADA_SLOPE_THRESHOLD."""
+        slopes = _segment_slopes(self.grid, self.values)
         increasing_toward_zero = all(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:]))
-        return increasing_toward_zero and slopes[0] >= self.inada_slope_threshold
+        return increasing_toward_zero and slopes[0] >= INADA_SLOPE_THRESHOLD
+
+
+def _segment_slopes(grid, values):
+    return [(v2 - v1) / (x2 - x1) for (x1, x2), (v1, v2)
+            in zip(zip(grid, grid[1:]), zip(values, values[1:]))]
 
 
 class ConjugateFunction:
@@ -483,17 +445,3 @@ def parse_utility(doc, path="utility") -> UtilityFunction:
         raise SchemaError(str(exc), path) from exc
     raise SchemaError(f"unknown utility family {family!r}", path)
 
-
-def utility_to_json(utility: UtilityFunction):
-    if isinstance(utility, LogUtility):
-        return {"family": "log"}
-    if isinstance(utility, PowerUtility):
-        return {"family": "power", "p": utility.p}
-    if isinstance(utility, PiecewiseLinearUtility):
-        return {"family": "piecewise",
-                "breakpoints": list(utility.breakpoints),
-                "slopes": ["inf" if s == INF else s for s in utility.slopes],
-                "anchor": utility.anchor}
-    if isinstance(utility, TabulatedUtility):
-        return {"family": "table", "x": list(utility.grid), "u": list(utility.values)}
-    raise TypeError(f"cannot serialize {type(utility).__name__}")

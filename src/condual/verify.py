@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .dual import min_support, solve_dual
 from .market import MarketModel
-from .numbers import INF, NEG_INF
 from .primal import primal_feasible, solve_primal
+from .scalars import INF, NEG_INF
 from .utility import UtilityFunction, inverse_marginal
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

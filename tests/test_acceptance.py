@@ -24,10 +24,10 @@ from condual.convex import Cone, polar_cone, predictable_range_projection, \
     support_function
 from condual.dual import superhedge_price
 from condual.market import build_market, embed_endowment
-from condual.numbers import INF
 from condual.primal import brute_force_primal, solve_primal
 from condual.randomgen import random_constraint_doc, random_direction, \
     random_market, random_payoff
+from condual.scalars import INF
 from condual.utility import (
     LogUtility,
     PiecewiseLinearUtility,

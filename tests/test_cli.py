@@ -183,7 +183,7 @@ def test_market_roundtrip_structural():
 
 
 def test_emit_report_conventions():
-    from condual.numbers import INF
+    from condual.scalars import INF
 
     payload = json.loads(emit_report({"alpha": INF}, "json"))
     assert payload["alpha"] == "inf"

@@ -28,7 +28,7 @@ from condual.convex import (
     set_to_json,
     support_function,
 )
-from condual.numbers import INF, NEG_INF
+from condual.scalars import INF, NEG_INF
 
 from helpers import cones_equal_lp, extreme_rays
 

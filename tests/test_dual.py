@@ -18,9 +18,9 @@ from condual.dual import (
     support_alpha,
 )
 from condual.market import build_market
-from condual.numbers import INF, NEG_INF, scale_extended
 from condual.primal import solve_primal
 from condual.randomgen import random_market
+from condual.scalars import INF, NEG_INF, scale_extended
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 
 from conftest import binomial_spec, two_period_spec
@@ -29,6 +29,7 @@ F = Fraction
 LOG = LogUtility()
 
 B1_DUAL_LOG = -1 + 0.5 * math.log(9 / 8)  # V at densities 2/3 and 4/3
+FLAT_TAIL = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.5))
 
 
 @pytest.fixture
@@ -106,19 +107,24 @@ def test_dual_no_trading_picks_reference_measure(b1_no_trading):
     assert sol.measure.weights == pytest.approx((0.5, 0.5), abs=1e-5)
 
 
-def test_dual_box_against_grid_oracle(b1_box):
-    # zooming 1-d grid: the minimum sits at the support-penalty kink, so a
-    # single uniform grid cannot reach 1e-6 on its own
-    sol = solve_dual(b1_box, LOG, 1.0)
-    lo, hi, best_q, oracle = 0.0, 1.0, None, None
+def grid_minimum(market, utility, y):
+    """Least dual objective over measures (q, 1 - q) on two leaves, by a
+    zooming 1-d grid: the minimum sits at a kink of the support penalty or
+    of V, so a single uniform grid cannot resolve it."""
+    lo, hi, oracle = 0.0, 1.0, None
     for _ in range(6):
         qs = np.linspace(lo, hi, 2001)
-        vals = [dual_objective(b1_box, LOG, 1.0, (q, 1 - q)) for q in qs]
+        vals = [dual_objective(market, utility, y, (q, 1 - q)) for q in qs]
         k = int(np.argmin(vals))
-        best_q, oracle = qs[k], vals[k]
+        oracle = vals[k]
         span = (hi - lo) / 50
-        lo, hi = max(0.0, best_q - span), min(1.0, best_q + span)
-    assert sol.value == pytest.approx(oracle, abs=1e-6)
+        lo, hi = max(0.0, qs[k] - span), min(1.0, qs[k] + span)
+    return oracle
+
+
+def test_dual_box_against_grid_oracle(b1_box):
+    sol = solve_dual(b1_box, LOG, 1.0)
+    assert sol.value == pytest.approx(grid_minimum(b1_box, LOG, 1.0), abs=1e-6)
     assert sol.attained
 
 
@@ -139,29 +145,32 @@ def test_dual_infinite_value_not_attained(b1_box):
     # U keeps slope 1/2 for ever, so V(z) = +inf for z < 1/2; at y < 1/2 no
     # measure on two equally likely leaves keeps both densities times y
     # that high, and v(y) = +inf is no attained minimum
-    flat_tail = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.5))
     for y in (0.2, 0.4):
-        sol = solve_dual(b1_box, flat_tail, y)
+        sol = solve_dual(b1_box, FLAT_TAIL, y)
         assert sol.value == INF and sol.gap == INF
         assert not sol.attained
 
 
 SWEEP = [(seed, name, utility, y) for seed in range(20)
-         for name, utility in (("log", LOG), ("power", PowerUtility(0.5)))
+         for name, utility in (("log", LOG), ("power", PowerUtility(0.5)),
+                               ("piecewise", FLAT_TAIL))
          for y in (0.5, 2.0)]
 
 
 @pytest.mark.parametrize("seed,name,utility,y", SWEEP,
                          ids=[f"{s}-{n}-{y}" for s, n, _, y in SWEEP])
 def test_dual_random_sweep(seed, name, utility, y):
-    # the lifted SQP route on random trees up to T = 3: a finite answer has a
-    # finite nonnegative gap, is no worse than its start on the face, has
-    # mass y, and bounds the primal value from above (weak duality)
+    # both routes on random trees up to T = 3: a finite answer has a finite
+    # nonnegative gap, is no worse than its start on the face, has mass y,
+    # and bounds the primal value from above (weak duality); the epigraph
+    # LP's answers are attained
     market = random_market(random.Random(seed), max_periods=3)
     sol = solve_dual(market, utility, y)
     if sol.value == INF:
         return
     assert math.isfinite(sol.gap) and sol.gap >= 0
+    if name == "piecewise":
+        assert sol.attained
     start = dual_objective(market, utility, y, tuple(_face_interior_point(market)))
     assert sol.value <= start + 1e-9 * max(1.0, abs(start))
     assert sol.measure.mass == pytest.approx(y, rel=1e-9)
@@ -340,15 +349,37 @@ def test_dual_piecewise_linear_exact_lp(b1_box):
     kinked = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.0))
     for y in (0.5, 1.5, 3.5):
         sol = solve_dual(b1_box, kinked, y)
-        lo, hi, oracle = 0.0, 1.0, None
-        for _ in range(6):
-            qs = np.linspace(lo, hi, 2001)
-            vals = [dual_objective(b1_box, kinked, y, (q, 1 - q)) for q in qs]
-            k = int(np.argmin(vals))
-            oracle = vals[k]
-            span = (hi - lo) / 50
-            lo, hi = max(0.0, qs[k] - span), min(1.0, qs[k] + span)
-        assert sol.value == pytest.approx(oracle, abs=1e-7)
+        assert sol.value == pytest.approx(grid_minimum(b1_box, kinked, y),
+                                          abs=1e-7)
+
+
+def test_dual_piecewise_pinned_holding_matches_grid(b1_pinned):
+    # a forced unit holding makes the penalty linear in q, so the minimum
+    # sits on a kink of V; the epigraph rows must carry V's slopes as -b_i
+    for y in (0.7, 1.5, 3.0):
+        sol = solve_dual(b1_pinned, FLAT_TAIL, y)
+        assert sol.value == pytest.approx(grid_minimum(b1_pinned, FLAT_TAIL, y),
+                                          abs=1e-7)
+
+
+def test_dual_piecewise_attained_at_lp_optimum(b1_pinned):
+    # the LP optimum certifies the epigraph route; the minorant gap would
+    # stay open at this kink of V
+    sol = solve_dual(b1_pinned, FLAT_TAIL, 0.7)
+    assert sol.value == pytest.approx(2.625, abs=1e-9)
+    assert sol.attained and sol.gap <= 1e-9
+    assert sol.measure.mass == pytest.approx(0.7, rel=1e-12)
+
+
+def test_dual_piecewise_empty_admissible_class():
+    # a forced long holding loses on the down move, so the floor at zero
+    # admits no portfolio: alpha is -inf everywhere and the epigraph LP is
+    # unbounded
+    spec = binomial_spec({"type": "box", "lower": [1], "upper": [2]})
+    spec["floor"] = 0
+    sol = solve_dual(build_market(spec), FLAT_TAIL, 1.0)
+    assert sol.value == NEG_INF and sol.measure is None
+    assert not sol.attained
 
 
 def test_dual_piecewise_on_equality_face(b1):

@@ -14,7 +14,7 @@ from condual.market import (
     validate_market,
     wealth_process,
 )
-from condual.numbers import SchemaError
+from condual.scalars import SchemaError
 
 from conftest import binomial_spec, deterministic_spec, float_copy, two_period_spec
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from condual.market import PortfolioProcess, build_market, is_admissible
-from condual.numbers import NEG_INF
 from condual.primal import (
     brute_force_primal,
     find_free_lunch_direction,
@@ -14,6 +13,7 @@ from condual.primal import (
     primal_value_grid,
     solve_primal,
 )
+from condual.scalars import NEG_INF
 from condual.utility import LogUtility, PowerUtility
 
 from conftest import binomial_spec, deterministic_spec, drift_spec

@@ -15,8 +15,8 @@ from condual.dual import (
     support_alpha,
 )
 from condual.market import build_market
-from condual.numbers import INF, NEG_INF
 from condual.randomgen import random_payoff, random_tree_spec
+from condual.scalars import INF, NEG_INF
 from condual.treelp import tree_lp
 
 from conftest import float_copy

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from condual.dual import min_support, superhedge_price
 from condual.market import build_market
-from condual.numbers import INF, NEG_INF
 from condual.randomgen import random_market, random_payoff
+from condual.scalars import INF, NEG_INF
 from condual.verify import verify_xbar
 
 from conftest import binomial_spec

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condual.numbers import INF, NEG_INF
+from condual.scalars import INF, NEG_INF
 from condual.utility import (
     LogUtility,
     PiecewiseLinearUtility,
@@ -81,7 +81,20 @@ def test_conjugate_tabulated_matches_dense_grid():
         oracle = dense_grid_conjugate(tab, y, lo=0.0, hi=200.0, n=2000001,
                                       knots=tab.grid)
         assert conjugate(tab, y) == pytest.approx(oracle, abs=1e-8)
-    assert tab.conjugate(0.2, refine=3) == pytest.approx(tab.conjugate(0.2))
+
+
+def test_tabulated_is_the_extended_interpolant():
+    # segment slopes 1.2, 0.4, 0.1; the first extends down to 0, the last
+    # past the final sample
+    tab = TabulatedUtility((0.5, 1.0, 2.0, 4.0), (0.0, 0.6, 1.0, 1.2))
+    for x, u in ((0.5, 0.0), (1.0, 0.6), (2.0, 1.0), (4.0, 1.2), (1.5, 0.8),
+                 (0.25, -0.3), (6.0, 1.4)):
+        assert tab(x) == pytest.approx(u, abs=1e-14)
+    assert tab(0.0) == pytest.approx(-0.6, abs=1e-14)
+    assert tab.marginal(1.0) == pytest.approx((1.2, 0.4), abs=1e-14)
+    assert tab.marginal(0.5) == pytest.approx((1.2, 1.2), abs=1e-14)
+    assert tab.sup_value() == INF
+    assert not tab.inada_zero()
 
 
 def test_conjugate_unbounded_below_last_slope():
@@ -220,7 +233,7 @@ def test_parse_utility(doc, kind):
 
 
 def test_parse_utility_rejects_unknown():
-    from condual.numbers import SchemaError
+    from condual.scalars import SchemaError
 
     with pytest.raises(SchemaError):
         parse_utility({"family": "exponential"})
