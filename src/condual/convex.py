@@ -30,10 +30,6 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _as_tuple(vec):
-    return tuple(vec)
-
-
 class ConvexSet:
     """Base class; concrete variants are frozen dataclasses below."""
 
@@ -49,7 +45,7 @@ class ConvexSet:
     # -- queries ---------------------------------------------------------
     def support(self, xi):
         """sup over the set of h . xi, possibly +inf."""
-        raise NotImplementedError
+        return self.support_argmax(xi)[0]
 
     def support_argmax(self, xi):
         """(support value, attaining point or None when the value is +inf)."""
@@ -59,8 +55,23 @@ class ConvexSet:
         raise NotImplementedError
 
     def project(self, point):
-        """Euclidean projection; float-mode operation."""
+        """Euclidean projection of a float array onto the set, as a float
+        array; float-mode operation.
+
+        The float data it needs (bounds, pinned values, the halfspace rows
+        and a feasible start) is built on the first call and kept on the
+        set, so a polyhedron or an intersection solves its center LP at most
+        once however often it is projected onto.
+        """
         raise NotImplementedError
+
+    def _memo(self, key, build):
+        """self.__dict__[key], set to build() on first use: sets are immutable."""
+        value = self.__dict__.get(key)
+        if value is None:
+            value = build()
+            object.__setattr__(self, key, value)
+        return value
 
     def center(self):
         """Some canonical member of the set (used as witness/start point)."""
@@ -95,8 +106,8 @@ class Box(ConvexSet):
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("box bound lengths differ")
-        object.__setattr__(self, "lower", _as_tuple(self.lower))
-        object.__setattr__(self, "upper", _as_tuple(self.upper))
+        object.__setattr__(self, "lower", tuple(self.lower))
+        object.__setattr__(self, "upper", tuple(self.upper))
         for lo, hi in zip(self.lower, self.upper):
             if lo > hi:
                 raise ValueError("empty box: a lower bound exceeds its upper bound")
@@ -107,9 +118,6 @@ class Box(ConvexSet):
 
     def _scalars(self):
         return [v for v in self.lower + self.upper if v not in (INF, NEG_INF)]
-
-    def support(self, xi):
-        return self.support_argmax(xi)[0]
 
     def support_argmax(self, xi):
         self._check_dim(xi)
@@ -138,7 +146,12 @@ class Box(ConvexSet):
                    for x, lo, hi in zip(point, self.lower, self.upper))
 
     def project(self, point):
-        return tuple(min(max(x, lo), hi) for x, lo, hi in zip(point, self.lower, self.upper))
+        lo, hi = self._memo("_floats", self._build_floats)
+        # np.clip's values at half its per-call cost on these short vectors
+        return np.minimum(np.maximum(point, lo), hi)
+
+    def _build_floats(self):
+        return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
 
     def center(self):
         return tuple(
@@ -181,7 +194,7 @@ def _clamp_zero(lo, hi):
 
 def _unit(dim, i, sign):
     row = [0] * dim
-    row[i] = sign if isinstance(sign, int) else sign
+    row[i] = sign
     return tuple(row)
 
 
@@ -191,7 +204,7 @@ class Ball(ConvexSet):
     radius: object
 
     def __post_init__(self):
-        object.__setattr__(self, "center_point", _as_tuple(self.center_point))
+        object.__setattr__(self, "center_point", tuple(self.center_point))
         if self.radius < 0:
             raise ValueError("ball radius must be nonnegative")
 
@@ -224,12 +237,13 @@ class Ball(ConvexSet):
         return math.sqrt(float(_dot(diff, diff))) <= float(self.radius) + tol
 
     def project(self, point):
-        diff = [float(x) - float(c) for x, c in zip(point, self.center_point)]
-        norm = math.sqrt(sum(d * d for d in diff))
-        if norm <= float(self.radius):
-            return tuple(point)
-        scale = float(self.radius) / norm
-        return tuple(float(c) + scale * d for c, d in zip(self.center_point, diff))
+        c, r = self._memo("_floats", self._build_floats)
+        d = point - c
+        n = float(np.linalg.norm(d))
+        return point if n <= r else c + (r / n) * d
+
+    def _build_floats(self):
+        return np.asarray(self.center_point, dtype=float), float(self.radius)
 
     def center(self):
         return self.center_point
@@ -249,7 +263,7 @@ class Singleton(ConvexSet):
     point: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _as_tuple(self.point))
+        object.__setattr__(self, "point", tuple(self.point))
 
     @property
     def dim(self):
@@ -272,7 +286,10 @@ class Singleton(ConvexSet):
         return all(abs(float(x) - float(p)) <= tol for x, p in zip(point, self.point))
 
     def project(self, point):
-        return self.point
+        return self._memo("_floats", self._build_floats).copy()
+
+    def _build_floats(self):
+        return np.asarray(self.point, dtype=float)
 
     def center(self):
         return self.point
@@ -304,8 +321,8 @@ class Polyhedron(ConvexSet):
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "A", tuple(_as_tuple(r) for r in self.A))
-        object.__setattr__(self, "b", _as_tuple(self.b))
+        object.__setattr__(self, "A", tuple(tuple(r) for r in self.A))
+        object.__setattr__(self, "b", tuple(self.b))
         if len(self.A) != len(self.b):
             raise ValueError("polyhedron row/offset count mismatch")
         widths = {len(r) for r in self.A}
@@ -322,9 +339,6 @@ class Polyhedron(ConvexSet):
 
     def _scalars(self):
         return [v for row in self.A for v in row] + list(self.b)
-
-    def support(self, xi):
-        return self.support_argmax(xi)[0]
 
     def support_argmax(self, xi):
         self._check_dim(xi)
@@ -343,10 +357,19 @@ class Polyhedron(ConvexSet):
         return all(_dot(row, point) <= bi + tol for row, bi in zip(self.A, self.b))
 
     def project(self, point):
-        return _project_onto_halfspaces(self.A, self.b, point, self.center())
+        A, b, start = self._memo("_floats", self._build_floats)
+        return _project_onto_halfspaces(A, b, start, point)
+
+    def _build_floats(self):
+        return tuple(np.asarray(v, dtype=float)
+                     for v in (self.A, self.b, self.center()))
 
     def center(self):
-        """Chebyshev center under the sup norm (keeps rational data rational)."""
+        """Chebyshev center under the sup norm (keeps rational data rational),
+        solved once per polyhedron."""
+        return self._memo("_center", self._chebyshev_center)
+
+    def _chebyshev_center(self):
         n = self.dim
         c = [0] * n + [-1]
         A_ub = [list(row) + [sum(abs(v) for v in row)] for row in self.A]
@@ -408,9 +431,6 @@ class AffineFixed(ConvexSet):
     def _fixed_map(self):
         return dict(self.fixed)
 
-    def support(self, xi):
-        return self.support_argmax(xi)[0]
-
     def support_argmax(self, xi):
         self._check_dim(xi)
         fixed = self._fixed_map()
@@ -433,8 +453,14 @@ class AffineFixed(ConvexSet):
         return all(abs(point[i] - v) <= tol for i, v in self.fixed)
 
     def project(self, point):
-        fixed = self._fixed_map()
-        return tuple(fixed.get(i, x) for i, x in enumerate(point))
+        idx, vals = self._memo("_floats", self._build_floats)
+        out = point.copy()
+        out[idx] = vals
+        return out
+
+    def _build_floats(self):
+        return (np.asarray([i for i, _ in self.fixed], dtype=int),
+                np.asarray([v for _, v in self.fixed], dtype=float))
 
     def center(self):
         fixed = self._fixed_map()
@@ -475,7 +501,7 @@ class CrossFixed(ConvexSet):
     fixed_tail: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed_tail", _as_tuple(self.fixed_tail))
+        object.__setattr__(self, "fixed_tail", tuple(self.fixed_tail))
 
     @property
     def dim(self):
@@ -488,9 +514,6 @@ class CrossFixed(ConvexSet):
     def _split(self, vec):
         k = self.base.dim
         return tuple(vec[:k]), tuple(vec[k:])
-
-    def support(self, xi):
-        return self.support_argmax(xi)[0]
 
     def support_argmax(self, xi):
         self._check_dim(xi)
@@ -510,8 +533,11 @@ class CrossFixed(ConvexSet):
         return tail_ok and self.base.contains(head, tol)
 
     def project(self, point):
-        head, _ = self._split(point)
-        return tuple(self.base.project(head)) + self.fixed_tail
+        k, tail = self._memo("_floats", self._build_floats)
+        return np.concatenate([self.base.project(point[:k]), tail])
+
+    def _build_floats(self):
+        return self.base.dim, np.asarray(self.fixed_tail, dtype=float)
 
     def center(self):
         return tuple(self.base.center()) + self.fixed_tail
@@ -559,7 +585,7 @@ class Intersection(ConvexSet):
         dims = {m.dim for m in members}
         if len(dims) > 1:
             raise ValueError("intersection members have mismatched dimensions")
-        if self._feasible_point() is None:
+        if self.center() is None:
             raise ValueError("empty intersection")
 
     @property
@@ -588,18 +614,13 @@ class Intersection(ConvexSet):
         # mixed ball/polyhedral case: project a ball center onto the rest
         balls = [m for m in self.members if isinstance(m, Ball)]
         others = [m for m in self.members if not isinstance(m, Ball)]
-        point = balls[0].center()
+        point = np.asarray(balls[0].center(), dtype=float)
         for _ in range(500):
-            moved = point
             for m in others + balls:
-                moved = m.project(moved)
-            if all(m.contains(moved, 1e-9) for m in self.members):
-                return tuple(moved)
-            point = moved
+                point = m.project(point)
+            if all(m.contains(point, 1e-9) for m in self.members):
+                return tuple(point.tolist())
         return None
-
-    def support(self, xi):
-        return self.support_argmax(xi)[0]
 
     def support_argmax(self, xi):
         self._check_dim(xi)
@@ -617,27 +638,31 @@ class Intersection(ConvexSet):
         return all(m.contains(point, tol) for m in self.members)
 
     def project(self, point):
-        hs = self._polyhedral()
-        if hs is not None:
-            return _project_onto_halfspaces(hs[0], hs[1], point, self.center())
+        A, b, start = self._memo("_floats", self._build_floats)
+        if A is not None:
+            return _project_onto_halfspaces(A, b, start, point)
         # Dykstra's alternating projections for the mixed case
-        x = np.asarray([float(v) for v in point])
-        incs = [np.zeros_like(x) for _ in self.members]
+        x = point
+        incs = [np.zeros(self.dim) for _ in self.members]
         for _ in range(2000):
-            x_prev = x.copy()
+            x_prev = x
             for k, m in enumerate(self.members):
                 y = x + incs[k]
-                x = np.asarray([float(v) for v in m.project(tuple(y))])
+                x = m.project(y)
                 incs[k] = y - x
             if np.linalg.norm(x - x_prev) < 1e-12:
                 break
-        return tuple(x)
+        return x
+
+    def _build_floats(self):
+        hs = self._polyhedral()
+        if hs is None:
+            return None, None, None
+        return tuple(np.asarray(v, dtype=float) for v in (*hs, self.center()))
 
     def center(self):
-        point = self._feasible_point()
-        if point is None:  # pragma: no cover - nonempty by invariant
-            raise RuntimeError("intersection became empty")
-        return point
+        """The member found at construction, where it proves nonemptiness."""
+        return self._memo("_center", self._feasible_point)
 
     def halfspaces(self):
         return self._polyhedral()
@@ -679,7 +704,7 @@ class Cone:
     def __post_init__(self):
         if self.rep not in ("halfspace", "generator"):
             raise ValueError(f"unknown cone representation {self.rep!r}")
-        rows = tuple(_as_tuple(r) for r in self.rows if any(v != 0 for v in r))
+        rows = tuple(tuple(r) for r in self.rows if any(v != 0 for v in r))
         object.__setattr__(self, "rows", rows)
         for r in rows:
             if len(r) != self.dim:
@@ -825,7 +850,7 @@ class ProjectionMatrix:
     matrix: tuple
 
     def __post_init__(self):
-        mat = tuple(_as_tuple(r) for r in self.matrix)
+        mat = tuple(tuple(r) for r in self.matrix)
         object.__setattr__(self, "matrix", mat)
         n = len(mat)
         exact = all_exact([v for r in mat for v in r])
@@ -1022,14 +1047,12 @@ def _mat_vec(M, v):
 # polyhedral projection (active set)
 
 
-def _project_onto_halfspaces(A, b, z, start, tol=1e-11, max_iter=200):
-    """Euclidean projection of z onto {x : A x <= b} from a feasible start."""
-    A = np.asarray([[float(v) for v in row] for row in A], dtype=float)
-    b = np.asarray([float(v) for v in b], dtype=float)
-    z = np.asarray([float(v) for v in z], dtype=float)
-    x = np.asarray([float(v) for v in start], dtype=float)
+def _project_onto_halfspaces(A, b, start, z, tol=1e-11, max_iter=200):
+    """Euclidean projection of z onto {x : A x <= b} from a feasible start
+    (all float arrays; start is left unchanged)."""
     if A.size == 0:
-        return tuple(z)
+        return z
+    x = start.copy()
     m = len(b)
     work = [i for i in range(m) if A[i] @ x > b[i] - 1e-12]
     for _ in range(max_iter):
@@ -1042,11 +1065,11 @@ def _project_onto_halfspaces(A, b, z, start, tol=1e-11, max_iter=200):
             p = d
         if np.linalg.norm(p) <= tol:
             if not work:
-                return tuple(x)
+                return x
             lam = gram_pinv @ (Aw @ d)
             k = int(np.argmin(lam))
             if lam[k] >= -tol:
-                return tuple(x)
+                return x
             work.pop(k)
             continue
         alpha = 1.0
@@ -1063,7 +1086,7 @@ def _project_onto_halfspaces(A, b, z, start, tol=1e-11, max_iter=200):
         x = x + alpha * p
         if blocking is not None:
             work.append(blocking)
-    return tuple(x)  # pragma: no cover - iteration cap; desk problems converge
+    return x  # pragma: no cover - iteration cap; desk problems converge
 
 
 # ---------------------------------------------------------------------------

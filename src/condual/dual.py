@@ -143,6 +143,8 @@ def _alpha_lp(market, weights):
         res = solve_lp(c, A_ub=lp.A_f, b_ub=lp.b_f)
     if res.status == UNBOUNDED:
         return INF, None
+    if res.status == INFEASIBLE:  # empty admissible class
+        return NEG_INF, None
     return -res.value, res.x
 
 
@@ -465,8 +467,8 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
     finite and the gap is within max(tol, 1e-6 * max(1, |value|)).
     ``iterations`` counts SQP iterations over all restarts, and is 0 on the
     LP route.  A value of +inf (empty finite-alpha face, or V infinite at
-    every density y dQ/dP) or -inf (empty admissible class, LP route)
-    comes without a measure.
+    every density y dQ/dP) or -inf (empty admissible class) comes without a
+    measure.
     """
     if y <= 0:
         raise ValueError("the dual is solved for y > 0")
@@ -483,6 +485,11 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         q0 = _face_interior_point(market)
         if q0 is None:
             return DualSolution(INF, None, False, INF, y=y)
+        if market.floor is not None \
+                and support_alpha(market, q0, zero_tol) == NEG_INF:
+            # only a floor can empty the admissible class (every set is
+            # nonempty), and then alpha is -inf at every measure
+            return DualSolution(NEG_INF, None, False, INF, y=y)
         q, iterations = _lifted_smooth_solve(market, utility, y, q0)
         if q is None:
             q = q0

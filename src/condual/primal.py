@@ -2,10 +2,14 @@
 
 The optimizer is projected gradient ascent with Barzilai-Borwein steps and
 Armijo backtracking; the feasible region is the product of per-node
-constraint sets, each of which projects cheaply.  Economic failure modes are
-statuses, not exceptions: infeasible means no admissible portfolio keeps
-terminal wealth in the utility's domain, unbounded means an admissible
-recession direction produces a free lunch while the utility is unbounded.
+constraint sets.  Each step projects every node's float holdings with that
+set's own ``ConvexSet.project`` (float array in, float array out), whose
+float data (bounds, pinned values, halfspace rows and a feasible start) the
+set builds once and keeps, so no LP is solved per projection.  Economic
+failure modes are statuses, not exceptions: infeasible means no admissible
+portfolio keeps terminal wealth in the utility's domain, unbounded means an
+admissible recession direction produces a free lunch while the utility is
+unbounded.
 """
 
 from __future__ import annotations
@@ -137,45 +141,6 @@ def find_free_lunch_direction(market: MarketModel):
     return lp.portfolio(res.x)
 
 
-def _float_projector(cset):
-    """Precompile the Euclidean projection of one constraint set to floats."""
-    from .convex import AffineFixed, Ball, Box, CrossFixed, Singleton
-
-    if isinstance(cset, Box):
-        lo = np.asarray([float(v) for v in cset.lower])
-        hi = np.asarray([float(v) for v in cset.upper])
-        return lambda v: np.clip(v, lo, hi)
-    if isinstance(cset, Singleton):
-        point = np.asarray([float(v) for v in cset.point])
-        return lambda v: point.copy()
-    if isinstance(cset, Ball):
-        c = np.asarray([float(v) for v in cset.center_point])
-        r = float(cset.radius)
-
-        def proj_ball(v):
-            d = v - c
-            n = float(np.linalg.norm(d))
-            return v if n <= r else c + (r / n) * d
-
-        return proj_ball
-    if isinstance(cset, AffineFixed):
-        idx = np.asarray([i for i, _ in cset.fixed], dtype=int)
-        vals = np.asarray([float(v) for _, v in cset.fixed])
-
-        def proj_affine(v):
-            out = v.copy()
-            out[idx] = vals
-            return out
-
-        return proj_affine
-    if isinstance(cset, CrossFixed):
-        base = _float_projector(cset.base)
-        tail = np.asarray([float(v) for v in cset.fixed_tail])
-        k = cset.base.dim
-        return lambda v: np.concatenate([np.asarray(base(v[:k])), tail])
-    return lambda v: np.asarray([float(u) for u in cset.project(tuple(v))])
-
-
 def _vectorized_utility(utility):
     """(value over array, right marginal over array) in numpy terms."""
     from .utility import LogUtility, PowerUtility
@@ -201,8 +166,8 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     guard = utility.inf_value() == NEG_INF or utility.inada_zero()
     low = _DOMAIN_EPS if guard else 0.0
     value_fn, marginal_fn = _vectorized_utility(utility)
-    projectors = [( (offsets[i], offsets[i] + market.dim),
-                    _float_projector(market.constraint(i)) )
+    projectors = [((offsets[i], offsets[i] + market.dim),
+                   market.constraint(i).project)
                   for i in market.tree.nonleaf]
 
     def objective(h):

@@ -237,10 +237,10 @@ class PiecewiseLinearUtility(UtilityFunction):
         return self._knot_values()[-1]
 
     def inf_value(self):
-        if self.slopes[0] == INF:
+        # U = -inf on (0, breakpoints[0]), so its limit at 0 is -inf too
+        if self.slopes[0] == INF or self.breakpoints[0] > 0:
             return NEG_INF
-        vals = self._knot_values()
-        return vals[0] - self.slopes[0] * self.breakpoints[0] if self.breakpoints[0] > 0 else vals[0]
+        return self.anchor
 
     def inada_zero(self):
         return self.slopes[0] == INF

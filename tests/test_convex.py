@@ -341,7 +341,65 @@ def test_dimension_mismatch_raises():
 
 
 def test_project_box_clip():
-    assert Box((F(-1),), (F(1),)).project((2.5,)) == (1,)
+    assert tuple(Box((F(-1),), (F(1),)).project(np.array([2.5]))) == (1,)
+
+
+PROJECTION_SETS = {
+    "box": Box((F(-1), F(0)), (F(2), F(1))),
+    "half-line": Box((NEG_INF,), (F(1),)),
+    "singleton": Singleton((F(1, 3), F(-2))),
+    "ball": Ball((0.5, -1.0), 1.5),
+    "polyhedron": Polyhedron(((F(1), F(1)), (F(-1), F(0)), (F(0), F(-1))),
+                             (F(1), F(0), F(0))),
+    "affine_fixed": AffineFixed(3, ((1, F(2)),)),
+    "cross_fixed_box": CrossFixed(Box((F(-1),), (F(1),)), (F(1),)),
+    "cross_fixed_ball": CrossFixed(Ball((0.0, 0.0), 1.0), (F(1, 2),)),
+    "intersection": Intersection((Box((F(-2), F(-2)), (F(2), F(2))),
+                                  Polyhedron(((F(1), F(1)),), (F(1),)))),
+    "ball_box": Intersection((Ball((0.0, 0.0), 1.5),
+                              Box((F(0), F(-2)), (F(2), F(2))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_SETS))
+def test_projection_contract(name):
+    s = PROJECTION_SETS[name]
+    rng = np.random.default_rng(7)
+    members = [s.project(3 * rng.standard_normal(s.dim)) for _ in range(20)]
+    members.append(np.asarray(s.center(), dtype=float))
+    for w in members:
+        assert contains(s, w, 1e-8)
+    for _ in range(30):
+        z = 3 * rng.standard_normal(s.dim)
+        p = s.project(z)
+        assert isinstance(p, np.ndarray) and p.dtype == float
+        assert contains(s, p, 1e-8)
+        assert np.allclose(s.project(p), p, rtol=0, atol=1e-9)
+        # variational inequality: z - P z is normal to the set at P z
+        for w in members:
+            assert (z - p) @ (w - p) <= 1e-8
+
+
+def test_projection_solves_center_lp_once(monkeypatch):
+    import condual.convex
+
+    poly = PROJECTION_SETS["polyhedron"]
+    inter = PROJECTION_SETS["intersection"]
+    calls = []
+    real = condual.convex.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(condual.convex, "solve_lp", counting)
+    rng = np.random.default_rng(3)
+    # fresh sets: the shared ones may already hold their float data
+    for s in (Polyhedron(poly.A, poly.b), Intersection(inter.members)):
+        calls.clear()
+        for _ in range(50):
+            s.project(3 * rng.standard_normal(s.dim))
+        assert len(calls) <= 1
 
 
 def test_project_polyhedron_kkt():
@@ -351,7 +409,7 @@ def test_project_polyhedron_kkt():
         A = np.asarray([[float(v) for v in r] for r in poly.A])
         b = np.asarray([float(v) for v in poly.b])
         z = np.asarray([rng.uniform(-6, 6), rng.uniform(-6, 6)])
-        x = np.asarray(poly.project(tuple(z)))
+        x = poly.project(z)
         # feasibility
         assert (A @ x <= b + 1e-8).all()
         # KKT: z - x lies in the cone of active rows (nonneg least squares)

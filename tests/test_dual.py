@@ -371,15 +371,31 @@ def test_dual_piecewise_attained_at_lp_optimum(b1_pinned):
     assert sol.measure.mass == pytest.approx(0.7, rel=1e-12)
 
 
-def test_dual_piecewise_empty_admissible_class():
+@pytest.fixture
+def empty_floor_market():
     # a forced long holding loses on the down move, so the floor at zero
-    # admits no portfolio: alpha is -inf everywhere and the epigraph LP is
-    # unbounded
+    # admits no portfolio
     spec = binomial_spec({"type": "box", "lower": [1], "upper": [2]})
     spec["floor"] = 0
-    sol = solve_dual(build_market(spec), FLAT_TAIL, 1.0)
+    return build_market(spec)
+
+
+def test_dual_piecewise_empty_admissible_class(empty_floor_market):
+    # alpha is -inf everywhere and the epigraph LP is unbounded
+    sol = solve_dual(empty_floor_market, FLAT_TAIL, 1.0)
     assert sol.value == NEG_INF and sol.measure is None
     assert not sol.attained
+
+
+def test_dual_smooth_empty_admissible_class(empty_floor_market):
+    # the stacked alpha LP is infeasible, which is alpha = -inf, and the
+    # smooth route reports that value as the epigraph route does
+    assert support_alpha(empty_floor_market, (F(1, 2), F(1, 2))) == NEG_INF
+    assert support_alpha(empty_floor_market, (0.5, 0.5)) == NEG_INF
+    for utility in (LOG, PowerUtility(0.5)):
+        sol = solve_dual(empty_floor_market, utility, 1.0)
+        assert sol.value == NEG_INF and sol.measure is None
+        assert not sol.attained
 
 
 def test_dual_piecewise_on_equality_face(b1):

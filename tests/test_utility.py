@@ -184,6 +184,15 @@ def test_fenchel_young_inequality(x, y):
         assert lhs <= rhs + 1e-9
 
 
+def test_piecewise_first_breakpoint_above_zero():
+    # U = -inf on (0, 1), so its extension at 0 is -inf as well
+    u = PiecewiseLinearUtility((1, 2), (1, 0.5))
+    assert eval_utility(u, 0.0) == eval_utility(u, 0.5) == NEG_INF
+    for x in (0.0, 1.0):
+        for y in (0.1, 0.5, 1.0, 2.0):
+            assert eval_utility(u, x) <= conjugate(u, y) + x * y
+
+
 @pytest.mark.parametrize("u", [LOG, SQRT])
 def test_fenchel_young_equality_at_marginal(u):
     for x in (0.3, 1.0, 2.5, 8.0):
