@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .convex import Cone, ProjectionMatrix, min_norm_solution, \
+from .convex import Cone, ProjectionMatrix, _unit, min_norm_solution, \
     predictable_range_projection, projected_set_closed
 from .dual import _max_margin_measure, measure_from_weights
 from .linprog import OPTIMAL, solve_lp
@@ -56,10 +56,9 @@ def check_nonempty(market: MarketModel) -> NonemptyReport:
     if market.floor is None:  # centers are in their sets by construction
         return NonemptyReport(False, None)  # pragma: no cover
     lp = tree_lp(market)
-    try:
-        A, b = lp.A, lp.b
-    except NotImplementedError:
+    if not lp.polyhedral:
         return NonemptyReport(False, None)
+    A, b = lp.rows(market.exact)[:2]
     res = solve_lp([0] * lp.n_h, A_ub=A, b_ub=b, exact=market.exact)
     if res.status != OPTIMAL:
         return NonemptyReport(False, None)
@@ -247,10 +246,9 @@ def _positive_measure_lp(market, require_zero_drift):
     otherwise they only require a nonnegative-multiplier representation,
     i.e. membership of the barrier cone (finite support value).
     """
-    try:
-        found = _max_margin_measure(market, multipliers=not require_zero_drift)
-    except NotImplementedError:
+    if not tree_lp(market).polyhedral:
         return None
+    found = _max_margin_measure(market, multipliers=not require_zero_drift)
     if found is None or found[1] <= 1e-10:
         return None
     weights = found[0]
@@ -264,8 +262,6 @@ def _positive_measure_lp(market, require_zero_drift):
 def _snap_rational(market, weights, require_zero_drift):
     """Try to turn a float LP measure into nearby small rationals that still
     satisfy the defining constraints exactly."""
-    from fractions import Fraction
-
     for denom_cap in (24, 360, 10 ** 6):
         cand = [Fraction(w).limit_denominator(denom_cap) for w in weights]
         total = sum(cand)
@@ -305,18 +301,12 @@ def _escaping_ray(cone: Cone, beta, exact):
     bounded; certifies the infinite support value."""
     rows = [list(r) for r in cone.as_halfspace().rows]
     d = cone.dim
-    flat = rows + [_unit_row(d, j, s) for j in range(d) for s in (1, -1)]
+    flat = rows + [_unit(d, j, s) for j in range(d) for s in (1, -1)]
     b = [0] * len(rows) + [1] * (2 * d)
     res = solve_lp([-v for v in beta], A_ub=flat, b_ub=b, exact=exact)
     if res.status == OPTIMAL and -res.value > 0:
         return tuple(res.x)
     return None
-
-
-def _unit_row(d, j, s):
-    row = [0] * d
-    row[j] = s
-    return row
 
 
 def certificate_inequality_residual(market, cert, portfolio):

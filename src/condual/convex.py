@@ -82,7 +82,11 @@ class ConvexSet:
         return None
 
     def recession(self) -> "Cone":
-        raise NotImplementedError
+        """The recession cone: the homogeneous form of halfspaces()."""
+        hs = self.halfspaces()
+        if hs is None:
+            raise NotImplementedError
+        return Cone(self.dim, "halfspace", hs[0])
 
     def is_bounded(self):
         """True/False, or None when undecidable for this variant."""
@@ -169,15 +173,6 @@ class Box(ConvexSet):
                 A.append(_unit(self.dim, i, -1))
                 b.append(-lo)
         return A, b
-
-    def recession(self):
-        rows = []
-        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if hi != INF:
-                rows.append(_unit(self.dim, i, 1))
-            if lo != NEG_INF:
-                rows.append(_unit(self.dim, i, -1))
-        return Cone(self.dim, "halfspace", tuple(rows))
 
     def is_bounded(self):
         return all(lo != NEG_INF and hi != INF
@@ -303,9 +298,6 @@ class Singleton(ConvexSet):
             b.append(-v)
         return A, b
 
-    def recession(self):
-        return Cone.zero(self.dim)
-
     def is_bounded(self):
         return True
 
@@ -383,9 +375,6 @@ class Polyhedron(ConvexSet):
 
     def halfspaces(self):
         return [list(r) for r in self.A], list(self.b)
-
-    def recession(self):
-        return Cone(self.dim, "halfspace", self.A)
 
     def is_bounded(self):
         return self.recession().is_trivial()
@@ -474,13 +463,6 @@ class AffineFixed(ConvexSet):
             A.append(_unit(self.dim, i, -1))
             b.append(-v)
         return A, b
-
-    def recession(self):
-        rows = []
-        for i, _ in self.fixed:
-            rows.append(_unit(self.dim, i, 1))
-            rows.append(_unit(self.dim, i, -1))
-        return Cone(self.dim, "halfspace", tuple(rows))
 
     def is_bounded(self):
         return len(self.fixed) == self.dim

@@ -134,13 +134,11 @@ def _support_with_floor_noise(support, xi, zero_tol):
 
 def _alpha_lp(market, weights):
     lp = tree_lp(market)
-    if market.exact and all_exact(weights):
-        c = [-sum(w * row[j] for w, row in zip(weights, lp.L))
-             for j in range(lp.n_h)]
-        res = solve_lp(c, A_ub=lp.A, b_ub=lp.b, exact=True)
-    else:
-        c = -(lp.L_f.T @ np.asarray(weights, dtype=float))
-        res = solve_lp(c, A_ub=lp.A_f, b_ub=lp.b_f)
+    lp.require_polyhedral()
+    exact = market.exact and all_exact(weights)
+    A, b, L = lp.rows(exact)[:3]
+    c = -(L.T @ np.asarray(weights, dtype=L.dtype))
+    res = solve_lp(c, A_ub=A, b_ub=b, exact=exact)
     if res.status == UNBOUNDED:
         return INF, None
     if res.status == INFEASIBLE:  # empty admissible class
@@ -169,14 +167,15 @@ def _lifted_lp(market, q_objective, maximize_payoff=None, mu_cost_scale=1,
     lp = tree_lp(market)
     exact = market.exact and not force_float
     A_eq, b_eq, nonneg = lp.lifted(exact)
+    b = lp.rows(exact)[1]
     if maximize_payoff is not None:
-        c = [-v for v in maximize_payoff] + list(lp.b)
+        c = [-v for v in maximize_payoff] + list(b)
     else:
-        c = list(q_objective) + [mu_cost_scale * v for v in lp.b]
+        c = list(q_objective) + [mu_cost_scale * v for v in b]
     if not exact:
         c = [float(v) for v in c]
     res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, exact=exact, nonneg=nonneg)
-    return res, len(lp.p)
+    return res, len(market.tree.leaves)
 
 
 @dataclass
@@ -266,17 +265,12 @@ def _worst_gain(market, hedge):
     free lunch (hedge None) of a constrained arbitrage."""
     if hedge is None:
         return INF
-    return min(sum(a * h for a, h in zip(row, hedge) if a)
-               for row in tree_lp(market).L)
+    L = tree_lp(market).rows(market.exact)[2].tolist()
+    return min(sum(a * h for a, h in zip(row, hedge) if a) for row in L)
 
 
 def _sup_essinf(market):
-    lp = tree_lp(market)
-    # variables (H, m): m - gains_l <= 0 on every leaf
-    A2 = [row + (0,) for row in lp.A] + [tuple(-v for v in row) + (1,)
-                                         for row in lp.L]
-    b2 = list(lp.b) + [0] * len(lp.L)
-    res = solve_lp([0] * lp.n_h + [-1], A_ub=A2, b_ub=b2, exact=market.exact)
+    res = tree_lp(market).worst_leaf(market.exact, 0)
     if res.status == UNBOUNDED:
         return INF
     if res.status == INFEASIBLE:  # empty admissible class
@@ -340,25 +334,23 @@ def _superhedge_recursive(market, payoff, exact):
 
 def _superhedge_lp(market, payoff, exact):
     lp = tree_lp(market)
-    # primal: variables (x, H), x + gains_l >= payoff_l on every leaf
-    A2 = [(0,) + row for row in lp.A] + [(-1,) + tuple(-v for v in row)
-                                         for row in lp.L]
-    b2 = list(lp.b) + [-f for f in payoff]
-    res = solve_lp([1] + [0] * lp.n_h, A_ub=A2, b_ub=b2, exact=exact)
-    if res.status == INFEASIBLE:
-        # cannot happen once constraint sets are nonempty
-        raise RuntimeError("superhedging LP infeasible")
-    if res.status == UNBOUNDED:
-        price, x = NEG_INF, None
+    # x + gains_l >= payoff_l on every leaf is m = -x <= gains_l - payoff_l,
+    # so the price is the least -m: +inf when no portfolio is admissible,
+    # -inf on a free lunch
+    res = lp.worst_leaf(exact, [-f for f in payoff])
+    if res.status == OPTIMAL:
+        price, x = res.value, [res.value] + res.x[:lp.n_h]
     else:
-        price, x = res.value, res.x
+        price, x = (INF if res.status == INFEASIBLE else NEG_INF), None
 
     dual_res, n_leaves = _lifted_lp(market, None, maximize_payoff=payoff)
     if dual_res.status == OPTIMAL:
         witness = measure_from_weights(market, dual_res.x[:n_leaves])
         dual_value = -dual_res.value
     else:
-        witness, dual_value = None, NEG_INF
+        # unbounded when the admissible class is empty (alpha = -inf)
+        witness = None
+        dual_value = INF if dual_res.status == UNBOUNDED else NEG_INF
     return SuperhedgeResult(price, x, dual_value, witness,
                             _bound(_sup_essinf(market)))
 
@@ -412,11 +404,12 @@ def _max_margin_measure(market, multipliers=True):
     must give zero drift at every node (a martingale measure).
     """
     lp = tree_lp(market)
-    n = len(lp.p)
     A_eq, b_eq, nonneg = lp.lifted(False, extra=1, multipliers=multipliers)
+    p = lp.rows(False)[5]
+    n = len(p)
     A_ub = np.zeros((n + 1, A_eq.shape[1]))
     A_ub[:n, :n] = -np.eye(n)  # q_k >= t p_k
-    A_ub[:n, -1] = lp.p_f
+    A_ub[:n, -1] = p
     A_ub[n, -1] = 1.0
     b_ub = np.zeros(n + 1)
     b_ub[n] = 1.0
@@ -514,14 +507,14 @@ def _lifted_smooth_solve(market, utility, y, q0):
     from scipy.optimize import minimize
 
     lp = tree_lp(market)
-    probs, bf = lp.p_f, lp.b_f
-    n, n_mu = len(probs), len(bf)
     E, e, _ = lp.lifted(False)
+    A, bf, L, _, _, probs = lp.rows(False)
+    n, n_mu = len(probs), len(bf)
 
     # feasible multipliers for the starting measure
-    target = lp.L_f.T @ q0
+    target = L.T @ q0
     if n_mu:
-        res = solve_lp(bf, A_eq=lp.A_f.T, b_eq=target, nonneg=range(n_mu))
+        res = solve_lp(bf, A_eq=A.T, b_eq=target, nonneg=range(n_mu))
         if res.status != OPTIMAL:
             return None, 0
         mu0 = np.asarray(res.x)
@@ -580,10 +573,10 @@ def _piecewise_dual_lp(market, utility, y):
     """
     lines, domain_edge = utility.conjugate_lines()
     lp = tree_lp(market)
-    probs = lp.p_f
-    n, n_mu = len(probs), len(lp.b_f)
+    n = len(market.tree.leaves)
     A_eq, b_eq, nonneg = lp.lifted(False, extra=n)  # columns q, mu, t
-    total = A_eq.shape[1]
+    _, bf, _, _, _, probs = lp.rows(False)
+    n_mu, total = len(bf), A_eq.shape[1]
     y = float(y)
 
     A_ub, b_ub = [], []
@@ -600,7 +593,7 @@ def _piecewise_dual_lp(market, utility, y):
             A_ub.append(row)
             b_ub.append(-float(v_i))
 
-    c = np.concatenate([np.zeros(n), y * lp.b_f, probs])
+    c = np.concatenate([np.zeros(n), y * bf, probs])
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                    nonneg=nonneg)
     if res.status == INFEASIBLE:

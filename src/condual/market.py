@@ -382,6 +382,7 @@ def embed_endowment(market: MarketModel, endowment: dict, measure) -> tuple:
     """
     from .convex import AffineFixed, Box, CrossFixed
     from .scalars import INF, NEG_INF
+    from .treelp import node_direction, subtree_weights
 
     tree = market.tree
     leaves = tree.leaves
@@ -401,16 +402,10 @@ def embed_endowment(market: MarketModel, endowment: dict, measure) -> tuple:
         raise ValueError("the pricing measure must be equivalent "
                          "(strictly positive on every leaf)")
 
-    subtree_mass = {}
-    for i in reversed(range(len(tree.nodes))):
-        n = tree.nodes[i]
-        subtree_mass[i] = (weights[i] if not n.children
-                           else sum(subtree_mass[c] for c in n.children))
+    subtree_mass = subtree_weights(market, weight_list)
     tol = 0 if market.exact and measure_exact else 1e-9
     for i in tree.nonleaf:
-        drift = [sum(subtree_mass[c] * (market.prices[c][k] - market.prices[i][k])
-                     for c in tree.nodes[i].children) for k in range(market.dim)]
-        if any(abs(v) > tol for v in drift):
+        if any(abs(v) > tol for v in node_direction(market, subtree_mass, i)):
             raise ValueError(
                 f"the pricing measure is not a martingale measure for the "
                 f"risky prices (drift at node {tree.nodes[i].node_id!r})")

@@ -70,18 +70,13 @@ def primal_feasible(market: MarketModel, x) -> bool:
     wealth level; deliberately not the max-min-slack LP.
     """
     lp = tree_lp(market)
-    try:
-        A, b = lp.A, lp.b
-    except NotImplementedError:
+    if not lp.polyhedral:
         return _feasible_start(market, x)[0]
     exact = market.exact and isinstance(x, (int, Fraction))
-    if exact:
-        A_ub = list(A) + [tuple(-v for v in row) for row in lp.L]
-        b_ub = list(b) + [x] * len(lp.L)
-    else:
-        A_ub = np.vstack([lp.A_f, -lp.L_f])
-        b_ub = np.concatenate([lp.b_f, np.full(len(lp.L), float(x))])
-    res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=b_ub, exact=exact)
+    A, b, L = lp.rows(exact)[:3]
+    x = np.full(len(L), x if exact else float(x), b.dtype)
+    res = solve_lp([0] * lp.n_h, A_ub=np.vstack([A, -L]),
+                   b_ub=np.concatenate([b, x]), exact=exact)
     return res.status == OPTIMAL
 
 
@@ -91,26 +86,11 @@ def _feasible_start(market: MarketModel, x):
     Returns (feasible, starting holdings dict, worst-leaf slack).
     """
     lp = tree_lp(market)
-    try:
-        A, b = lp.A, lp.b
-    except NotImplementedError:
+    if not lp.polyhedral:
         return _feasible_start_nonpolyhedral(market, x)
     exact = market.exact and isinstance(x, (int, Fraction))
     x = x if exact else float(x)
-    # variables (H, m): maximize m subject to x + gains_l >= m, m <= cap
-    b_ub = list(b) + [x] * len(lp.L) + [abs(x) + _SLACK_CAP]
-    if exact:
-        A_ub = [row + (0,) for row in A] \
-            + [tuple(-v for v in row) + (1,) for row in lp.L] \
-            + [(0,) * lp.n_h + (1,)]
-    else:
-        cap = np.zeros((1, lp.n_h + 1))
-        cap[0, -1] = 1.0
-        A_ub = np.vstack([
-            np.hstack([lp.A_f, np.zeros((len(lp.b_f), 1))]),
-            np.hstack([-lp.L_f, np.ones((len(lp.L), 1))]),
-            cap])
-    res = solve_lp([0] * lp.n_h + [-1], A_ub=A_ub, b_ub=b_ub, exact=exact)
+    res = lp.worst_leaf(exact, x, abs(x) + _SLACK_CAP)
     if res.status != OPTIMAL:
         # infeasible only when the floor empties the admissible class
         return False, None, NEG_INF
@@ -132,10 +112,10 @@ def find_free_lunch_direction(market: MarketModel):
     """Admissible recession direction whose terminal gains are >= 0 on every
     leaf and sum to 1: a certificate that the attainable set is unbounded."""
     lp = tree_lp(market)
-    A_ub = list(lp.R) + [tuple(-v for v in row) for row in lp.L]
-    A_eq = [[sum(col) for col in zip(*lp.L)]]
+    _, _, L, _, R, _ = lp.rows(market.exact)
+    A_ub = np.vstack([R, -L])
     res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=[0] * len(A_ub),
-                   A_eq=A_eq, b_eq=[1], exact=market.exact)
+                   A_eq=[L.sum(axis=0)], b_eq=[1], exact=market.exact)
     if res.status != OPTIMAL:
         return None
     return lp.portfolio(res.x)
@@ -157,16 +137,15 @@ def _vectorized_utility(utility):
 
 def _projected_gradient(market, utility, x, start, tol, max_iter):
     lp = tree_lp(market)
-    offsets, leaf_probs, L = lp.offsets, lp.p_f, lp.L_f
+    _, _, L, N, _, leaf_probs = lp.rows(False)
     floor_rows = floor = None
     if market.floor is not None:
-        floor_rows = lp.N_f
-        floor = float(market.floor)
+        floor_rows, floor = N, float(market.floor)
     x = float(x)
     guard = utility.inf_value() == NEG_INF or utility.inada_zero()
     low = _DOMAIN_EPS if guard else 0.0
     value_fn, marginal_fn = _vectorized_utility(utility)
-    projectors = [((offsets[i], offsets[i] + market.dim),
+    projectors = [((lp.offsets[i], lp.offsets[i] + market.dim),
                    market.constraint(i).project)
                   for i in market.tree.nonleaf]
 
@@ -275,13 +254,13 @@ def brute_force_primal(market: MarketModel, utility: UtilityFunction, x,
     if points ** lp.n_h * max(rounds, 1) > 10 ** 7:
         raise ValueError("grid too large: over the documented 1e7-evaluation cap")
 
-    L, leaf_probs = lp.L_f, lp.p_f
+    _, _, L, N, _, leaf_probs = lp.rows(False)
+    floor_rows = N if market.floor is not None else None
     offset_vec = np.zeros(len(market.tree.leaves))
     if "terminal_offset" in grid_spec:
         ids = [market.tree.nodes[i].node_id for i in market.tree.leaves]
         offset_vec = np.asarray([float(grid_spec["terminal_offset"][nid])
                                  for nid in ids])
-    floor_rows = lp.N_f if market.floor is not None else None
 
     windows = []
     for i in market.tree.nonleaf:

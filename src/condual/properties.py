@@ -51,7 +51,7 @@ def run_property_suite(seed: int, scale: int = 1):
     """Run every registered property; scale multiplies the case counts."""
     results = []
     for name, fn, cases in _REGISTRY:
-        rng = random.Random((seed, name).__hash__() & 0x7FFFFFFF)
+        rng = random.Random(f"{seed}:{name}")
         count = max(1, cases * scale)
         start = time.perf_counter()
         try:

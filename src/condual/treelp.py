@@ -1,30 +1,36 @@
 """The compiled LP of a market, from which every stacked and lifted LP is built.
 
 Portfolio variables are stacked node by node (tree order of the non-leaf
-nodes), ``dim`` entries each, into one vector H of width ``n_h``.  A
-:class:`TreeLP` holds, for one market:
+nodes), ``dim`` entries each, into one vector H of width ``n_h``.
+:meth:`TreeLP.rows` gives, for one arithmetic, the rows ``(A, b, L, N, R,
+p)``:
 
 * the stacked rows ``A H <= b``: the halfspace rows of every constraint
   set, then, when a floor is set, the floor rows ``-N H <= floor``, so that
-  ``A H <= b`` says exactly that H is admissible;
+  ``A H <= b`` says exactly that H is admissible (``A`` and ``b`` are None
+  when some set has no halfspace form);
 * the terminal-gain rows ``L`` (one per leaf: the coefficients of
   (H . S)_T) and the node-gain rows ``N`` (one per node, tree order: the
   gains accrued by the time of that node);
 * the recession rows ``R``, with ``R H <= 0`` the recession cone of the
   admissible class;
-* the leaf probabilities ``p``;
-* in dimension one, each node's constraint set as an interval ``(lo, hi)``
-  (``intervals``), read from its halfspace rows.
+* the leaf probabilities ``p``.
 
-Each item is kept in exact entries (tuples of the market's own numbers) and
-as a read-only float array under the same name with an ``_f`` suffix.
-:func:`tree_lp` compiles it once per market, on first use, and keeps it on
-the market.
+They are read-only numpy arrays: of dtype ``object`` holding the market's
+own numbers when exact, of dtype float otherwise.  Each arithmetic's set is
+built on its first request, so a float market never builds exact rows.  In
+dimension one, each node's constraint set is also kept as an interval
+``(lo, hi)`` (``intervals``), read from its halfspace rows.
+:func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
+on the market.
 
-The measure side runs through LP duality: alpha(q) = max {(L^T q) . H :
-A H <= b} equals min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization
-over q with alpha in its objective is one LP over the lifted pairs (q, mu);
-:meth:`TreeLP.lifted` gives that polytope's rows.
+Two LP shapes are assembled here, once for every caller:
+:meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
+feasibility start of the primal, sup essinf, and the superhedging price),
+and :meth:`TreeLP.lifted` gives the rows of the measure side.  The measure
+side runs through LP duality: alpha(q) = max {(L^T q) . H : A H <= b} equals
+min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization over q with alpha
+in its objective is one LP over the lifted pairs (q, mu).
 """
 
 from __future__ import annotations
@@ -33,71 +39,31 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linprog import solve_lp
 from .market import MarketModel, PortfolioProcess
 from .scalars import INF, NEG_INF, is_exact
 
 
-def _frozen(values, *shape):
-    arr = np.asarray(values, dtype=float).reshape(shape)
-    arr.setflags(write=False)
-    return arr
-
-
-def _polyhedral(k):
-    """Attribute k of the stacked rows (A, b, A_f, b_f), which exist only
-    when every constraint set has a halfspace form."""
-
-    def get(self):
-        if self._stacked is None:
-            raise NotImplementedError(self._no_halfspaces)
-        return self._stacked[k]
-
-    return property(get)
-
-
 class TreeLP:
     """Rows of a market's LPs over the stacked holdings; see the module
-    docstring.  LP-based operations on markets with a ball constraint raise
-    NotImplementedError on reading A or b; L, N, R and p always exist."""
-
-    A = _polyhedral(0)
-    b = _polyhedral(1)
-    A_f = _polyhedral(2)
-    b_f = _polyhedral(3)
+    docstring.  On a market with a ball constraint, A and b are None and
+    the operations that need them raise NotImplementedError; L, N, R and p
+    always exist."""
 
     def __init__(self, market: MarketModel):
         tree, d = market.tree, market.dim
         self.dim = d
         self.offsets = {i: k * d for k, i in enumerate(tree.nonleaf)}
-        self.n_h = n_h = d * len(self.offsets)
-
-        def block_rows(i, rows):
-            out = []
-            for row in rows:
-                full = [0] * n_h
-                full[self.offsets[i]:self.offsets[i] + d] = row
-                out.append(tuple(full))
-            return out
-
-        node_rows = [[0] * n_h for _ in tree.nodes]
-        for n in tree.nodes:
-            if n.parent is not None:
-                row = node_rows[n.index] = list(node_rows[n.parent])
-                off = self.offsets[n.parent]
-                for k, ds in enumerate(market.increment(n.index)):
-                    row[off + k] += ds
-        self.N = tuple(map(tuple, node_rows))
-        self.L = tuple(self.N[i] for i in tree.leaves)
-        floor_rows = [] if market.floor is None \
-            else [tuple(-v for v in row) for row in self.N]
-
-        R = []
-        for i, cset in market.constraints:
-            R += block_rows(i, cset.recession().rows)
-        self.R = tuple(R + floor_rows)
-
-        A, b = [], []
-        self._stacked = None
+        self.n_h = d * len(self.offsets)
+        # what the row builder reads, so that it never needs the market
+        self._steps = [(n.index, n.parent, market.increment(n.index))
+                       for n in tree.nodes if n.parent is not None]
+        self._n_nodes, self._leaves = len(tree.nodes), list(tree.leaves)
+        self._floor, self._p = market.floor, tree.leaf_probabilities()
+        self._recession = [(i, cset.recession().rows)
+                           for i, cset in market.constraints]
+        self._halfspaces = []
+        self._no_halfspaces = None
         self.intervals = {}
         for i, cset in market.constraints:
             hs = cset.halfspaces()
@@ -107,24 +73,77 @@ class TreeLP:
                     f"halfspace form; LP-based operations need polyhedral "
                     f"constraints")
                 break
-            A += block_rows(i, hs[0])
-            b += hs[1]
+            self._halfspaces.append((i, hs))
             if d == 1:
                 self.intervals[i] = _interval(*hs)
-        else:
-            A, b = tuple(A + floor_rows), tuple(b) + (market.floor,) * len(floor_rows)
-            self._stacked = (A, b, _frozen(A, len(A), n_h), _frozen(b, len(b)))
+        self.polyhedral = self._no_halfspaces is None
+        self._rows = {}
 
-        self.p = tree.leaf_probabilities()
-        self.p_f = _frozen(self.p, len(self.p))
-        self.L_f = _frozen(self.L, len(self.L), n_h)
-        self.N_f = _frozen(self.N, len(self.N), n_h)
-        self.R_f = _frozen(self.R, len(self.R), n_h)
+    def require_polyhedral(self):
+        """Raise NotImplementedError unless every set has a halfspace form."""
+        if not self.polyhedral:
+            raise NotImplementedError(self._no_halfspaces)
 
-    @property
-    def polyhedral(self) -> bool:
-        """True when every constraint set has a halfspace form."""
-        return self._stacked is not None
+    def rows(self, exact):
+        """(A, b, L, N, R, p) in exact (dtype object) or float arithmetic;
+        see the module docstring."""
+        if exact not in self._rows:
+            self._rows[exact] = self._build(object if exact else float)
+        return self._rows[exact]
+
+    def _build(self, dtype):
+        n_h, d, offsets = self.n_h, self.dim, self.offsets
+
+        def blocks(items):
+            out = np.zeros((sum(len(rows) for _, rows in items), n_h), dtype)
+            k = 0
+            for i, rows in items:
+                if rows:
+                    out[k:k + len(rows), offsets[i]:offsets[i] + d] = rows
+                    k += len(rows)
+            return out
+
+        # each node's row is its parent's, plus the parent's block
+        N = np.zeros((self._n_nodes, n_h), dtype)
+        for i, parent, increment in self._steps:
+            N[i] = N[parent]
+            N[i, offsets[parent]:offsets[parent] + d] = increment
+        L = N[self._leaves]
+        floor = -N[:0] if self._floor is None else -N
+        R = np.vstack([blocks(self._recession), floor])
+        A = b = None
+        if self.polyhedral:
+            A = np.vstack([blocks([(i, hs[0]) for i, hs in self._halfspaces]),
+                           floor])
+            b = np.asarray([v for _, hs in self._halfspaces for v in hs[1]]
+                           + [self._floor] * len(floor), dtype)
+        out = (A, b, L, N, R, np.asarray(self._p, dtype))
+        for arr in out:
+            if arr is not None:
+                arr.setflags(write=False)
+        return out
+
+    def worst_leaf(self, exact, shift, cap=None):
+        """The max-min LP over the worst leaf: maximize m over (H, m)
+        subject to A H <= b, m <= shift_l + (L H)_l on every leaf l, and
+        m <= cap when a cap is given.
+
+        ``shift`` is one number or one per leaf.  Returns the
+        :class:`~condual.linprog.LPResult` of minimizing -m, over the
+        columns (H, m).
+        """
+        self.require_polyhedral()
+        A, b, L = self.rows(exact)[:3]
+        n_a, n_l = len(A), len(L)
+        A_ub = np.zeros((n_a + n_l + (cap is not None), self.n_h + 1), A.dtype)
+        A_ub[:n_a, :-1] = A
+        A_ub[n_a:n_a + n_l, :-1] = -L
+        A_ub[n_a:, -1] = 1
+        b_ub = [b, np.broadcast_to(np.asarray(shift, A.dtype), (n_l,))]
+        if cap is not None:
+            b_ub.append(np.asarray([cap], A.dtype))
+        c = [0] * self.n_h + [-1]
+        return solve_lp(c, A_ub=A_ub, b_ub=np.concatenate(b_ub), exact=exact)
 
     def lifted(self, exact, extra=0, multipliers=True):
         """(A_eq, b_eq, nonneg) of the lifted polytope {q >= 0, sum q = 1,
@@ -133,25 +152,18 @@ class TreeLP:
         The ``extra`` trailing columns are free and absent from these rows;
         the caller's own rows and objective use them.  Without multipliers
         there are no mu columns, and the rows pin L^T q = 0: zero drift at
-        every node.  Rows hold exact entries, or a float array when not
-        exact; the first row is the mass-one row.
+        every node.  The rows are an array in the arithmetic of
+        :meth:`rows`; the first row is the mass-one row.
         """
-        n, n_h = len(self.p), self.n_h
-        A = self.A if multipliers else self.A[:0]
-        n_mu = len(A)
-        nonneg = range(n + n_mu)
-        b_eq = [1] + [0] * n_h
-        if exact:
-            rows = [[1] * n + [0] * (n_mu + extra)]
-            rows += [[-row[j] for row in self.L] + [a[j] for a in A]
-                     + [0] * extra for j in range(n_h)]
-            return rows, b_eq, nonneg
-        rows = np.zeros((1 + n_h, n + n_mu + extra))
-        rows[0, :n] = 1.0
-        rows[1:, :n] = -self.L_f.T
-        if n_mu:
-            rows[1:, n:n + n_mu] = self.A_f.T
-        return rows, b_eq, nonneg
+        self.require_polyhedral()
+        A, _, L = self.rows(exact)[:3]
+        A = A if multipliers else A[:0]
+        n, n_mu = len(L), len(A)
+        rows = np.zeros((1 + self.n_h, n + n_mu + extra), A.dtype)
+        rows[0, :n] = 1
+        rows[1:, :n] = -L.T
+        rows[1:, n:n + n_mu] = A.T
+        return rows, [1] + [0] * self.n_h, range(n + n_mu)
 
     def portfolio(self, x) -> PortfolioProcess:
         """The portfolio whose stacked holdings vector is x."""

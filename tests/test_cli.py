@@ -12,6 +12,7 @@ from condual.cli import main
 from condual.market import build_market, market_to_json, parse_market_file
 from condual.reporting import emit_report
 
+from conftest import binomial_spec
 from helpers import subprocess_env
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -84,6 +85,20 @@ def test_superhedge(capsys):
     assert doc["dual_value"] == "1/3"
 
 
+def test_superhedge_empty_admissible_class(capsys, tmp_path):
+    # a forced long holding loses on the down move, so the floor at zero
+    # admits no portfolio: no capital superhedges the claim
+    spec = binomial_spec({"type": "box", "lower": [1], "upper": [2]})
+    spec["floor"] = 0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(spec))
+    code, doc, _ = run_json(capsys, "superhedge", "--market", str(path),
+                            "--payoff", '{"up": 1, "down": 0}')
+    assert code == 0
+    assert doc["price"] == "inf" and doc["dual_value"] == "inf"
+    assert doc["witness"] is None
+
+
 def test_xbar_pinned(capsys):
     code, doc, _ = run_json(capsys, "xbar", "--market", fixture("b1_pinned.json"))
     assert code == 0
@@ -147,7 +162,8 @@ def test_unreadable_market_is_input_error(capsys):
 
 def test_schema_violation_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    doc = json.load(open(fixture("b1.json")))
+    with open(fixture("b1.json")) as fh:
+        doc = json.load(fh)
     doc["nodes"][1]["prob"] = -0.1
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "xbar", "--market", str(bad))
@@ -164,7 +180,8 @@ def test_unknown_command_exits_two():
 
 def test_exact_mode_env_var(capsys, tmp_path, monkeypatch):
     # floats in the file become exact rationals under CONDUAL_EXACT=1
-    doc = json.load(open(fixture("b1_pinned.json")))
+    with open(fixture("b1_pinned.json")) as fh:
+        doc = json.load(fh)
     doc["nodes"][1]["prob"] = 0.5
     doc["nodes"][2]["prob"] = 0.5
     path = tmp_path / "m.json"

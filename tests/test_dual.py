@@ -398,6 +398,16 @@ def test_dual_smooth_empty_admissible_class(empty_floor_market):
         assert not sol.attained
 
 
+def test_superhedge_empty_admissible_class(empty_floor_market):
+    # no admissible portfolio hedges anything, so the price is +inf; the
+    # lifted LP is unbounded since alpha is -inf at every measure
+    for payoff in ((F(1), F(0)), (1.0, 0.0)):
+        res = superhedge_price(empty_floor_market, payoff)
+        assert res.price == INF and res.dual_value == INF
+        assert res.portfolio_x is None and res.witness is None
+        assert res.bound == INF
+
+
 def test_dual_piecewise_on_equality_face(b1):
     # unconstrained holding forces the martingale measure; the epigraph LP
     # must respect that equality and land on V evaluated there

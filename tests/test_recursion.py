@@ -43,11 +43,11 @@ def _dot(row, h):
 def check_certificates(market, payoff, res):
     """The hedge dominates the payoff from the price and is admissible; the
     witness is a probability measure whose value is the price."""
-    lp = tree_lp(market)
+    A, b, L = tree_lp(market).rows(True)[:3]
     x, H = res.portfolio_x[0], res.portfolio_x[1:]
     assert x == res.price
-    assert all(x + _dot(row, H) >= f for row, f in zip(lp.L, payoff))
-    assert all(_dot(row, H) <= bound for row, bound in zip(lp.A, lp.b))
+    assert all(x + _dot(row, H) >= f for row, f in zip(L, payoff))
+    assert all(_dot(row, H) <= bound for row, bound in zip(A, b))
     q = res.witness.weights
     assert all(w >= 0 for w in q) and sum(q) == 1
     value = sum(w * f for w, f in zip(q, payoff)) - support_alpha(market, q)
