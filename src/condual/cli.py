@@ -3,7 +3,8 @@
 One subcommand per capability: primal and dual solves, the duality
 verifications, superhedging, the critical wealth, condition certificates,
 endowment embedding, and the seeded randomized property suite.  Exit codes:
-0 all-pass, 1 a verification failed, 2 input/usage errors.
+0 all-pass, 1 a verification failed, 2 input/usage errors (including a
+command that needs halfspace constraints on a market without them).
 
 Setting CONDUAL_EXACT=1 in the environment forces exact rational mode for
 all market-file numbers (floats included).
@@ -188,7 +189,8 @@ def _cmd_xbar(config):
         "command": "xbar",
         "from_support": rep.from_support,
         "from_essinf": rep.from_essinf,
-        "from_bisection": rep.from_bisection,
+        "feasible_at": rep.feasible_at,
+        "infeasible_at": rep.infeasible_at,
         "spread": rep.spread,
         "verdict": "pass" if rep.ok else "fail",
     }
@@ -396,10 +398,9 @@ def main(argv=None) -> int:
             output=args.output,
         )
         code, report = run(config)
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (SchemaError, OSError, NotImplementedError) as exc:
+        # NotImplementedError: an LP-based command on a market whose sets
+        # lack a halfspace form
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     sys.stdout.write(emit_report(report, args.format).decode())

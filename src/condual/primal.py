@@ -66,8 +66,9 @@ def solve_primal(market: MarketModel, utility: UtilityFunction, x,
 def primal_feasible(market: MarketModel, x) -> bool:
     """Pure feasibility at initial wealth x: can terminal wealth stay >= 0?
 
-    A per-x phase-1 question, used by the bisection route to the critical
-    wealth level; deliberately not the max-min-slack LP.
+    A per-x phase-1 question; verify_xbar asks it just above and just below
+    the critical wealth that min_support reports.  Deliberately not the
+    max-min-slack LP, so the check stays independent of min_support.
     """
     lp = tree_lp(market)
     if not lp.polyhedral:

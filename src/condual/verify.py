@@ -136,7 +136,8 @@ def _concave_overshoot(grid, values, k):
 class XbarReport:
     from_support: object
     from_essinf: object
-    from_bisection: float
+    feasible_at: float | None
+    infeasible_at: float | None
     spread: float
     tolerance: float
     ok: bool
@@ -145,47 +146,52 @@ class XbarReport:
 def verify_xbar(market: MarketModel, tol=1e-6,
                 bracket=(-100.0, 100.0)) -> XbarReport:
     """Three independent routes to the critical initial wealth: the two
-    sides of min_support (inf alpha and sup essinf), and bisection on
-    primal feasibility, halved until the bracket is within 1e-3 * tol (at
-    most 60 times).
+    sides of min_support, a = inf alpha and b = -sup essinf, and the float
+    phase-1 LP of primal_feasible.
 
-    An infinite critical wealth (constrained arbitrage pushes it to -inf,
-    an empty admissible class to +inf) counts as agreement when the
-    bisection route pins the matching bracket edge, since bisection can
-    only certify "at or beyond the bracket".
+    Feasibility is monotone in the initial wealth, so the third route needs
+    no bisection: with lo = min(a, b) and hi = max(a, b), the routes agree
+    within tol iff |a - b| <= tol, the market is feasible at lo + tol, and
+    it is infeasible at hi - tol.  tol must exceed the float LP's
+    feasibility tolerance (about 1e-7), or the LP admits wealth just below
+    xbar.  The checks stop at the first that fails; feasible_at and
+    infeasible_at are the wealth levels checked (None if not reached), and
+    spread is |a - b|.
+
+    The bracket edges stand in for an infinite critical wealth (constrained
+    arbitrage pushes it to -inf, an empty admissible class to +inf): both
+    sides must give the same infinity, and the market must be feasible at
+    bracket[0] for -inf, infeasible at bracket[1] for +inf, since a
+    feasibility LP can only certify "at or beyond the bracket".
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not bracket[0] < bracket[1]:
+        raise ValueError("bracket must be an increasing pair")
     ms = min_support(market)
-    a = ms.xbar
-    if ms.sup_essinf == INF:
-        b = NEG_INF
-    elif ms.sup_essinf == NEG_INF:
-        b = INF
-    else:
-        b = -ms.sup_essinf
-    lo, hi = bracket
-    if primal_feasible(market, lo):
-        c = lo  # the boundary is below the bracket: report its edge
-    elif not primal_feasible(market, hi):
-        c = hi
-    else:
-        for _ in range(60):
-            if hi - lo <= 1e-3 * tol:
-                break  # narrower brackets are below the LPs' tolerance
-            mid = 0.5 * (lo + hi)
-            if primal_feasible(market, mid):
-                hi = mid
-            else:
-                lo = mid
-        c = hi
-    if a == NEG_INF or b == NEG_INF:
-        ok = a == b and c == bracket[0]
-        return XbarReport(a, b, c, 0.0 if ok else INF, tol, ok)
-    if a == INF or b == INF:
-        ok = a == b and c == bracket[1]
-        return XbarReport(a, b, c, 0.0 if ok else INF, tol, ok)
-    vals = [float(a), float(b), c]
-    spread = max(vals) - min(vals)
-    return XbarReport(a, b, c, spread, tol, spread <= tol)
+    a, b = ms.xbar, -ms.sup_essinf
+    feasible_at = infeasible_at = None
+    if INF in (a, b) or NEG_INF in (a, b):
+        spread = 0.0 if a == b else INF
+        if a == b == NEG_INF:
+            feasible_at = bracket[0]
+            ok = primal_feasible(market, feasible_at)
+        elif a == b == INF:
+            infeasible_at = bracket[1]
+            ok = not primal_feasible(market, infeasible_at)
+        else:
+            ok = False
+        return XbarReport(a, b, feasible_at, infeasible_at, spread, tol, ok)
+    lo, hi = sorted((float(a), float(b)))
+    spread = hi - lo
+    ok = spread <= tol
+    if ok:
+        feasible_at = lo + tol
+        ok = primal_feasible(market, feasible_at)
+    if ok:
+        infeasible_at = hi - tol
+        ok = not primal_feasible(market, infeasible_at)
+    return XbarReport(a, b, feasible_at, infeasible_at, spread, tol, ok)
 
 
 @dataclass

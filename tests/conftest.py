@@ -28,6 +28,25 @@ def binomial_spec(constraint=None):
     }
 
 
+def short_arbitrage_spec():
+    """Binomial market whose increments are both negative, with unbounded
+    short selling: riskless gains grow without limit, so every initial
+    wealth is viable and the critical wealth is -inf."""
+    spec = binomial_spec({"type": "box", "lower": ["-inf"], "upper": [0]})
+    spec["nodes"][1]["prices"] = ["1/2"]   # dS = -1/2
+    spec["nodes"][2]["prices"] = ["1/4"]   # dS = -3/4
+    return spec
+
+
+def empty_floor_spec():
+    """The pinned holding loses 1/2 in the down state; a floor of 1/4 rules
+    every portfolio out, so no initial wealth is feasible: critical wealth
+    +inf."""
+    spec = binomial_spec({"type": "singleton", "point": [1]})
+    spec["floor"] = "1/4"
+    return spec
+
+
 def deterministic_spec():
     """Two-period deterministic trend: prices follow the time index and the
     holding is capped at 1 each period."""

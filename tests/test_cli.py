@@ -160,6 +160,20 @@ def test_unreadable_market_is_input_error(capsys):
     assert "error" in err
 
 
+def test_lp_commands_on_ball_market_are_input_errors(capsys, tmp_path):
+    # a ball has no halfspace form, so the LP-based commands cannot run
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(
+        binomial_spec({"type": "ball", "center": [3], "radius": 1})))
+    for argv in (("xbar",), ("superhedge", "--payoff", '{"up": 1, "down": 0}')):
+        code, out, err = run_cli(capsys, *argv, "--market", str(path))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "halfspace" in err
+    code, doc, _ = run_json(capsys, "check-conditions", "--market", str(path))
+    assert code == 0 and doc["verdict"] == "pass"
+
+
 def test_schema_violation_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     with open(fixture("b1.json")) as fh:

@@ -14,7 +14,7 @@ from condual.randomgen import random_market, random_payoff
 from condual.scalars import INF, NEG_INF
 from condual.verify import verify_xbar
 
-from conftest import binomial_spec
+from conftest import empty_floor_spec, short_arbitrage_spec
 
 F = Fraction
 
@@ -38,31 +38,24 @@ def test_random_market_sweep_consistency():
 
 
 def test_constrained_arbitrage_critical_wealth_minus_infinity():
-    # both increments negative and unbounded short selling allowed: riskless
-    # gains grow without limit, so every initial wealth is viable
-    spec = binomial_spec({"type": "box", "lower": ["-inf"], "upper": [0]})
-    spec["nodes"][1]["prices"] = ["1/2"]   # dS = -1/2
-    spec["nodes"][2]["prices"] = ["1/4"]   # dS = -3/4
-    market = build_market(spec)
+    market = build_market(short_arbitrage_spec())
     ms = min_support(market)
     assert ms.inf_alpha == INF           # no measure tames the support value
     assert ms.sup_essinf == INF          # unlimited riskless terminal gains
     assert ms.xbar == NEG_INF
     report = verify_xbar(market)
     assert report.ok                     # all three routes agree at -inf
-    assert report.from_bisection == -100.0
+    assert report.feasible_at == -100.0
+    assert report.infeasible_at is None
 
 
 def test_floor_empties_admissible_class():
-    # the pinned holding loses 1/2 in the down state; a floor of 1/4 rules
-    # every portfolio out, so no initial wealth is feasible
-    spec = binomial_spec({"type": "singleton", "point": [1]})
-    spec["floor"] = "1/4"
-    market = build_market(spec)
+    market = build_market(empty_floor_spec())
     ms = min_support(market)
     assert ms.inf_alpha == NEG_INF
     assert ms.sup_essinf == NEG_INF
     assert ms.xbar == INF
     report = verify_xbar(market)
     assert report.ok
-    assert report.from_bisection == 100.0
+    assert report.infeasible_at == 100.0
+    assert report.feasible_at is None

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+import condual.verify
+from condual.dual import MinSupportResult, min_support
 from condual.market import build_market
+from condual.primal import primal_feasible
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 from condual.verify import (
     verify_conjugacy,
@@ -12,7 +15,7 @@ from condual.verify import (
     verify_xbar,
 )
 
-from conftest import binomial_spec
+from conftest import binomial_spec, empty_floor_spec, short_arbitrage_spec
 
 LOG = LogUtility()
 
@@ -75,7 +78,8 @@ def test_xbar_pinned(b1_pinned):
     assert report.ok
     assert float(report.from_support) == pytest.approx(0.5, abs=1e-9)
     assert float(report.from_essinf) == pytest.approx(0.5, abs=1e-9)
-    assert report.from_bisection == pytest.approx(0.5, abs=1e-6)
+    assert report.infeasible_at == pytest.approx(0.5 - 1e-6, abs=1e-12)
+    assert report.feasible_at == pytest.approx(0.5 + 1e-6, abs=1e-12)
 
 
 def test_xbar_unconstrained(b1):
@@ -94,6 +98,54 @@ def test_xbar_deterministic_trend(d1):
     report = verify_xbar(d1, tol=1e-6)
     assert report.ok
     assert float(report.from_support) == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0}, {"tol": -1e-6}, {"bracket": (1.0, -1.0)}, {"bracket": (0.0, 0.0)},
+])
+def test_xbar_rejects_bad_tolerance_and_bracket(b1, kwargs):
+    with pytest.raises(ValueError):
+        verify_xbar(b1, **kwargs)
+
+
+def count_feasibility_lps(monkeypatch):
+    """Record each wealth level verify_xbar hands to primal_feasible."""
+    levels = []
+
+    def counted(market, x):
+        levels.append(x)
+        return primal_feasible(market, x)
+
+    monkeypatch.setattr(condual.verify, "primal_feasible", counted)
+    return levels
+
+
+def test_xbar_bracket_lp_count(monkeypatch, b1_pinned):
+    levels = count_feasibility_lps(monkeypatch)
+    assert verify_xbar(b1_pinned).ok
+    assert len(levels) <= 2
+    for spec in (short_arbitrage_spec(), empty_floor_spec()):
+        levels.clear()
+        assert verify_xbar(build_market(spec)).ok
+        assert len(levels) == 1
+
+
+@pytest.mark.parametrize("shift, ok", [
+    (10.0, False), (-10.0, False), (0.4, True), (-0.4, True),
+])
+def test_xbar_bracket_catches_shifted_support(monkeypatch, b1_pinned,
+                                              shift, ok):
+    # both min_support sides moved together keep |a - b| = 0, so only the
+    # feasibility bracket can tell a wrong critical wealth from the true 1/2
+    tol = 1e-6
+    ms = min_support(b1_pinned)
+    shifted = MinSupportResult(ms.inf_alpha - shift * tol,
+                               ms.sup_essinf - shift * tol,
+                               ms.xbar + shift * tol)
+    monkeypatch.setattr(condual.verify, "min_support", lambda market: shifted)
+    report = verify_xbar(b1_pinned, tol=tol)
+    assert report.spread == 0.0
+    assert report.ok is ok
 
 
 # ---------------------------------------------------------------------------
