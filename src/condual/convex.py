@@ -58,12 +58,25 @@ class ConvexSet:
         """Euclidean projection of a float array onto the set, as a float
         array; float-mode operation.
 
-        The float data it needs (bounds, pinned values, the halfspace rows
-        and a feasible start) is built on the first call and kept on the
-        set, so a polyhedron or an intersection solves its center LP at most
-        once however often it is projected onto.
+        Here, the clip to :meth:`box_bounds`; the other variants override
+        it.  The float data it needs (bounds, the halfspace rows and a
+        feasible start) is built on the first call and kept on the set, so
+        a polyhedron or an intersection solves its center LP at most once
+        however often it is projected onto.
         """
-        raise NotImplementedError
+        lo, hi = self.box_bounds()
+        # np.clip's values at half its per-call cost on these short vectors
+        return np.minimum(np.maximum(point, lo), hi)
+
+    _own_box = False  # True where the set equals its bounding_box()
+
+    def box_bounds(self):
+        """Float rows (lo, hi), +-inf where unbounded, when the set is the
+        box they bound, built once; None for any other set."""
+        if not self._own_box:
+            return None
+        return self._memo("_bounds", lambda: np.asarray(
+            self.bounding_box(), dtype=float).reshape(-1, 2).T)
 
     def _memo(self, key, build):
         """self.__dict__[key], set to build() on first use: sets are immutable."""
@@ -106,6 +119,7 @@ class ConvexSet:
 class Box(ConvexSet):
     lower: tuple
     upper: tuple
+    _own_box = True
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
@@ -148,14 +162,6 @@ class Box(ConvexSet):
             tol = 0
         return all(lo - tol <= x <= hi + tol
                    for x, lo, hi in zip(point, self.lower, self.upper))
-
-    def project(self, point):
-        lo, hi = self._memo("_floats", self._build_floats)
-        # np.clip's values at half its per-call cost on these short vectors
-        return np.minimum(np.maximum(point, lo), hi)
-
-    def _build_floats(self):
-        return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
 
     def center(self):
         return tuple(
@@ -256,6 +262,7 @@ class Ball(ConvexSet):
 @dataclass(frozen=True)
 class Singleton(ConvexSet):
     point: tuple
+    _own_box = True
 
     def __post_init__(self):
         object.__setattr__(self, "point", tuple(self.point))
@@ -279,12 +286,6 @@ class Singleton(ConvexSet):
         if self.exact and all_exact(point):
             return tuple(point) == self.point
         return all(abs(float(x) - float(p)) <= tol for x, p in zip(point, self.point))
-
-    def project(self, point):
-        return self._memo("_floats", self._build_floats).copy()
-
-    def _build_floats(self):
-        return np.asarray(self.point, dtype=float)
 
     def center(self):
         return self.point
@@ -402,6 +403,7 @@ class AffineFixed(ConvexSet):
 
     dimension: int
     fixed: tuple  # sorted tuple of (index, value)
+    _own_box = True
 
     def __post_init__(self):
         pairs = tuple(sorted((int(i), v) for i, v in dict(self.fixed).items()))
@@ -441,16 +443,6 @@ class AffineFixed(ConvexSet):
             tol = 0
         return all(abs(point[i] - v) <= tol for i, v in self.fixed)
 
-    def project(self, point):
-        idx, vals = self._memo("_floats", self._build_floats)
-        out = point.copy()
-        out[idx] = vals
-        return out
-
-    def _build_floats(self):
-        return (np.asarray([i for i, _ in self.fixed], dtype=int),
-                np.asarray([v for _, v in self.fixed], dtype=float))
-
     def center(self):
         fixed = self._fixed_map()
         return tuple(fixed.get(i, 0) for i in range(self.dim))
@@ -488,6 +480,10 @@ class CrossFixed(ConvexSet):
     @property
     def dim(self):
         return self.base.dim + len(self.fixed_tail)
+
+    @property
+    def _own_box(self):
+        return self.base.box_bounds() is not None
 
     @property
     def exact(self):

@@ -1,15 +1,15 @@
 """Maximize expected utility of terminal wealth over constrained portfolios.
 
 The optimizer is projected gradient ascent with Barzilai-Borwein steps and
-Armijo backtracking; the feasible region is the product of per-node
-constraint sets.  Each step projects every node's float holdings with that
-set's own ``ConvexSet.project`` (float array in, float array out), whose
-float data (bounds, pinned values, halfspace rows and a feasible start) the
-set builds once and keeps, so no LP is solved per projection.  Economic
-failure modes are statuses, not exceptions: infeasible means no admissible
-portfolio keeps terminal wealth in the utility's domain, unbounded means an
-admissible recession direction produces a free lunch while the utility is
-unbounded.
+nonmonotone Armijo backtracking (the spectral projected gradient of Birgin,
+Martinez and Raydan, SIAM J. Optim. 10, 2000) over the product of per-node
+constraint sets.  Each projection is ``TreeLP.project``: one clip to the
+stacked bounds of the box-shaped sets, then each other set's own
+``ConvexSet.project``, whose float data the set builds once and keeps, so
+no LP is solved per projection.  Economic failure modes are statuses,
+not exceptions: infeasible means no admissible portfolio keeps terminal
+wealth in the utility's domain, unbounded means an admissible recession
+direction produces a free lunch while the utility is unbounded.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ _SLACK_CAP = 10 ** 6
 
 @dataclass
 class PrimalSolution:
+    """``max-iterations``: the ascent ran out of iterations or its line
+    search stalled; ``iterations`` counts those it ran."""
+
     value: object
     portfolio: PortfolioProcess | None
     terminal: tuple | None
@@ -111,8 +114,12 @@ def _feasible_start_nonpolyhedral(market, x):
 
 def find_free_lunch_direction(market: MarketModel):
     """Admissible recession direction whose terminal gains are >= 0 on every
-    leaf and sum to 1: a certificate that the attainable set is unbounded."""
+    leaf and sum to 1: a certificate that the attainable set is unbounded.
+    None without an LP when every set is a bounded box: the recession cone
+    is then {0}, and a floor only shrinks it."""
     lp = tree_lp(market)
+    if np.isfinite(lp.box_lo).all() and np.isfinite(lp.box_hi).all():
+        return None
     _, _, L, _, R, _ = lp.rows(market.exact)
     A_ub = np.vstack([R, -L])
     res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=[0] * len(A_ub),
@@ -146,9 +153,6 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     guard = utility.inf_value() == NEG_INF or utility.inada_zero()
     low = _DOMAIN_EPS if guard else 0.0
     value_fn, marginal_fn = _vectorized_utility(utility)
-    projectors = [((lp.offsets[i], lp.offsets[i] + market.dim),
-                   market.constraint(i).project)
-                  for i in market.tree.nonleaf]
 
     def objective(h):
         w = x + L @ h
@@ -164,12 +168,6 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     def gradient(h):
         return L.T @ (leaf_probs * marginal_fn(x + L @ h))
 
-    def project(h):
-        out = h.copy()
-        for (a, b), proj in projectors:
-            out[a:b] = proj(h[a:b])
-        return out
-
     h = np.asarray([float(start[i][k]) for i in market.tree.nonleaf
                     for k in range(market.dim)])
     f = objective(h)
@@ -180,9 +178,10 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     prev_h = prev_g = None
     recent = [f]  # nonmonotone line-search memory
     gm = None
+    it = 0
     for it in range(1, max_iter + 1):
         g = gradient(h)
-        gm = float(np.linalg.norm(h - project(h + g)))
+        gm = float(np.linalg.norm(h - lp.project(h + g)))
         if gm <= tol:
             return _package(market, h, x, f, "optimal", it, gm)
         if prev_g is not None:
@@ -195,7 +194,7 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         accepted = False
         s = step
         for _ in range(60):
-            cand = project(h + s * g)
+            cand = lp.project(h + s * g)
             fc = objective(cand)
             if fc != NEG_INF and fc >= ref + 1e-4 * float(g @ (cand - h)) - 1e-300:
                 prev_h, prev_g = h, g
@@ -209,7 +208,7 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         if len(recent) > 10:
             recent.pop(0)
     status = "optimal" if gm is not None and gm <= tol else "max-iterations"
-    return _package(market, h, x, f, status, max_iter, gm)
+    return _package(market, h, x, f, status, it, gm)
 
 
 def _package(market, h, x, f, status, iters, gm):

@@ -21,6 +21,11 @@ own numbers when exact, of dtype float otherwise.  Each arithmetic's set is
 built on its first request, so a float market never builds exact rows.  In
 dimension one, each node's constraint set is also kept as an interval
 ``(lo, hi)`` (``intervals``), read from its halfspace rows.
+
+The float bounds of the box-shaped sets are stacked into ``box_lo`` and
+``box_hi`` (+-inf at the other nodes), so that :meth:`TreeLP.project` is one
+clip plus the own projector of each other node.
+
 :func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
 on the market.
 
@@ -78,6 +83,16 @@ class TreeLP:
                 self.intervals[i] = _interval(*hs)
         self.polyhedral = self._no_halfspaces is None
         self._rows = {}
+        box = np.tile([[NEG_INF], [INF]], self.n_h)
+        self._projectors = []
+        for i, cset in market.constraints:
+            o, bounds = self.offsets[i], cset.box_bounds()
+            if bounds is None:
+                self._projectors.append((o, o + d, cset.project))
+            else:
+                box[:, o:o + d] = bounds
+        box.setflags(write=False)
+        self.box_lo, self.box_hi = box
 
     def require_polyhedral(self):
         """Raise NotImplementedError unless every set has a halfspace form."""
@@ -121,6 +136,14 @@ class TreeLP:
         for arr in out:
             if arr is not None:
                 arr.setflags(write=False)
+        return out
+
+    def project(self, h):
+        """Euclidean projection of the float stacked holdings h onto the
+        product of the constraint sets."""
+        out = np.minimum(np.maximum(h, self.box_lo), self.box_hi)
+        for a, b, proj in self._projectors:
+            out[a:b] = proj(h[a:b])
         return out
 
     def worst_leaf(self, exact, shift, cap=None):

@@ -1,10 +1,12 @@
 """Primal solver against closed forms and the brute-force oracle."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from condual.linprog import OPTIMAL, solve_lp
 from condual.market import PortfolioProcess, build_market, is_admissible
 from condual.primal import (
     brute_force_primal,
@@ -13,10 +15,13 @@ from condual.primal import (
     primal_value_grid,
     solve_primal,
 )
+from condual.randomgen import random_market, random_tree_spec
 from condual.scalars import NEG_INF
+from condual.treelp import tree_lp
 from condual.utility import LogUtility, PowerUtility
 
-from conftest import binomial_spec, deterministic_spec, drift_spec
+from conftest import (binomial_spec, deterministic_spec, drift_spec,
+                      float_copy, two_period_spec)
 
 LOG = LogUtility()
 SQRT = PowerUtility(0.5)
@@ -182,3 +187,92 @@ def test_ball_constraint_primal():
     assert sol.status == "optimal"
     # unconstrained optimum h = 1/2 sits on the ball boundary
     assert sol.portfolio[0][0] == pytest.approx(0.5, abs=1e-7)
+
+
+def _free_lunch_lp(market):
+    """The global free-lunch LP over the stacked holdings: the oracle."""
+    lp = tree_lp(market)
+    _, _, L, _, R, _ = lp.rows(market.exact)
+    A_ub = np.vstack([R, -L])
+    res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=[0] * len(A_ub),
+                   A_eq=[L.sum(axis=0)], b_eq=[1], exact=market.exact)
+    return res.status == OPTIMAL
+
+
+def _counting_solve_lp(monkeypatch):
+    import condual.primal
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(condual.primal, "solve_lp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("floor", [None, "1/4"])
+def test_free_lunch_skips_lp_on_bounded_boxes(monkeypatch, exact, floor):
+    # every set a bounded box: the recession cone is {0}, no LP needed
+    specs = [binomial_spec({"type": "box", "lower": [-1], "upper": [1]}),
+             drift_spec(), two_period_spec(),
+             two_period_spec({"type": "singleton", "point": ["1/2"]})]
+    calls = _counting_solve_lp(monkeypatch)
+    for spec in specs:
+        if floor is not None:
+            spec["floor"] = floor
+        market = build_market(spec if exact else float_copy(spec))
+        assert find_free_lunch_direction(market) is None
+        assert not _free_lunch_lp(market)
+    assert len(calls) == 0
+
+
+def _unbounded_sets_spec(rng, dim):
+    """A random market whose sets include half-lines, random polyhedra
+    (often unbounded) and pinned coordinates with free ones beside them."""
+    spec = random_tree_spec(rng, dim=dim, constraint_palette=(
+        "box", "halfline", "pin", "polyhedron"))
+    for nid in spec["constraints"]:
+        if rng.random() < 0.25:
+            fixed = {"0": str(rng.randint(-1, 1))} if dim > 1 else {}
+            spec["constraints"][nid] = {"type": "affine_fixed", "dim": dim,
+                                        "fixed": fixed}
+    if rng.random() < 0.3:
+        spec["floor"] = str(rng.randint(0, 2))
+    return spec
+
+
+def test_free_lunch_verdict_matches_global_lp(monkeypatch):
+    calls = _counting_solve_lp(monkeypatch)
+    verdicts, skipped = [], 0
+    for seed in range(40):
+        rng = random.Random(4000 + seed)
+        spec = _unbounded_sets_spec(rng, 1 + seed % 2)
+        for market in (build_market(spec), build_market(float_copy(spec))):
+            calls.clear()
+            found = find_free_lunch_direction(market)
+            skipped += not calls
+            assert (found is not None) == _free_lunch_lp(market)
+            verdicts.append(found is not None)
+    # both verdicts occur, and so do the shortcut and the LP
+    assert any(verdicts) and not all(verdicts)
+    assert 0 < skipped < len(verdicts)
+
+
+@pytest.mark.parametrize("seed", [1, 9, 11, 12, 15, 22, 24])
+def test_stalled_line_search_reports_iterations_run(seed):
+    from condual.dual import min_support
+    from condual.utility import PiecewiseLinearUtility
+
+    market = random_market(random.Random(seed), max_periods=3)
+    utility = PiecewiseLinearUtility((0, 1, 2), (3, 1, 0.5))
+    x = min_support(market).xbar + 0.01
+    sol = solve_primal(market, utility, x, max_iter=300)
+    assert sol.status == "max-iterations"
+    assert 0 < sol.iterations < 300
+    # the ascent stopped on its own: more room changes nothing
+    again = solve_primal(market, utility, x, max_iter=1000)
+    assert (again.status, again.iterations, again.value) == (
+        sol.status, sol.iterations, sol.value)

@@ -11,7 +11,7 @@ from condual.market import build_market, parse_market_file, wealth_process
 from condual.randomgen import random_admissible_portfolio, random_market
 from condual.treelp import tree_lp
 
-from conftest import binomial_spec
+from conftest import binomial_spec, float_copy
 
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
                                          "fixtures", "*.json")))
@@ -74,3 +74,60 @@ def test_ball_market_has_gain_rows_only():
     for build in (lambda: lp.worst_leaf(False, 0), lambda: lp.lifted(False)):
         with pytest.raises(NotImplementedError, match="halfspace form"):
             build()
+
+
+MIXED_SETS = [
+    {"type": "box", "lower": [-1, 0], "upper": [2, 1]},
+    {"type": "box", "lower": ["-inf", "-inf"], "upper": [1, "1/2"]},
+    {"type": "singleton", "point": ["1/3", -2]},
+    {"type": "affine_fixed", "dim": 2, "fixed": {"1": 2}},
+    {"type": "cross_fixed", "base": {"type": "box", "lower": [-1], "upper": [1]},
+     "fixed": [1]},
+    {"type": "cross_fixed", "base": {"type": "ball", "center": [0], "radius": 1},
+     "fixed": ["1/2"]},
+    {"type": "polyhedron", "A": [[1, 1], [-1, 0], [0, -1]], "b": [1, 0, 0]},
+    {"type": "ball", "center": ["1/2", -1], "radius": "3/2"},
+    {"type": "intersection", "members": [
+        {"type": "box", "lower": [-2, -2], "upper": [2, 2]},
+        {"type": "polyhedron", "A": [[1, 1]], "b": [1]}]},
+]
+
+
+def mixed_spec():
+    """Two periods in dimension two: the root and its eight children carry
+    the nine sets of MIXED_SETS, one kind per node."""
+    nodes = [{"id": "r", "time": 0, "parent": None, "prob": 1, "prices": [2, 2]}]
+    for k in range(8):
+        mid = [2 + k % 3 - 1, 2 - k % 2]
+        nodes.append({"id": f"c{k}", "time": 1, "parent": "r", "prob": "1/8",
+                      "prices": mid})
+        for j, step in enumerate((1, -1)):
+            nodes.append({"id": f"c{k}{j}", "time": 2, "parent": f"c{k}",
+                          "prob": "1/2",
+                          "prices": [mid[0] + step, mid[1] - step]})
+    ids = ["r"] + [f"c{k}" for k in range(8)]
+    return {"horizon": 2, "dimension": 2, "nodes": nodes,
+            "constraints": dict(zip(ids, MIXED_SETS))}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_stacked_projection_matches_per_node(exact):
+    market = build_market(mixed_spec() if exact else float_copy(mixed_spec()))
+    lp = tree_lp(market)
+    d = market.dim
+    sets = [(lp.offsets[i], market.constraint(i)) for i in market.tree.nonleaf]
+    for o, cset in sets:
+        # box-shaped sets are clipped, every other one is projected alone
+        bounds = cset.box_bounds()
+        lo, hi = lp.box_lo[o:o + d], lp.box_hi[o:o + d]
+        if bounds is None:
+            assert (lo == -np.inf).all() and (hi == np.inf).all()
+        else:
+            assert np.array_equal(lo, bounds[0]) and np.array_equal(hi, bounds[1])
+    assert sum(cset.box_bounds() is None for _, cset in sets) == 4
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        h = 3 * rng.standard_normal(lp.n_h)
+        expected = np.concatenate([cset.project(h[o:o + d]) for o, cset in sets])
+        out = lp.project(h)
+        assert out.dtype == float and np.array_equal(out, expected)
