@@ -28,7 +28,7 @@ from .market import embed_endowment, market_to_json, parse_market_file
 from .primal import solve_primal
 from .properties import run_property_suite
 from .reporting import emit_report
-from .scalars import SchemaError, parse_number
+from .scalars import SchemaError, is_finite, parse_number
 from .utility import parse_utility
 from .verify import verify_conjugacy, verify_primal_dual_link, verify_xbar
 
@@ -50,14 +50,16 @@ class RunConfig:
     measure: dict | None = None
     solver_tol: float = 1e-8
     verify_tol: float = 1e-5
-    fmt: str = "text"
     seed: int = 0
     scale: int = 1
     output: str | None = None
 
     def __post_init__(self):
-        if self.solver_tol <= 0 or self.verify_tol <= 0:
+        if not (self.solver_tol > 0 and self.verify_tol > 0):
             raise SchemaError("tolerances must be positive")
+        points = (self.x, self.y, *self.x_grid, *self.y_grid)
+        if not all(is_finite(v) for v in points if v is not None):
+            raise SchemaError("--x, --y and grid points must be finite")
         for grid in (self.x_grid, self.y_grid):
             if grid and list(grid) != sorted(grid):
                 raise SchemaError("grids must be sorted ascending")
@@ -310,7 +312,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, *, market=True, utility=False, x=False, y=False,
-            grids=False, payoff=False, measure=False, seed=False):
+            grids=False, payoff=False, measure=False, seed=False,
+            tol=False, verify_tol=False, output=False):
         p = sub.add_parser(name)
         if market:
             p.add_argument("--market", required=True, help="market JSON file")
@@ -334,22 +337,25 @@ def _build_parser():
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--scale", type=int, default=1,
                            help="multiplier on the per-property case counts")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="solver tolerance (default 1e-8)")
-        p.add_argument("--verify-tol", type=float, default=1e-5,
-                       help="verification tolerance (default 1e-5)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="solver tolerance (default 1e-8)")
+        if verify_tol:
+            p.add_argument("--verify-tol", type=float, default=1e-5,
+                           help="verification tolerance (default 1e-5)")
+        if output:
+            p.add_argument("--output", help="write the augmented market here")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", help="write an output artifact here")
         return p
 
-    add("solve-primal", utility=True, x=True)
-    add("solve-dual", utility=True, y=True)
-    add("verify-duality", utility=True, grids=True)
-    add("verify-link", utility=True, x=True)
+    add("solve-primal", utility=True, x=True, tol=True)
+    add("solve-dual", utility=True, y=True, tol=True)
+    add("verify-duality", utility=True, grids=True, verify_tol=True)
+    add("verify-link", utility=True, x=True, verify_tol=True)
     add("superhedge", payoff=True)
-    add("xbar")
+    add("xbar", verify_tol=True)
     add("check-conditions")
-    add("embed-endowment", measure=True)
+    add("embed-endowment", measure=True, output=True)
     add("properties", market=False, seed=True)
     return parser
 
@@ -390,12 +396,11 @@ def main(argv=None) -> int:
             y_grid=_parse_grid(getattr(args, "y_grid", None)),
             payoff=_parse_json_flag(getattr(args, "payoff", None), "payoff"),
             measure=_parse_json_flag(getattr(args, "measure", None), "measure"),
-            solver_tol=args.tol,
-            verify_tol=args.verify_tol,
-            fmt=args.format,
+            solver_tol=getattr(args, "tol", 1e-8),
+            verify_tol=getattr(args, "verify_tol", 1e-5),
             seed=getattr(args, "seed", 0),
             scale=getattr(args, "scale", 1),
-            output=args.output,
+            output=getattr(args, "output", None),
         )
         code, report = run(config)
     except (SchemaError, OSError, NotImplementedError) as exc:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, validate_market
-from .scalars import INF, NEG_INF
+from .scalars import INF, NEG_INF, is_finite
 from .treelp import tree_lp
 from .utility import UtilityFunction
 
@@ -49,6 +49,7 @@ class PrimalSolution:
 def solve_primal(market: MarketModel, utility: UtilityFunction, x,
                  tol=1e-8, max_iter=20000) -> PrimalSolution:
     """Best expected utility from initial wealth x and its optimizer."""
+    _require_finite(x)
     if tol <= 0:
         raise ValueError("tol must be positive")
     problems = validate_market(market)
@@ -73,6 +74,7 @@ def primal_feasible(market: MarketModel, x) -> bool:
     the critical wealth that min_support reports.  Deliberately not the
     max-min-slack LP, so the check stays independent of min_support.
     """
+    _require_finite(x)
     lp = tree_lp(market)
     if not lp.polyhedral:
         return _feasible_start(market, x)[0]
@@ -82,6 +84,11 @@ def primal_feasible(market: MarketModel, x) -> bool:
     res = solve_lp([0] * lp.n_h, A_ub=np.vstack([A, -L]),
                    b_ub=np.concatenate([b, x]), exact=exact)
     return res.status == OPTIMAL
+
+
+def _require_finite(x):
+    if not is_finite(x):
+        raise ValueError(f"initial wealth x must be finite, got {x}")
 
 
 def _feasible_start(market: MarketModel, x):

@@ -4,12 +4,12 @@ Three checks: the conjugacy between the primal and dual value functions on
 finite grids (with an explicit grid-resolution allowance derived from
 concavity), the agreement of three independent routes to the critical
 initial wealth, and the per-leaf first-order linkage between the optimal
-terminal wealth and the marginal conjugate at the dual optimizer.
+terminal wealth and the marginal conjugate at the dual optimizer, whose
+scale is read off the primal optimum as y_hat = E[U'(X_T)] = u'(x).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .dual import min_support, solve_dual
@@ -17,8 +17,6 @@ from .market import MarketModel
 from .primal import primal_feasible, solve_primal
 from .scalars import INF, NEG_INF
 from .utility import UtilityFunction, inverse_marginal
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -205,50 +203,28 @@ class LinkReport:
 
 
 def verify_primal_dual_link(market: MarketModel, utility: UtilityFunction,
-                            x, tol=1e-5, solver_tol=None) -> LinkReport:
+                            x, tol=1e-5) -> LinkReport:
     """Per-leaf check of optimal terminal wealth against the marginal
     conjugate at the dual optimizer.
 
     Applies to smooth, strictly concave utilities above the critical
-    wealth; the conjugate slope then inverts the marginal utility, and the
-    optimal terminal wealth must equal that inversion at the scaled dual
-    density, leaf by leaf.
+    wealth.  The dual point is read off the primal optimum: U'(X_T) =
+    y dQ/dP there, so y_hat = E[U'(X_T)] = u'(x).  The dual is solved once
+    at y_hat, and the optimal terminal wealth must equal the inverse
+    marginal I(y_hat dQ/dP), leaf by leaf, within tol.  Both problems are
+    solved at their default tolerances; tol only sets the verdict.
     """
     if not (utility.smooth and utility.strictly_concave):
         raise ValueError("the first-order linkage needs a smooth, strictly "
                          "concave utility family")
-    solver_tol = tol * 1e-1 if solver_tol is None else solver_tol
-    primal = solve_primal(market, utility, x, tol=solver_tol)
+    primal = solve_primal(market, utility, x)
     if primal.status != "optimal":
         raise ValueError(f"primal solve did not converge: {primal.status}")
 
-    # bracket for the conjugate point from the marginal utilities of the
-    # achieved terminal wealth, then golden-section on y -> v(y) + x y
-    marginals = [utility.marginal(max(float(w), 1e-12))[1]
-                 for w in primal.terminal]
-    y_lo = 0.5 * min(marginals)
-    y_hi = 2.0 * max(marginals)
-
-    def phi(y):
-        sol = solve_dual(market, utility, y, tol=solver_tol)
-        return float(sol.value) + float(x) * y
-
-    a, b = y_lo, y_hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > solver_tol * max(1.0, y_hi):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = phi(d)
-    y_hat = c if fc <= fd else d
-
-    dual = solve_dual(market, utility, y_hat, tol=solver_tol)
+    y_hat = sum(float(p) * utility.marginal(max(float(w), 1e-12))[1]
+                for p, w in zip(market.tree.leaf_probabilities(),
+                                primal.terminal))
+    dual = solve_dual(market, utility, y_hat)
     if not dual.attained:
         return LinkReport(y_hat, (), INF, False, tol, None)
     residuals = tuple(

@@ -185,6 +185,40 @@ def test_schema_violation_is_input_error(capsys, tmp_path):
     assert "prob" in err or "positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve-primal", "--utility", "log", "--x", "inf"),
+    ("solve-dual", "--utility", "log", "--y", "nan"),
+    ("verify-link", "--utility", "log", "--x=-inf"),
+    ("verify-duality", "--utility", "log", "--x-grid", "1,inf",
+     "--y-grid", "1,2"),
+])
+def test_nonfinite_wealth_or_scale_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--market", fixture("b1.json"),
+                             *argv[1:])
+    assert code == 2
+    assert "finite" in err and not out
+
+
+def test_nan_tolerance_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "solve-primal", "--market",
+                             fixture("b1.json"), "--utility", "log",
+                             "--x", "1", "--tol", "nan")
+    assert code == 2
+    assert "positive" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("xbar", "--tol", "1e-9"),
+    ("superhedge", "--payoff", '{"up": 1, "down": 0}', "--verify-tol", "1e-3"),
+    ("check-conditions", "--output", "out.json"),
+])
+def test_flag_outside_its_subcommands_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--market", fixture("b1.json"), *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "condual.cli", "frobnicate"],

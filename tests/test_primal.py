@@ -276,3 +276,22 @@ def test_stalled_line_search_reports_iterations_run(seed):
     again = solve_primal(market, utility, x, max_iter=1000)
     assert (again.status, again.iterations, again.value) == (
         sol.status, sol.iterations, sol.value)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_nonfinite_initial_wealth_is_rejected(b1, x):
+    with pytest.raises(ValueError, match="initial wealth"):
+        solve_primal(b1, LOG, x)
+    with pytest.raises(ValueError, match="initial wealth"):
+        primal_feasible(b1, x)
+
+
+def test_wealth_above_infinite_critical_wealth_is_rejected():
+    # xbar = -inf here, so xbar + 0.01 is no initial wealth at all
+    from condual.dual import min_support
+
+    market = random_market(random.Random(8), max_periods=3)
+    xbar = min_support(market).xbar
+    assert xbar == NEG_INF
+    with pytest.raises(ValueError, match="initial wealth"):
+        solve_primal(market, LOG, xbar + 0.01)

@@ -1,13 +1,15 @@
 """Conjugacy, critical-wealth, and first-order-linkage verification."""
 
 import math
+import random
 
 import pytest
 
 import condual.verify
 from condual.dual import MinSupportResult, min_support
 from condual.market import build_market
-from condual.primal import primal_feasible
+from condual.primal import primal_feasible, solve_primal
+from condual.randomgen import random_market
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 from condual.verify import (
     verify_conjugacy,
@@ -186,6 +188,37 @@ def test_link_rejects_nonsmooth():
     kinked = PiecewiseLinearUtility((0.0, 1.0), (2.0, 1.0))
     with pytest.raises(ValueError):
         verify_primal_dual_link(market, kinked, 1.0)
+
+
+def test_link_solves_each_problem_once(b1, monkeypatch):
+    # the dual point comes from the primal optimum, not from a search
+    calls = {"primal": 0, "dual": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(condual.verify, "solve_primal",
+                        counted("primal", condual.verify.solve_primal))
+    monkeypatch.setattr(condual.verify, "solve_dual",
+                        counted("dual", condual.verify.solve_dual))
+    assert verify_primal_dual_link(b1, LOG, 1.0).ok
+    assert calls == {"primal": 1, "dual": 1}
+
+
+def test_link_y_hat_is_expected_marginal_utility():
+    # y_hat = E[U'(X_T)] at the primal optimum; here a search for the
+    # minimizer of v(y) + xy stopped short of a 1e-5 per-leaf residual
+    market = random_market(random.Random(1), max_periods=3)
+    x = float(min_support(market).xbar) + 5
+    report = verify_primal_dual_link(market, LOG, x, tol=1e-5)
+    assert report.ok
+    terminal = solve_primal(market, LOG, x).terminal
+    expected = sum(float(p) / float(w) for p, w in
+                   zip(market.tree.leaf_probabilities(), terminal))
+    assert report.y_hat == pytest.approx(expected, rel=1e-12)
 
 
 def test_golden_values_hold_in_float_mode():
