@@ -78,21 +78,23 @@ def measure_from_weights(market: MarketModel, weights) -> DualMeasure:
 # support function of the attainable set
 
 
-def support_alpha(market: MarketModel, measure, zero_tol=0.0) -> object:
+def support_alpha(market: MarketModel, measure) -> object:
     """sup over admissible portfolios of the measure-weighted terminal gains.
 
     +inf when some node's constraint set is unbounded in the induced
     direction.  Positively homogeneous: scaling the measure scales the value
     (with 0 * inf = 0).
 
-    zero_tol is the float-mode noise floor: induced direction components
-    with magnitude at or below it are treated as exact zeros, so measures
+    Unless the market and the weights are both exact, induced direction
+    components at or below the market's noise floor count as exact zeros
+    when the support value would otherwise be infinite, so measures
     produced by float LPs can sit on equality faces (e.g. the martingale
-    face) without the support value spuriously exploding.  Exact-mode
-    callers leave it at 0.
+    face) without the support value spuriously exploding.
     """
     weights = measure.weights if isinstance(measure, DualMeasure) else tuple(measure)
     if market.floor is None:
+        zero_tol = 0 if market.exact and all_exact(weights) \
+            else _noise_floor(market)
         total = 0
         mass = subtree_weights(market, weights)
         intervals = tree_lp(market).intervals  # dimension one only
@@ -111,12 +113,6 @@ def support_alpha(market: MarketModel, measure, zero_tol=0.0) -> object:
     return value
 
 
-def _clean(xi, zero_tol):
-    if zero_tol == 0:
-        return xi
-    return tuple(0.0 if abs(float(v)) <= zero_tol else v for v in xi)
-
-
 def _support_with_floor_noise(support, xi, zero_tol):
     """Support value, retrying with denoised direction only when infinite.
 
@@ -126,10 +122,8 @@ def _support_with_floor_noise(support, xi, zero_tol):
     val = support(xi)
     if val != INF or zero_tol == 0:
         return val
-    cleaned = _clean(xi, zero_tol)
-    if cleaned == tuple(xi):
-        return val
-    return support(cleaned)
+    cleaned = tuple(0.0 if abs(float(v)) <= zero_tol else v for v in xi)
+    return val if cleaned == tuple(xi) else support(cleaned)
 
 
 def _alpha_lp(market, weights):
@@ -213,8 +207,7 @@ def _min_support_recursive(market):
     if back.value == NEG_INF:  # constrained arbitrage
         return MinSupportResult(INF, INF, NEG_INF, None)
     minimizer = measure_from_weights(market, back.weights)
-    inf_alpha = support_alpha(market, minimizer,
-                              _zero_tol(market, market.exact))
+    inf_alpha = support_alpha(market, minimizer)
     return MinSupportResult(inf_alpha, _worst_gain(market, back.hedge),
                             _xbar(inf_alpha), minimizer)
 
@@ -254,10 +247,6 @@ def _recursive(market):
 
 def _zero_claim(market):
     return (0,) * len(market.tree.leaves)
-
-
-def _zero_tol(market, exact):
-    return 0 if exact else _noise_floor(market)
 
 
 def _worst_gain(market, hedge):
@@ -327,7 +316,7 @@ def _superhedge_recursive(market, payoff, exact):
         return SuperhedgeResult(NEG_INF, None, NEG_INF, None, _bound(essinf))
     witness = measure_from_weights(market, back.weights)
     dual_value = sum(q * f for q, f in zip(witness.weights, payoff)) \
-        - support_alpha(market, witness, _zero_tol(market, exact))
+        - support_alpha(market, witness)
     return SuperhedgeResult(back.value, [back.value] + back.hedge, dual_value,
                             witness, _bound(essinf))
 
@@ -378,8 +367,7 @@ def _noise_floor(market):
     return 1e-9 * (1.0 + scale)
 
 
-def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights,
-                   zero_tol=0.0):
+def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):
     """E[V(y dQ/dP)] + y alpha(Q) for a mass-one measure Q."""
     probs = market.tree.leaf_probabilities()
     total = 0.0
@@ -389,7 +377,7 @@ def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights,
         if v == INF:
             return INF
         total += float(p) * v
-    a = support_alpha(market, weights, zero_tol)
+    a = support_alpha(market, weights)
     if a == INF:
         return INF
     return total + y * float(a)
@@ -440,15 +428,15 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
                tol=1e-8) -> DualSolution:
     """Minimize E[V(y dQ/dP)] + y alpha(Q) over mass-one measures Q.
 
-    The utility's class picks one route over the lifted (q, mu) polytope of
-    TreeLP.lifted, on which the least b . mu for a fixed q is alpha(q):
+    The utility's class picks the route:
 
-    * a piecewise-linear utility (knots or a table) has a piecewise-linear
-      conjugate, and the whole dual is one epigraph LP;
+    * a piecewise-linear utility (knots or a table) takes its primal's
+      epigraph LP (TreeLP.epigraph) with x free and priced at y;
     * any other conjugate (power, log) is smooth, and the dual is one SQP
-      solve with linear constraints, started from a point of the
-      finite-alpha face that is strictly positive where the face allows;
-      when the solve finds no answer, that face point itself is reported.
+      solve over the lifted (q, mu) polytope of TreeLP.lifted, started
+      from a point of the finite-alpha face that is strictly positive where
+      the face allows; when the solve finds no answer, that face point
+      itself is reported.
 
     The reported value is always the dual objective evaluated at the
     reported measure.  ``gap`` is its distance to a bound on the dual value:
@@ -465,13 +453,12 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
     """
     if y <= 0:
         raise ValueError("the dual is solved for y > 0")
-    zero_tol = _noise_floor(market)
     if isinstance(utility, PiecewiseLinearUtility):
-        q, optimum = _piecewise_dual_lp(market, utility, y)
+        q, optimum = _epigraph_dual(market, utility, y)
         if q is None:
             return DualSolution(optimum, None, False, INF, y=y)
         iterations = 0
-        value = dual_objective(market, utility, y, tuple(q), zero_tol)
+        value = dual_objective(market, utility, y, tuple(q))
         # the LP optimum is the dual value: a difference either way is error
         gap = abs(float(value) - float(optimum))
     else:
@@ -479,15 +466,15 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         if q0 is None:
             return DualSolution(INF, None, False, INF, y=y)
         if market.floor is not None \
-                and support_alpha(market, q0, zero_tol) == NEG_INF:
+                and support_alpha(market, q0) == NEG_INF:
             # only a floor can empty the admissible class (every set is
             # nonempty), and then alpha is -inf at every measure
             return DualSolution(NEG_INF, None, False, INF, y=y)
         q, iterations = _lifted_smooth_solve(market, utility, y, q0)
         if q is None:
             q = q0
-        value = dual_objective(market, utility, y, tuple(q), zero_tol)
-        lower = _minorant_lower_bound(market, utility, y, q, zero_tol)
+        value = dual_objective(market, utility, y, tuple(q))
+        lower = _minorant_lower_bound(market, utility, y, q)
         gap = max(0.0, float(value) - lower) if lower != NEG_INF else INF
     measure = measure_from_weights(market, tuple(float(v) for v in q)).scaled(y)
     attained = math.isfinite(value) \
@@ -562,48 +549,25 @@ def _lifted_smooth_solve(market, utility, y, q0):
     return q, iterations
 
 
-def _piecewise_dual_lp(market, utility, y):
-    """Epigraph LP of the dual for a piecewise-linear conjugate.
-
-    Epigraph variables t per leaf replace V(y q/p): t_l >= v_i - b_i y
-    q_l / p_l for every line of V, and q_l >= p_l edge / y keeps y q_l / p_l
-    in the domain of V; the support penalty enters through its multiplier
-    form.  Returns (q, optimum), or (None, +inf) when the LP is infeasible
-    and (None, -inf) when it is unbounded (empty admissible class).
-    """
-    lines, domain_edge = utility.conjugate_lines()
-    lp = tree_lp(market)
-    n = len(market.tree.leaves)
-    A_eq, b_eq, nonneg = lp.lifted(False, extra=n)  # columns q, mu, t
-    _, bf, _, _, _, probs = lp.rows(False)
-    n_mu, total = len(bf), A_eq.shape[1]
-    y = float(y)
-
-    A_ub, b_ub = [], []
-    for k in range(n):
-        if domain_edge > 0:  # V infinite below the final slope
-            row = [0.0] * total
-            row[k] = -1.0
-            A_ub.append(row)
-            b_ub.append(-probs[k] * float(domain_edge) / y)
-        for v_i, b_i in lines:
-            row = [0.0] * total
-            row[k] = -float(b_i) * y / probs[k]
-            row[n + n_mu + k] = -1.0
-            A_ub.append(row)
-            b_ub.append(-float(v_i))
-
-    c = np.concatenate([np.zeros(n), y * bf, probs])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                   nonneg=nonneg)
-    if res.status == INFEASIBLE:
-        return None, INF
+def _epigraph_dual(market, utility, y):
+    """(q, v(y)) from TreeLP.epigraph with x free and priced at y; y q_l
+    = sum_k s_k lambda_kl + nu_l over the multipliers of leaf l's line rows
+    and domain row.  (None, +inf) when the LP is unbounded, (None, -inf)
+    when it is infeasible (empty admissible class)."""
+    lines, edge = utility.lines()
+    res = tree_lp(market).epigraph(lines, edge, y=y)
     if res.status == UNBOUNDED:
+        return None, INF
+    if res.status == INFEASIBLE:
         return None, NEG_INF
-    return np.clip(np.asarray(res.x[:n], dtype=float), 0.0, None), res.value
+    n = len(market.tree.leaves)
+    duals = np.reshape(res.duals[:(len(lines) + 1) * n], (-1, n))
+    slopes = np.asarray([float(s) for s, _ in lines] + [1.0])
+    q = np.clip(slopes @ duals, 0.0, None)
+    return q / q.sum(), -res.value
 
 
-def _minorant_lower_bound(market, utility, y, q_hat, zero_tol=0.0):
+def _minorant_lower_bound(market, utility, y, q_hat):
     """Lower bound on the dual value via partial linearization at q_hat.
 
     The conjugate-expectation part of the objective is replaced by its

@@ -1,8 +1,10 @@
 """Maximize expected utility of terminal wealth over constrained portfolios.
 
-The optimizer is projected gradient ascent with Barzilai-Borwein steps and
-nonmonotone Armijo backtracking (the spectral projected gradient of Birgin,
-Martinez and Raydan, SIAM J. Optim. 10, 2000) over the product of per-node
+A piecewise-linear utility (knots or a table) makes this one LP,
+:meth:`condual.treelp.TreeLP.epigraph` with x fixed.  Power and log take
+projected gradient ascent with Barzilai-Borwein steps and nonmonotone
+Armijo backtracking (the spectral projected gradient of Birgin, Martinez
+and Raydan, SIAM J. Optim. 10, 2000) over the product of per-node
 constraint sets.  Each projection is ``TreeLP.project``: one clip to the
 stacked bounds of the box-shaped sets, then each other set's own
 ``ConvexSet.project``, whose float data the set builds once and keeps, so
@@ -20,11 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linprog import OPTIMAL, solve_lp
+from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel, PortfolioProcess, validate_market
 from .scalars import INF, NEG_INF, is_finite
 from .treelp import tree_lp
-from .utility import UtilityFunction
+from .utility import LogUtility, PiecewiseLinearUtility, UtilityFunction
 
 _DOMAIN_EPS = 1e-12
 # Cap on the worst-leaf slack in _feasible_start's max-min LP, above |x|.
@@ -36,7 +38,8 @@ _SLACK_CAP = 10 ** 6
 @dataclass
 class PrimalSolution:
     """``max-iterations``: the ascent ran out of iterations or its line
-    search stalled; ``iterations`` counts those it ran."""
+    search stalled; ``iterations`` counts those it ran (0 on the LP route,
+    which reports no gradient mapping either)."""
 
     value: object
     portfolio: PortfolioProcess | None
@@ -48,20 +51,31 @@ class PrimalSolution:
 
 def solve_primal(market: MarketModel, utility: UtilityFunction, x,
                  tol=1e-8, max_iter=20000) -> PrimalSolution:
-    """Best expected utility from initial wealth x and its optimizer."""
+    """Best expected utility from initial wealth x and its optimizer; tol
+    and max_iter bound the ascent, and the LP route, which ignores them,
+    needs every set in halfspace form (else NotImplementedError)."""
     _require_finite(x)
     if tol <= 0:
         raise ValueError("tol must be positive")
     problems = validate_market(market)
     if problems:
         raise ValueError("invalid market: " + "; ".join(problems))
+    if isinstance(utility, PiecewiseLinearUtility):
+        lp = tree_lp(market)
+        res = lp.epigraph(*utility.lines(), x=x)
+        if res.status != OPTIMAL:
+            value = INF if res.status == UNBOUNDED else NEG_INF
+            return PrimalSolution(value, None, None, res.status)
+        return _package(market, np.asarray(res.x[:lp.n_h]), float(x),
+                        -res.value, OPTIMAL, 0, None)
 
     feasible, start, slack = _feasible_start(market, x)
     needs_interior = utility.inf_value() == NEG_INF
     if not feasible or (needs_interior and slack <= 0):
         return PrimalSolution(NEG_INF, None, None, "infeasible")
 
-    if utility.sup_value() == INF and find_free_lunch_direction(market) is not None:
+    # power and log are unbounded above, so a free lunch is unbounded
+    if find_free_lunch_direction(market) is not None:
         return PrimalSolution(INF, None, None, "unbounded")
 
     return _projected_gradient(market, utility, x, start, tol, max_iter)
@@ -136,20 +150,6 @@ def find_free_lunch_direction(market: MarketModel):
     return lp.portfolio(res.x)
 
 
-def _vectorized_utility(utility):
-    """(value over array, right marginal over array) in numpy terms."""
-    from .utility import LogUtility, PowerUtility
-
-    if isinstance(utility, LogUtility):
-        return np.log, lambda w: 1.0 / w
-    if isinstance(utility, PowerUtility):
-        p = utility.p
-        return (lambda w: w ** p / p), (lambda w: w ** (p - 1.0))
-    value = np.vectorize(lambda v: utility(v), otypes=[float])
-    marg = np.vectorize(lambda v: utility.marginal(v)[1], otypes=[float])
-    return value, marg
-
-
 def _projected_gradient(market, utility, x, start, tol, max_iter):
     lp = tree_lp(market)
     _, _, L, N, _, leaf_probs = lp.rows(False)
@@ -157,20 +157,19 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     if market.floor is not None:
         floor_rows, floor = N, float(market.floor)
     x = float(x)
-    guard = utility.inf_value() == NEG_INF or utility.inada_zero()
-    low = _DOMAIN_EPS if guard else 0.0
-    value_fn, marginal_fn = _vectorized_utility(utility)
+    if isinstance(utility, LogUtility):
+        value_fn, marginal_fn = np.log, (lambda w: 1.0 / w)
+    else:
+        p = utility.p
+        value_fn, marginal_fn = (lambda w: w ** p / p), (lambda w: w ** (p - 1))
 
     def objective(h):
         w = x + L @ h
-        if (w < low).any():
+        if (w < _DOMAIN_EPS).any():
             return NEG_INF
         if floor_rows is not None and (floor_rows @ h < -floor - 1e-12).any():
             return NEG_INF
-        vals = value_fn(w)
-        if not np.isfinite(vals).all():
-            return NEG_INF
-        return float(leaf_probs @ vals)
+        return float(leaf_probs @ value_fn(w))
 
     def gradient(h):
         return L.T @ (leaf_probs * marginal_fn(x + L @ h))

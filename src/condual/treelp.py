@@ -29,13 +29,15 @@ clip plus the own projector of each other node.
 :func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
 on the market.
 
-Two LP shapes are assembled here, once for every caller:
+Three LP shapes are assembled here, once for every caller:
 :meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
-feasibility start of the primal, sup essinf, and the superhedging price),
-and :meth:`TreeLP.lifted` gives the rows of the measure side.  The measure
-side runs through LP duality: alpha(q) = max {(L^T q) . H : A H <= b} equals
-min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization over q with alpha
-in its objective is one LP over the lifted pairs (q, mu).
+feasibility start of the primal, sup essinf, and the superhedging price);
+:meth:`TreeLP.epigraph`, of a piecewise-linear utility, gives u(x) with x
+fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y);
+:meth:`TreeLP.lifted` gives the rows of the other measure-side LPs, by LP
+duality: alpha(q) = max {(L^T q) . H : A H <= b} equals min {b . mu : A^T
+mu = L^T q, mu >= 0}, so an optimization over q with alpha in its
+objective is one LP over the lifted pairs (q, mu).
 """
 
 from __future__ import annotations
@@ -167,6 +169,30 @@ class TreeLP:
             b_ub.append(np.asarray([cap], A.dtype))
         c = [0] * self.n_h + [-1]
         return solve_lp(c, A_ub=A_ub, b_ub=np.concatenate(b_ub), exact=exact)
+
+    def epigraph(self, lines, edge, x=None, y=None):
+        """The float epigraph LP of U(w) = min_k (c_k + s_k w) on w >= edge:
+        maximize sum_l p_l t_l - y x over the columns (H, t), and x when x is
+        None, subject to t_l <= c_k + s_k (x + (L H)_l) (row k n + l, for
+        line k and leaf l of n), then x + (L H)_l >= edge, then A H <= b.
+        Its optimum is u(x) for a given x, and v(y) for x free.  Returns the
+        LPResult of minimizing the negated objective."""
+        self.require_polyhedral()
+        A, b, L, _, _, p = self.rows(False)
+        n, n_h = len(L), self.n_h
+        top = (len(lines) + 1) * n  # first row of A H <= b
+        # the domain row is a line of slope 1 and head -edge without t
+        slopes = np.array([float(s) for s, _ in lines] + [1.0])
+        heads = np.array([float(c) for _, c in lines] + [-float(edge)])
+        A_ub = np.zeros((top + len(A), n_h + n + (x is None)))
+        A_ub[:top, :n_h] = np.kron(-slopes[:, None], L)
+        A_ub[:top - n, n_h:n_h + n] = np.tile(np.eye(n), (len(lines), 1))
+        A_ub[:top, n_h + n:] = -np.repeat(slopes, n)[:, None]
+        A_ub[top:, :n_h] = A
+        shift, price = (0.0, [float(y)]) if x is None else (float(x), [])
+        b_ub = np.concatenate([np.repeat(heads + slopes * shift, n), b])
+        c = np.concatenate([np.zeros(n_h), -p, price])
+        return solve_lp(c, A_ub=A_ub, b_ub=b_ub)
 
     def lifted(self, exact, extra=0, multipliers=True):
         """(A_eq, b_eq, nonneg) of the lifted polytope {q >= 0, sum q = 1,

@@ -198,6 +198,16 @@ class PiecewiseLinearUtility(UtilityFunction):
                 return left, slopes[i]
         return slopes[-1], slopes[-1]
 
+    def lines(self):
+        """(lines, edge): U(w) = min_k (c_k + s_k w) over the (s_k, c_k) in
+        lines, one per piece of finite slope, for w >= edge (the first
+        breakpoint of finite U), and U = -inf below it."""
+        vals = self._knot_values()
+        lines = [(s, v - s * b) for v, b, s in
+                 zip(vals, self.breakpoints, self.slopes) if s != INF]
+        edge = self.breakpoints[1 if self.slopes[0] == INF else 0]
+        return lines, edge
+
     def conjugate_lines(self):
         """(lines, domain_edge) with V(z) = max_i (v_i - b_i z) over the
         (v_i, b_i) in lines for z >= domain_edge, and V = +inf below it.

@@ -174,6 +174,19 @@ def test_lp_commands_on_ball_market_are_input_errors(capsys, tmp_path):
     assert code == 0 and doc["verdict"] == "pass"
 
 
+def test_piecewise_primal_on_ball_market_is_input_error(capsys, tmp_path):
+    # a piecewise-linear primal is an LP, so it needs halfspaces too
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(
+        binomial_spec({"type": "ball", "center": [0], "radius": 1})))
+    utility = '{"family": "piecewise", "breakpoints": [0, 1], "slopes": [2, 1]}'
+    code, out, err = run_cli(capsys, "solve-primal", "--market", str(path),
+                             "--utility", utility, "--x", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "halfspace" in err
+
+
 def test_schema_violation_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     with open(fixture("b1.json")) as fh:

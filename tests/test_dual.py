@@ -17,10 +17,12 @@ from condual.dual import (
     superhedge_price,
     support_alpha,
 )
+from condual.linprog import INFEASIBLE, OPTIMAL, solve_lp
 from condual.market import build_market
 from condual.primal import solve_primal
 from condual.randomgen import random_market
 from condual.scalars import INF, NEG_INF, scale_extended
+from condual.treelp import tree_lp
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 
 from conftest import binomial_spec, two_period_spec
@@ -45,6 +47,15 @@ def test_alpha_unconstrained_binomial(b1):
     # only the martingale measure (1/3, 2/3) keeps the sup finite
     assert support_alpha(b1, (F(1, 3), F(2, 3))) == 0
     assert support_alpha(b1, (F(1, 2), F(1, 2))) == INF
+
+
+def test_alpha_float_measure_on_exact_market(b1):
+    # a float measure within rounding of the martingale face: its induced
+    # direction is cleaned at the market's noise floor, though the market
+    # is exact
+    assert support_alpha(b1, (1 / 3 + 1e-13, 2 / 3 - 1e-13)) \
+        == pytest.approx(0, abs=1e-12)
+    assert support_alpha(b1, (0.5, 0.5)) == INF
 
 
 def test_alpha_box_binomial(b1_box):
@@ -406,6 +417,56 @@ def test_superhedge_empty_admissible_class(empty_floor_market):
         assert res.price == INF and res.dual_value == INF
         assert res.portfolio_x is None and res.witness is None
         assert res.bound == INF
+
+
+def _lifted_epigraph_dual(market, utility, y):
+    """The dual over the lifted (q, mu) polytope, an epigraph variable t_l
+    per leaf above every line of V(y q_l / p_l): the oracle.  Returns
+    (q, optimum), (None, +inf) when infeasible and (None, -inf) when
+    unbounded."""
+    lines, edge = utility.conjugate_lines()
+    lp = tree_lp(market)
+    n = len(market.tree.leaves)
+    A_eq, b_eq, nonneg = lp.lifted(False, extra=n)  # columns q, mu, t
+    _, b, _, _, _, p = lp.rows(False)
+    A_ub, b_ub = [], []
+    for k in range(n):
+        row = np.zeros(A_eq.shape[1])
+        row[k] = -1.0
+        A_ub.append(row)
+        b_ub.append(-p[k] * float(edge) / y)
+        for v, a in lines:
+            row = np.zeros(A_eq.shape[1])
+            row[k] = -float(a) * y / p[k]
+            row[n + len(b) + k] = -1.0
+            A_ub.append(row)
+            b_ub.append(-float(v))
+    c = np.concatenate([np.zeros(n), y * b, p])
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   nonneg=nonneg)
+    if res.status != OPTIMAL:
+        return None, INF if res.status == INFEASIBLE else NEG_INF
+    return tuple(max(float(v), 0.0) for v in res.x[:n]), res.value
+
+
+def test_dual_piecewise_matches_lifted_epigraph_lp():
+    # the primal's epigraph LP with x free gives what the lifted LP over
+    # (q, mu) gives, and its multipliers a measure of mass y
+    for seed in range(40):
+        market = random_market(random.Random(seed), max_periods=3)
+        for y in (0.5, 1.3, 2.0):
+            sol = solve_dual(market, FLAT_TAIL, y)
+            q, optimum = _lifted_epigraph_dual(market, FLAT_TAIL, y)
+            if q is None:
+                assert (sol.value, sol.measure, sol.attained) == (
+                    optimum, None, False)
+                continue
+            value = dual_objective(market, FLAT_TAIL, y, q)
+            attained = abs(value - optimum) <= max(1e-8, 1e-6 * max(
+                1.0, abs(value)))
+            assert sol.value == pytest.approx(value, abs=1e-12), (seed, y)
+            assert sol.attained == attained
+            assert sol.measure.mass == pytest.approx(y, abs=1e-12)
 
 
 def test_dual_piecewise_on_equality_face(b1):

@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from condual.dual import min_support, solve_dual
 from condual.linprog import OPTIMAL, solve_lp
 from condual.market import PortfolioProcess, build_market, is_admissible
 from condual.primal import (
@@ -18,7 +20,8 @@ from condual.primal import (
 from condual.randomgen import random_market, random_tree_spec
 from condual.scalars import NEG_INF
 from condual.treelp import tree_lp
-from condual.utility import LogUtility, PowerUtility
+from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
+                             TabulatedUtility)
 
 from conftest import (binomial_spec, deterministic_spec, drift_spec,
                       float_copy, two_period_spec)
@@ -261,21 +264,145 @@ def test_free_lunch_verdict_matches_global_lp(monkeypatch):
     assert 0 < skipped < len(verdicts)
 
 
-@pytest.mark.parametrize("seed", [1, 9, 11, 12, 15, 22, 24])
-def test_stalled_line_search_reports_iterations_run(seed):
-    from condual.dual import min_support
-    from condual.utility import PiecewiseLinearUtility
+def drifted_binomial_spec(periods, floor=None):
+    """Binomial tree over the given number of periods: S_0 = 10, dS = +1 or
+    -1/2 w.p. 1/2 each, the box [-2, 2] at every node."""
+    nodes = [{"id": "n", "time": 0, "parent": None, "prob": 1,
+              "prices": [10]}]
+    frontier = [("n", Fraction(10))]
+    for t in range(1, periods + 1):
+        frontier = [(nid + tag, s + ds) for nid, s in frontier
+                    for tag, ds in (("u", 1), ("d", Fraction(-1, 2)))]
+        nodes += [{"id": nid, "time": t, "parent": nid[:-1], "prob": "1/2",
+                   "prices": [str(s)]} for nid, s in frontier]
+    spec = {"horizon": periods, "dimension": 1, "nodes": nodes,
+            "constraints": {"default": {"type": "box", "lower": [-2],
+                                        "upper": [2]}}}
+    if floor is not None:
+        spec["floor"] = floor
+    return spec
 
-    market = random_market(random.Random(seed), max_periods=3)
-    utility = PiecewiseLinearUtility((0, 1, 2), (3, 1, 0.5))
-    x = min_support(market).xbar + 0.01
-    sol = solve_primal(market, utility, x, max_iter=300)
+
+def test_stalled_line_search_reports_iterations_run():
+    # the floor binds at the optimum, and the line search stalls there
+    market = build_market(drifted_binomial_spec(3, floor=2))
+    x = 6
+    sol = solve_primal(market, LOG, x, max_iter=300)
     assert sol.status == "max-iterations"
     assert 0 < sol.iterations < 300
     # the ascent stopped on its own: more room changes nothing
-    again = solve_primal(market, utility, x, max_iter=1000)
+    again = solve_primal(market, LOG, x, max_iter=1000)
     assert (again.status, again.iterations, again.value) == (
         sol.status, sol.iterations, sol.value)
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear utilities: one epigraph LP
+
+KINKED = PiecewiseLinearUtility((0, 1, 2), (3, 1, 0.5))
+
+# the values at which projected gradient ascent stalled on these markets
+# at x = xbar + 0.01 (status max-iterations, at any iteration budget)
+ASCENT_VALUES = {1: 1.347499999999985, 9: 0.03856481481363794,
+                 11: 1.6037172872155854, 12: 1.0226666666666644,
+                 15: 0.09999999999675309, 22: 0.03444444444440671,
+                 24: 2.151856881829848}
+
+
+@pytest.mark.parametrize("seed", sorted(ASCENT_VALUES))
+def test_piecewise_primal_is_one_lp(seed):
+    market = random_market(random.Random(seed), max_periods=3)
+    x = min_support(market).xbar + 0.01
+    sol = solve_primal(market, KINKED, x, max_iter=1)  # no iteration budget
+    assert (sol.status, sol.iterations, sol.gradient_mapping) == (
+        "optimal", 0, None)
+    assert sol.value >= ASCENT_VALUES[seed]
+    assert is_admissible(market, sol.portfolio)
+    probs = market.tree.leaf_probabilities()
+    assert sum(float(p) * KINKED(w) for p, w in zip(probs, sol.terminal)) \
+        == pytest.approx(sol.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed,value", [(11, 4.155462), (6, 6.136173)])
+def test_piecewise_primal_reaches_dual_value(seed, value):
+    market = random_market(random.Random(seed), max_periods=3)
+    sol = solve_primal(market, KINKED, min_support(market).xbar + 1)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(value, abs=5e-7)
+
+
+def test_piecewise_primal_solves_no_ascent_lp(monkeypatch, b1_box):
+    import condual.primal
+
+    def refuse(*args):
+        raise AssertionError("the LP route needs no start and no free lunch")
+
+    monkeypatch.setattr(condual.primal, "_feasible_start", refuse)
+    monkeypatch.setattr(condual.primal, "find_free_lunch_direction", refuse)
+    assert solve_primal(b1_box, KINKED, 1.0).status == "optimal"
+
+
+def test_piecewise_primal_statuses(b1_pinned, arbitrage_market):
+    # forced unit holding: the down leaf ends at x - 1/2, below the domain
+    sol = solve_primal(b1_pinned, KINKED, 0.4)
+    assert (sol.status, sol.value, sol.portfolio) == (
+        "infeasible", NEG_INF, None)
+    # both increments positive and no cap: the last slope 1/2 is forever
+    sol = solve_primal(arbitrage_market, KINKED, 1.0)
+    assert (sol.status, sol.value) == ("unbounded", math.inf)
+
+
+def test_piecewise_primal_needs_halfspaces():
+    market = build_market(binomial_spec(
+        {"type": "ball", "center": [0], "radius": "1/2"}))
+    with pytest.raises(NotImplementedError, match="halfspace"):
+        solve_primal(market, KINKED, 1.0)
+
+
+@pytest.mark.parametrize("name", ["b1", "b1_box", "b1_pinned", "d1",
+                                  "drift_market", "two_period"])
+def test_piecewise_primal_bounds_brute_force(request, name):
+    market = request.getfixturevalue(name)
+    for utility in (KINKED, TabulatedUtility((0.5, 1, 2), (0, 1, 1.5))):
+        sol = solve_primal(market, utility, 1.0)
+        assert sol.status == "optimal"
+        oracle = brute_force_primal(market, utility, 1.0,
+                                    {"points": 15, "rounds": 3})
+        assert oracle <= sol.value + 1e-9
+
+
+def _golden_minimum(f, lo, hi, steps=50):
+    """Minimum of a convex f on [lo, hi] by golden-section search."""
+    r = (math.sqrt(5) - 1) / 2
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def test_piecewise_primal_is_min_of_dual_plus_xy():
+    # u(x) = min_y v(y) + xy: LP duality of the one epigraph program
+    checked = 0
+    for seed in range(40):
+        market = random_market(random.Random(seed), max_periods=3)
+        xbar = min_support(market).xbar
+        if not math.isfinite(xbar):
+            continue
+        x = float(xbar) + 1.0
+        u = solve_primal(market, KINKED, x).value
+        dual = _golden_minimum(
+            lambda y: solve_dual(market, KINKED, y).value + x * y, 1e-3, 20.0)
+        assert u == pytest.approx(dual, abs=1e-7), seed
+        checked += 1
+    assert checked >= 30
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -288,8 +415,6 @@ def test_nonfinite_initial_wealth_is_rejected(b1, x):
 
 def test_wealth_above_infinite_critical_wealth_is_rejected():
     # xbar = -inf here, so xbar + 0.01 is no initial wealth at all
-    from condual.dual import min_support
-
     market = random_market(random.Random(8), max_periods=3)
     xbar = min_support(market).xbar
     assert xbar == NEG_INF

@@ -183,6 +183,22 @@ def test_link_residual_tracks_tolerance(b1):
     assert r2 >= r1 / 8.0 - 1e-15
 
 
+def test_link_detects_shifted_terminal_wealth(b1, monkeypatch):
+    # a primal whose terminal wealth is off by delta must fail the check
+    delta = 1e-3
+    solve = condual.verify.solve_primal
+
+    def shifted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.terminal = tuple(w + delta for w in sol.terminal)
+        return sol
+
+    monkeypatch.setattr(condual.verify, "solve_primal", shifted)
+    report = verify_primal_dual_link(b1, LOG, 1.0, tol=delta / 4)
+    assert delta / 2 <= report.max_residual <= 2 * delta
+    assert report.ok is False
+
+
 def test_link_rejects_nonsmooth():
     market = build_market(binomial_spec())
     kinked = PiecewiseLinearUtility((0.0, 1.0), (2.0, 1.0))
