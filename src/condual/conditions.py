@@ -25,12 +25,12 @@ from fractions import Fraction
 
 from .convex import Cone, ProjectionMatrix, _unit, min_norm_solution, \
     predictable_range_projection, projected_set_closed
-from .dual import _max_margin_measure, measure_from_weights
+from .dual import measure_from_weights
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible
 from .primal import find_free_lunch_direction
 from .scalars import INF, all_exact
-from .treelp import node_direction, subtree_weights, tree_lp
+from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +127,28 @@ class SupermartingaleCertificate:
 def check_supermartingale_condition(market: MarketModel) -> SupermartingaleCertificate:
     """Search for the certificate triple in three documented stages:
 
-    (i)   an equivalent martingale measure (then the reference portfolio is
-          any admissible selection and the compensator vanishes),
+    (i)   an equivalent martingale measure, the max-margin measure of the
+          zero-drift rows (then the reference portfolio is any admissible
+          selection and the compensator vanishes),
     (ii)  the reference measure itself plus the support-value compensator,
-    (iii) an LP for a strictly positive measure keeping every node's
-          support value finite, again with the compensator.
+    (iii) only when (ii) fails, the max-margin measure of the finite-alpha
+          face, which keeps every node's support value finite, again with
+          the compensator.
 
-    Failure of all three yields "not certified" with a witness node and
-    escape direction; the condition is sufficient only, so no claim of
-    falsity is made.
+    Stages (i) and (iii) need a margin above MARGIN_TOL and, on an exact
+    market, a rounding of it that satisfies their rows exactly.  Failure
+    of all three yields "not certified" with a witness node and escape
+    direction; the condition is sufficient only, so no claim of falsity is
+    made.
     """
-    cert = _try_martingale_measure(market)
+    cert = _try_martingale_measure(market) or _compensator_certificate(
+        market, "reference-compensator", market.tree.leaf_probabilities()) \
+        or _compensator_certificate(
+            market, "searched-measure",
+            _positive_measure_lp(market, require_zero_drift=False))
     if cert is not None:
         cert._market = market
         return cert
-    for stage, weights in (("reference-compensator", market.tree.leaf_probabilities()),
-                           ("searched-measure", _searched_measure(market))):
-        if weights is None:
-            continue
-        cert = _compensator_certificate(market, stage, weights)
-        if cert is not None:
-            cert._market = market
-            return cert
     failure = _failure_witness(market)
     out = SupermartingaleCertificate(False, failure_node=failure[0],
                                      failure_direction=failure[1])
@@ -185,7 +185,7 @@ def _admissible_reference(market, drifts=None):
 
 def _try_martingale_measure(market):
     """Stage (i): strictly positive leaf measure with zero conditional
-    drift at every node (found by margin-maximizing LP)."""
+    drift at every node (the max-margin measure of the zero-drift rows)."""
     weights = _positive_measure_lp(market, require_zero_drift=True)
     if weights is None:
         return None
@@ -205,7 +205,10 @@ def _try_martingale_measure(market):
 
 
 def _compensator_certificate(market, stage, weights):
-    """Stages (ii)/(iii): fixed measure, compensator from support values."""
+    """Stages (ii)/(iii): fixed measure, compensator from support values;
+    None when there are no weights (stage (iii) found no measure)."""
+    if weights is None:
+        return None
     drifts = {i: _conditional_drift(market, weights, i)
               for i in market.tree.nonleaf}
     reference = _admissible_reference(market, drifts)
@@ -233,35 +236,28 @@ def _conditional_drift(market, weights, node):
     return tuple(v / mass[node] for v in xi)
 
 
-def _searched_measure(market):
-    """Stage (iii): strictly positive measure whose induced directions stay
-    in every barrier cone (finite support values nodewise)."""
-    return _positive_measure_lp(market, require_zero_drift=False)
-
-
 def _positive_measure_lp(market, require_zero_drift):
-    """Margin-maximizing measure LP (dual._max_margin_measure).
+    """Strictly positive leaf weights from TreeLP.max_margin, rounded to
+    rationals on an exact market; None when there are none.
 
     With zero drift required the rows pin every induced direction to zero;
     otherwise they only require a nonnegative-multiplier representation,
     i.e. membership of the barrier cone (finite support value).
     """
-    if not tree_lp(market).polyhedral:
+    lp = tree_lp(market)
+    if not lp.polyhedral:
         return None
-    found = _max_margin_measure(market, multipliers=not require_zero_drift)
-    if found is None or found[1] <= 1e-10:
+    found = lp.max_margin(multipliers=not require_zero_drift)
+    if found is None or found[1] <= MARGIN_TOL:
         return None
-    weights = found[0]
     if market.exact:
-        exact = _snap_rational(market, weights, require_zero_drift)
-        if exact is not None:
-            return exact
-    return tuple(weights)
+        return _snap_rational(market, found[0], require_zero_drift)
+    return tuple(found[0])
 
 
 def _snap_rational(market, weights, require_zero_drift):
     """Try to turn a float LP measure into nearby small rationals that still
-    satisfy the defining constraints exactly."""
+    satisfy the defining constraints exactly; None when none does."""
     for denom_cap in (24, 360, 10 ** 6):
         cand = [Fraction(w).limit_denominator(denom_cap) for w in weights]
         total = sum(cand)

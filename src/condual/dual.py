@@ -31,8 +31,8 @@ import numpy as np
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel
 from .recursion import backward_induction, interval_support
-from .scalars import INF, NEG_INF, all_exact
-from .treelp import node_direction, subtree_weights, tree_lp
+from .scalars import INF, NEG_INF, all_exact, is_finite
+from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
 from .utility import (PiecewiseLinearUtility, UtilityFunction, conjugate,
                       conjugate_marginal)
 
@@ -91,7 +91,8 @@ def support_alpha(market: MarketModel, measure) -> object:
     produced by float LPs can sit on equality faces (e.g. the martingale
     face) without the support value spuriously exploding.
     """
-    weights = measure.weights if isinstance(measure, DualMeasure) else tuple(measure)
+    weights = _leaf_weights(market, measure.weights
+                            if isinstance(measure, DualMeasure) else measure)
     if market.floor is None:
         zero_tol = 0 if market.exact and all_exact(weights) \
             else _noise_floor(market)
@@ -111,6 +112,13 @@ def support_alpha(market: MarketModel, measure) -> object:
     # intermediate-wealth floor couples the nodes: one stacked LP
     value, _ = _alpha_lp(market, weights)
     return value
+
+
+def _leaf_weights(market, weights):
+    weights = tuple(weights)
+    if len(weights) != len(market.tree.leaves):
+        raise ValueError("a measure needs one weight per leaf")
+    return weights
 
 
 def _support_with_floor_noise(support, xi, zero_tol):
@@ -138,38 +146,6 @@ def _alpha_lp(market, weights):
     if res.status == INFEASIBLE:  # empty admissible class
         return NEG_INF, None
     return -res.value, res.x
-
-
-# ---------------------------------------------------------------------------
-# lifted measure-side LPs
-#
-# alpha(q) = max { (L^T q) . H : A H <= b } has the LP dual
-# min { b . mu : A^T mu = L^T q, mu >= 0 }, so any "optimize over q" problem
-# with alpha in the objective becomes one joint LP over (q, mu).
-
-
-def _lifted_lp(market, q_objective, maximize_payoff=None, mu_cost_scale=1,
-               force_float=False):
-    """Solve min/max over the lifted (q, mu) polytope (TreeLP.lifted).
-
-    Minimizes q_objective . q + mu_cost_scale * (b . mu); for fixed q the
-    inner minimum over mu is exactly alpha(q) scaled, so this is
-    min over the finite-alpha face of [q_objective . q + scale * alpha(q)].
-    When maximize_payoff is given the objective is
-    max payoff . q - b . mu instead.
-    """
-    lp = tree_lp(market)
-    exact = market.exact and not force_float
-    A_eq, b_eq, nonneg = lp.lifted(exact)
-    b = lp.rows(exact)[1]
-    if maximize_payoff is not None:
-        c = [-v for v in maximize_payoff] + list(b)
-    else:
-        c = list(q_objective) + [mu_cost_scale * v for v in b]
-    if not exact:
-        c = [float(v) for v in c]
-    res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, exact=exact, nonneg=nonneg)
-    return res, len(market.tree.leaves)
 
 
 @dataclass
@@ -213,7 +189,7 @@ def _min_support_recursive(market):
 
 
 def _min_support_lp(market):
-    res, n_leaves = _lifted_lp(market, [0] * len(market.tree.leaves))
+    res = tree_lp(market).lifted_min(market.exact, _zero_claim(market))
     if res.status == INFEASIBLE:
         # every measure sees an unbounded support value: constrained
         # arbitrage; the critical wealth is minus infinity
@@ -226,7 +202,8 @@ def _min_support_lp(market):
         minimizer = None
     else:
         inf_alpha = res.value
-        minimizer = measure_from_weights(market, res.x[:n_leaves])
+        minimizer = measure_from_weights(market,
+                                         res.x[:len(market.tree.leaves)])
     return MinSupportResult(inf_alpha, _sup_essinf(market), _xbar(inf_alpha),
                             minimizer)
 
@@ -332,9 +309,10 @@ def _superhedge_lp(market, payoff, exact):
     else:
         price, x = (INF if res.status == INFEASIBLE else NEG_INF), None
 
-    dual_res, n_leaves = _lifted_lp(market, None, maximize_payoff=payoff)
+    # the measure side maximizes payoff . q - alpha(q): minimize its negation
+    dual_res = lp.lifted_min(market.exact, [-f for f in payoff])
     if dual_res.status == OPTIMAL:
-        witness = measure_from_weights(market, dual_res.x[:n_leaves])
+        witness = measure_from_weights(market, dual_res.x[:len(payoff)])
         dual_value = -dual_res.value
     else:
         # unbounded when the admissible class is empty (alpha = -inf)
@@ -369,6 +347,7 @@ def _noise_floor(market):
 
 def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):
     """E[V(y dQ/dP)] + y alpha(Q) for a mass-one measure Q."""
+    weights = _leaf_weights(market, weights)
     probs = market.tree.leaf_probabilities()
     total = 0.0
     for w, p in zip(weights, probs):
@@ -383,45 +362,14 @@ def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):
     return total + y * float(a)
 
 
-def _max_margin_measure(market, multipliers=True):
-    """(q, t): a leaf measure maximizing the margin t in q >= t p, found by
-    a float LP over the lifted polytope with margin t <= 1; None when that
-    LP has no optimum.
-
-    With multipliers q ranges over the finite-alpha face; without them it
-    must give zero drift at every node (a martingale measure).
-    """
-    lp = tree_lp(market)
-    A_eq, b_eq, nonneg = lp.lifted(False, extra=1, multipliers=multipliers)
-    p = lp.rows(False)[5]
-    n = len(p)
-    A_ub = np.zeros((n + 1, A_eq.shape[1]))
-    A_ub[:n, :n] = -np.eye(n)  # q_k >= t p_k
-    A_ub[:n, -1] = p
-    A_ub[n, -1] = 1.0
-    b_ub = np.zeros(n + 1)
-    b_ub[n] = 1.0
-    c = np.zeros(A_eq.shape[1])
-    c[-1] = -1.0
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                   nonneg=nonneg)
-    if res.status != OPTIMAL:
-        return None
-    return res.x[:n], -res.value
-
-
 def _face_interior_point(market):
-    """Strictly positive q on the finite-alpha face, or None if the face is
-    empty; found by maximizing a proportional margin."""
-    found = _max_margin_measure(market)
-    if found is None or found[1] <= 1e-12:
-        # fall back to any face point (possibly on the simplex boundary)
-        res, n_leaves = _lifted_lp(market, [0] * len(market.tree.leaves),
-                                   force_float=True)
-        if res.status != OPTIMAL:
-            return None
-        return np.asarray([float(v) for v in res.x[:n_leaves]])
-    return np.asarray(found[0], dtype=float)
+    """(q, t): the float leaf measure of the finite-alpha face with the
+    greatest margin t in q >= t p (TreeLP.max_margin), strictly positive
+    when t > MARGIN_TOL; None when the face is empty."""
+    found = tree_lp(market).max_margin()
+    if found is None:
+        return None
+    return np.asarray(found[0], dtype=float), found[1]
 
 
 def solve_dual(market: MarketModel, utility: UtilityFunction, y,
@@ -434,9 +382,11 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
       epigraph LP (TreeLP.epigraph) with x free and priced at y;
     * any other conjugate (power, log) is smooth, and the dual is one SQP
       solve over the lifted (q, mu) polytope of TreeLP.lifted, started
-      from a point of the finite-alpha face that is strictly positive where
-      the face allows; when the solve finds no answer, that face point
-      itself is reported.
+      from the strictly positive face point of TreeLP.max_margin; when the
+      solve finds no answer, that face point itself is reported.  When the
+      face has no strictly positive point (margin at or below MARGIN_TOL),
+      some leaf has no mass under every face measure, and since V(0) =
+      sup U = +inf the value is +inf, with no SQP solve.
 
     The reported value is always the dual objective evaluated at the
     reported measure.  ``gap`` is its distance to a bound on the dual value:
@@ -447,12 +397,13 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
     +inf at a point where V or its slope is infinite.  ``attained`` means the value is
     finite and the gap is within max(tol, 1e-6 * max(1, |value|)).
     ``iterations`` counts SQP iterations over all restarts, and is 0 on the
-    LP route.  A value of +inf (empty finite-alpha face, or V infinite at
-    every density y dQ/dP) or -inf (empty admissible class) comes without a
-    measure.
+    LP route.  An empty finite-alpha face, a face of zero margin on the SQP
+    route and an unbounded epigraph LP give +inf, and an empty admissible
+    class -inf, each without a measure, with gap +inf, ``attained`` False
+    and 0 iterations.
     """
-    if y <= 0:
-        raise ValueError("the dual is solved for y > 0")
+    if not is_finite(y) or y <= 0:
+        raise ValueError(f"the dual is solved for finite y > 0, got y = {y}")
     if isinstance(utility, PiecewiseLinearUtility):
         q, optimum = _epigraph_dual(market, utility, y)
         if q is None:
@@ -462,14 +413,17 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         # the LP optimum is the dual value: a difference either way is error
         gap = abs(float(value) - float(optimum))
     else:
-        q0 = _face_interior_point(market)
-        if q0 is None:
+        found = _face_interior_point(market)
+        if found is None:
             return DualSolution(INF, None, False, INF, y=y)
+        q0, margin = found
         if market.floor is not None \
                 and support_alpha(market, q0) == NEG_INF:
             # only a floor can empty the admissible class (every set is
             # nonempty), and then alpha is -inf at every measure
             return DualSolution(NEG_INF, None, False, INF, y=y)
+        if margin <= MARGIN_TOL:
+            return DualSolution(INF, None, False, INF, y=y)
         q, iterations = _lifted_smooth_solve(market, utility, y, q0)
         if q is None:
             q = q0
@@ -587,8 +541,7 @@ def _minorant_lower_bound(market, utility, y, q_hat):
         if z <= 0:
             return NEG_INF  # slope may be unbounded at the boundary
         grad_ev.append(y * conjugate_marginal(utility, z)[1])
-    res, n_leaves = _lifted_lp(market, grad_ev, mu_cost_scale=float(y),
-                               force_float=True)
+    res = tree_lp(market).lifted_min(False, grad_ev, float(y))
     if res.status != OPTIMAL:
         return NEG_INF
     return ev - float(np.dot(grad_ev, q_hat)) + float(res.value)

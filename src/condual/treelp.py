@@ -29,15 +29,19 @@ clip plus the own projector of each other node.
 :func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
 on the market.
 
-Three LP shapes are assembled here, once for every caller:
+Four LP shapes are assembled here, once for every caller:
 :meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
 feasibility start of the primal, sup essinf, and the superhedging price);
 :meth:`TreeLP.epigraph`, of a piecewise-linear utility, gives u(x) with x
-fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y);
-:meth:`TreeLP.lifted` gives the rows of the other measure-side LPs, by LP
-duality: alpha(q) = max {(L^T q) . H : A H <= b} equals min {b . mu : A^T
-mu = L^T q, mu >= 0}, so an optimization over q with alpha in its
-objective is one LP over the lifted pairs (q, mu).
+fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y).
+The measure-side LPs run over the lifted pairs (q, mu) of
+:meth:`TreeLP.lifted`, by LP duality: alpha(q) = max {(L^T q) . H : A H <=
+b} equals min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization over q
+with alpha in its objective is one LP over (q, mu).  The lifted LPs are
+:meth:`TreeLP.lifted_min`, the least linear cost in q plus a multiple of
+alpha(q) (inf alpha, the superhedging measure, the dual's minorant bound),
+and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
+dual's start, the certificate measures).
 """
 
 from __future__ import annotations
@@ -46,9 +50,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linprog import solve_lp
+from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess
 from .scalars import INF, NEG_INF, is_exact
+
+# a max_margin margin at or below this counts as 0: a leaf of no mass
+MARGIN_TOL = 1e-10
 
 
 class TreeLP:
@@ -194,25 +201,64 @@ class TreeLP:
         c = np.concatenate([np.zeros(n_h), -p, price])
         return solve_lp(c, A_ub=A_ub, b_ub=b_ub)
 
-    def lifted(self, exact, extra=0, multipliers=True):
+    def lifted(self, exact, multipliers=True):
         """(A_eq, b_eq, nonneg) of the lifted polytope {q >= 0, sum q = 1,
-        mu >= 0, A^T mu = L^T q} over the columns (q, mu, extra...).
+        mu >= 0, A^T mu = L^T q} over the columns (q, mu).
 
-        The ``extra`` trailing columns are free and absent from these rows;
-        the caller's own rows and objective use them.  Without multipliers
-        there are no mu columns, and the rows pin L^T q = 0: zero drift at
-        every node.  The rows are an array in the arithmetic of
-        :meth:`rows`; the first row is the mass-one row.
+        Without multipliers there are no mu columns, and the rows pin L^T q
+        = 0: zero drift at every node.  The rows are an array in the
+        arithmetic of :meth:`rows`; the first row is the mass-one row.
         """
         self.require_polyhedral()
         A, _, L = self.rows(exact)[:3]
         A = A if multipliers else A[:0]
         n, n_mu = len(L), len(A)
-        rows = np.zeros((1 + self.n_h, n + n_mu + extra), A.dtype)
+        rows = np.zeros((1 + self.n_h, n + n_mu), A.dtype)
         rows[0, :n] = 1
         rows[1:, :n] = -L.T
-        rows[1:, n:n + n_mu] = A.T
+        rows[1:, n:] = A.T
         return rows, [1] + [0] * self.n_h, range(n + n_mu)
+
+    def lifted_min(self, exact, q_cost, mu_cost=1):
+        """Minimize q_cost . q + mu_cost (b . mu) over the lifted polytope.
+
+        For fixed q the least b . mu is alpha(q), so the optimum is the
+        least q_cost . q + mu_cost alpha(q) over the finite-alpha face.
+        Returns the LPResult over the columns (q, mu): infeasible when the
+        face is empty, unbounded (for mu_cost > 0) when the admissible class
+        is empty and alpha is -inf.
+        """
+        A_eq, b_eq, nonneg = self.lifted(exact)
+        c = list(q_cost) + [mu_cost * v for v in self.rows(exact)[1]]
+        if not exact:
+            c = [float(v) for v in c]
+        return solve_lp(c, A_eq=A_eq, b_eq=b_eq, exact=exact, nonneg=nonneg)
+
+    def max_margin(self, multipliers=True):
+        """(q, t): a leaf measure of the lifted polytope maximizing the
+        margin t in q >= t p, with t <= 1, by a float LP over the columns
+        (q, mu, t); None when that LP has no optimum.
+
+        With multipliers q ranges over the finite-alpha face; without them
+        it must give zero drift at every node (a martingale measure).  The
+        face holds a strictly positive measure exactly when t > 0; a t at or
+        below MARGIN_TOL counts as 0.
+        """
+        A_eq, b_eq, nonneg = self.lifted(False, multipliers)
+        A_eq = np.hstack([A_eq, np.zeros((len(A_eq), 1))])
+        p = self.rows(False)[5]
+        n, width = len(p), A_eq.shape[1]
+        A_ub = np.zeros((n + 1, width))
+        A_ub[:n, :n] = -np.eye(n)  # q_k >= t p_k
+        A_ub[:n, -1] = p
+        A_ub[n, -1] = 1.0
+        c = np.zeros(width)
+        c[-1] = -1.0
+        res = solve_lp(c, A_ub=A_ub, b_ub=np.append(np.zeros(n), 1.0),
+                       A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
+        if res.status != OPTIMAL:
+            return None
+        return res.x[:n], -res.value
 
     def portfolio(self, x) -> PortfolioProcess:
         """The portfolio whose stacked holdings vector is x."""

@@ -149,8 +149,8 @@ class PiecewiseLinearUtility(UtilityFunction):
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
         object.__setattr__(self, "slopes", tuple(self.slopes))
-        if len(self.slopes) != len(self.breakpoints):
-            raise ValueError("need one slope per breakpoint")
+        if len(self.slopes) != len(self.breakpoints) or not self.slopes:
+            raise ValueError("need one slope per breakpoint, and at least one")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if self.breakpoints[0] < 0:
@@ -162,6 +162,9 @@ class PiecewiseLinearUtility(UtilityFunction):
             raise ValueError("slopes must be nonnegative (monotonicity)")
         if INF in self.slopes[1:]:
             raise ValueError("only the first slope may be infinite")
+        if self.slopes[0] == INF and len(self.breakpoints) < 2:
+            raise ValueError("an infinite first slope needs a second "
+                             "breakpoint, where U becomes finite")
 
     def _knot_values(self):
         vals = [self.anchor]

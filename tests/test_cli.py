@@ -212,6 +212,15 @@ def test_nonfinite_wealth_or_scale_is_input_error(capsys, argv):
     assert "finite" in err and not out
 
 
+def test_piecewise_without_finite_piece_is_input_error(capsys):
+    utility = '{"family": "piecewise", "breakpoints": [0], "slopes": ["inf"]}'
+    code, out, err = run_cli(capsys, "solve-primal", "--market",
+                             fixture("b1.json"), "--utility", utility,
+                             "--x", "1")
+    assert code == 2
+    assert "second breakpoint" in err and not out
+
+
 def test_nan_tolerance_is_input_error(capsys):
     code, out, err = run_cli(capsys, "solve-primal", "--market",
                              fixture("b1.json"), "--utility", "log",

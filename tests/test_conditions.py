@@ -96,6 +96,18 @@ def test_certificate_deterministic_trend(d1):
     assert cert.total_compensator == 2  # horizon many units
 
 
+def test_searched_measure_lp_only_after_reference_fails(d1, monkeypatch):
+    # stage (ii) certifies d1, so only stage (i)'s zero-drift LP is solved
+    from condual.treelp import TreeLP
+
+    calls = []
+    max_margin = TreeLP.max_margin
+    monkeypatch.setattr(TreeLP, "max_margin", lambda self, multipliers=True: (
+        calls.append(multipliers) or max_margin(self, multipliers)))
+    assert check_supermartingale_condition(d1).stage == "reference-compensator"
+    assert calls == [False]
+
+
 def test_certificate_drift_market(drift_market):
     # increments +1 and +1/2 with equal odds: drift 3/4, compensator |drift|
     cert = check_supermartingale_condition(drift_market)

@@ -17,15 +17,15 @@ from condual.dual import (
     superhedge_price,
     support_alpha,
 )
-from condual.linprog import INFEASIBLE, OPTIMAL, solve_lp
+from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from condual.market import build_market
 from condual.primal import solve_primal
 from condual.randomgen import random_market
 from condual.scalars import INF, NEG_INF, scale_extended
-from condual.treelp import tree_lp
+from condual.treelp import MARGIN_TOL, tree_lp
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 
-from conftest import binomial_spec, two_period_spec
+from conftest import binomial_spec, drift_spec, two_period_spec
 
 F = Fraction
 LOG = LogUtility()
@@ -182,7 +182,8 @@ def test_dual_random_sweep(seed, name, utility, y):
     assert math.isfinite(sol.gap) and sol.gap >= 0
     if name == "piecewise":
         assert sol.attained
-    start = dual_objective(market, utility, y, tuple(_face_interior_point(market)))
+    start = dual_objective(market, utility, y,
+                           tuple(_face_interior_point(market)[0]))
     assert sol.value <= start + 1e-9 * max(1.0, abs(start))
     assert sol.measure.mass == pytest.approx(y, rel=1e-9)
     xbar = min_support(market).xbar
@@ -409,6 +410,89 @@ def test_dual_smooth_empty_admissible_class(empty_floor_market):
         assert not sol.attained
 
 
+# floor markets whose admissible class is nonempty: the boxes keep alpha
+# finite; on the drift market both increments are positive, so the floor
+# bounds only the short side of the half-line [-1, inf) and alpha = +inf
+# at every positive measure
+FLOOR_MARKETS = [
+    (binomial_spec({"type": "box", "lower": [-1], "upper": [1]}), "1/2", True),
+    (two_period_spec(), 1, True),
+    (drift_spec({"type": "box", "lower": [-1], "upper": ["inf"]}), 1, False),
+]
+
+
+@pytest.mark.parametrize("spec,floor,finite", FLOOR_MARKETS,
+                         ids=["b1-box", "two-period", "half-line"])
+def test_floor_support_alpha_matches_its_lp_dual(spec, floor, finite):
+    # with a floor, alpha(q) = max {(L^T q) . H : A H <= b} is the stacked
+    # LP; its LP dual min {b . mu : A^T mu = L^T q, mu >= 0}, solved
+    # exactly, must give the same value, +inf when the dual is infeasible
+    market = build_market(dict(spec, floor=floor))
+    A, b, L = tree_lp(market).rows(True)[:3]
+    rng = random.Random(7)
+    for _ in range(6):
+        q = [F(rng.randint(1, 9)) for _ in range(len(L))]
+        q = [v / sum(q) for v in q]
+        res = solve_lp(list(b), A_eq=A.T, b_eq=L.T @ np.asarray(q, object),
+                       exact=True, nonneg=range(len(b)))
+        assert res.status != UNBOUNDED  # the admissible class is nonempty
+        expected = res.value if res.status == OPTIMAL else INF
+        assert support_alpha(market, q) == expected
+        assert (expected != INF) == finite
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf])
+@pytest.mark.parametrize("utility", [LOG, FLAT_TAIL], ids=["log", "piecewise"])
+def test_nonfinite_y_is_rejected(b1, utility, y):
+    with pytest.raises(ValueError, match="finite y"):
+        solve_dual(b1, utility, y)
+
+
+def test_measure_needs_one_weight_per_leaf(two_period):
+    # four leaves, one weight: rejected before any node is visited
+    floored = build_market(dict(two_period_spec(), floor=1))
+    for market in (two_period, floored):
+        for fn in (lambda w: support_alpha(market, w),
+                   lambda w: dual_objective(market, LOG, 1.0, w)):
+            with pytest.raises(ValueError, match="one weight per leaf"):
+                fn((F(1),))
+
+
+ZERO_MARGIN_SEEDS = (5, 7, 10, 16, 17, 19, 20, 26, 29, 30, 34, 35, 37, 38)
+
+
+def test_zero_margin_face_is_plus_infinity(monkeypatch):
+    # a face whose max-margin measure leaves a leaf without mass has that
+    # leaf empty under every face measure (the face is convex), so
+    # E[V(y dQ/dP)] = +inf: one LP decides it, with no SQP solve
+    import scipy.optimize
+
+    from condual import linprog
+
+    markets = [random_market(random.Random(s), max_periods=3)
+               for s in ZERO_MARGIN_SEEDS]
+    solves = []
+    solve_float = linprog._solve_float
+    monkeypatch.setattr(linprog, "_solve_float",
+                        lambda *a: solves.append(a) or solve_float(*a))
+    monkeypatch.setattr(linprog, "_simplex_exact", None)
+
+    def no_minimize(*_, **__):
+        raise AssertionError("minimize called on a zero-margin face")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+    for seed, market in zip(ZERO_MARGIN_SEEDS, markets):
+        assert market.floor is None
+        assert tree_lp(market).max_margin()[1] <= MARGIN_TOL
+        for utility in (LOG, PowerUtility(0.5)):
+            for y in (0.5, 2.0):
+                solves.clear()
+                sol = solve_dual(market, utility, y)
+                assert (sol.value, sol.measure, sol.gap, sol.attained,
+                        sol.iterations) == (INF, None, INF, False, 0), seed
+                assert len(solves) == 1  # the max-margin LP
+
+
 def test_superhedge_empty_admissible_class(empty_floor_market):
     # no admissible portfolio hedges anything, so the price is +inf; the
     # lifted LP is unbounded since alpha is -inf at every measure
@@ -427,7 +511,8 @@ def _lifted_epigraph_dual(market, utility, y):
     lines, edge = utility.conjugate_lines()
     lp = tree_lp(market)
     n = len(market.tree.leaves)
-    A_eq, b_eq, nonneg = lp.lifted(False, extra=n)  # columns q, mu, t
+    A_eq, b_eq, nonneg = lp.lifted(False)
+    A_eq = np.hstack([A_eq, np.zeros((len(A_eq), n))])  # columns q, mu, t
     _, b, _, _, _, p = lp.rows(False)
     A_ub, b_ub = [], []
     for k in range(n):

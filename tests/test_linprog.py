@@ -156,3 +156,30 @@ def test_random_agreement_with_equalities(seed):
         for row, bound in zip(A_ub, b_ub):
             assert sum(a * x for a, x in zip(row, exact.x)) <= bound
         assert all(exact.x[j] >= 0 for j in nonneg)
+
+
+def test_float_solve_settles_undecided_highs_exactly(monkeypatch):
+    # when every HiGHS attempt stops undecided (status 4), the float solve
+    # answers from the exact simplex: the same x, value and multipliers as
+    # HiGHS on this nondegenerate LP, as floats
+    from types import SimpleNamespace
+
+    from condual import linprog
+
+    lp = dict(c=[-1.0, -2.0, 0.5], A_ub=[[1.0, 1.0, 0.0], [0.1, 0.3, 0.0]],
+              b_ub=[4.0, 0.6], A_eq=[[0.0, 1.0, 1.0]], b_eq=[2.5],
+              nonneg=(0, 1))
+    highs = solve_lp(**lp)
+    attempts = []
+    monkeypatch.setattr(linprog, "_scipy_linprog", lambda *a, **k: (
+        attempts.append(k["method"]) or SimpleNamespace(status=4)))
+    settled = solve_lp(**lp)
+    assert attempts == ["highs", "highs-ds", "highs"]
+    assert highs.status == settled.status == OPTIMAL
+    for a, b in ((highs.x, settled.x), (highs.duals, settled.duals),
+                 ([highs.value], [settled.value])):
+        assert all(type(v) is float for v in b)
+        assert np.allclose(a, b, rtol=0, atol=1e-9)
+    assert solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1.0, 0.0]).status \
+        == INFEASIBLE
+    assert solve_lp([-1.0], A_ub=[[-1.0]], b_ub=[0.0]).status == UNBOUNDED

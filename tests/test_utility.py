@@ -250,6 +250,20 @@ def test_parse_utility_rejects_unknown():
         parse_utility({"family": "power", "p": 2.0})
 
 
+def test_piecewise_without_finite_piece_is_rejected():
+    # U would be -inf everywhere: rejected at construction, not at first use
+    from condual.scalars import SchemaError
+
+    for knots, match in (((0,), "second breakpoint"), ((), "at least one")):
+        with pytest.raises(ValueError, match=match):
+            PiecewiseLinearUtility(knots, (math.inf,) * len(knots))
+        with pytest.raises(SchemaError, match=match):
+            parse_utility({"family": "piecewise", "breakpoints": list(knots),
+                           "slopes": ["inf"] * len(knots)})
+    steep = PiecewiseLinearUtility((0.0, 1.0), (math.inf, 1.0))
+    assert steep(0.5) == -math.inf and steep(2.0) == 1.0
+
+
 def test_conjugate_view_caches_and_delegates():
     from condual.utility import ConjugateFunction
 
