@@ -5,6 +5,7 @@ default; float twins are obtained by json-roundtripping through floats.
 """
 
 import copy
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,25 @@ def two_period_spec(constraint=None):
     }
 
 
+def drifted_binomial_spec(periods, floor=None):
+    """Binomial tree over the given number of periods: S_0 = 10, dS = +1 or
+    -1/2 w.p. 1/2 each, the box [-2, 2] at every node."""
+    nodes = [{"id": "n", "time": 0, "parent": None, "prob": 1,
+              "prices": [10]}]
+    frontier = [("n", Fraction(10))]
+    for t in range(1, periods + 1):
+        frontier = [(nid + tag, s + ds) for nid, s in frontier
+                    for tag, ds in (("u", 1), ("d", Fraction(-1, 2)))]
+        nodes += [{"id": nid, "time": t, "parent": nid[:-1], "prob": "1/2",
+                   "prices": [str(s)]} for nid, s in frontier]
+    spec = {"horizon": periods, "dimension": 1, "nodes": nodes,
+            "constraints": {"default": {"type": "box", "lower": [-2],
+                                        "upper": [2]}}}
+    if floor is not None:
+        spec["floor"] = floor
+    return spec
+
+
 @pytest.fixture
 def b1():
     return build_market(binomial_spec())
@@ -137,8 +157,6 @@ def two_period():
 
 def float_copy(spec):
     """Replace rational strings by floats: the float-mode twin of a spec."""
-    from fractions import Fraction
-
     def conv(v):
         if isinstance(v, str):
             try:

@@ -5,7 +5,9 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+from condual.dual import support_alpha
 from condual.linprog import OPTIMAL, solve_lp
+from condual.treelp import tree_lp
 
 
 def frac_nullspace_1d(rows, dim):
@@ -95,3 +97,21 @@ def subprocess_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def _dot(row, h):
+    return sum(a * x for a, x in zip(row, h))
+
+
+def check_certificates(market, payoff, res):
+    """The hedge dominates the payoff from the price and is admissible; the
+    witness is a probability measure whose value is the price."""
+    A, b, L = tree_lp(market).rows(True)[:3]
+    x, H = res.portfolio_x[0], res.portfolio_x[1:]
+    assert x == res.price
+    assert all(x + _dot(row, H) >= f for row, f in zip(L, payoff))
+    assert all(_dot(row, H) <= bound for row, bound in zip(A, b))
+    q = res.witness.weights
+    assert all(w >= 0 for w in q) and sum(q) == 1
+    value = sum(w * f for w, f in zip(q, payoff)) - support_alpha(market, q)
+    assert value == res.dual_value == res.price

@@ -1,11 +1,15 @@
-"""Exact simplex vs scipy cross-checks."""
+"""Exact simplex vs scipy cross-checks, the certified exact route, and
+input validation."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from condual import linprog
 from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -68,21 +72,9 @@ def test_degenerate_no_cycle():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_random_agreement_with_scipy(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 4)
-    m = rng.randint(1, 6)
-    A = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-    b = [Fraction(rng.randint(-2, 6)) for _ in range(m)]
-    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    # keep things bounded: box the variables
-    for j in range(n):
-        row_lo = [Fraction(0)] * n
-        row_lo[j] = Fraction(-1)
-        row_hi = [Fraction(0)] * n
-        row_hi[j] = Fraction(1)
-        A += [row_lo, row_hi]
-        b += [Fraction(10), Fraction(10)]
-    nonneg = [j for j in range(n) if rng.random() < 0.5]
+    lp = _random_ub_lp(seed)
+    c, A, b, nonneg = lp["c"], lp["A_ub"], lp["b_ub"], lp["nonneg"]
+    n = len(c)
     exact = solve_lp(c, A_ub=A, b_ub=b, exact=True, nonneg=nonneg)
     approx = solve_lp([float(v) for v in c],
                       A_ub=[[float(v) for v in row] for row in A],
@@ -99,6 +91,8 @@ def test_random_agreement_with_scipy(seed):
         assert all(exact.x[j] >= 0 for j in nonneg)
         _check_multipliers(c, A, b, nonneg, exact, 0)
         _check_multipliers(c, A, b, nonneg, approx, 1e-7)
+    # the certified route, whatever the size, agrees with the tableau
+    _check_exact_answer(lp, _certified(lp))
 
 
 def _check_multipliers(c, A, b, nonneg, res, tol):
@@ -120,21 +114,10 @@ def _identity_rows(n, nonneg):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_random_agreement_with_equalities(seed):
-    rng = random.Random(1000 + seed)
-    n = rng.randint(2, 4)
-    A_eq = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]]
-    x_feas = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-    b_eq = [sum(a * x for a, x in zip(A_eq[0], x_feas))]
-    A_ub, b_ub = [], []
-    for j in range(n):  # box to keep it bounded
-        lo = [Fraction(0)] * n
-        lo[j] = Fraction(-1)
-        hi = [Fraction(0)] * n
-        hi[j] = Fraction(1)
-        A_ub += [lo, hi]
-        b_ub += [Fraction(6), Fraction(6)]
-    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    nonneg = [j for j in range(n) if rng.random() < 0.5]
+    lp = _random_eq_lp(seed)
+    c, A_ub, b_ub, nonneg = lp["c"], lp["A_ub"], lp["b_ub"], lp["nonneg"]
+    A_eq, b_eq = lp["A_eq"], lp["b_eq"]
+    n = len(c)
     exact = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, exact=True,
                      nonneg=nonneg)
     approx = solve_lp([float(v) for v in c],
@@ -156,6 +139,7 @@ def test_random_agreement_with_equalities(seed):
         for row, bound in zip(A_ub, b_ub):
             assert sum(a * x for a, x in zip(row, exact.x)) <= bound
         assert all(exact.x[j] >= 0 for j in nonneg)
+    _check_exact_answer(lp, _certified(lp))
 
 
 def test_float_solve_settles_undecided_highs_exactly(monkeypatch):
@@ -176,6 +160,7 @@ def test_float_solve_settles_undecided_highs_exactly(monkeypatch):
     settled = solve_lp(**lp)
     assert attempts == ["highs", "highs-ds", "highs"]
     assert highs.status == settled.status == OPTIMAL
+    assert (highs.route, settled.route) == ("highs", "tableau")
     for a, b in ((highs.x, settled.x), (highs.duals, settled.duals),
                  ([highs.value], [settled.value])):
         assert all(type(v) is float for v in b)
@@ -183,3 +168,273 @@ def test_float_solve_settles_undecided_highs_exactly(monkeypatch):
     assert solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1.0, 0.0]).status \
         == INFEASIBLE
     assert solve_lp([-1.0], A_ub=[[-1.0]], b_ub=[0.0]).status == UNBOUNDED
+
+
+# -- malformed input is rejected the same way in both modes ---------------
+
+MALFORMED = [
+    (dict(c=[-1], A_ub=[[1]], b_ub=[1, 2]), "b_ub"),
+    (dict(c=[-1], A_ub=[[1], [1]], b_ub=[1]), "b_ub"),
+    (dict(c=[1], A_eq=[[1]], b_eq=[]), "b_eq"),
+    (dict(c=[-1], A_ub=[[1]], b_ub=[math.nan]), "b_ub"),
+    (dict(c=[1], A_eq=[[1]], b_eq=[-math.inf]), "b_eq"),
+    (dict(c=[math.nan], A_ub=[[1]], b_ub=[1]), "c"),
+    (dict(c=[-1], A_ub=[[math.inf]], b_ub=[1]), "A_ub"),
+    (dict(c=[1, 1], A_eq=[[1]], b_eq=[1]), "A_eq"),
+]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("lp,block", MALFORMED,
+                         ids=[f"{b}-{k}" for k, (_, b) in enumerate(MALFORMED)])
+def test_malformed_input_names_its_block(lp, block, exact):
+    with pytest.raises(ValueError, match=rf"\b{block}\b"):
+        solve_lp(**lp, exact=exact)
+
+
+# -- the certified route ----------------------------------------------------
+
+def _certified(lp):
+    """The certified answer of an exact LP, which must exist."""
+    res = linprog._certified(lp["c"], lp.get("A_ub", []), lp.get("b_ub", []),
+                             lp.get("A_eq", []), lp.get("b_eq", []),
+                             sorted(lp.get("nonneg", ())))
+    assert res is not None and res.route == "certified"
+    return res
+
+
+def _tableau(lp):
+    return linprog._simplex_exact(
+        lp["c"], lp.get("A_ub", []), lp.get("b_ub", []), lp.get("A_eq", []),
+        lp.get("b_eq", []), sorted(lp.get("nonneg", ())))
+
+
+def _check_exact_answer(lp, res):
+    """res has the tableau's status and the identical value; when optimal,
+    x is exactly feasible and the multipliers certify it (tested with an
+    equality row nu, which LPResult does not report, found from them)."""
+    ref = _tableau(lp)
+    assert res.status == ref.status
+    if res.status != OPTIMAL:
+        return
+    assert res.value == ref.value and type(res.value) is Fraction
+    c, x = lp["c"], res.x
+    A_ub, b_ub = lp.get("A_ub", []), lp.get("b_ub", [])
+    A_eq, b_eq = lp.get("A_eq", []), lp.get("b_eq", [])
+    nonneg = set(lp.get("nonneg", ()))
+    assert all(type(v) in (int, Fraction) for v in x + res.duals)
+    assert sum(ci * xi for ci, xi in zip(c, x)) == res.value
+    assert all(_dot(row, x) <= b for row, b in zip(A_ub, b_ub))
+    assert all(_dot(row, x) == b for row, b in zip(A_eq, b_eq))
+    assert all(x[j] >= 0 for j in nonneg)
+    assert len(A_eq) <= 1  # one nu, pinned below
+    lam = res.duals
+    assert len(lam) == len(A_ub) and all(v >= 0 for v in lam)
+    # reduced costs c + A_ub^T lam - nu a_eq: zero on the free columns,
+    # >= 0 on the others, with the value -b_ub . lam + nu b_eq
+    base = [cj + sum(row[j] * v for row, v in zip(A_ub, lam))
+            for j, cj in enumerate(c)]
+    a = A_eq[0] if A_eq else [0] * len(c)
+    target = res.value + _dot(b_ub, lam)  # = nu b_eq
+    pins = [Fraction(base[j]) / a[j] for j in range(len(c))
+            if j not in nonneg and a[j]]
+    if A_eq and b_eq[0]:
+        pins.append(Fraction(target) / b_eq[0])
+    nu = pins[0] if pins else Fraction(0)
+    assert all(p == nu for p in pins)
+    if not (A_eq and b_eq[0]):
+        assert target == 0
+    for j in range(len(c)):
+        reduced = base[j] - nu * a[j]
+        assert reduced >= 0 if j in nonneg else reduced == 0, j
+
+
+def _dot(row, x):
+    return sum(a * v for a, v in zip(row, x))
+
+
+def _random_ub_lp(seed):
+    """A small boxed LP with random rows and sign restrictions."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 6)
+    A = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+    b = [Fraction(rng.randint(-2, 6)) for _ in range(m)]
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    for j in range(n):
+        A += [_unit(n, j, -1), _unit(n, j, 1)]
+        b += [Fraction(10), Fraction(10)]
+    return dict(c=c, A_ub=A, b_ub=b,
+                nonneg=[j for j in range(n) if rng.random() < 0.5])
+
+
+def _random_eq_lp(seed):
+    """A small boxed LP with one feasible equality row."""
+    rng = random.Random(1000 + seed)
+    n = rng.randint(2, 4)
+    A_eq = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]]
+    x_feas = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+    A_ub, b_ub = [], []
+    for j in range(n):
+        A_ub += [_unit(n, j, -1), _unit(n, j, 1)]
+        b_ub += [Fraction(6), Fraction(6)]
+    return dict(c=[Fraction(rng.randint(-3, 3)) for _ in range(n)],
+                A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[_dot(A_eq[0], x_feas)],
+                nonneg=[j for j in range(n) if rng.random() < 0.5])
+
+
+def _unit(n, j, sign):
+    return [Fraction(sign if k == j else 0) for k in range(n)]
+
+
+def test_certified_degenerate_vertex():
+    # 22 rows through the optimum (1/3, 1/3, 1/3) of three columns: far more
+    # tight rows than columns, and a multiplier on only some of them
+    rows, rhs = [], []
+    for a in itertools.product((1, 2, 3), repeat=3):
+        if len(set(a)) < 3 or a == (1, 2, 3):
+            rows.append(list(a))
+            rhs.append(Fraction(sum(a), 3))
+    lp = dict(c=[-1, -1, -1], A_ub=rows + [_unit(3, j, -1) for j in range(3)],
+              b_ub=rhs + [0, 0, 0])
+    res = solve_lp(**lp, exact=True)
+    assert res.route == "certified" and res.value == -1
+    assert res.x == [Fraction(1, 3)] * 3
+    tight = sum(_dot(row, res.x) == b
+                for row, b in zip(lp["A_ub"], lp["b_ub"]))
+    assert tight > 3
+    _check_exact_answer(lp, res)
+
+
+def test_certified_lineality():
+    # 1 <= x0 - x1 <= 20 (the upper row in thirteen scalings) and x2 in no
+    # row: the feasible set holds the lines along (1, 1, 0) and (0, 0, 1),
+    # so it has no vertex
+    lp = dict(c=[1, -1, 0],
+              A_ub=[[-1, 1, 0]] + [[k, -k, 0] for k in range(1, 14)],
+              b_ub=[-1] + [20 * k for k in range(1, 14)])
+    res = solve_lp(**lp, exact=True)
+    assert res.route == "certified" and res.value == 1
+    _check_exact_answer(lp, res)
+    # the same with x1 >= 0: a half-line along (1, 1, 0)
+    lp["nonneg"] = [1]
+    res = solve_lp(**lp, exact=True)
+    assert res.route == "certified" and res.value == 1
+    _check_exact_answer(lp, res)
+
+
+def _box_lp(n, **extra):
+    """-1 <= x_j <= 1 for n free columns, plus the given blocks."""
+    A_ub = [_unit(n, j, s) for j in range(n) for s in (1, -1)]
+    b_ub = [1] * (2 * n)
+    A_ub += extra.pop("A_ub", [])
+    b_ub += extra.pop("b_ub", [])
+    return dict(c=extra.pop("c", [1] * n), A_ub=A_ub, b_ub=b_ub, **extra)
+
+
+def test_certified_infeasible_by_farkas_vector():
+    # sum x >= 3n/2 + 1/3 is out of reach of the box
+    for eq in (False, True):
+        n = 6
+        bound = Fraction(3 * n, 2) + Fraction(1, 3)
+        block = dict(A_eq=[[1] * n], b_eq=[bound]) if eq \
+            else dict(A_ub=[[-1] * n], b_ub=[-bound])
+        lp = _box_lp(n, nonneg=[0, 2], **block)
+        res = solve_lp(**lp, exact=True)
+        assert (res.status, res.route) == (INFEASIBLE, "certified")
+        assert _tableau(lp).status == INFEASIBLE
+
+
+def test_certified_unbounded_by_ray():
+    # drop one upper bound and reward that column
+    n = 6
+    lp = _box_lp(n, c=[-Fraction(1, 3)] + [1] * (n - 1), nonneg=[3],
+                 A_eq=[[0, 1, 1, 0, 0, 0]], b_eq=[Fraction(1, 7)])
+    del lp["A_ub"][0], lp["b_ub"][0]
+    res = solve_lp(**lp, exact=True)
+    assert (res.status, res.route) == (UNBOUNDED, "certified")
+    assert _tableau(lp).status == UNBOUNDED
+
+
+def _exact_lps():
+    """Exact LPs above the certification threshold: optimal with an
+    equality row, infeasible and unbounded."""
+    n = 6
+    yield _box_lp(n, c=[Fraction(1, 3), -2, 1, 0, 1, 1], nonneg=[3],
+                  A_eq=[[0, 1, 1, 0, 0, 1]], b_eq=[Fraction(1, 7)])
+    yield _box_lp(n, A_ub=[[-1] * n], b_ub=[-Fraction(3 * n, 2)])
+    lp = _box_lp(n, c=[-1] + [1] * (n - 1))
+    del lp["A_ub"][0], lp["b_ub"][0]
+    yield lp
+
+
+@pytest.mark.parametrize("how", ["perturbed-x", "wrong-vertex",
+                                 INFEASIBLE, UNBOUNDED])
+def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
+    # whatever HiGHS says, the exact answer stands: a point off the
+    # optimum, the optimum of the negated objective, or a false status fails
+    # its certificate, and the tableau answers
+    real = linprog._scipy_linprog
+
+    def wrong(c, **kwargs):
+        res = real(c, **kwargs)
+        if how == "perturbed-x":  # off the optimum, every row looking loose
+            res.x = res.x + 1e-3
+            res.ineqlin.residual = res.ineqlin.residual + 1e-3
+            res.ineqlin.marginals = 0 * res.ineqlin.marginals
+        elif how == "wrong-vertex":
+            res = real(-c, **kwargs)
+        else:
+            res.status = {INFEASIBLE: 2, UNBOUNDED: 3}[how]
+        calls.append(how)
+        return res
+
+    for lp in _exact_lps():
+        assert (len(lp["A_ub"]) + len(lp.get("A_eq", []))) * len(lp["c"]) \
+            >= linprog.EXACT_HIGHS_CELLS
+        truth = _tableau(lp).status
+        if truth == how or how in ("perturbed-x", "wrong-vertex") \
+                and truth != OPTIMAL:
+            continue
+        calls = []
+        monkeypatch.setattr(linprog, "_scipy_linprog", wrong)
+        res = solve_lp(**lp, exact=True)
+        monkeypatch.undo()
+        assert calls and res.route == "tableau"
+        _check_exact_answer(lp, res)
+
+
+def test_huge_rationals_fall_back_to_tableau():
+    # 10**400 overflows a float but is a finite rational, so HiGHS never
+    # sees the LP; 10**-400 only underflows to 0, and the exact check still
+    # sees the true bound
+    res = solve_lp([1], A_ub=[[-1]], b_ub=[10 ** 400], exact=True)
+    assert res.status == OPTIMAL and res.x == [-10 ** 400]
+    lp = _box_lp(6, c=[Fraction(10 ** 400), 1, 1, 1, 1, 1])
+    res = solve_lp(**lp, exact=True)
+    assert res.route == "tableau" and res.value == -10 ** 400 - 5
+    lp = _box_lp(6)
+    lp["b_ub"][1] = Fraction(1, 10 ** 400)
+    res = solve_lp(**lp, exact=True)
+    assert res.route == "certified"
+    assert res.value == -Fraction(1, 10 ** 400) - 5
+
+
+def test_routes():
+    small = dict(c=[1], A_ub=[[-1]], b_ub=[5])
+    assert solve_lp(**small).route == "highs"
+    assert solve_lp(**small, exact=True).route == "tableau"
+    assert solve_lp(**_box_lp(6), exact=True).route == "certified"
+    assert solve_lp(**_box_lp(6)).route == "highs"
+
+
+def test_worst_leaf_of_floor_market_is_certified():
+    from condual.market import build_market
+    from condual.treelp import tree_lp
+
+    from conftest import drifted_binomial_spec
+
+    market = build_market(drifted_binomial_spec(3, floor=2))
+    assert market.exact
+    res = tree_lp(market).worst_leaf(True, 0)
+    assert res.route == "certified" and res.status == OPTIMAL

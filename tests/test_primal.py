@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
                              TabulatedUtility)
 
 from conftest import (binomial_spec, deterministic_spec, drift_spec,
-                      float_copy, two_period_spec)
+                      drifted_binomial_spec, float_copy, two_period_spec)
 
 LOG = LogUtility()
 SQRT = PowerUtility(0.5)
@@ -262,25 +261,6 @@ def test_free_lunch_verdict_matches_global_lp(monkeypatch):
     # both verdicts occur, and so do the shortcut and the LP
     assert any(verdicts) and not all(verdicts)
     assert 0 < skipped < len(verdicts)
-
-
-def drifted_binomial_spec(periods, floor=None):
-    """Binomial tree over the given number of periods: S_0 = 10, dS = +1 or
-    -1/2 w.p. 1/2 each, the box [-2, 2] at every node."""
-    nodes = [{"id": "n", "time": 0, "parent": None, "prob": 1,
-              "prices": [10]}]
-    frontier = [("n", Fraction(10))]
-    for t in range(1, periods + 1):
-        frontier = [(nid + tag, s + ds) for nid, s in frontier
-                    for tag, ds in (("u", 1), ("d", Fraction(-1, 2)))]
-        nodes += [{"id": nid, "time": t, "parent": nid[:-1], "prob": "1/2",
-                   "prices": [str(s)]} for nid, s in frontier]
-    spec = {"horizon": periods, "dimension": 1, "nodes": nodes,
-            "constraints": {"default": {"type": "box", "lower": [-2],
-                                        "upper": [2]}}}
-    if floor is not None:
-        spec["floor"] = floor
-    return spec
 
 
 def test_stalled_line_search_reports_iterations_run():
