@@ -1,7 +1,11 @@
 """Linear programming in float or exact-rational mode.
 
-Variables are free unless listed as nonnegative.  Float mode delegates to
-scipy's HiGHS backend, which takes the sign restrictions as variable bounds.
+Variables are free unless listed as nonnegative.  Float mode runs the HiGHS
+solver that scipy vendors (``scipy.optimize._highspy``) through its model
+API: one column-wise ``HighsLp`` per call, the sign restrictions as column
+bounds, with the options and the post-solve check of
+``scipy.optimize.linprog(method="highs")`` but without its per-call Python
+overhead.
 
 Exact mode answers from the rational data alone, by one of two routes.  An
 LP of fewer than :data:`EXACT_HIGHS_CELLS` cells (rows times columns) runs a
@@ -33,23 +37,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import linprog as _scipy_linprog
+
+try:
+    import scipy.optimize._highspy._core as _h
+except ImportError as exc:  # scipy < 1.15 ships no model API for HiGHS
+    raise ImportError("condual needs scipy>=1.15, whose "
+                      "scipy.optimize._highspy runs HiGHS") from exc
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 # Exact LPs of at least this many cells (rows times columns) are solved by
-# HiGHS and certified.  A HiGHS call through scipy costs about 2.5 ms
-# whatever the size.  Measured per LP on the exact LPs of the benchmark's
-# pricing and floor workloads (Xeon, one core, Python 3.11): at 8-21 cells
-# the tableau takes 0.7-2.6 ms against 2.9-3.3 ms certified, the two break
-# even at 30-36 cells (3.3-4.2 ms against 3.5 ms), and from 69 cells on the
-# certified route wins (7.0 against 5.3 ms at 69 cells, 46 against 6.0 ms
-# at 416).  The threshold sits just above the break-even band.
-EXACT_HIGHS_CELLS = 40
+# HiGHS and certified.  Measured per LP (best of three) on the exact LPs of
+# one pass of the benchmark's pricing and floor workloads (shared two-core
+# Xeon, Python 3.11, scipy 1.17): one HiGHS run costs about 1 ms, so the
+# certified route takes 1.0-1.4 ms up to 36 cells.  The tableau wins below
+# 16 cells (0.4 against 1.4 ms at 3 cells, 0.7 against 1.1 ms at 8, 1.0
+# against 1.1 ms at 15) and loses from 16 cells on (1.4 against 1.0 ms at
+# 16, 2.9 against 1.3 ms at 33, 8.7 against 2.7 ms at 69, 112 against
+# 5.4 ms at 416).  The host drifts by up to a factor of two between
+# repeats, but that order held in each of three.
+EXACT_HIGHS_CELLS = 16
 
 # on HiGHS's point, a row whose slack is at most this (relative to 1 + |b|)
 # counts as tight, a multiplier above it as positive, and a nonnegative
@@ -127,24 +139,104 @@ def _finite(block):
 
 
 def _highs(c, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs", options=None):
-    """One scipy HiGHS run on the float copy of the LP (raises
-    OverflowError when a rational does not fit in a float)."""
+    """One HiGHS run on the float copy of the LP (raises OverflowError when
+    a rational does not fit in a float)."""
     n = len(c)
-    bounds = [(None, None)] * n
-    for j in nonneg:
-        bounds[j] = (0, None)
 
-    def block(rows, rhs):
-        if not len(rows):
-            return None, None
-        return (np.asarray(rows, dtype=float).reshape(len(rows), n),
-                np.asarray(rhs, dtype=float))
+    def rows(block):
+        return np.asarray(block, dtype=float).reshape(len(block), n)
 
-    A_ub, b_ub = block(A_ub, b_ub)
-    A_eq, b_eq = block(A_eq, b_eq)
-    return _scipy_linprog(np.asarray(c, dtype=float), A_ub=A_ub, b_ub=b_ub,
-                          A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method,
-                          options=options)
+    return _scipy_linprog(np.asarray(c, dtype=float), A_ub=rows(A_ub),
+                          b_ub=np.asarray(b_ub, dtype=float), A_eq=rows(A_eq),
+                          b_eq=np.asarray(b_eq, dtype=float), nonneg=nonneg,
+                          method=method, options=options)
+
+
+# HiGHS model statuses in scipy.optimize.linprog's codes: 0 optimal, 2
+# infeasible, 3 unbounded.  Every other status, kUnboundedOrInfeasible
+# among them, reads 4 (undecided), so that the float ladder moves on
+_STATUS = {_h.HighsModelStatus.kOptimal: 0,
+           _h.HighsModelStatus.kInfeasible: 2,
+           _h.HighsModelStatus.kUnbounded: 3}
+# the options linprog sets on every run, besides presolve and the solver
+_OPTIONS = (("output_flag", False), ("log_to_console", False),
+            ("simplex_strategy",
+             _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+            ("highs_debug_level", _h.HighsDebugLevel.kHighsDebugLevelNone))
+# scipy's post-solve check: an optimal point must meet every bound and row
+# to within 10 sqrt(tol) for its default tol = 1e-9
+_CHECK_TOL = 10 * math.sqrt(1e-9)
+
+
+def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs",
+                   options=None):
+    """min c @ x subject to A_ub x <= b_ub, A_eq x = b_eq and x_j >= 0 for
+    j in nonneg, all float arrays, by one fresh HiGHS solver with the
+    options scipy.optimize.linprog sets for ``method`` ("highs" or
+    "highs-ds") and ``options`` (None or {"presolve": False}).
+
+    The result holds the fields of linprog's that condual reads:
+    ``status`` (0, 2, 3 or 4) and, when 0, ``x``, ``fun``,
+    ``ineqlin.residual`` and the ``marginals`` of ``ineqlin``, ``eqlin``
+    and ``lower``.  An optimal point that holds a nan or misses a bound or
+    row by more than ``_CHECK_TOL`` reads 4, as in linprog.
+    """
+    n, m_ub = len(c), len(b_ub)
+    lower = np.full(n, -np.inf)
+    lower[list(nonneg)] = 0.0
+    A = np.vstack((A_ub, A_eq)).T  # column j of the LP is row j of A
+    nz = A != 0
+    lp = _h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(A_ub) + len(A_eq)
+    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nz.sum(axis=1))))
+    lp.a_matrix_.index_ = np.nonzero(nz)[1]
+    lp.a_matrix_.value_ = A[nz]
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(n, np.inf)
+    rhs = np.concatenate((b_ub, b_eq))
+    lp.row_lower_ = np.concatenate((np.full(m_ub, -np.inf), b_eq))
+    lp.row_upper_ = rhs
+
+    highs = _h._Highs()
+    for name, value in _OPTIONS:
+        highs.setOptionValue(name, value)
+    presolve = (options or {}).get("presolve", True)
+    highs.setOptionValue("presolve", "on" if presolve else "off")
+    if method == "highs-ds":
+        highs.setOptionValue("solver", "simplex")
+    # a model HiGHS refuses (a matrix entry of 1e21, say) is undecided too,
+    # where linprog reports it infeasible
+    if highs.passModel(lp) == _h.HighsStatus.kError \
+            or highs.run() == _h.HighsStatus.kError:
+        return SimpleNamespace(status=4)
+    status = _STATUS.get(highs.getModelStatus(), 4)
+    if status != 0:
+        return SimpleNamespace(status=status)
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - solution.row_value  # b_ub - A_ub x, then b_eq - A_eq x
+    fun = highs.getInfo().objective_function_value
+    row_dual = np.array(solution.row_dual)
+    # a column's dual is its bound multiplier where it sits at its lower
+    # bound, and 0 otherwise
+    at_lower = np.array(highs.getBasis().col_status, dtype=np.int8) \
+        == int(_h.HighsBasisStatus.kLower)
+    if np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() \
+            or (x < lower - _CHECK_TOL).any() \
+            or (slack[:m_ub] < -_CHECK_TOL).any() \
+            or (np.abs(slack[m_ub:]) > _CHECK_TOL).any():
+        status = 4
+    return SimpleNamespace(
+        status=status, x=x, fun=fun,
+        ineqlin=SimpleNamespace(residual=slack[:m_ub],
+                                marginals=row_dual[:m_ub]),
+        eqlin=SimpleNamespace(marginals=row_dual[m_ub:]),
+        lower=SimpleNamespace(
+            marginals=np.where(at_lower, solution.col_dual, 0.0)))
 
 
 def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):

@@ -1,10 +1,11 @@
-"""Exact simplex vs scipy cross-checks, the certified exact route, and
-input validation."""
+"""Exact simplex vs scipy cross-checks, the certified exact route, input
+validation, and the HiGHS model API against scipy.optimize.linprog."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,3 +439,185 @@ def test_worst_leaf_of_floor_market_is_certified():
     assert market.exact
     res = tree_lp(market).worst_leaf(True, 0)
     assert res.route == "certified" and res.status == OPTIMAL
+
+
+# -- HiGHS through its model API against scipy.optimize.linprog -------------
+
+RUNGS = [("highs", None), ("highs-ds", None), ("highs", {"presolve": False})]
+RUNG_IDS = ["highs", "highs-ds", "presolve-off"]
+
+
+def _random_float_lp(seed):
+    """A random float LP with A_ub rows only, A_ub and A_eq rows, or A_eq
+    rows only (by seed mod 3).  Some rows are all zero, a random subset of
+    the columns is nonnegative, and most A_ub LPs get a box, so that the
+    seeds give optimal, infeasible and unbounded LPs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    m_ub = 0 if seed % 3 == 2 else int(rng.integers(1, 6))
+    m_eq = 0 if seed % 3 == 0 else int(rng.integers(1, 3))
+    A_ub = rng.uniform(-2, 2, (m_ub, n)) * (rng.random((m_ub, n)) < 0.8)
+    A_ub[rng.random(m_ub) < 0.2] = 0
+    b_ub = rng.uniform(-1, 3, m_ub)
+    if m_ub and rng.random() < 0.7:
+        A_ub = np.vstack((A_ub, np.eye(n), -np.eye(n)))
+        b_ub = np.concatenate((b_ub, np.full(2 * n, 5.0)))
+    A_eq = rng.uniform(-2, 2, (m_eq, n))
+    A_eq[rng.random(m_eq) < 0.2] = 0
+    b_eq = A_eq @ rng.uniform(0, 1, n)
+    return dict(c=rng.uniform(-1, 1, n), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                b_eq=b_eq, nonneg=[j for j in range(n) if rng.random() < 0.5])
+
+
+def _both(lp, method, options):
+    """The LP run by linprog._scipy_linprog, and by scipy.optimize.linprog
+    called the way condual called it before it ran HiGHS itself."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    c, nonneg = lp["c"], lp["nonneg"]
+    ours = linprog._scipy_linprog(
+        c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+        b_eq=lp["b_eq"], nonneg=nonneg, method=method, options=options)
+    bounds = [(0, None) if j in nonneg else (None, None)
+              for j in range(len(c))]
+
+    def block(name):
+        return lp[name] if len(lp[name]) else None
+
+    ref = scipy_linprog(c, A_ub=block("A_ub"), b_ub=block("b_ub"),
+                        A_eq=block("A_eq"), b_eq=block("b_eq"), bounds=bounds,
+                        method=method, options=options)
+    return ours, ref
+
+
+@pytest.mark.parametrize("method,options", RUNGS, ids=RUNG_IDS)
+def test_model_api_matches_scipy_linprog(method, options):
+    statuses = []
+    for seed in range(90):
+        ours, ref = _both(_random_float_lp(seed), method, options)
+        assert ours.status == ref.status, seed
+        statuses.append(ours.status)
+        if ours.status != 0:
+            continue
+        for a, b in ((ours.x, ref.x), (ours.fun, ref.fun),
+                     (ours.ineqlin.marginals, ref.ineqlin.marginals),
+                     (ours.ineqlin.residual, ref.ineqlin.residual),
+                     (ours.eqlin.marginals, ref.eqlin.marginals),
+                     (ours.lower.marginals, ref.lower.marginals)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12,
+                                       err_msg=str(seed))
+    assert {0, 2, 3} <= set(statuses)
+
+
+@pytest.mark.parametrize("method,options", RUNGS, ids=RUNG_IDS)
+def test_model_api_verdicts(method, options):
+    # x0 <= -1 and x0 >= 1 contradict each other; nothing bounds x1 from
+    # below while the objective rewards decreasing it
+    empty = np.zeros((0, 2))
+    infeasible = dict(c=np.array([1.0, 1.0]),
+                      A_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                      b_ub=np.array([-1.0, -1.0]), A_eq=empty,
+                      b_eq=np.zeros(0), nonneg=[1])
+    unbounded = dict(c=np.array([0.0, 1.0]), A_ub=np.array([[1.0, 1.0]]),
+                     b_ub=np.array([1.0]), A_eq=np.array([[1.0, 0.0]]),
+                     b_eq=np.array([0.5]), nonneg=[0])
+    for lp, status in ((infeasible, 2), (unbounded, 3)):
+        ours, ref = _both(lp, method, options)
+        assert ours.status == ref.status == status
+
+
+def _edited_solutions(monkeypatch, edit, times):
+    """Make linprog's HiGHS pass its first ``times`` solutions through
+    ``edit`` (which changes a HighsSolution in place)."""
+    real = linprog._h._Highs
+    left = [times]
+
+    class Highs:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getSolution(self):
+            solution = self._highs.getSolution()
+            if left[0]:
+                left[0] -= 1
+                edit(solution)
+            return solution
+
+    core = SimpleNamespace(**{**vars(linprog._h), "_Highs": Highs})
+    monkeypatch.setattr(linprog, "_h", core)
+
+
+def _shift_row(i, by):
+    def edit(solution):
+        values = list(solution.row_value)
+        values[i] += by
+        solution.row_value = values
+    return edit
+
+
+def _set_x0(value):
+    def edit(solution):
+        solution.col_value = [value, *solution.col_value[1:]]
+    return edit
+
+
+# max x0 + x1 with x0 + x1 <= 1 (row 0) and x0 = x1 (row 1), both
+# nonnegative: optimal at (1/2, 1/2), where row 0 is tight
+GUARDED = dict(c=[-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+               A_eq=[[1.0, -1.0]], b_eq=[0.0], nonneg=(0, 1))
+NEAR = 0.95 * linprog._CHECK_TOL
+
+
+@pytest.mark.parametrize("edit,status", [
+    (_shift_row(0, 1e-3), 4), (_shift_row(1, 1e-3), 4),
+    (_shift_row(1, -1e-3), 4), (_set_x0(-1e-3), 4), (_set_x0(math.nan), 4),
+    (_shift_row(0, -1e-3), 0), (_shift_row(0, NEAR), 0),
+    (_shift_row(1, NEAR), 0), (_shift_row(1, -NEAR), 0), (_set_x0(-NEAR), 0)],
+    ids=["ub-row-missed", "eq-row-missed-above", "eq-row-missed-below",
+         "bound-missed", "nan", "ub-row-loose", "ub-row-near",
+         "eq-row-near-above", "eq-row-near-below", "bound-near"])
+def test_post_solve_guard(monkeypatch, edit, status):
+    # an optimal HiGHS status stands only for a point without nan that
+    # meets every bound and row to within 10 sqrt(1e-9); otherwise the run
+    # is undecided and the float ladder moves on to its next rung
+    assert linprog._CHECK_TOL == pytest.approx(3.162e-4, rel=1e-3)
+    _edited_solutions(monkeypatch, edit, times=1)
+    real, attempts = linprog._scipy_linprog, []
+
+    def recorded(c, **kwargs):
+        res = real(c, **kwargs)
+        attempts.append((kwargs["method"], kwargs["options"], res.status))
+        return res
+
+    monkeypatch.setattr(linprog, "_scipy_linprog", recorded)
+    res = solve_lp(**GUARDED)
+    assert attempts[0] == ("highs", None, status)
+    if status == 4:
+        assert attempts[1] == ("highs-ds", None, 0)
+    assert len(attempts) == (2 if status == 4 else 1)
+    assert (res.status, res.route) == (OPTIMAL, "highs")
+    assert res.value == pytest.approx(-1, abs=1e-12)
+
+
+def test_model_error_is_undecided():
+    # HiGHS refuses a matrix entry of 1e21 as a model error, which
+    # scipy.optimize.linprog reports as infeasible; here it is undecided,
+    # and the exact simplex finds the optimum x = -1e-21
+    lp = dict(c=[1.0], A_ub=[[-1e21]], b_ub=[1.0])
+    assert linprog._highs(**lp, A_eq=[], b_eq=[], nonneg=[]).status == 4
+    res = solve_lp(**lp)
+    assert (res.status, res.route, res.x) == (OPTIMAL, "tableau", [-1e-21])
+
+
+def test_missing_highs_model_api_names_the_scipy_floor(monkeypatch):
+    import importlib.util
+    import sys
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    spec = importlib.util.spec_from_file_location("linprog_without_highs",
+                                                  linprog.__file__)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
