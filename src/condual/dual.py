@@ -36,6 +36,14 @@ from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
 from .utility import (PiecewiseLinearUtility, UtilityFunction, conjugate,
                       conjugate_marginal)
 
+# Newton steps the smooth dual's interior-point solve may take before it
+# counts as no answer.  The solves measured stop within 27 steps: the
+# benchmark's utility-float duals (seeds 1-10), random_market up to four
+# periods, the drifted binomial up to T = 7, and with floors up to T = 4
+NEWTON_MAX_STEPS = 100
+# the scaled residuals and mean complementarity at which it stops
+NEWTON_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DualMeasure:
@@ -380,27 +388,28 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
 
     * a piecewise-linear utility (knots or a table) takes its primal's
       epigraph LP (TreeLP.epigraph) with x free and priced at y;
-    * any other conjugate (power, log) is smooth, and the dual is one SQP
-      solve over the lifted (q, mu) polytope of TreeLP.lifted, started
-      from the strictly positive face point of TreeLP.max_margin; when the
-      solve finds no answer, that face point itself is reported.  When the
-      face has no strictly positive point (margin at or below MARGIN_TOL),
-      some leaf has no mass under every face measure, and since V(0) =
-      sup U = +inf the value is +inf, with no SQP solve.
+    * any other conjugate (power, log) is smooth, and the dual is one
+      primal-dual interior-point Newton solve over the lifted (q, mu)
+      polytope of TreeLP.lifted, started from the strictly positive face
+      point of TreeLP.max_margin; when the solve finds no answer, that
+      face point itself is reported.  When the face has no strictly
+      positive point (margin at or below MARGIN_TOL), some leaf has no
+      mass under every face measure, and since V(0) = sup U = +inf the
+      value is +inf, with no Newton solve.
 
     The reported value is always the dual objective evaluated at the
     reported measure.  ``gap`` is its distance to a bound on the dual value:
     on the LP route the LP optimum (in absolute value, since the optimum is
-    the dual value itself), on the SQP route the lower bound given by the
+    the dual value itself), on the Newton route the lower bound given by the
     minimum of the partial linearization at the reported measure (the
     first-order minorant of E[V] plus the exact support penalty), which is
     +inf at a point where V or its slope is infinite.  ``attained`` means the value is
     finite and the gap is within max(tol, 1e-6 * max(1, |value|)).
-    ``iterations`` counts SQP iterations over all restarts, and is 0 on the
-    LP route.  An empty finite-alpha face, a face of zero margin on the SQP
-    route and an unbounded epigraph LP give +inf, and an empty admissible
-    class -inf, each without a measure, with gap +inf, ``attained`` False
-    and 0 iterations.
+    ``iterations`` counts Newton steps (NEWTON_MAX_STEPS when the solve
+    stops at that cap), and is 0 on the LP route.  An empty finite-alpha
+    face, a face of zero margin on the Newton route and an unbounded
+    epigraph LP give +inf, and an empty admissible class -inf, each
+    without a measure, with gap +inf, ``attained`` False and 0 iterations.
     """
     if not is_finite(y) or y <= 0:
         raise ValueError(f"the dual is solved for finite y > 0, got y = {y}")
@@ -437,70 +446,93 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
 
 
 def _lifted_smooth_solve(market, utility, y, q0):
-    """SQP solve of min E[V(y q/p)] + y b . mu over the lifted polytope.
+    """Interior-point solve of min E[V(y q/p)] + y b . mu over the lifted
+    polytope {E w = e, w = (q, mu) >= 0} of TreeLP.lifted.
 
     For fixed q the inner minimum over mu >= 0 of b . mu subject to
     A^T mu = L^T q is exactly the support penalty, so this program equals
     the dual restricted to the finite face, with the nonsmoothness traded
-    for multiplier variables.  Smooth conjugates only.  Returns (q, SLSQP
-    iterations over all restarts); q is None when there is no answer.
-    """
-    from scipy.optimize import minimize
+    for multiplier variables.  Smooth conjugates only.
 
+    Mehrotra's predictor-corrector primal-dual method (Mehrotra, SIAM J.
+    Optim. 2, 1992), started infeasible from w = (q0, 1), slacks s = 1 and
+    row multipliers 0.  Each Newton step eliminates dw and ds and solves
+    the dense Schur system (E D^-1 E^T) dlam = r of 1 + n_h rows, with the
+    diagonal D = diag(y^2 V''(y q/p) / p, 0) + s/w, once for the predictor
+    and once for the corrector (centring sigma = (mu_aff/mu)^3), each cut
+    by _step_length.  It stops when the primal residual (relative to 1 +
+    the largest row of |E| w), the dual residual (relative to 1 + the
+    largest gradient entry) and the mean complementarity w . s / len(w)
+    are all at most NEWTON_TOL.  Returns (q, Newton steps); q is None when
+    there is no answer: a singular Schur system, a non-finite residual,
+    NEWTON_MAX_STEPS steps without convergence, or a q whose mass is not 1.
+    """
     lp = tree_lp(market)
     E, e, _ = lp.lifted(False)
-    A, bf, L, _, _, probs = lp.rows(False)
-    n, n_mu = len(probs), len(bf)
-
-    # feasible multipliers for the starting measure
-    target = L.T @ q0
-    if n_mu:
-        res = solve_lp(bf, A_eq=A.T, b_eq=target, nonneg=range(n_mu))
-        if res.status != OPTIMAL:
-            return None, 0
-        mu0 = np.asarray(res.x)
-    else:
-        if np.abs(target).max(initial=0.0) > 1e-9:
-            return None, 0
-        mu0 = np.zeros(0)
-
-    floor_z = 1e-14
-
-    def fun(z):
-        q, mu = z[:n], z[n:]
-        dens = y * np.maximum(q, floor_z) / probs
-        vvals = np.asarray([conjugate(utility, d) for d in dens])
-        if not np.isfinite(vvals).all():
-            return 1e50
-        return float(probs @ vvals) + float(y) * float(bf @ mu)
-
-    def jac(z):
-        q, mu = z[:n], z[n:]
-        dens = y * np.maximum(q, floor_z) / probs
-        vp = np.asarray([conjugate_marginal(utility, max(d, floor_z))[1]
-                         for d in dens])
-        return np.concatenate([y * vp, y * bf])
-
-    # SLSQP often stops on a failed line search short of ftol, where the
-    # minorant gap (and so `attained`) turns on rounding noise; restarting
-    # from its last point while the objective still falls settles it
-    z = np.concatenate([q0, mu0])
-    best = fun(z)
-    iterations = 0
-    for _ in range(8):
-        result = minimize(fun, z, jac=jac, method="SLSQP",
-                          bounds=[(0.0, None)] * (n + n_mu),
-                          constraints=[{"type": "eq", "fun": lambda w: E @ w - e,
-                                        "jac": lambda w: E}],
-                          options={"maxiter": 300, "ftol": 1e-14})
-        iterations += result.nit
-        if not result.fun < best:
+    e = np.asarray(e, dtype=float)
+    _, b, _, _, _, probs = lp.rows(False)
+    n, y = len(probs), float(y)
+    w = np.concatenate([q0, np.ones(len(b))])
+    s = np.ones_like(w)
+    lam = np.zeros(len(E))
+    abs_E = np.abs(E)
+    steps = 0
+    while True:
+        d1, d2 = utility.conjugate_derivatives(y * w[:n] / probs)
+        grad = np.concatenate([y * d1, y * b])
+        r_p = E @ w - e
+        r_d = grad - E.T @ lam - s
+        mean = w @ s / len(w)
+        err = np.max([np.abs(r_p).max() / (1.0 + (abs_E @ w).max()),
+                      np.abs(r_d).max() / (1.0 + np.abs(grad).max()), mean])
+        if err <= NEWTON_TOL:
             break
-        z, best = result.x, result.fun
-    q = np.clip(z[:n], 0.0, None)
+        if steps == NEWTON_MAX_STEPS or not np.isfinite(err):
+            return None, steps
+        hess = np.concatenate([y * y * d2 / probs, np.zeros_like(b)])
+        d_inv = 1.0 / (hess + s / w)
+        schur = (E * d_inv) @ E.T
+
+        def direction(r_c):
+            # H dw - E^T dlam - ds = -r_d, E dw = -r_p, s dw + w ds = r_c
+            t = d_inv * (r_c / w - r_d)
+            dlam = np.linalg.solve(schur, -r_p - E @ t)
+            dw = t + d_inv * (E.T @ dlam)
+            return dw, dlam, (r_c - s * dw) / w
+
+        try:
+            dw, _, ds = direction(-w * s)
+            a = _step_length(n, w, dw, s, ds)
+            sigma = ((w + a * dw) @ (s + a * ds) / len(w) / mean) ** 3
+            dw, dlam, ds = direction(sigma * mean - w * s - dw * ds)
+        except np.linalg.LinAlgError:
+            return None, steps
+        a = _step_length(n, w, dw, s, ds)
+        w, s, lam = w + a * dw, s + a * ds, lam + a * dlam
+        steps += 1
+    q = w[:n]
     if abs(q.sum() - 1.0) > 1e-6:
-        return None, iterations
-    return q, iterations
+        return None, steps
+    return q, steps
+
+
+def _step_length(n, w, dw, s, ds):
+    """The longest step along (dw, ds), at most 1, that goes at most half
+    of the way to q = 0 for the leaf masses q = w[:n], and at most 0.995 of
+    the way to the boundary for the multipliers w[n:] and the slacks s.
+
+    V'' grows without bound as q falls to 0 (as 1/q^2 for log, 1/q^3 for
+    power(1/2)), so the quadratic model at q overrates a step that takes q
+    far toward 0; with the 0.995 rule on q too, Newton steps on the
+    benchmark's power duals at y = 2 cycle between q near 0 and q beyond
+    the optimum until the step cap.
+    """
+    def room(v, dv):
+        down = dv < 0
+        return (-v[down] / dv[down]).min(initial=np.inf)
+
+    return min(1.0, 0.5 * room(w[:n], dw[:n]),
+               0.995 * min(room(w[n:], dw[n:]), room(s, ds)))
 
 
 def _epigraph_dual(market, utility, y):

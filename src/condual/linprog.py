@@ -63,6 +63,9 @@ UNBOUNDED = "unbounded"
 # repeats, but that order held in each of three.
 EXACT_HIGHS_CELLS = 16
 
+# HiGHS reads every number of this magnitude or more as infinite
+HIGHS_INF = 1e20
+
 # on HiGHS's point, a row whose slack is at most this (relative to 1 + |b|)
 # counts as tight, a multiplier above it as positive, and a nonnegative
 # column above it as basic
@@ -95,6 +98,10 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False, *,
     Rows may be sequences or 2-d numpy arrays.  Malformed input (a row or
     offset block of the wrong length, a nan or infinite entry, a column
     index out of range) raises ValueError naming the block, in both modes.
+
+    In float mode, an LP with a finite entry of magnitude HIGHS_INF (1e20)
+    or more, which HiGHS would read as infinite, is solved by the exact
+    tableau alone (route "tableau").
     """
     n = len(c)
     A_ub = [] if A_ub is None else A_ub
@@ -242,11 +249,13 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs",
 def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     # degenerate instances occasionally leave a HiGHS backend undecided;
     # walk the ladder, then settle the question in exact arithmetic
-    # (floats convert to rationals exactly, so the answer is definitive)
+    # (floats convert to rationals exactly, so the answer is definitive).
+    # An LP holding a number HiGHS reads as infinite skips the ladder
+    data = _highs_data(c, A_ub, b_ub, A_eq, b_eq)
     attempts = [("highs", None), ("highs-ds", None),
-                ("highs", {"presolve": False})]
+                ("highs", {"presolve": False})] if data is not None else []
     for method, options in attempts:
-        res = _highs(c, A_ub, b_ub, A_eq, b_eq, nonneg, method, options)
+        res = _highs(*data, nonneg, method, options)
         if res.status == 0:
             return LPResult(OPTIMAL, list(map(float, res.x)), float(res.fun),
                             [-float(v) for v in res.ineqlin.marginals],
@@ -261,6 +270,18 @@ def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
                         float(exact.value), [float(v) for v in exact.duals],
                         "tableau")
     return exact
+
+
+def _highs_data(*blocks):
+    """The blocks as float arrays; None when some entry has magnitude
+    HIGHS_INF or more, or does not fit in a float."""
+    try:
+        data = [np.asarray(block, dtype=float) for block in blocks]
+    except OverflowError:
+        return None
+    if any(np.abs(block).max(initial=0.0) >= HIGHS_INF for block in data):
+        return None
+    return data
 
 
 def _certified(c, A_ub, b_ub, A_eq, b_eq, nonneg):

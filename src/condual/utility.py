@@ -91,6 +91,11 @@ class PowerUtility(UtilityFunction):
         d = -float(y) ** (1.0 / (self.p - 1.0))
         return d, d
 
+    def conjugate_derivatives(self, z):
+        """(V'(z), V''(z)) elementwise on a float array z > 0."""
+        d1 = -z ** (1.0 / (self.p - 1.0))
+        return d1, d1 / ((self.p - 1.0) * z)
+
     def sup_value(self):
         return INF
 
@@ -121,6 +126,10 @@ class LogUtility(UtilityFunction):
     def conjugate_marginal(self, y):
         d = -1.0 / float(y)
         return d, d
+
+    def conjugate_derivatives(self, z):
+        """(V'(z), V''(z)) elementwise on a float array z > 0."""
+        return -1.0 / z, 1.0 / (z * z)
 
     def sup_value(self):
         return INF

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from condual import dual
 from condual.dual import (
     DualMeasure,
     _face_interior_point,
@@ -25,7 +26,8 @@ from condual.scalars import INF, NEG_INF, scale_extended
 from condual.treelp import MARGIN_TOL, tree_lp
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 
-from conftest import binomial_spec, drift_spec, two_period_spec
+from conftest import (binomial_spec, drift_spec, drifted_binomial_spec,
+                      two_period_spec)
 
 F = Fraction
 LOG = LogUtility()
@@ -194,11 +196,44 @@ def test_dual_random_sweep(seed, name, utility, y):
 
 
 def test_dual_log_attained_on_thirteen_leaf_market():
-    # a T = 3 face with many free directions: one SQP solve closes the
+    # a T = 3 face with many free directions: one Newton solve closes the
     # minorant gap
     market = random_market(random.Random(6), max_periods=3)
     sol = solve_dual(market, LOG, 0.5)
     assert sol.attained
+
+
+def test_dual_power_attained_on_thirteen_leaf_market():
+    # the same face under power(1/2), where a first-order solve stops at a
+    # minorant gap between 5e-7 and 2.4e-6, depending on rounding
+    market = random_market(random.Random(6), max_periods=3)
+    sol = solve_dual(market, PowerUtility(0.5), 1.5)
+    assert sol.attained and sol.gap <= 1e-9
+
+
+def test_dual_power_attained_on_drifted_binomial_t7():
+    # 128 leaves and 254 multipliers: a first-order solve stops at a
+    # minorant gap of 8e-6
+    market = build_market(drifted_binomial_spec(7))
+    sol = solve_dual(market, PowerUtility(0.5), 1.0)
+    assert sol.attained and sol.gap <= 1e-9
+
+
+def test_newton_step_cap_reports_the_face_point(monkeypatch):
+    # a solve cut at its step cap has no answer: the face point q0 is
+    # reported with its finite value, and its gap decides `attained`
+    monkeypatch.setattr(dual, "NEWTON_MAX_STEPS", 1)
+    market = random_market(random.Random(6), max_periods=3)
+    q0 = tuple(_face_interior_point(market)[0])
+    for utility in (LOG, PowerUtility(0.5)):
+        sol = solve_dual(market, utility, 1.5)
+        assert sol.iterations == 1
+        assert sol.value == dual_objective(market, utility, 1.5, q0)
+        assert math.isfinite(sol.value)
+        assert sol.measure.weights == pytest.approx([1.5 * q for q in q0])
+        assert sol.attained == (
+            sol.gap <= max(1e-8, 1e-6 * max(1.0, abs(sol.value))))
+        assert not sol.attained
 
 
 def test_dual_rejects_nonpositive_y(b1):
@@ -464,9 +499,7 @@ ZERO_MARGIN_SEEDS = (5, 7, 10, 16, 17, 19, 20, 26, 29, 30, 34, 35, 37, 38)
 def test_zero_margin_face_is_plus_infinity(monkeypatch):
     # a face whose max-margin measure leaves a leaf without mass has that
     # leaf empty under every face measure (the face is convex), so
-    # E[V(y dQ/dP)] = +inf: one LP decides it, with no SQP solve
-    import scipy.optimize
-
+    # E[V(y dQ/dP)] = +inf: one LP decides it, with no Newton solve
     from condual import linprog
 
     markets = [random_market(random.Random(s), max_periods=3)
@@ -477,10 +510,10 @@ def test_zero_margin_face_is_plus_infinity(monkeypatch):
                         lambda *a: solves.append(a) or solve_float(*a))
     monkeypatch.setattr(linprog, "_simplex_exact", None)
 
-    def no_minimize(*_, **__):
-        raise AssertionError("minimize called on a zero-margin face")
+    def no_newton(*_, **__):
+        raise AssertionError("Newton solve on a zero-margin face")
 
-    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+    monkeypatch.setattr(dual, "_lifted_smooth_solve", no_newton)
     for seed, market in zip(ZERO_MARGIN_SEEDS, markets):
         assert market.floor is None
         assert tree_lp(market).max_margin()[1] <= MARGIN_TOL

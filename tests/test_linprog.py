@@ -612,6 +612,17 @@ def test_model_error_is_undecided():
     assert (res.status, res.route, res.x) == (OPTIMAL, "tableau", [-1e-21])
 
 
+def test_number_highs_reads_as_infinite_skips_the_ladder(monkeypatch):
+    # HiGHS reads a bound of 1e20 or more as infinite and would call this
+    # LP unbounded; x = 1e21 is optimal, and the exact rung alone finds it
+    def no_highs(*_, **__):
+        raise AssertionError("HiGHS run on an LP it reads as infinite")
+
+    monkeypatch.setattr(linprog, "_scipy_linprog", no_highs)
+    res = solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1e21])
+    assert (res.status, res.route, res.x) == (OPTIMAL, "tableau", [1e21])
+
+
 def test_missing_highs_model_api_names_the_scipy_floor(monkeypatch):
     import importlib.util
     import sys

@@ -130,6 +130,22 @@ def test_inverse_marginal_rejects_nonsmooth():
         inverse_marginal(KINKED, 1.0)
 
 
+@pytest.mark.parametrize(
+    "u", [LOG, PowerUtility(0.2), SQRT, PowerUtility(0.8)],
+    ids=["log", "power0.2", "power0.5", "power0.8"])
+def test_conjugate_derivatives_on_an_array(u):
+    # V' is the scalar conjugate_marginal, and V'' a central difference of
+    # V' at h = 1e-6 z, on a log-spaced grid
+    z = np.logspace(-3, 3, 61)
+    d1, d2 = u.conjugate_derivatives(z)
+    assert d1 == pytest.approx([conjugate_marginal(u, v)[0] for v in z],
+                               rel=1e-14)
+    h = 1e-6 * z
+    slope = (u.conjugate_derivatives(z + h)[0]
+             - u.conjugate_derivatives(z - h)[0]) / (2 * h)
+    assert d2 == pytest.approx(slope, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # growth conditions
 
