@@ -13,6 +13,7 @@ all market-file numbers (floats included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -305,7 +306,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args reads it
+    without changing it, and fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="condual",
         description="Constrained utility-maximization duality on event trees")

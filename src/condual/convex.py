@@ -24,6 +24,10 @@ from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .scalars import INF, NEG_INF, all_exact, is_exact
 
 _ABS_TOL = 1e-10
+# a float set is empty only when it stays empty with every halfspace row
+# relaxed by this much: the primal feasibility tolerance of HiGHS, whose LP
+# decided emptiness before the closed form did
+_FEAS_TOL = 1e-7
 
 
 def _dot(u, v):
@@ -60,9 +64,11 @@ class ConvexSet:
 
         Here, the clip to :meth:`box_bounds`; the other variants override
         it.  The float data it needs (bounds, the halfspace rows and a
-        feasible start) is built on the first call and kept on the set, so
-        a polyhedron or an intersection solves its center LP at most once
-        however often it is projected onto.
+        feasible start) is built on the first call and kept on the set.  A
+        one-dimensional polyhedron or polyhedral intersection is its own
+        box, so its projection is this clip and solves no LP; in higher
+        dimensions such a set solves its center LP at most once, however
+        often it is projected onto.
         """
         lo, hi = self.box_bounds()
         # np.clip's values at half its per-call cost on these short vectors
@@ -85,6 +91,15 @@ class ConvexSet:
             value = build()
             object.__setattr__(self, key, value)
         return value
+
+    def _ends(self):
+        """(lo, hi) of a one-dimensional set with a halfspace form, from
+        :func:`halfspace_interval` in the set's own arithmetic (None when
+        empty), kept on the set; () for any other set."""
+        def build():
+            hs = self.halfspaces() if self.dim == 1 else None
+            return () if hs is None else halfspace_interval(*hs, self.exact)
+        return self._memo("_interval", build)
 
     def center(self):
         """Some canonical member of the set (used as witness/start point)."""
@@ -199,6 +214,45 @@ def _unit(dim, i, sign):
     return tuple(row)
 
 
+def halfspace_interval(A, b, exact):
+    """(lo, hi) of the one-dimensional set {h : a h <= b_a for each row
+    (a,) of A}, +-inf where unbounded, or None when the set is empty.
+
+    Exact rows are read in Fractions and decided with no tolerance.  Float
+    rows are read in floats, and the set is empty only when it stays empty
+    with every row relaxed by _FEAS_TOL; a float interval that is empty
+    unrelaxed but not relaxed (lo > hi) collapses to its midpoint.
+    """
+    num, tol = (Fraction, 0) if exact else (float, _FEAS_TOL)
+    lo, hi = [NEG_INF, NEG_INF], [INF, INF]  # [bound, relaxed bound]
+    for (a,), bound in zip(A, b):
+        if a == 0:
+            if bound < -tol:
+                return None
+            continue
+        a, bound = num(a), num(bound)
+        ends = (bound / a, (bound + tol) / a)
+        if a > 0:
+            hi = [min(v, e) for v, e in zip(hi, ends)]
+        else:
+            lo = [max(v, e) for v, e in zip(lo, ends)]
+    if lo[1] > hi[1]:
+        return None
+    if lo[0] > hi[0]:
+        mid = (lo[0] + hi[0]) / 2
+        return mid, mid
+    return lo[0], hi[0]
+
+
+def _interval_center(lo, hi, exact):
+    """The sup-norm Chebyshev center of [lo, hi] with radius capped at 1,
+    as the center LP gives it: the point nearest 0 among the centers, so
+    the midpoint, lo + 1, hi - 1 or 0."""
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    radius = min(one, (hi - lo) / 2)
+    return min(max(zero, lo + radius), hi - radius)
+
+
 @dataclass(frozen=True)
 class Ball(ConvexSet):
     center_point: tuple
@@ -308,7 +362,13 @@ class Singleton(ConvexSet):
 
 @dataclass(frozen=True)
 class Polyhedron(ConvexSet):
-    """{h : A h <= b}; nonemptiness is checked at construction."""
+    """{h : A h <= b}; nonemptiness is checked at construction.
+
+    In dimension one the set is the interval of its rows (:meth:`_ends`),
+    which answers nonemptiness, the center, the bounding box and the
+    projection (a clip) without an LP; in higher dimensions each takes an
+    LP, and the projection an active-set loop.
+    """
 
     A: tuple
     b: tuple
@@ -321,17 +381,25 @@ class Polyhedron(ConvexSet):
         widths = {len(r) for r in self.A}
         if len(widths) > 1:
             raise ValueError("polyhedron rows have inconsistent widths")
-        if self.A:
-            res = solve_lp([0] * self.dim, A_ub=self.A, b_ub=self.b, exact=self.exact)
-            if res.status == INFEASIBLE:
-                raise ValueError("empty polyhedron")
+        if self.A and self._empty():
+            raise ValueError("empty polyhedron")
 
     @property
     def dim(self):
         return len(self.A[0]) if self.A else 0
 
+    @property
+    def _own_box(self):
+        return self.dim == 1
+
     def _scalars(self):
         return [v for row in self.A for v in row] + list(self.b)
+
+    def _empty(self):
+        if self._own_box:
+            return self._ends() is None
+        res = solve_lp([0] * self.dim, A_ub=self.A, b_ub=self.b, exact=self.exact)
+        return res.status == INFEASIBLE
 
     def support_argmax(self, xi):
         self._check_dim(xi)
@@ -350,6 +418,8 @@ class Polyhedron(ConvexSet):
         return all(_dot(row, point) <= bi + tol for row, bi in zip(self.A, self.b))
 
     def project(self, point):
+        if self._own_box:
+            return super().project(point)
         A, b, start = self._memo("_floats", self._build_floats)
         return _project_onto_halfspaces(A, b, start, point)
 
@@ -358,11 +428,13 @@ class Polyhedron(ConvexSet):
                      for v in (self.A, self.b, self.center()))
 
     def center(self):
-        """Chebyshev center under the sup norm (keeps rational data rational),
-        solved once per polyhedron."""
+        """Chebyshev center under the sup norm, radius capped at 1 (keeps
+        rational data rational), found once per polyhedron."""
         return self._memo("_center", self._chebyshev_center)
 
     def _chebyshev_center(self):
+        if self._own_box:
+            return (_interval_center(*self._ends(), self.exact),)
         n = self.dim
         c = [0] * n + [-1]
         A_ub = [list(row) + [sum(abs(v) for v in row)] for row in self.A]
@@ -381,6 +453,8 @@ class Polyhedron(ConvexSet):
         return self.recession().is_trivial()
 
     def bounding_box(self):
+        if self._own_box:
+            return [self._ends()]
         out = []
         for i in range(self.dim):
             lo = self._extreme(i, -1)
@@ -553,6 +627,11 @@ class CrossFixed(ConvexSet):
 
 @dataclass(frozen=True)
 class Intersection(ConvexSet):
+    """The common points of its members; nonemptiness is checked at
+    construction.  A one-dimensional intersection of polyhedral members is
+    the interval of their stacked rows, as a one-dimensional
+    :class:`Polyhedron` is."""
+
     members: tuple
 
     def __post_init__(self):
@@ -574,6 +653,10 @@ class Intersection(ConvexSet):
     def exact(self):
         return all(m.exact for m in self.members)
 
+    @property
+    def _own_box(self):
+        return bool(self._ends())
+
     def _polyhedral(self):
         rows, offs = [], []
         for m in self.members:
@@ -585,6 +668,10 @@ class Intersection(ConvexSet):
         return rows, offs
 
     def _feasible_point(self):
+        if self._ends() is None:
+            return None  # an empty interval
+        if self._own_box:
+            return (_interval_center(*self._ends(), self.exact),)
         hs = self._polyhedral()
         if hs is not None:
             res = solve_lp([0] * self.dim, A_ub=hs[0], b_ub=hs[1], exact=self.exact)
@@ -616,6 +703,8 @@ class Intersection(ConvexSet):
         return all(m.contains(point, tol) for m in self.members)
 
     def project(self, point):
+        if self._own_box:
+            return super().project(point)
         A, b, start = self._memo("_floats", self._build_floats)
         if A is not None:
             return _project_onto_halfspaces(A, b, start, point)
@@ -661,6 +750,8 @@ class Intersection(ConvexSet):
         return None
 
     def bounding_box(self):
+        if self._own_box:
+            return [self._ends()]
         boxes = [m.bounding_box() for m in self.members]
         return [(max(b[i][0] for b in boxes), min(b[i][1] for b in boxes))
                 for i in range(self.dim)]

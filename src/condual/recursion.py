@@ -91,7 +91,7 @@ def backward_induction(market: MarketModel, payoff, exact) -> Backward:
     return Backward(value[tree.root], H, tuple(mass[i] for i in tree.leaves))
 
 
-def _interval(lp, i, exact):
+def _node_bounds(lp, i, exact):
     return lp.intervals[i] if exact else tuple(map(float, lp.intervals[i]))
 
 
@@ -102,7 +102,7 @@ def _node(market, lp, i, lines, exact):
     if not lines:
         return NEG_INF, None, None
     if lp.dim == 1:
-        interval = _interval(lp, i, exact)
+        interval = _node_bounds(lp, i, exact)
         best, pi = NEG_INF, None
         for c, v, (s,) in lines:
             sigma = interval_support(interval, (s,))
@@ -138,7 +138,7 @@ def _cover(market, lp, i, lines, capital, exact):
     line; in dimension one, the point nearest zero."""
     num = Fraction if exact else float
     if lp.dim == 1:
-        lo, hi = _interval(lp, i, exact)
+        lo, hi = _node_bounds(lp, i, exact)
         for _, v, (s,) in lines:
             if s > 0:
                 lo = max(lo, (v - capital) / s)

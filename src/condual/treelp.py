@@ -20,11 +20,15 @@ They are read-only numpy arrays: of dtype ``object`` holding the market's
 own numbers when exact, of dtype float otherwise.  Each arithmetic's set is
 built on its first request, so a float market never builds exact rows.  In
 dimension one, each node's constraint set is also kept as an interval
-``(lo, hi)`` (``intervals``), read from its halfspace rows.
+``(lo, hi)`` (``intervals``), read from its halfspace rows in the set's own
+arithmetic by :func:`condual.convex.halfspace_interval`, the closed form
+from which one-dimensional polyhedra and polyhedral intersections answer
+their own nonemptiness, center, bounding box and projection.
 
-The float bounds of the box-shaped sets are stacked into ``box_lo`` and
-``box_hi`` (+-inf at the other nodes), so that :meth:`TreeLP.project` is one
-clip plus the own projector of each other node.
+The float bounds of the box-shaped sets (in dimension one, every set with a
+halfspace form) are stacked into ``box_lo`` and ``box_hi`` (+-inf at the
+other nodes), so that :meth:`TreeLP.project` is one clip plus the own
+projector of each other node.
 
 :func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
 on the market.
@@ -41,18 +45,17 @@ with alpha in its objective is one LP over (q, mu).  The lifted LPs are
 :meth:`TreeLP.lifted_min`, the least linear cost in q plus a multiple of
 alpha(q) (inf alpha, the superhedging measure, the dual's minorant bound),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
-dual's start, the certificate measures).
+dual's start, the certificate measures), solved once per TreeLP.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
+from .convex import halfspace_interval
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess
-from .scalars import INF, NEG_INF, is_exact
+from .scalars import INF, NEG_INF
 
 # a max_margin margin at or below this counts as 0: a leaf of no mass
 MARGIN_TOL = 1e-10
@@ -89,9 +92,10 @@ class TreeLP:
                 break
             self._halfspaces.append((i, hs))
             if d == 1:
-                self.intervals[i] = _interval(*hs)
+                self.intervals[i] = halfspace_interval(*hs, cset.exact)
         self.polyhedral = self._no_halfspaces is None
         self._rows = {}
+        self._margins = {}
         box = np.tile([[NEG_INF], [INF]], self.n_h)
         self._projectors = []
         for i, cset in market.constraints:
@@ -237,13 +241,19 @@ class TreeLP:
     def max_margin(self, multipliers=True):
         """(q, t): a leaf measure of the lifted polytope maximizing the
         margin t in q >= t p, with t <= 1, by a float LP over the columns
-        (q, mu, t); None when that LP has no optimum.
+        (q, mu, t); None when that LP has no optimum.  q is a tuple of
+        floats; the answer is solved once per ``multipliers`` flag and kept.
 
         With multipliers q ranges over the finite-alpha face; without them
         it must give zero drift at every node (a martingale measure).  The
         face holds a strictly positive measure exactly when t > 0; a t at or
         below MARGIN_TOL counts as 0.
         """
+        if multipliers not in self._margins:
+            self._margins[multipliers] = self._max_margin(multipliers)
+        return self._margins[multipliers]
+
+    def _max_margin(self, multipliers):
         A_eq, b_eq, nonneg = self.lifted(False, multipliers)
         A_eq = np.hstack([A_eq, np.zeros((len(A_eq), 1))])
         p = self.rows(False)[5]
@@ -258,27 +268,12 @@ class TreeLP:
                        A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
         if res.status != OPTIMAL:
             return None
-        return res.x[:n], -res.value
+        return tuple(res.x[:n]), -res.value
 
     def portfolio(self, x) -> PortfolioProcess:
         """The portfolio whose stacked holdings vector is x."""
         return PortfolioProcess({i: tuple(x[o:o + self.dim])
                                  for i, o in self.offsets.items()})
-
-
-def _interval(A, b):
-    """(lo, hi) of the one-dimensional set {h : a h <= b_a for each row a}."""
-    lo, hi = NEG_INF, INF
-    for (a,), bound in zip(A, b):
-        if a == 0:
-            continue  # 0 <= bound: the set is nonempty
-        end = Fraction(bound) / a if is_exact(bound) and is_exact(a) \
-            else bound / a
-        if a > 0:
-            hi = min(hi, end)
-        else:
-            lo = max(lo, end)
-    return lo, hi
 
 
 def tree_lp(market: MarketModel) -> TreeLP:

@@ -241,6 +241,37 @@ def test_flag_outside_its_subcommands_exits_two(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_repeated_main_calls_share_no_arguments(capsys, monkeypatch):
+    # one parser serves every call of a process: each call must see only
+    # its own flags and its own subcommand's defaults
+    import condual.cli
+
+    assert condual.cli._build_parser() is condual.cli._build_parser()
+    configs = []
+    run = condual.cli.run
+    monkeypatch.setattr(condual.cli, "run",
+                        lambda config: configs.append(config) or run(config))
+    calls = [
+        ("solve-primal", "--market", fixture("b1.json"), "--utility", "log",
+         "--x", "1", "--tol", "1e-6"),
+        ("solve-dual", "--market", fixture("b1.json"), "--utility", "log",
+         "--y", "1"),
+        ("verify-link", "--market", fixture("b1.json"), "--utility", "log",
+         "--x", "1", "--verify-tol", "1e-3"),
+        ("xbar", "--market", fixture("b1_pinned.json")),
+        ("solve-primal", "--market", fixture("b1.json"), "--utility", "log",
+         "--x", "2"),
+    ]
+    for argv in calls:
+        assert run_json(capsys, *argv)[0] == 0
+    got = [(c.command, c.x, c.y, c.solver_tol, c.verify_tol) for c in configs]
+    assert got == [("solve-primal", 1.0, None, 1e-6, 1e-5),
+                   ("solve-dual", None, 1.0, 1e-8, 1e-5),
+                   ("verify-link", 1.0, None, 1e-8, 1e-3),
+                   ("xbar", None, None, 1e-8, 1e-5),
+                   ("solve-primal", 2.0, None, 1e-8, 1e-5)]
+
+
 def test_unknown_command_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "condual.cli", "frobnicate"],

@@ -1,5 +1,6 @@
 """Convex-set primitives: support functions, cones, projections, pinv."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from condual.convex import (
     Polyhedron,
     ProjectionMatrix,
     Singleton,
+    _project_onto_halfspaces,
     contains,
     min_norm_solution,
     polar_cone,
@@ -28,6 +30,7 @@ from condual.convex import (
     set_to_json,
     support_function,
 )
+from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from condual.scalars import INF, NEG_INF
 
 from helpers import cones_equal_lp, extreme_rays
@@ -436,6 +439,211 @@ def test_empty_constructions_rejected():
         Polyhedron(((F(1),), (F(-1),)), (F(-1), F(-1)))
     with pytest.raises(ValueError):
         Intersection((Singleton((F(0),)), Singleton((F(1),))))
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional polyhedral sets: closed-form intervals
+
+
+def test_float_interval_keeps_the_lp_verdicts():
+    # HiGHS's feasibility tolerance decided these before: kept at 1e-9,
+    # refused at 1e-6
+    gap = Polyhedron(((1.0,), (-1.0,)), (1.0, -(1 + 1e-9)))
+    with pytest.raises(ValueError):
+        Polyhedron(((1.0,), (-1.0,)), (1.0, -(1 + 1e-6)))
+    kept = Intersection((Polyhedron(((1.0,),), (1.0,)),
+                         Polyhedron(((-1.0,),), (-(1 + 1e-9),))))
+    with pytest.raises(ValueError):
+        Intersection((Polyhedron(((1.0,),), (1.0,)),
+                      Polyhedron(((-1.0,),), (-(1 + 1e-6),))))
+    assert Polyhedron(((0.0,), (1.0,)), (-1e-9, 1.0)).bounding_box() \
+        == [(NEG_INF, 1.0)]
+    with pytest.raises(ValueError):
+        Polyhedron(((0.0,), (1.0,)), (-1e-6, 1.0))
+    # an inverted interval collapses to its midpoint: box, center and
+    # projection agree on it
+    mid = (1.0 + (1 + 1e-9)) / 2
+    for s in (gap, kept):
+        assert s.bounding_box() == [(mid, mid)]
+        assert s.center() == (mid,)
+        for z in (-3.0, mid, 4.0):
+            assert s.project(np.array([z])).tolist() == [mid]
+
+
+def test_exact_interval_has_no_tolerance():
+    tiny = F(1, 10 ** 12)
+    with pytest.raises(ValueError):
+        Polyhedron(((F(1),), (F(-1),)), (F(1), -(1 + tiny)))
+    with pytest.raises(ValueError):
+        Polyhedron(((F(0),), (F(1),)), (-tiny, F(1)))
+    with pytest.raises(ValueError):
+        Intersection((Box((F(-1),), (F(1),)),
+                      Polyhedron(((F(-1),),), (-(1 + tiny),))))
+    point = Polyhedron(((F(3),), (F(-2),)), (F(3) + 3 * tiny, -2 - 2 * tiny))
+    assert point.bounding_box() == [(1 + tiny, 1 + tiny)]
+    assert point.center() == (1 + tiny,)
+
+
+@pytest.mark.parametrize("lo, hi, center", [
+    (F(-1, 2), F(1), F(1, 4)),  # narrower than 2: the midpoint
+    (F(-5), F(7), F(0)),        # 0 is a center of radius 1
+    (F(2), INF, F(3)),          # lo + 1
+    (NEG_INF, F(-4), F(-5)),    # hi - 1
+    (NEG_INF, INF, F(0)),
+])
+def test_interval_center(lo, hi, center):
+    rows = [((F(1),), hi)] if hi != INF else []
+    rows += [((F(-1),), -lo)] if lo != NEG_INF else [((F(0),), F(1))]
+    s = Polyhedron(tuple(r for r, _ in rows), tuple(v for _, v in rows))
+    assert s.center() == (center,) and s.bounding_box() == [(lo, hi)]
+
+
+SHAPES = ("half-line", "point", "zero", "interval", "empty")
+
+
+def random_interval_rows(rng):
+    """Rows (a,) and bounds of a random one-dimensional set: one of SHAPES,
+    plus up to two rows drawn at random (which may empty it)."""
+    def frac():
+        return F(rng.randint(-12, 12), rng.randint(1, 4))
+
+    def scale():
+        return F(rng.randint(1, 3), rng.randint(1, 2))
+
+    p, q = sorted((frac(), frac()))
+    a, c = scale(), scale()
+    shape = rng.choice(SHAPES)
+    if shape == "half-line":
+        rows = [(a, a * p)] if rng.random() < 0.5 else [(-a, -a * p)]
+    elif shape == "point":
+        rows = [(a, a * p), (-c, -c * p)]
+    elif shape == "zero":
+        rows = [(F(0), rng.choice((F(0), abs(p), -abs(q) - 1))), (a, a * q)]
+    elif shape == "interval":
+        rows = [(a, a * q), (-c, -c * p)]
+    else:
+        rows = [(a, a * p), (-c, -c * (q + 1))]
+    rows += [(F(rng.randint(-3, 3)), frac()) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return [(a,) for a, _ in rows], [v for _, v in rows]
+
+
+def lp_differential(make, A, b, exact, rng):
+    """Compare the closed-form set make() with LPs on its rows (A, b): the
+    verdict, both ends of the bounding box, the center at the Chebyshev
+    radius, and the projection; returns whether the set is empty."""
+    tol = 0 if exact else 1e-12
+    feasible = solve_lp([0], A_ub=A, b_ub=b, exact=exact)
+    try:
+        s = make()
+    except ValueError:
+        assert feasible.status == INFEASIBLE
+        return True
+    assert feasible.status == OPTIMAL
+    ((lo, hi),) = s.bounding_box()
+    for end, sign in ((lo, 1), (hi, -1)):
+        res = solve_lp([sign], A_ub=A, b_ub=b, exact=exact)
+        if res.status == UNBOUNDED:
+            assert end == -sign * INF
+        else:
+            assert abs(end - sign * res.value) <= tol * max(1, abs(end))
+    cheb = solve_lp([0, -1], A_ub=[(a, abs(a)) for (a,) in A] + [(0, 1)],
+                    b_ub=list(b) + [1], exact=exact)
+    radius = -cheb.value
+    (center,) = s.center()
+    assert all(a * center + abs(a) * radius <= bound + (0 if exact else 1e-9)
+               for (a,), bound in zip(A, b))
+    A_f, b_f = (np.asarray(v, dtype=float) for v in (A, b))
+    start = np.asarray(feasible.x, dtype=float)
+    for _ in range(5):
+        z = np.array([rng.uniform(-15, 15)])
+        expected = _project_onto_halfspaces(A_f, b_f, start, z)
+        assert np.abs(s.project(z) - expected).max() <= 1e-12
+    return False
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_polyhedron_interval_against_lps(exact):
+    rng = random.Random(1600 + exact)
+    num = F if exact else float
+    verdicts = []
+    for _ in range(150):
+        A, b = random_interval_rows(rng)
+        A = [(num(a),) for (a,) in A]
+        b = [num(v) for v in b]
+        verdicts.append(lp_differential(
+            lambda: Polyhedron(tuple(A), tuple(b)), A, b, exact, rng))
+    assert 20 <= sum(verdicts) <= 130  # both verdicts well represented
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_intersection_interval_against_lps(exact):
+    rng = random.Random(1700 + exact)
+    num = F if exact else float
+    verdicts = []
+    while len(verdicts) < 100:
+        members = []
+        for _ in range(rng.randint(1, 3)):
+            A, b = random_interval_rows(rng)
+            try:
+                members.append(Polyhedron(tuple((num(a),) for (a,) in A),
+                                          tuple(num(v) for v in b)))
+            except ValueError:
+                pass
+        if rng.random() < 0.5:
+            lo, hi = sorted(num(F(rng.randint(-8, 8), 2)) for _ in range(2))
+            members.append(Box((lo,), (hi,)))
+        if not members:
+            continue
+        A, b = [], []
+        for m in members:
+            rows, offsets = m.halfspaces()
+            A += [tuple(r) for r in rows]
+            b += list(offsets)
+        verdicts.append(lp_differential(
+            lambda: Intersection(tuple(members)), A, b, exact, rng))
+    assert 10 <= sum(verdicts) <= 90
+
+
+def test_parse_floor_market_solves_no_lp(tmp_path, monkeypatch):
+    # a floor-cli-style market: polyhedron and intersection nodes, with a
+    # floor; every set is one-dimensional, so parsing it and asking its sets
+    # for their centers, boxes and projections take no LP
+    import condual.convex
+    from condual.market import parse_market_file
+    from condual.treelp import tree_lp
+
+    from conftest import float_copy, two_period_spec
+
+    def no_lp(*_, **__):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(condual.convex, "solve_lp", no_lp)
+    spec = two_period_spec()
+    spec["constraints"] = {
+        "r": {"type": "polyhedron", "A": [[1], [-1], [2]],
+              "b": ["3/2", 1, "7/4"]},
+        "u": {"type": "intersection", "members": [
+            {"type": "box", "lower": [-2], "upper": [1]},
+            {"type": "polyhedron", "A": [[1], [-1], [3]],
+             "b": ["1/2", "5/4", 2]}]},
+        "d": {"type": "polyhedron", "A": [[0], [-1]], "b": [0, 2]},
+    }
+    spec["floor"] = "6"
+    twin = float_copy(spec)
+    twin["floor"] = 6.0
+    for doc in (spec, twin):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        market = parse_market_file(str(path))
+        for i, cset in market.constraints:
+            assert cset.contains(cset.center())
+            assert cset.box_bounds() is not None
+        lp = tree_lp(market)
+        h = np.linspace(-3, 3, lp.n_h)
+        assert np.array_equal(lp.project(h), np.clip(h, lp.box_lo, lp.box_hi))
+        assert lp.intervals == {i: tuple(cset.bounding_box()[0])
+                                for i, cset in market.constraints}
 
 
 # ---------------------------------------------------------------------------

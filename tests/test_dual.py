@@ -516,14 +516,40 @@ def test_zero_margin_face_is_plus_infinity(monkeypatch):
     monkeypatch.setattr(dual, "_lifted_smooth_solve", no_newton)
     for seed, market in zip(ZERO_MARGIN_SEEDS, markets):
         assert market.floor is None
-        assert tree_lp(market).max_margin()[1] <= MARGIN_TOL
+        solves.clear()
         for utility in (LOG, PowerUtility(0.5)):
             for y in (0.5, 2.0):
-                solves.clear()
                 sol = solve_dual(market, utility, y)
                 assert (sol.value, sol.measure, sol.gap, sol.attained,
                         sol.iterations) == (INF, None, INF, False, 0), seed
-                assert len(solves) == 1  # the max-margin LP
+        # the max-margin LP, solved by the first query: the TreeLP keeps it
+        assert len(solves) == 1
+        assert tree_lp(market).max_margin()[1] <= MARGIN_TOL
+
+
+def test_second_dual_query_solves_no_max_margin_lp(monkeypatch):
+    # the face point is a property of the market, kept on its TreeLP: a
+    # second solve_dual solves only its own minorant LP, with values equal
+    # to the bit to those of a market that has answered no query yet
+    from condual.treelp import TreeLP
+
+    seeds = (0, 3, 6)
+    fresh = [solve_dual(random_market(random.Random(s), max_periods=3), LOG,
+                        1.3) for s in seeds]
+    faces = []
+    max_margin = TreeLP._max_margin
+    monkeypatch.setattr(TreeLP, "_max_margin", lambda self, multipliers: (
+        faces.append(multipliers) or max_margin(self, multipliers)))
+    for s, expected in zip(seeds, fresh):
+        market = random_market(random.Random(s), max_periods=3)
+        faces.clear()
+        sols = [solve_dual(market, LOG, 1.3) for _ in range(2)]
+        assert faces == [True]
+        assert tree_lp(market).max_margin() is tree_lp(market).max_margin()
+        for sol in sols:
+            assert (sol.value, sol.gap, sol.measure, sol.iterations) == (
+                expected.value, expected.gap, expected.measure,
+                expected.iterations)
 
 
 def test_superhedge_empty_admissible_class(empty_floor_market):
