@@ -29,7 +29,7 @@ from .dual import measure_from_weights
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible
 from .primal import find_free_lunch_direction
-from .scalars import INF, all_exact
+from .scalars import INF, all_exact, gauss_jordan
 from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
 
 
@@ -396,12 +396,15 @@ def check_drift_condition(span, drift, barrier: Cone) -> DriftResult:
 
 
 def _projection_basis(projection: ProjectionMatrix):
+    """A basis of the range of the projection: exactly, the columns of the
+    matrix that no earlier columns span (the pivot columns of
+    :func:`gauss_jordan`), as Fractions; in floats, the leading left
+    singular vectors."""
     cols = [tuple(row[j] for row in projection.matrix)
             for j in range(projection.dim)]
-    from .convex import _independent_subset_exact
-
     if projection.exact:
-        return [tuple(v) for v in _independent_subset_exact(cols)]
+        _, pivots = gauss_jordan(projection.matrix)
+        return [tuple(Fraction(v) for v in cols[j]) for j in pivots]
     import numpy as np
 
     arr = np.asarray([[float(v) for v in c] for c in cols]).T

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from .scalars import INF, NEG_INF, all_exact, is_exact
+from .scalars import INF, NEG_INF, all_exact, gauss_jordan, integer_row, \
+    is_exact, solve_exact
 
 _ABS_TOL = 1e-10
 # a float set is empty only when it stays empty with every halfspace row
@@ -41,7 +42,8 @@ class ConvexSet:
 
     @property
     def exact(self) -> bool:
-        return all_exact(self._scalars())
+        """True when every number of the set is rational; kept on the set."""
+        return self._memo("_exact", lambda: all_exact(self._scalars()))
 
     def _scalars(self):  # pragma: no cover - overridden
         return ()
@@ -302,6 +304,14 @@ class Ball(ConvexSet):
 
     def center(self):
         return self.center_point
+
+    def halfspaces(self):
+        """In dimension one the interval [c - r, c + r], in the ball's own
+        arithmetic; None in higher dimensions."""
+        if self.dim != 1:
+            return None
+        (c,), r = self.center_point, self.radius
+        return [(1,), (-1,)], [c + r, r - c]
 
     def recession(self):
         return Cone.zero(self.dim)
@@ -874,17 +884,9 @@ def _normalize_ray(row):
     """Scale a ray to a canonical representative (primitive integers when
     rational, unit sup-norm when float)."""
     if all_exact(row):
-        fr = [Fraction(v) for v in row]
-        denom_lcm = 1
-        for v in fr:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        ints = [int(v * denom_lcm) for v in fr]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g == 0:
-            return tuple(Fraction(0) for _ in row)
-        return tuple(Fraction(v, g) for v in ints)
+        ints = integer_row(row)
+        g = math.gcd(*ints) or 1
+        return tuple(Fraction(v // g) for v in ints)
     scale = max(abs(float(v)) for v in row)
     if scale == 0:
         return tuple(0.0 for _ in row)
@@ -968,21 +970,16 @@ def predictable_range_projection(increments) -> ProjectionMatrix:
         raise ValueError("need at least one increment")
     d = len(increments[0])
     if all_exact([v for inc in increments for v in inc]):
-        basis = _independent_subset_exact(increments)
-        if not basis:
+        # the nonzero reduced rows B span the increments: P = B^T (B B^T)^-1 B
+        a, pivots = gauss_jordan(increments)
+        B = a[:len(pivots)]
+        if not B:
             return ProjectionMatrix(tuple(tuple(Fraction(0) for _ in range(d))
                                           for _ in range(d)))
-        M = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(d)]
-        G = [[_dot([M[i][a] for i in range(d)], [M[i][b] for i in range(d)])
-              for b in range(len(basis))] for a in range(len(basis))]
-        Ginv = _invert_exact(G)
-        # P = M Ginv M^T
-        k = len(basis)
-        MG = [[sum(M[i][a] * Ginv[a][b] for a in range(k)) for b in range(k)]
-              for i in range(d)]
-        P = [[sum(MG[i][b] * M[j][b] for b in range(k)) for j in range(d)]
-             for i in range(d)]
-        return ProjectionMatrix(tuple(tuple(row) for row in P))
+        X = solve_exact([[_dot(u, v) for v in B] + u for u in B], len(B))
+        return ProjectionMatrix(tuple(
+            tuple(sum(u[i] * x[j] for u, x in zip(B, X)) for j in range(d))
+            for i in range(d)))
     arr = np.asarray([[float(v) for v in inc] for inc in increments], dtype=float).T
     if not arr.any():
         return ProjectionMatrix(tuple(tuple(0.0 for _ in range(d)) for _ in range(d)))
@@ -991,41 +988,6 @@ def predictable_range_projection(increments) -> ProjectionMatrix:
     basis = u[:, :rank]
     P = basis @ basis.T
     return ProjectionMatrix(tuple(tuple(float(v) for v in row) for row in P))
-
-
-def _independent_subset_exact(vectors):
-    basis = []
-    reduced = []
-    for vec in vectors:
-        work = [Fraction(v) for v in vec]
-        for r in reduced:
-            pivot_idx, pivot_val = r
-            if work[pivot_idx] != 0:
-                f = work[pivot_idx] / pivot_val[pivot_idx]
-                work = [w - f * p for w, p in zip(work, pivot_val)]
-        lead = next((i for i, v in enumerate(work) if v != 0), None)
-        if lead is not None:
-            reduced.append((lead, work))
-            basis.append([Fraction(v) for v in vec])
-    return basis
-
-
-def _invert_exact(M):
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivval = aug[col][col]
-        aug[col] = [v / pivval for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def projected_set_closed(projection: ProjectionMatrix, convex_set: ConvexSet):
@@ -1059,57 +1021,28 @@ def _certainly_polyhedral(convex_set) -> bool:
 def min_norm_solution(M, target):
     """Least-squares solution of M x = target with minimal Euclidean norm.
 
-    Rational inputs give the exact pseudoinverse solution via a rank
-    factorization; float inputs go through numpy's lstsq.
+    Rational inputs give the exact pseudoinverse solution from a rank
+    factorization: the nonzero reduced rows R of M (:func:`gauss_jordan`)
+    span its row space, so the solution is R^T z, with z the least-squares
+    solution of (M R^T) z = target, found from its normal equations.  Float
+    inputs go through numpy's lstsq.
     """
     M = [list(r) for r in M]
     target = list(target)
     if M and all_exact([v for r in M for v in r]) and all_exact(target):
-        return _min_norm_exact(M, target)
+        a, pivots = gauss_jordan(M)
+        R = a[:len(pivots)]
+        if not R:
+            return tuple(Fraction(0) for _ in M[0])
+        K = [[_dot(row, r) for r in R] for row in M]
+        z = solve_exact([[_dot(u, v) for v in zip(*K)] + [_dot(u, target)]
+                         for u in zip(*K)], len(R))
+        return tuple(sum(r[j] * v for r, (v,) in zip(R, z))
+                     for j in range(len(M[0])))
     arr = np.asarray([[float(v) for v in r] for r in M], dtype=float)
     t = np.asarray([float(v) for v in target], dtype=float)
     sol, *_ = np.linalg.lstsq(arr, t, rcond=None)
     return tuple(float(v) for v in sol)
-
-
-def _min_norm_exact(M, target):
-    m, n = len(M), len(M[0])
-    # row-reduce to find pivot columns: rank factorization M = C R
-    R = [[Fraction(v) for v in row] for row in M]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if R[i][col] != 0), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        pv = R[r][col]
-        R[r] = [v / pv for v in R[r]]
-        for i in range(m):
-            if i != r and R[i][col] != 0:
-                f = R[i][col]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    if r == 0:
-        return tuple(Fraction(0) for _ in range(n))
-    Rr = [R[i] for i in range(r)]
-    C = [[Fraction(M[i][pivots[j]]) for j in range(r)] for i in range(m)]
-    # x = R^T (R R^T)^-1 (C^T C)^-1 C^T target
-    CtC = [[sum(C[i][a] * C[i][b] for i in range(m)) for b in range(r)]
-           for a in range(r)]
-    RRt = [[sum(Rr[a][j] * Rr[b][j] for j in range(n)) for b in range(r)]
-           for a in range(r)]
-    Ct_t = [sum(C[i][a] * Fraction(target[i]) for i in range(m)) for a in range(r)]
-    y = _mat_vec(_invert_exact(CtC), Ct_t)
-    z = _mat_vec(_invert_exact(RRt), y)
-    return tuple(sum(Rr[a][j] * z[a] for a in range(r)) for j in range(n))
-
-
-def _mat_vec(M, v):
-    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
 
 
 # ---------------------------------------------------------------------------

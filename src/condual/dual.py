@@ -179,7 +179,8 @@ def min_support(market: MarketModel) -> MinSupportResult:
 
     Markets without a floor, with every set in halfspace form, are solved
     by backward induction (recursion module); otherwise by the lifted LP
-    and the stacked worst-leaf LP.
+    and the stacked worst-leaf LP.  The hedge side is the superhedge of the
+    zero claim, solved once per market and kept (:func:`_zero_claim`).
     """
     if _recursive(market):
         return _min_support_recursive(market)
@@ -187,17 +188,17 @@ def min_support(market: MarketModel) -> MinSupportResult:
 
 
 def _min_support_recursive(market):
-    back = backward_induction(market, _zero_claim(market), market.exact)
+    essinf, back = _zero_claim(market)
     if back.value == NEG_INF:  # constrained arbitrage
         return MinSupportResult(INF, INF, NEG_INF, None)
     minimizer = measure_from_weights(market, back.weights)
     inf_alpha = support_alpha(market, minimizer)
-    return MinSupportResult(inf_alpha, _worst_gain(market, back.hedge),
-                            _xbar(inf_alpha), minimizer)
+    return MinSupportResult(inf_alpha, essinf, _xbar(inf_alpha), minimizer)
 
 
 def _min_support_lp(market):
-    res = tree_lp(market).lifted_min(market.exact, _zero_claim(market))
+    res = tree_lp(market).lifted_min(market.exact,
+                                     (0,) * len(market.tree.leaves))
     if res.status == INFEASIBLE:
         # every measure sees an unbounded support value: constrained
         # arbitrage; the critical wealth is minus infinity
@@ -212,8 +213,8 @@ def _min_support_lp(market):
         inf_alpha = res.value
         minimizer = measure_from_weights(market,
                                          res.x[:len(market.tree.leaves)])
-    return MinSupportResult(inf_alpha, _sup_essinf(market), _xbar(inf_alpha),
-                            minimizer)
+    return MinSupportResult(inf_alpha, _zero_claim(market)[0],
+                            _xbar(inf_alpha), minimizer)
 
 
 def _xbar(inf_alpha):
@@ -231,7 +232,23 @@ def _recursive(market):
 
 
 def _zero_claim(market):
-    return (0,) * len(market.tree.leaves)
+    """(sup essinf, back) from the superhedge of the zero claim in the
+    market's arithmetic: the greatest worst-leaf gain of an admissible
+    portfolio, and backward induction's answer on the recursive route (None
+    on the LP route).  It depends on the market alone, so it is solved once
+    and kept on the market's TreeLP."""
+    def solve():
+        if _recursive(market):
+            back = backward_induction(market, (0,) * len(market.tree.leaves),
+                                      market.exact)
+            return _worst_gain(market, back.hedge), back
+        res = tree_lp(market).worst_leaf(market.exact, 0)
+        if res.status == UNBOUNDED:
+            return INF, None
+        if res.status == INFEASIBLE:  # empty admissible class
+            return NEG_INF, None
+        return -res.value, None
+    return tree_lp(market).kept(("zero claim", market.exact), solve)
 
 
 def _worst_gain(market, hedge):
@@ -241,15 +258,6 @@ def _worst_gain(market, hedge):
         return INF
     L = tree_lp(market).rows(market.exact)[2].tolist()
     return min(sum(a * h for a, h in zip(row, hedge) if a) for row in L)
-
-
-def _sup_essinf(market):
-    res = tree_lp(market).worst_leaf(market.exact, 0)
-    if res.status == UNBOUNDED:
-        return INF
-    if res.status == INFEASIBLE:  # empty admissible class
-        return NEG_INF
-    return -res.value
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +284,8 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
     dominates the payoff on every leaf, and ``dual_value``, the expected
     payoff minus the support penalty under the ``witness`` measure, which
     certifies prices > 0 in the claim-membership test.  ``bound`` is
-    |sup essinf| from the zero claim (|price| <= bound + max |payoff|).
+    |sup essinf| from the zero claim (|price| <= bound + max |payoff|),
+    whose superhedge is solved once per market and kept.
 
     Markets without a floor, with every set in halfspace form, are priced
     by backward induction (recursion module); otherwise by the stacked
@@ -295,8 +304,7 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
 
 def _superhedge_recursive(market, payoff, exact):
     back = backward_induction(market, payoff, exact)
-    essinf = _worst_gain(market, backward_induction(
-        market, _zero_claim(market), market.exact).hedge)
+    essinf = _zero_claim(market)[0]
     if back.value == NEG_INF:
         return SuperhedgeResult(NEG_INF, None, NEG_INF, None, _bound(essinf))
     witness = measure_from_weights(market, back.weights)
@@ -327,7 +335,7 @@ def _superhedge_lp(market, payoff, exact):
         witness = None
         dual_value = INF if dual_res.status == UNBOUNDED else NEG_INF
     return SuperhedgeResult(price, x, dual_value, witness,
-                            _bound(_sup_essinf(market)))
+                            _bound(_zero_claim(market)[0]))
 
 
 def _bound(essinf):

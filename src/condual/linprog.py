@@ -19,9 +19,11 @@ problems", Oper. Res. Lett. 35 (2007):
   the free ones and the positive nonnegative ones; its basis rows are the
   equality rows, then the rows with positive multipliers, then the other
   tight rows, as far as they are independent; that square system is solved
-  once in rationals.  The row multipliers are read off HiGHS's duals in the
-  same way, as a vertex of the dual LP.  x must be exactly feasible, the
-  multipliers exactly dual feasible, and the two objectives equal;
+  once, by fraction-free Gauss-Jordan in integers
+  (:func:`condual.scalars.gauss_jordan`).  The row multipliers are read off
+  HiGHS's duals in the same way, as a vertex of the dual LP.  x must be
+  exactly feasible, the multipliers exactly dual feasible, and the two
+  objectives equal;
 * infeasible: an exact Farkas vector, the vertex of one auxiliary HiGHS LP
   read off in the same way;
 * unbounded: an exact feasible point and an exact improving ray, likewise.
@@ -46,6 +48,8 @@ try:
 except ImportError as exc:  # scipy < 1.15 ships no model API for HiGHS
     raise ImportError("condual needs scipy>=1.15, whose "
                       "scipy.optimize._highspy runs HiGHS") from exc
+
+from .scalars import integer_row, solve_exact
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -323,7 +327,7 @@ class _ExactLP:
         self.G = [*A_ub, *A_eq]
         self.h = [_rational(v) for v in [*b_ub, *b_eq]]
         self.nonneg = sorted(nonneg)
-        self.ints = [_integer_row([*row, rhs])
+        self.ints = [integer_row([*row, rhs])
                      for row, rhs in zip(self.G, self.h)]
         try:
             self.F = np.asarray(self.G, float).reshape(len(self.G), self.n)
@@ -358,7 +362,9 @@ class _ExactLP:
         then the A_ub rows with positive multipliers (largest first), then
         the other tight ones (tightest first), as far as they are
         independent on the basic columns.  The basic columns that these
-        rows do not pin keep their float value.
+        rows do not pin keep their float value; the pinned ones solve the
+        square system of those rows, in integers, by one elimination
+        (:func:`condual.scalars.solve_exact`).
         """
         if self.F is None:
             return None
@@ -382,14 +388,14 @@ class _ExactLP:
         pinned = set(P)
         value = {j: Fraction(float(x[j])) if abs(x[j]) > _TIGHT else 0
                  for j in basic if j not in pinned}
-        z = _solve_square([
+        z = solve_exact([
             [self.ints[i][j] for j in P]
             + [self.ints[i][-1] - sum(self.ints[i][j] * v
                                       for j, v in value.items())]
-            for i in S])
+            for i in S], len(P))
         if z is None:
             return None
-        value.update(zip(P, z))
+        value.update((j, v) for j, (v,) in zip(P, z))
         out = [Fraction(value.get(j, 0)) for j in range(n)]
         return out if self.feasible(out) else None
 
@@ -468,15 +474,6 @@ def _dot(a, b):
     return sum(u * v for u, v in zip(a, b) if u and v)
 
 
-def _integer_row(values):
-    """The rationals values times the least common multiple of their
-    denominators."""
-    values = [Fraction(v) if isinstance(v, float) else v for v in values]
-    dens = [int(v.denominator) for v in values]
-    s = math.lcm(*dens)
-    return [int(v.numerator) * (s // d) for v, d in zip(values, dens)]
-
-
 def _independent(M):
     """Indices of a maximal linearly independent subset of the rows of the
     float matrix M, taken greedily in order (Gram-Schmidt, applied
@@ -499,28 +496,6 @@ def _independent(M):
             Q[len(keep)] = v / rest
             keep.append(i)
     return keep
-
-
-def _solve_square(system):
-    """z with M z = r for the square rational system given as rows
-    [M_i, r_i]; None when M is singular.  Gauss-Jordan in integers, each
-    row kept divided by its gcd."""
-    a = [_integer_row(row) for row in system]
-    r = len(a)
-    for k in range(r):
-        p = next((i for i in range(k, r) if a[i][k]), None)
-        if p is None:
-            return None
-        a[k], a[p] = a[p], a[k]
-        pivot_row = a[k]
-        pk = pivot_row[k]
-        for i in range(r):
-            f = a[i][k]
-            if i != k and f:
-                row = [pk * u - f * v for u, v in zip(a[i], pivot_row)]
-                g = math.gcd(*row)
-                a[i] = [v // g for v in row] if g > 1 else row
-    return [Fraction(a[i][-1], a[i][i]) for i in range(r)]
 
 
 def _frac_rows(rows):

@@ -45,7 +45,9 @@ with alpha in its objective is one LP over (q, mu).  The lifted LPs are
 :meth:`TreeLP.lifted_min`, the least linear cost in q plus a multiple of
 alpha(q) (inf alpha, the superhedging measure, the dual's minorant bound),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
-dual's start, the certificate measures), solved once per TreeLP.
+dual's start, the certificate measures), solved once per TreeLP.  Such
+answers of the market alone are kept on the TreeLP by :meth:`TreeLP.kept`,
+as :mod:`condual.dual` keeps the superhedge of the zero claim.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class TreeLP:
                 self.intervals[i] = halfspace_interval(*hs, cset.exact)
         self.polyhedral = self._no_halfspaces is None
         self._rows = {}
-        self._margins = {}
+        self._kept = {}
         box = np.tile([[NEG_INF], [INF]], self.n_h)
         self._projectors = []
         for i, cset in market.constraints:
@@ -249,9 +251,8 @@ class TreeLP:
         face holds a strictly positive measure exactly when t > 0; a t at or
         below MARGIN_TOL counts as 0.
         """
-        if multipliers not in self._margins:
-            self._margins[multipliers] = self._max_margin(multipliers)
-        return self._margins[multipliers]
+        return self.kept(("max_margin", multipliers),
+                         lambda: self._max_margin(multipliers))
 
     def _max_margin(self, multipliers):
         A_eq, b_eq, nonneg = self.lifted(False, multipliers)
@@ -269,6 +270,14 @@ class TreeLP:
         if res.status != OPTIMAL:
             return None
         return tuple(res.x[:n]), -res.value
+
+    def kept(self, key, solve):
+        """solve(), run on the first request for key and kept: an answer
+        that depends on the market alone (the face point, the superhedge of
+        the zero claim) never goes stale, since markets are immutable."""
+        if key not in self._kept:
+            self._kept[key] = solve()
+        return self._kept[key]
 
     def portfolio(self, x) -> PortfolioProcess:
         """The portfolio whose stacked holdings vector is x."""

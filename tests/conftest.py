@@ -81,6 +81,26 @@ def drift_spec(constraint=None):
     }
 
 
+def two_asset_spec(constraint):
+    """One period, two assets: S0 = (1, 1) moves by (1, 0), (0, 1) or
+    (-1/2, -1/2), w.p. 1/3 each.  A ball here has no halfspace form."""
+    return {
+        "horizon": 1,
+        "dimension": 2,
+        "nodes": [
+            {"id": "root", "time": 0, "parent": None, "prob": 1,
+             "prices": [1, 1]},
+            {"id": "up", "time": 1, "parent": "root", "prob": "1/3",
+             "prices": [2, 1]},
+            {"id": "mid", "time": 1, "parent": "root", "prob": "1/3",
+             "prices": [1, 2]},
+            {"id": "down", "time": 1, "parent": "root", "prob": "1/3",
+             "prices": ["1/2", "1/2"]},
+        ],
+        "constraints": {"root": constraint},
+    }
+
+
 def two_period_spec(constraint=None):
     """Recombining-free two-period binary tree with rational data."""
     constraint = constraint or {"type": "box", "lower": [-2], "upper": [2]}

@@ -12,7 +12,7 @@ from condual.cli import main
 from condual.market import build_market, market_to_json, parse_market_file
 from condual.reporting import emit_report
 
-from conftest import binomial_spec
+from conftest import binomial_spec, two_asset_spec
 from helpers import subprocess_env
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -161,11 +161,13 @@ def test_unreadable_market_is_input_error(capsys):
 
 
 def test_lp_commands_on_ball_market_are_input_errors(capsys, tmp_path):
-    # a ball has no halfspace form, so the LP-based commands cannot run
+    # a ball in dimension two has no halfspace form, so the LP-based
+    # commands cannot run
     path = tmp_path / "ball.json"
     path.write_text(json.dumps(
-        binomial_spec({"type": "ball", "center": [3], "radius": 1})))
-    for argv in (("xbar",), ("superhedge", "--payoff", '{"up": 1, "down": 0}')):
+        two_asset_spec({"type": "ball", "center": [3, 0], "radius": 1})))
+    payoff = '{"up": 1, "mid": 0, "down": 0}'
+    for argv in (("xbar",), ("superhedge", "--payoff", payoff)):
         code, out, err = run_cli(capsys, *argv, "--market", str(path))
         assert code == 2, argv
         assert out == ""
@@ -178,7 +180,7 @@ def test_piecewise_primal_on_ball_market_is_input_error(capsys, tmp_path):
     # a piecewise-linear primal is an LP, so it needs halfspaces too
     path = tmp_path / "ball.json"
     path.write_text(json.dumps(
-        binomial_spec({"type": "ball", "center": [0], "radius": 1})))
+        two_asset_spec({"type": "ball", "center": [0, 0], "radius": 1})))
     utility = '{"family": "piecewise", "breakpoints": [0, 1], "slopes": [2, 1]}'
     code, out, err = run_cli(capsys, "solve-primal", "--market", str(path),
                              "--utility", utility, "--x", "1")

@@ -484,6 +484,34 @@ def test_exact_interval_has_no_tolerance():
     assert point.center() == (1 + tiny,)
 
 
+def test_one_dimensional_ball_is_an_interval():
+    # exact rows for an exact ball, float rows for a float one, none in
+    # dimension two; an intersection with such a ball is an interval too
+    for ball, ends in ((Ball((F(3),), F(1, 2)), (F(5, 2), F(7, 2))),
+                       (Ball((-1.0,), 2.0), (-3.0, 1.0))):
+        A, b = ball.halfspaces()
+        assert Polyhedron(tuple(A), tuple(b)).bounding_box() == [ends]
+        assert all(type(v) is type(ball.radius) for v in b)
+        both = Intersection((ball, Box((F(0),), (F(3),))))
+        assert both.bounding_box() == [(max(ends[0], 0), min(ends[1], 3))]
+        assert both.recession().is_trivial()
+    assert Ball((F(0), F(0)), F(1)).halfspaces() is None
+
+
+def test_exact_is_kept_on_the_set(monkeypatch):
+    # sets are immutable, so whether their numbers are rational is read once
+    calls = []
+    scalars = Box._scalars
+    monkeypatch.setattr(Box, "_scalars",
+                        lambda self: calls.append(self) or scalars(self))
+    box = Box((F(-1), 0.5), (F(1), INF))
+    assert [box.exact for _ in range(3)] == [False] * 3
+    assert len(calls) == 1
+    assert CrossFixed(Box((F(0),), (F(1),)), (F(2),)).exact
+    assert not Intersection((Box((F(0),), (F(2),)),
+                             Box((0.5,), (1.5,)))).exact
+
+
 @pytest.mark.parametrize("lo, hi, center", [
     (F(-1, 2), F(1), F(1, 4)),  # narrower than 2: the midpoint
     (F(-5), F(7), F(0)),        # 0 is a center of radius 1

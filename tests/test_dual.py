@@ -27,7 +27,7 @@ from condual.treelp import MARGIN_TOL, tree_lp
 from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
 
 from conftest import (binomial_spec, drift_spec, drifted_binomial_spec,
-                      two_period_spec)
+                      float_copy, two_asset_spec, two_period_spec)
 
 F = Fraction
 LOG = LogUtility()
@@ -380,13 +380,16 @@ def test_dual_mixed_equality_face_four_leaves():
 
 
 def test_ball_constraints_supported_analytically():
-    # balls never enter halfspace LPs: support values are closed form and
-    # the measure-side LP operations refuse with a clear message
+    # support values of balls are closed form; a ball in dimension two
+    # never enters halfspace LPs, so the measure-side LP operations refuse
+    # with a clear message
     market = build_market(binomial_spec(
         {"type": "ball", "center": [0], "radius": 1}))
     alpha = support_alpha(market, (0.6, 0.4))
     assert alpha == pytest.approx(abs(0.6 * 1 + 0.4 * (-0.5)), abs=1e-12)
-    with pytest.raises(NotImplementedError):
+    market = build_market(two_asset_spec(
+        {"type": "ball", "center": [0, 0], "radius": 1}))
+    with pytest.raises(NotImplementedError, match="halfspace"):
         min_support(market)
 
 
@@ -560,6 +563,62 @@ def test_superhedge_empty_admissible_class(empty_floor_market):
         assert res.price == INF and res.dual_value == INF
         assert res.portfolio_x is None and res.witness is None
         assert res.bound == INF
+
+
+@pytest.mark.parametrize("spec", [two_period_spec(),
+                                  drifted_binomial_spec(2, floor=1)],
+                         ids=["no-floor", "floor"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_claim_priced_once_per_market(monkeypatch, spec, exact):
+    # sup essinf, behind min_support and every superhedge bound, depends on
+    # the market alone: its superhedge is solved once per market and
+    # arithmetic, and repeated queries answer as on a fresh market
+    from condual import recursion, treelp
+
+    spec = spec if exact else float_copy(spec)
+    payoffs = [(1, 0, 0, 0), (0, 1, 2, 3), (F(1, 2), -1, 0, 1)]
+    fresh = [(superhedge_price(build_market(spec), f),
+              min_support(build_market(spec))) for f in payoffs]
+    runs, lps = [], []
+    backward = dual.backward_induction
+    monkeypatch.setattr(dual, "backward_induction", lambda m, f, e: (
+        runs.append(tuple(f)) or backward(m, f, e)))
+    for module in (dual, recursion, treelp):
+        monkeypatch.setattr(module, "solve_lp", lambda *a, _s=module.solve_lp,
+                            **k: lps.append(a) or _s(*a, **k))
+    market = build_market(spec)
+    for f, (price, support) in zip(payoffs, fresh):
+        assert superhedge_price(market, f) == price
+        assert min_support(market) == support
+    k = len(payoffs)
+    if market.floor is None:
+        # one sweep per payoff, and one for the zero claim; one dimension
+        # needs no LP
+        assert runs.count((0,) * 4) == 1 and len(runs) == k + 1
+        assert lps == []
+    else:
+        # per superhedge its worst-leaf and lifted LPs, per min_support its
+        # lifted LP, and one worst-leaf LP for the zero claim
+        assert runs == [] and len(lps) == 3 * k + 1
+
+
+def test_one_dimensional_ball_is_its_interval():
+    # a ball in dimension one is the interval [c - r, c + r], so every LP
+    # route answers on it, exactly as on that box
+    ball, box = (build_market(binomial_spec(s)) for s in (
+        {"type": "ball", "center": [3], "radius": 1},
+        {"type": "box", "lower": [2], "upper": [4]}))
+    assert ball.constraint(0).halfspaces() == ([(1,), (-1,)], [4, -2])
+    assert min_support(ball) == min_support(box)
+    assert superhedge_price(ball, (1, 0)) == superhedge_price(box, (1, 0))
+    for market in (ball, box):
+        sol = solve_primal(market, LOG, 1.5)
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(0.2798078939677114, abs=1e-12)
+    kinked = PiecewiseLinearUtility((0, 1), (2, 1))
+    assert solve_primal(ball, kinked, 2).value \
+        == solve_primal(box, kinked, 2).value
+    assert solve_dual(ball, LOG, 1).value == solve_dual(box, LOG, 1).value
 
 
 def _lifted_epigraph_dual(market, utility, y):

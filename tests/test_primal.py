@@ -23,7 +23,8 @@ from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
                              TabulatedUtility)
 
 from conftest import (binomial_spec, deterministic_spec, drift_spec,
-                      drifted_binomial_spec, float_copy, two_period_spec)
+                      drifted_binomial_spec, float_copy, two_asset_spec,
+                      two_period_spec)
 
 LOG = LogUtility()
 SQRT = PowerUtility(0.5)
@@ -333,8 +334,8 @@ def test_piecewise_primal_statuses(b1_pinned, arbitrage_market):
 
 
 def test_piecewise_primal_needs_halfspaces():
-    market = build_market(binomial_spec(
-        {"type": "ball", "center": [0], "radius": "1/2"}))
+    market = build_market(two_asset_spec(
+        {"type": "ball", "center": [0, 0], "radius": "1/2"}))
     with pytest.raises(NotImplementedError, match="halfspace"):
         solve_primal(market, KINKED, 1.0)
 

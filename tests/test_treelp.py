@@ -11,7 +11,7 @@ from condual.market import build_market, parse_market_file, wealth_process
 from condual.randomgen import random_admissible_portfolio, random_market
 from condual.treelp import tree_lp
 
-from conftest import binomial_spec, float_copy
+from conftest import float_copy, two_asset_spec
 
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
                                          "fixtures", "*.json")))
@@ -65,12 +65,13 @@ def test_rows_per_arithmetic(name, market):
 
 
 def test_ball_market_has_gain_rows_only():
-    market = build_market(binomial_spec(
-        {"type": "ball", "center": [0], "radius": 1}))
+    market = build_market(two_asset_spec(
+        {"type": "ball", "center": [0, 0], "radius": 1}))
     lp = tree_lp(market)
     A, b, L, N, R, p = lp.rows(False)
     assert not lp.polyhedral and A is None and b is None
-    assert L.tolist() == [[1.0], [-0.5]] and p.tolist() == [0.5, 0.5]
+    assert L.tolist() == [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]
+    assert p.tolist() == [1 / 3] * 3
     for build in (lambda: lp.worst_leaf(False, 0), lambda: lp.lifted(False)):
         with pytest.raises(NotImplementedError, match="halfspace form"):
             build()
