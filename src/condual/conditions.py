@@ -135,11 +135,11 @@ def check_supermartingale_condition(market: MarketModel) -> SupermartingaleCerti
           face, which keeps every node's support value finite, again with
           the compensator.
 
-    Stages (i) and (iii) need a margin above MARGIN_TOL and, on an exact
-    market, a rounding of it that satisfies their rows exactly.  Failure
-    of all three yields "not certified" with a witness node and escape
-    direction; the condition is sufficient only, so no claim of falsity is
-    made.
+    Stages (i) and (iii) need a margin above MARGIN_TOL.  On an exact
+    market their measure is the exact vertex of that LP, which satisfies
+    their rows exactly: it is not rounded.  Failure of all three yields
+    "not certified" with a witness node and escape direction; the condition
+    is sufficient only, so no claim of falsity is made.
     """
     cert = _try_martingale_measure(market) or _compensator_certificate(
         market, "reference-compensator", market.tree.leaf_probabilities()) \
@@ -237,8 +237,8 @@ def _conditional_drift(market, weights, node):
 
 
 def _positive_measure_lp(market, require_zero_drift):
-    """Strictly positive leaf weights from TreeLP.max_margin, rounded to
-    rationals on an exact market; None when there are none.
+    """Strictly positive leaf weights from TreeLP.max_margin, in the
+    market's arithmetic; None when there are none.
 
     With zero drift required the rows pin every induced direction to zero;
     otherwise they only require a nonnegative-multiplier representation,
@@ -250,33 +250,7 @@ def _positive_measure_lp(market, require_zero_drift):
     found = lp.max_margin(multipliers=not require_zero_drift)
     if found is None or found[1] <= MARGIN_TOL:
         return None
-    if market.exact:
-        return _snap_rational(market, found[0], require_zero_drift)
-    return tuple(found[0])
-
-
-def _snap_rational(market, weights, require_zero_drift):
-    """Try to turn a float LP measure into nearby small rationals that still
-    satisfy the defining constraints exactly; None when none does."""
-    for denom_cap in (24, 360, 10 ** 6):
-        cand = [Fraction(w).limit_denominator(denom_cap) for w in weights]
-        total = sum(cand)
-        if total == 0:
-            continue
-        cand = [w / total for w in cand]
-        if any(w <= 0 for w in cand):
-            continue
-        if require_zero_drift:
-            mass = subtree_weights(market, cand)
-            ok = all(all(v == 0 for v in node_direction(market, mass, i))
-                     for i in market.tree.nonleaf)
-        else:
-            ok = all(market.constraint(i).support(
-                _conditional_drift(market, cand, i)) != INF
-                for i in market.tree.nonleaf)
-        if ok:
-            return tuple(cand)
-    return None
+    return found[0]
 
 
 def _failure_witness(market):

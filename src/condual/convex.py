@@ -2,10 +2,19 @@
 
 The set variants (boxes, balls, polyhedra, fixed-coordinate products,
 singletons, intersections) are exactly the shapes that show up as per-node
-holding constraints.  Every variant knows how to answer the handful of
-questions the solvers ask: support values in a direction, membership,
-recession directions, Euclidean projection, and conversion to halfspace form
-where that is possible.
+holding constraints.  Every variant answers the handful of questions the
+solvers ask: support values in a direction, membership, recession
+directions, Euclidean projection, and conversion to halfspace form where
+that is possible.
+
+Each piece of geometry is written once.  A singleton and a set of pinned
+coordinates are boxes (:class:`Singleton` and :class:`AffineFixed` only set
+their bounds), so they answer every question as a box does.  A set with a
+halfspace form and no closed form of its own (a polyhedron, a polyhedral
+intersection) takes its support value from one LP over those rows and its
+projection from one active-set loop started at its center, both on
+:class:`ConvexSet`; an intersection with a ball member keeps only its
+Dykstra loop.
 
 Scalars follow the package-wide convention: Fractions everywhere means exact
 answers (support values, recession cones, polars are then exact); any float
@@ -15,7 +24,7 @@ degrades the computation to float mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -54,8 +63,24 @@ class ConvexSet:
         return self.support_argmax(xi)[0]
 
     def support_argmax(self, xi):
-        """(support value, attaining point or None when the value is +inf)."""
-        raise NotImplementedError
+        """(support value, attaining point or None when the value is +inf).
+
+        Here, one LP over the rows of :meth:`halfspaces`, exact when the set
+        and xi are; boxes, balls and pinned products override it.
+        """
+        self._check_dim(xi)
+        hs = self._halfspace_rows()
+        if hs is None:
+            raise NotImplementedError(
+                f"{type(self).__name__}.support needs a halfspace form")
+        A, b = hs
+        res = solve_lp([-v for v in xi], A_ub=A, b_ub=b,
+                       exact=self.exact and all_exact(xi))
+        if res.status == UNBOUNDED:
+            return INF, None
+        if res.status != OPTIMAL:  # pragma: no cover - nonempty by invariant
+            raise RuntimeError("support LP failed on a nonempty set")
+        return -res.value, tuple(res.x)
 
     def contains(self, point, tol=_ABS_TOL) -> bool:
         raise NotImplementedError
@@ -64,17 +89,24 @@ class ConvexSet:
         """Euclidean projection of a float array onto the set, as a float
         array; float-mode operation.
 
-        Here, the clip to :meth:`box_bounds`; the other variants override
-        it.  The float data it needs (bounds, the halfspace rows and a
-        feasible start) is built on the first call and kept on the set.  A
-        one-dimensional polyhedron or polyhedral intersection is its own
-        box, so its projection is this clip and solves no LP; in higher
-        dimensions such a set solves its center LP at most once, however
-        often it is projected onto.
+        Here, the clip to :meth:`box_bounds` when the set is its own box,
+        else the active-set projection onto the rows of :meth:`halfspaces`
+        from :meth:`center`; balls and pinned products override it.  The
+        float data it needs (bounds, the halfspace rows and the start) is
+        built on the first call and kept on the set.  A one-dimensional
+        polyhedron or polyhedral intersection is its own box, so its
+        projection is this clip and solves no LP; in higher dimensions such
+        a set solves its center LP at most once, however often it is
+        projected onto.
         """
-        lo, hi = self.box_bounds()
-        # np.clip's values at half its per-call cost on these short vectors
-        return np.minimum(np.maximum(point, lo), hi)
+        bounds = self.box_bounds()
+        if bounds is not None:
+            # np.clip's values at half its per-call cost on short vectors
+            return np.minimum(np.maximum(point, bounds[0]), bounds[1])
+        A, b, start = self._memo("_floats", lambda: tuple(
+            np.asarray(v, dtype=float)
+            for v in (*self._halfspace_rows(), self.center())))
+        return _project_onto_halfspaces(A, b, start, point)
 
     _own_box = False  # True where the set equals its bounding_box()
 
@@ -110,6 +142,10 @@ class ConvexSet:
     def halfspaces(self):
         """(A, b) with the set equal to {h: A h <= b}, or None (e.g. balls)."""
         return None
+
+    def _halfspace_rows(self):
+        """halfspaces(), built once and kept on the set."""
+        return self._memo("_halfspaces", self.halfspaces)
 
     def recession(self) -> "Cone":
         """The recession cone: the homogeneous form of halfspaces()."""
@@ -181,8 +217,11 @@ class Box(ConvexSet):
                    for x, lo, hi in zip(point, self.lower, self.upper))
 
     def center(self):
+        # a pinned coordinate is its own center, in its own arithmetic
         return tuple(
-            (lo + hi) / 2 if lo != NEG_INF and hi != INF else _clamp_zero(lo, hi)
+            lo if lo == hi
+            else (lo + hi) / 2 if lo != NEG_INF and hi != INF
+            else _clamp_zero(lo, hi)
             for lo, hi in zip(self.lower, self.upper)
         )
 
@@ -272,19 +311,14 @@ class Ball(ConvexSet):
     def _scalars(self):
         return self.center_point + (self.radius,)
 
-    def support(self, xi):
-        self._check_dim(xi)
-        norm = math.sqrt(float(_dot(xi, xi)))
-        return float(_dot(self.center_point, xi)) + float(self.radius) * norm
-
     def support_argmax(self, xi):
         self._check_dim(xi)
         norm = math.sqrt(float(_dot(xi, xi)))
+        value = float(_dot(self.center_point, xi)) + float(self.radius) * norm
         if norm == 0:
-            return 0.0 + float(_dot(self.center_point, xi)), self.center_point
-        point = tuple(float(c) + float(self.radius) * float(x) / norm
-                      for c, x in zip(self.center_point, xi))
-        return self.support(xi), point
+            return value, self.center_point
+        return value, tuple(float(c) + float(self.radius) * float(x) / norm
+                            for c, x in zip(self.center_point, xi))
 
     def contains(self, point, tol=_ABS_TOL):
         self._check_dim(point)
@@ -323,51 +357,22 @@ class Ball(ConvexSet):
         return [(c - self.radius, c + self.radius) for c in self.center_point]
 
 
+# the bounds of a box subclass, derived from its own fields
+_DERIVED = dict(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
-class Singleton(ConvexSet):
+class Singleton(Box):
+    """The one point ``point``: the box whose bounds both equal it."""
+
+    lower: tuple = field(**_DERIVED)
+    upper: tuple = field(**_DERIVED)
     point: tuple
-    _own_box = True
 
     def __post_init__(self):
-        object.__setattr__(self, "point", tuple(self.point))
-
-    @property
-    def dim(self):
-        return len(self.point)
-
-    def _scalars(self):
-        return self.point
-
-    def support(self, xi):
-        self._check_dim(xi)
-        return _dot(self.point, xi)
-
-    def support_argmax(self, xi):
-        return self.support(xi), self.point
-
-    def contains(self, point, tol=_ABS_TOL):
-        self._check_dim(point)
-        if self.exact and all_exact(point):
-            return tuple(point) == self.point
-        return all(abs(float(x) - float(p)) <= tol for x, p in zip(point, self.point))
-
-    def center(self):
-        return self.point
-
-    def halfspaces(self):
-        A, b = [], []
-        for i, v in enumerate(self.point):
-            A.append(_unit(self.dim, i, 1))
-            b.append(v)
-            A.append(_unit(self.dim, i, -1))
-            b.append(-v)
-        return A, b
-
-    def is_bounded(self):
-        return True
-
-    def bounding_box(self):
-        return [(v, v) for v in self.point]
+        point = tuple(self.point)
+        for name in ("point", "lower", "upper"):
+            object.__setattr__(self, name, point)
 
 
 @dataclass(frozen=True)
@@ -411,31 +416,11 @@ class Polyhedron(ConvexSet):
         res = solve_lp([0] * self.dim, A_ub=self.A, b_ub=self.b, exact=self.exact)
         return res.status == INFEASIBLE
 
-    def support_argmax(self, xi):
-        self._check_dim(xi)
-        exact = self.exact and all_exact(xi)
-        res = solve_lp([-v for v in xi], A_ub=self.A, b_ub=self.b, exact=exact)
-        if res.status == UNBOUNDED:
-            return INF, None
-        if res.status != OPTIMAL:  # pragma: no cover - nonempty by invariant
-            raise RuntimeError("support LP failed on a nonempty polyhedron")
-        return -res.value, tuple(res.x)
-
     def contains(self, point, tol=_ABS_TOL):
         self._check_dim(point)
         if self.exact and all_exact(point):
             tol = 0
         return all(_dot(row, point) <= bi + tol for row, bi in zip(self.A, self.b))
-
-    def project(self, point):
-        if self._own_box:
-            return super().project(point)
-        A, b, start = self._memo("_floats", self._build_floats)
-        return _project_onto_halfspaces(A, b, start, point)
-
-    def _build_floats(self):
-        return tuple(np.asarray(v, dtype=float)
-                     for v in (self.A, self.b, self.center()))
 
     def center(self):
         """Chebyshev center under the sup norm, radius capped at 1 (keeps
@@ -465,88 +450,31 @@ class Polyhedron(ConvexSet):
     def bounding_box(self):
         if self._own_box:
             return [self._ends()]
-        out = []
-        for i in range(self.dim):
-            lo = self._extreme(i, -1)
-            hi = self._extreme(i, 1)
-            out.append((lo, hi))
-        return out
-
-    def _extreme(self, i, sign):
-        # max of sign*e_i over the set, reported with the original sign
-        res = solve_lp(list(_unit(self.dim, i, -sign)),
-                       A_ub=self.A, b_ub=self.b, exact=self.exact)
-        if res.status == UNBOUNDED:
-            return INF if sign > 0 else NEG_INF
-        return -res.value if sign > 0 else res.value
+        return [(-self.support(_unit(self.dim, i, -1)),
+                 self.support(_unit(self.dim, i, 1))) for i in range(self.dim)]
 
 
 @dataclass(frozen=True)
-class AffineFixed(ConvexSet):
-    """Full space in the free coordinates, pinned values elsewhere."""
+class AffineFixed(Box):
+    """Full space in the free coordinates, pinned values elsewhere: the box
+    with equal bounds at the pinned coordinates and infinite ones at the
+    free coordinates."""
 
+    lower: tuple = field(**_DERIVED)
+    upper: tuple = field(**_DERIVED)
     dimension: int
     fixed: tuple  # sorted tuple of (index, value)
-    _own_box = True
 
     def __post_init__(self):
         pairs = tuple(sorted((int(i), v) for i, v in dict(self.fixed).items()))
         object.__setattr__(self, "fixed", pairs)
-        for i, _ in pairs:
-            if not 0 <= i < self.dimension:
-                raise ValueError("fixed index out of range")
-
-    @property
-    def dim(self):
-        return self.dimension
-
-    def _scalars(self):
-        return [v for _, v in self.fixed]
-
-    def _fixed_map(self):
-        return dict(self.fixed)
-
-    def support_argmax(self, xi):
-        self._check_dim(xi)
-        fixed = self._fixed_map()
-        total = 0
-        point = []
-        for i, x in enumerate(xi):
-            if i in fixed:
-                total += fixed[i] * x
-                point.append(fixed[i])
-            elif x != 0:
-                return INF, None
-            else:
-                point.append(0)
-        return total, tuple(point)
-
-    def contains(self, point, tol=_ABS_TOL):
-        self._check_dim(point)
-        if self.exact and all_exact(point):
-            tol = 0
-        return all(abs(point[i] - v) <= tol for i, v in self.fixed)
-
-    def center(self):
-        fixed = self._fixed_map()
-        return tuple(fixed.get(i, 0) for i in range(self.dim))
-
-    def halfspaces(self):
-        A, b = [], []
-        for i, v in self.fixed:
-            A.append(_unit(self.dim, i, 1))
-            b.append(v)
-            A.append(_unit(self.dim, i, -1))
-            b.append(-v)
-        return A, b
-
-    def is_bounded(self):
-        return len(self.fixed) == self.dim
-
-    def bounding_box(self):
-        fixed = self._fixed_map()
-        return [(fixed[i], fixed[i]) if i in fixed else (NEG_INF, INF)
-                for i in range(self.dim)]
+        if any(not 0 <= i < self.dimension for i, _ in pairs):
+            raise ValueError("fixed index out of range")
+        fixed, coords = dict(pairs), range(self.dimension)
+        object.__setattr__(self, "lower",
+                           tuple(fixed.get(i, NEG_INF) for i in coords))
+        object.__setattr__(self, "upper",
+                           tuple(fixed.get(i, INF) for i in coords))
 
 
 @dataclass(frozen=True)
@@ -667,7 +595,7 @@ class Intersection(ConvexSet):
     def _own_box(self):
         return bool(self._ends())
 
-    def _polyhedral(self):
+    def halfspaces(self):
         rows, offs = [], []
         for m in self.members:
             hs = m.halfspaces()
@@ -682,7 +610,7 @@ class Intersection(ConvexSet):
             return None  # an empty interval
         if self._own_box:
             return (_interval_center(*self._ends(), self.exact),)
-        hs = self._polyhedral()
+        hs = self._halfspace_rows()
         if hs is not None:
             res = solve_lp([0] * self.dim, A_ub=hs[0], b_ub=hs[1], exact=self.exact)
             return tuple(res.x) if res.status == OPTIMAL else None
@@ -697,27 +625,12 @@ class Intersection(ConvexSet):
                 return tuple(point.tolist())
         return None
 
-    def support_argmax(self, xi):
-        self._check_dim(xi)
-        hs = self._polyhedral()
-        if hs is None:
-            raise NotImplementedError(
-                "support of an intersection with non-polyhedral members")
-        exact = self.exact and all_exact(xi)
-        res = solve_lp([-v for v in xi], A_ub=hs[0], b_ub=hs[1], exact=exact)
-        if res.status == UNBOUNDED:
-            return INF, None
-        return -res.value, tuple(res.x)
-
     def contains(self, point, tol=_ABS_TOL):
         return all(m.contains(point, tol) for m in self.members)
 
     def project(self, point):
-        if self._own_box:
+        if self._halfspace_rows() is not None:
             return super().project(point)
-        A, b, start = self._memo("_floats", self._build_floats)
-        if A is not None:
-            return _project_onto_halfspaces(A, b, start, point)
         # Dykstra's alternating projections for the mixed case
         x = point
         incs = [np.zeros(self.dim) for _ in self.members]
@@ -731,18 +644,9 @@ class Intersection(ConvexSet):
                 break
         return x
 
-    def _build_floats(self):
-        hs = self._polyhedral()
-        if hs is None:
-            return None, None, None
-        return tuple(np.asarray(v, dtype=float) for v in (*hs, self.center()))
-
     def center(self):
         """The member found at construction, where it proves nonemptiness."""
         return self._memo("_center", self._feasible_point)
-
-    def halfspaces(self):
-        return self._polyhedral()
 
     def recession(self):
         # intersection of member recession cones; valid because the members
@@ -755,7 +659,7 @@ class Intersection(ConvexSet):
     def is_bounded(self):
         if any(m.is_bounded() for m in self.members):
             return True
-        if self._polyhedral() is not None:
+        if self.halfspaces() is not None:
             return self.recession().is_trivial()
         return None
 
@@ -997,21 +901,11 @@ def projected_set_closed(projection: ProjectionMatrix, convex_set: ConvexSet):
     is reserved for variants with no applicable sufficient criterion, never a
     wrong "true".
     """
-    if _certainly_polyhedral(convex_set):
+    if convex_set.halfspaces() is not None:
         return "true", "linear image of a polyhedron is a polyhedron"
     if convex_set.is_bounded():
         return "true", "continuous image of a compact set is compact"
     return "unknown", "no sufficient closedness criterion applies"
-
-
-def _certainly_polyhedral(convex_set) -> bool:
-    if isinstance(convex_set, (Box, Polyhedron, Singleton, AffineFixed)):
-        return True
-    if isinstance(convex_set, CrossFixed):
-        return _certainly_polyhedral(convex_set.base)
-    if isinstance(convex_set, Intersection):
-        return all(_certainly_polyhedral(m) for m in convex_set.members)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1149,6 +1043,12 @@ def set_from_json(doc, path="constraint"):
 def set_to_json(convex_set):
     from .scalars import number_to_json as nj
 
+    # the box subclasses first
+    if isinstance(convex_set, Singleton):
+        return {"type": "singleton", "point": [nj(v) for v in convex_set.point]}
+    if isinstance(convex_set, AffineFixed):
+        return {"type": "affine_fixed", "dim": convex_set.dim,
+                "fixed": {str(i): nj(v) for i, v in convex_set.fixed}}
     if isinstance(convex_set, Box):
         return {"type": "box",
                 "lower": [nj(v) for v in convex_set.lower],
@@ -1161,11 +1061,6 @@ def set_to_json(convex_set):
         return {"type": "polyhedron",
                 "A": [[nj(v) for v in row] for row in convex_set.A],
                 "b": [nj(v) for v in convex_set.b]}
-    if isinstance(convex_set, Singleton):
-        return {"type": "singleton", "point": [nj(v) for v in convex_set.point]}
-    if isinstance(convex_set, AffineFixed):
-        return {"type": "affine_fixed", "dim": convex_set.dim,
-                "fixed": {str(i): nj(v) for i, v in convex_set.fixed}}
     if isinstance(convex_set, CrossFixed):
         return {"type": "cross_fixed", "base": set_to_json(convex_set.base),
                 "fixed": [nj(v) for v in convex_set.fixed_tail]}

@@ -156,7 +156,7 @@ def _alpha_lp(market, weights):
     return -res.value, res.x
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinSupportResult:
     inf_alpha: object
     sup_essinf: object
@@ -181,10 +181,14 @@ def min_support(market: MarketModel) -> MinSupportResult:
     by backward induction (recursion module); otherwise by the lifted LP
     and the stacked worst-leaf LP.  The hedge side is the superhedge of the
     zero claim, solved once per market and kept (:func:`_zero_claim`).
+    The answer depends on the market alone, so it too is solved once and
+    kept on the market's TreeLP, and every call returns the same result.
     """
-    if _recursive(market):
-        return _min_support_recursive(market)
-    return _min_support_lp(market)
+    def solve():
+        if _recursive(market):
+            return _min_support_recursive(market)
+        return _min_support_lp(market)
+    return tree_lp(market).kept("min_support", solve)
 
 
 def _min_support_recursive(market):
@@ -379,9 +383,9 @@ def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):
 
 
 def _face_interior_point(market):
-    """(q, t): the float leaf measure of the finite-alpha face with the
-    greatest margin t in q >= t p (TreeLP.max_margin), strictly positive
-    when t > MARGIN_TOL; None when the face is empty."""
+    """(q, t): a float copy of the leaf measure of the finite-alpha face
+    with the greatest margin t in q >= t p (TreeLP.max_margin), strictly
+    positive when t > MARGIN_TOL; None when the face is empty."""
     found = tree_lp(market).max_margin()
     if found is None:
         return None

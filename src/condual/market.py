@@ -422,10 +422,12 @@ def embed_endowment(market: MarketModel, endowment: dict, measure) -> tuple:
     one = Fraction(1) if market.exact and measure_exact else 1.0
     new_constraints = {}
     for i, cset in market.constraints:
-        if isinstance(cset, Box) and all(lo == NEG_INF and hi == INF
-                                         for lo, hi in zip(cset.lower, cset.upper)):
+        # a plain box only: singletons and pinned sets keep their own type
+        # under the pinned tail
+        if type(cset) is Box and all(lo == NEG_INF and hi == INF
+                                     for lo, hi in zip(cset.lower, cset.upper)):
             new_constraints[i] = AffineFixed(market.dim + 1, {market.dim: one})
-        elif isinstance(cset, Box):
+        elif type(cset) is Box:
             new_constraints[i] = Box(cset.lower + (one,), cset.upper + (one,))
         else:
             new_constraints[i] = CrossFixed(cset, (one,))

@@ -53,7 +53,10 @@ def solve_primal(market: MarketModel, utility: UtilityFunction, x,
                  tol=1e-8, max_iter=20000) -> PrimalSolution:
     """Best expected utility from initial wealth x and its optimizer; tol
     and max_iter bound the ascent, and the LP route, which ignores them,
-    needs every set in halfspace form (else NotImplementedError)."""
+    needs every set in halfspace form (else NotImplementedError).  On a
+    market without one the ascent starts from the set centers, and when
+    they give no start it raises NotImplementedError too, since no LP can
+    decide feasibility there."""
     _require_finite(x)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -72,6 +75,8 @@ def solve_primal(market: MarketModel, utility: UtilityFunction, x,
     feasible, start, slack = _feasible_start(market, x)
     needs_interior = utility.inf_value() == NEG_INF
     if not feasible or (needs_interior and slack <= 0):
+        # without a halfspace form only the set centers were tried
+        tree_lp(market).require_polyhedral()
         return PrimalSolution(NEG_INF, None, None, "infeasible")
 
     # power and log are unbounded above, so a free lunch is unbounded
@@ -86,12 +91,16 @@ def primal_feasible(market: MarketModel, x) -> bool:
 
     A per-x phase-1 question; verify_xbar asks it just above and just below
     the critical wealth that min_support reports.  Deliberately not the
-    max-min-slack LP, so the check stays independent of min_support.
+    max-min-slack LP, so the check stays independent of min_support.  On a
+    market where some set has no halfspace form only the set centers are
+    tried: True when they keep wealth >= 0, else NotImplementedError.
     """
     _require_finite(x)
     lp = tree_lp(market)
     if not lp.polyhedral:
-        return _feasible_start(market, x)[0]
+        if _feasible_start(market, x)[0]:
+            return True
+        lp.require_polyhedral()  # the set centers alone decide nothing
     exact = market.exact and isinstance(x, (int, Fraction))
     A, b, L = lp.rows(exact)[:3]
     x = np.full(len(L), x if exact else float(x), b.dtype)
@@ -124,7 +133,9 @@ def _feasible_start(market: MarketModel, x):
 
 
 def _feasible_start_nonpolyhedral(market, x):
-    """Center-based fallback when some constraint has no halfspace form."""
+    """The set centers as a start, when some constraint has no halfspace
+    form.  A worst leaf below zero there proves nothing, so callers then
+    raise the NotImplementedError of :meth:`TreeLP.require_polyhedral`."""
     holdings = {i: market.constraint(i).center() for i in market.tree.nonleaf}
     from .market import wealth_process
 

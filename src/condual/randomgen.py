@@ -126,6 +126,10 @@ def sample_point(rng, cset):
     """Random member of a constraint set (rational where the set allows)."""
     if isinstance(cset, Singleton):
         return cset.point
+    if isinstance(cset, AffineFixed):  # a Box subclass: test it first
+        fixed = dict(cset.fixed)
+        return tuple(fixed.get(i, F(rng.randint(-4, 4), 2))
+                     for i in range(cset.dim))
     if isinstance(cset, Box):
         out = []
         for lo, hi in zip(cset.lower, cset.upper):
@@ -141,10 +145,6 @@ def sample_point(rng, cset):
         r = float(cset.radius) * rng.random()
         return tuple(float(c) + r * d / norm
                      for c, d in zip(cset.center_point, direction))
-    if isinstance(cset, AffineFixed):
-        fixed = dict(cset.fixed)
-        return tuple(fixed.get(i, F(rng.randint(-4, 4), 2))
-                     for i in range(cset.dim))
     if isinstance(cset, CrossFixed):
         return tuple(sample_point(rng, cset.base)) + cset.fixed_tail
     if isinstance(cset, Polyhedron):

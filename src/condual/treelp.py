@@ -45,9 +45,10 @@ with alpha in its objective is one LP over (q, mu).  The lifted LPs are
 :meth:`TreeLP.lifted_min`, the least linear cost in q plus a multiple of
 alpha(q) (inf alpha, the superhedging measure, the dual's minorant bound),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
-dual's start, the certificate measures), solved once per TreeLP.  Such
-answers of the market alone are kept on the TreeLP by :meth:`TreeLP.kept`,
-as :mod:`condual.dual` keeps the superhedge of the zero claim.
+dual's start, the certificate measures), solved once per TreeLP in the
+market's arithmetic.  Such answers of the market alone are kept on the
+TreeLP by :meth:`TreeLP.kept`, as :mod:`condual.dual` keeps the superhedge
+of the zero claim and the answer of ``min_support``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class TreeLP:
 
     def __init__(self, market: MarketModel):
         tree, d = market.tree, market.dim
-        self.dim = d
+        self.dim, self.exact = d, market.exact
         self.offsets = {i: k * d for k, i in enumerate(tree.nonleaf)}
         self.n_h = d * len(self.offsets)
         # what the row builder reads, so that it never needs the market
@@ -242,9 +243,11 @@ class TreeLP:
 
     def max_margin(self, multipliers=True):
         """(q, t): a leaf measure of the lifted polytope maximizing the
-        margin t in q >= t p, with t <= 1, by a float LP over the columns
-        (q, mu, t); None when that LP has no optimum.  q is a tuple of
-        floats; the answer is solved once per ``multipliers`` flag and kept.
+        margin t in q >= t p, with t <= 1, by an LP over the columns (q, mu,
+        t) in the market's arithmetic; None when that LP has no optimum.  q
+        is a tuple, of Fractions on an exact market (so it satisfies the
+        rows exactly) and of floats otherwise; the answer is solved once per
+        ``multipliers`` flag and kept.
 
         With multipliers q ranges over the finite-alpha face; without them
         it must give zero drift at every node (a martingale measure).  The
@@ -255,18 +258,17 @@ class TreeLP:
                          lambda: self._max_margin(multipliers))
 
     def _max_margin(self, multipliers):
-        A_eq, b_eq, nonneg = self.lifted(False, multipliers)
-        A_eq = np.hstack([A_eq, np.zeros((len(A_eq), 1))])
-        p = self.rows(False)[5]
+        A_eq, b_eq, nonneg = self.lifted(self.exact, multipliers)
+        p = self.rows(self.exact)[5]
+        A_eq = np.hstack([A_eq, np.zeros((len(A_eq), 1), p.dtype)])
         n, width = len(p), A_eq.shape[1]
-        A_ub = np.zeros((n + 1, width))
-        A_ub[:n, :n] = -np.eye(n)  # q_k >= t p_k
+        A_ub = np.zeros((n + 1, width), p.dtype)
+        A_ub[:n, :n] = -np.eye(n, dtype=p.dtype)  # q_k >= t p_k
         A_ub[:n, -1] = p
-        A_ub[n, -1] = 1.0
-        c = np.zeros(width)
-        c[-1] = -1.0
-        res = solve_lp(c, A_ub=A_ub, b_ub=np.append(np.zeros(n), 1.0),
-                       A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
+        A_ub[n, -1] = 1
+        res = solve_lp(np.append(np.zeros(width - 1, p.dtype), -1),
+                       A_ub=A_ub, b_ub=np.append(np.zeros(n, p.dtype), 1),
+                       A_eq=A_eq, b_eq=b_eq, exact=self.exact, nonneg=nonneg)
         if res.status != OPTIMAL:
             return None
         return tuple(res.x[:n]), -res.value
@@ -274,7 +276,8 @@ class TreeLP:
     def kept(self, key, solve):
         """solve(), run on the first request for key and kept: an answer
         that depends on the market alone (the face point, the superhedge of
-        the zero claim) never goes stale, since markets are immutable."""
+        the zero claim, min_support) never goes stale, since markets are
+        immutable."""
         if key not in self._kept:
             self._kept[key] = solve()
         return self._kept[key]

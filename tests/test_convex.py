@@ -692,5 +692,7 @@ def test_parse_floor_market_solves_no_lp(tmp_path, monkeypatch):
 ])
 def test_set_json_roundtrip(descriptor):
     s = set_from_json(descriptor)
+    # singletons and pinned sets are boxes, but keep their own type
+    assert set_to_json(s)["type"] == descriptor["type"]
     again = set_from_json(set_to_json(s))
     assert set_to_json(again) == set_to_json(s)

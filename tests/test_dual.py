@@ -507,10 +507,12 @@ def test_zero_margin_face_is_plus_infinity(monkeypatch):
 
     markets = [random_market(random.Random(s), max_periods=3)
                for s in ZERO_MARGIN_SEEDS]
+    # every LP, float or exact: an exact market's max-margin LP is exact
+    # and certified off one HiGHS solve
     solves = []
-    solve_float = linprog._solve_float
-    monkeypatch.setattr(linprog, "_solve_float",
-                        lambda *a: solves.append(a) or solve_float(*a))
+    for route in ("_solve_float", "_certified"):
+        monkeypatch.setattr(linprog, route, lambda *a, _s=getattr(
+            linprog, route): solves.append(a) or _s(*a))
     monkeypatch.setattr(linprog, "_simplex_exact", None)
 
     def no_newton(*_, **__):
@@ -597,9 +599,10 @@ def test_zero_claim_priced_once_per_market(monkeypatch, spec, exact):
         assert runs.count((0,) * 4) == 1 and len(runs) == k + 1
         assert lps == []
     else:
-        # per superhedge its worst-leaf and lifted LPs, per min_support its
-        # lifted LP, and one worst-leaf LP for the zero claim
-        assert runs == [] and len(lps) == 3 * k + 1
+        # per superhedge its worst-leaf and lifted LPs, and once per market
+        # the lifted LP of min_support and the worst-leaf LP of the zero
+        # claim: min_support is kept too
+        assert runs == [] and len(lps) == 2 * k + 2
 
 
 def test_one_dimensional_ball_is_its_interval():

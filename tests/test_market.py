@@ -211,6 +211,21 @@ def test_embed_box_constraint_appends_unit():
     assert not cset.contains((F(2), F(1)))
 
 
+@pytest.mark.parametrize("base", [
+    {"type": "singleton", "point": [1]},
+    {"type": "affine_fixed", "dim": 1, "fixed": {}},
+    {"type": "affine_fixed", "dim": 1, "fixed": {"0": "1/2"}},
+])
+def test_embed_wraps_singleton_and_pinned_sets(base):
+    # singletons and pinned sets are boxes, but the embedding keeps them as
+    # the base of a cross_fixed set, as it keeps every set but a plain box
+    market = build_market(binomial_spec(base))
+    augmented, _ = embed_endowment(
+        market, {"up": F(2), "down": F(1)}, (F(1, 3), F(2, 3)))
+    written = market_to_json(augmented)["constraints"]["root"]
+    assert written == {"type": "cross_fixed", "base": base, "fixed": [1]}
+
+
 def test_embed_endowment_value_matches_direct_objective(b1):
     # two routes to the same number: solve the augmented market, or
     # maximize E[U(w + gains + payoff)] directly by brute force

@@ -340,6 +340,22 @@ def test_piecewise_primal_needs_halfspaces():
         solve_primal(market, KINKED, 1.0)
 
 
+def test_ball_market_without_center_start_is_not_infeasible():
+    # the ball's center (3, 0) loses 1.3 on the down leaf at x = 1.2, but
+    # its point (2, 0) keeps wealth >= 0.2 on every leaf: with no LP to
+    # decide feasibility, both answers must refuse rather than say no
+    market = build_market(two_asset_spec(
+        {"type": "ball", "center": [3, 0], "radius": 1}))
+    assert is_admissible(market, PortfolioProcess({0: (2, 0)}))
+    with pytest.raises(NotImplementedError, match="halfspace"):
+        solve_primal(market, LOG, 1.2)
+    with pytest.raises(NotImplementedError, match="halfspace"):
+        primal_feasible(market, 1.2)
+    # a start at the centers is still used
+    assert solve_primal(market, LOG, 2.0).status == "optimal"
+    assert primal_feasible(market, 2.0)
+
+
 @pytest.mark.parametrize("name", ["b1", "b1_box", "b1_pinned", "d1",
                                   "drift_market", "two_period"])
 def test_piecewise_primal_bounds_brute_force(request, name):
