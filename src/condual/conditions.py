@@ -198,8 +198,8 @@ def _try_martingale_measure(market):
         measure_from_weights(market, weights),
         reference,
         {market.tree.nodes[i].node_id: zero for i in market.tree.nonleaf},
-        {market.tree.nodes[i].node_id: _conditional_drift(market, weights, i)
-         for i in market.tree.nonleaf},
+        {market.tree.nodes[i].node_id: drift
+         for i, drift in _conditional_drifts(market, weights).items()},
         notes=["zero-drift measure found: the compensator vanishes"],
     )
 
@@ -209,8 +209,7 @@ def _compensator_certificate(market, stage, weights):
     None when there are no weights (stage (iii) found no measure)."""
     if weights is None:
         return None
-    drifts = {i: _conditional_drift(market, weights, i)
-              for i in market.tree.nonleaf}
+    drifts = _conditional_drifts(market, weights)
     reference = _admissible_reference(market, drifts)
     if reference is None:
         return None
@@ -230,10 +229,12 @@ def _compensator_certificate(market, stage, weights):
     )
 
 
-def _conditional_drift(market, weights, node):
+def _conditional_drifts(market, weights):
+    """E[dS | node] at every non-leaf node under the leaf weights, from
+    one pass of subtree masses."""
     mass = subtree_weights(market, weights)
-    xi = node_direction(market, mass, node)
-    return tuple(v / mass[node] for v in xi)
+    return {i: tuple(v / mass[i] for v in node_direction(market, mass, i))
+            for i in market.tree.nonleaf}
 
 
 def _positive_measure_lp(market, require_zero_drift):
@@ -256,9 +257,8 @@ def _positive_measure_lp(market, require_zero_drift):
 def _failure_witness(market):
     """Node at which the reference measure explodes the support value, plus
     an escaping recession ray with positive drift product."""
-    probs = market.tree.leaf_probabilities()
-    for i in market.tree.nonleaf:
-        beta = _conditional_drift(market, probs, i)
+    drifts = _conditional_drifts(market, market.tree.leaf_probabilities())
+    for i, beta in drifts.items():
         cset = market.constraint(i)
         if cset.support(beta) == INF:
             ray = _escaping_ray(cset.recession(), beta, market.exact)

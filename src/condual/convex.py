@@ -126,7 +126,7 @@ class ConvexSet:
             object.__setattr__(self, key, value)
         return value
 
-    def _ends(self):
+    def interval(self):
         """(lo, hi) of a one-dimensional set with a halfspace form, from
         :func:`halfspace_interval` in the set's own arithmetic (None when
         empty), kept on the set; () for any other set."""
@@ -379,7 +379,7 @@ class Singleton(Box):
 class Polyhedron(ConvexSet):
     """{h : A h <= b}; nonemptiness is checked at construction.
 
-    In dimension one the set is the interval of its rows (:meth:`_ends`),
+    In dimension one the set is the interval of its rows (:meth:`interval`),
     which answers nonemptiness, the center, the bounding box and the
     projection (a clip) without an LP; in higher dimensions each takes an
     LP, and the projection an active-set loop.
@@ -412,7 +412,7 @@ class Polyhedron(ConvexSet):
 
     def _empty(self):
         if self._own_box:
-            return self._ends() is None
+            return self.interval() is None
         res = solve_lp([0] * self.dim, A_ub=self.A, b_ub=self.b, exact=self.exact)
         return res.status == INFEASIBLE
 
@@ -429,7 +429,7 @@ class Polyhedron(ConvexSet):
 
     def _chebyshev_center(self):
         if self._own_box:
-            return (_interval_center(*self._ends(), self.exact),)
+            return (_interval_center(*self.interval(), self.exact),)
         n = self.dim
         c = [0] * n + [-1]
         A_ub = [list(row) + [sum(abs(v) for v in row)] for row in self.A]
@@ -449,7 +449,7 @@ class Polyhedron(ConvexSet):
 
     def bounding_box(self):
         if self._own_box:
-            return [self._ends()]
+            return [self.interval()]
         return [(-self.support(_unit(self.dim, i, -1)),
                  self.support(_unit(self.dim, i, 1))) for i in range(self.dim)]
 
@@ -593,7 +593,7 @@ class Intersection(ConvexSet):
 
     @property
     def _own_box(self):
-        return bool(self._ends())
+        return bool(self.interval())
 
     def halfspaces(self):
         rows, offs = [], []
@@ -606,10 +606,10 @@ class Intersection(ConvexSet):
         return rows, offs
 
     def _feasible_point(self):
-        if self._ends() is None:
+        if self.interval() is None:
             return None  # an empty interval
         if self._own_box:
-            return (_interval_center(*self._ends(), self.exact),)
+            return (_interval_center(*self.interval(), self.exact),)
         hs = self._halfspace_rows()
         if hs is not None:
             res = solve_lp([0] * self.dim, A_ub=hs[0], b_ub=hs[1], exact=self.exact)
@@ -665,7 +665,7 @@ class Intersection(ConvexSet):
 
     def bounding_box(self):
         if self._own_box:
-            return [self._ends()]
+            return [self.interval()]
         boxes = [m.bounding_box() for m in self.members]
         return [(max(b[i][0] for b in boxes), min(b[i][1] for b in boxes))
                 for i in range(self.dim)]

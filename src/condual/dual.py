@@ -172,9 +172,11 @@ def min_support(market: MarketModel) -> MinSupportResult:
 
     Both come from superhedging the zero claim: sup essinf of the attainable
     gains is minus its price, and inf alpha is its measure-side value.  Each side
-    comes from its own certificate (TreeLP.L times the hedge for the worst
-    leaf; support_alpha at the minimizing measure for inf alpha), so their
-    agreement is an LP-duality identity.  The critical initial wealth is
+    comes from its own certificate, so their agreement is an LP-duality
+    identity: inf alpha is support_alpha at the minimizing measure, or the
+    lifted LP's optimum; sup essinf is the least terminal gain of backward
+    induction's hedge (TreeLP.L times it), or the optimum of the stacked
+    worst-leaf LP (TreeLP.sup_essinf).  The critical initial wealth is
     -inf alpha.
 
     Markets without a floor, with every set in halfspace form, are solved
@@ -239,20 +241,18 @@ def _zero_claim(market):
     """(sup essinf, back) from the superhedge of the zero claim in the
     market's arithmetic: the greatest worst-leaf gain of an admissible
     portfolio, and backward induction's answer on the recursive route (None
-    on the LP route).  It depends on the market alone, so it is solved once
-    and kept on the market's TreeLP."""
+    on the LP route, which reads the kept TreeLP.sup_essinf).  It depends
+    on the market alone, so it is solved once and kept on the market's
+    TreeLP."""
+    lp = tree_lp(market)
+    if not _recursive(market):
+        return lp.sup_essinf(market.exact)[0], None
+
     def solve():
-        if _recursive(market):
-            back = backward_induction(market, (0,) * len(market.tree.leaves),
-                                      market.exact)
-            return _worst_gain(market, back.hedge), back
-        res = tree_lp(market).worst_leaf(market.exact, 0)
-        if res.status == UNBOUNDED:
-            return INF, None
-        if res.status == INFEASIBLE:  # empty admissible class
-            return NEG_INF, None
-        return -res.value, None
-    return tree_lp(market).kept(("zero claim", market.exact), solve)
+        back = backward_induction(market, (0,) * len(market.tree.leaves),
+                                  market.exact)
+        return _worst_gain(market, back.hedge), back
+    return lp.kept("zero claim", solve)
 
 
 def _worst_gain(market, hedge):
@@ -438,8 +438,7 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         if found is None:
             return DualSolution(INF, None, False, INF, y=y)
         q0, margin = found
-        if market.floor is not None \
-                and support_alpha(market, q0) == NEG_INF:
+        if market.floor is not None and _zero_claim(market)[0] == NEG_INF:
             # only a floor can empty the admissible class (every set is
             # nonempty), and then alpha is -inf at every measure
             return DualSolution(NEG_INF, None, False, INF, y=y)

@@ -123,8 +123,10 @@ class MarketModel:
 
     def __post_init__(self):
         object.__setattr__(self, "prices", tuple(tuple(p) for p in self.prices))
-        pairs = tuple(sorted(dict(self.constraints).items()))
-        object.__setattr__(self, "constraints", pairs)
+        by_node = dict(self.constraints)
+        object.__setattr__(self, "constraints", tuple(sorted(by_node.items())))
+        # kept outside the fields, so equality and hashing ignore it
+        object.__setattr__(self, "_by_node", by_node)
         object.__setattr__(self, "dim", len(self.prices[0]))
 
     @property
@@ -142,7 +144,7 @@ class MarketModel:
         return exact
 
     def constraint(self, index: int) -> ConvexSet:
-        return dict(self.constraints)[index]
+        return self._by_node[index]
 
     def increment(self, child: int):
         """Price increment along the edge ending at `child`."""

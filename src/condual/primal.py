@@ -23,16 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
-from .market import MarketModel, PortfolioProcess, validate_market
+from .market import (MarketModel, PortfolioProcess, validate_market,
+                     wealth_process)
 from .scalars import INF, NEG_INF, is_finite
 from .treelp import tree_lp
 from .utility import LogUtility, PiecewiseLinearUtility, UtilityFunction
 
 _DOMAIN_EPS = 1e-12
-# Cap on the worst-leaf slack in _feasible_start's max-min LP, above |x|.
-# It only keeps that LP bounded on a free-lunch market; being positive, it
-# never changes the sign of the slack, which is the feasibility verdict.
-_SLACK_CAP = 10 ** 6
 
 
 @dataclass
@@ -72,15 +69,15 @@ def solve_primal(market: MarketModel, utility: UtilityFunction, x,
         return _package(market, np.asarray(res.x[:lp.n_h]), float(x),
                         -res.value, OPTIMAL, 0, None)
 
-    feasible, start, slack = _feasible_start(market, x)
+    slack, start = _feasible_start(market, x)
     needs_interior = utility.inf_value() == NEG_INF
-    if not feasible or (needs_interior and slack <= 0):
+    if slack < 0 or (needs_interior and slack == 0):
         # without a halfspace form only the set centers were tried
         tree_lp(market).require_polyhedral()
         return PrimalSolution(NEG_INF, None, None, "infeasible")
 
     # power and log are unbounded above, so a free lunch is unbounded
-    if find_free_lunch_direction(market) is not None:
+    if slack == INF or find_free_lunch_direction(market) is not None:
         return PrimalSolution(INF, None, None, "unbounded")
 
     return _projected_gradient(market, utility, x, start, tol, max_iter)
@@ -98,7 +95,7 @@ def primal_feasible(market: MarketModel, x) -> bool:
     _require_finite(x)
     lp = tree_lp(market)
     if not lp.polyhedral:
-        if _feasible_start(market, x)[0]:
+        if _feasible_start(market, x)[0] >= 0:
             return True
         lp.require_polyhedral()  # the set centers alone decide nothing
     exact = market.exact and isinstance(x, (int, Fraction))
@@ -115,33 +112,22 @@ def _require_finite(x):
 
 
 def _feasible_start(market: MarketModel, x):
-    """Maximize the worst leaf wealth; feasible iff the optimum is >= 0.
-
-    Returns (feasible, starting holdings dict, worst-leaf slack).
-    """
+    """(slack, start): x + sup essinf, the greatest worst-leaf wealth from x
+    (x is feasible iff it is >= 0; +inf on a free lunch, -inf with no start
+    when a floor empties the admissible class), and stacked holdings that
+    attain it, from the market's kept TreeLP.sup_essinf in x's arithmetic:
+    no LP is solved per wealth.  Without a halfspace form at every node the
+    start is the set centers, whose worst leaf below zero proves nothing,
+    so callers then raise the NotImplementedError of require_polyhedral."""
     lp = tree_lp(market)
-    if not lp.polyhedral:
-        return _feasible_start_nonpolyhedral(market, x)
-    exact = market.exact and isinstance(x, (int, Fraction))
-    x = x if exact else float(x)
-    res = lp.worst_leaf(exact, x, abs(x) + _SLACK_CAP)
-    if res.status != OPTIMAL:
-        # infeasible only when the floor empties the admissible class
-        return False, None, NEG_INF
-    m = -res.value
-    return m >= 0, lp.portfolio(res.x).as_dict(), m
-
-
-def _feasible_start_nonpolyhedral(market, x):
-    """The set centers as a start, when some constraint has no halfspace
-    form.  A worst leaf below zero there proves nothing, so callers then
-    raise the NotImplementedError of :meth:`TreeLP.require_polyhedral`."""
+    if lp.polyhedral:
+        exact = market.exact and isinstance(x, (int, Fraction))
+        essinf, hedge = lp.sup_essinf(exact)
+        return (x if exact else float(x)) + essinf, hedge
     holdings = {i: market.constraint(i).center() for i in market.tree.nonleaf}
-    from .market import wealth_process
-
     w = wealth_process(market, PortfolioProcess(holdings), x)
-    slack = min(float(v) for v in w.leaf_values(market))
-    return slack >= 0, holdings, slack
+    return (min(float(v) for v in w.leaf_values(market)),
+            tuple(v for i in market.tree.nonleaf for v in holdings[i]))
 
 
 def find_free_lunch_direction(market: MarketModel):
@@ -185,8 +171,7 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     def gradient(h):
         return L.T @ (leaf_probs * marginal_fn(x + L @ h))
 
-    h = np.asarray([float(start[i][k]) for i in market.tree.nonleaf
-                    for k in range(market.dim)])
+    h = np.asarray(start, dtype=float)
     f = objective(h)
     if f == NEG_INF:
         return PrimalSolution(NEG_INF, None, None, "infeasible")
@@ -230,8 +215,6 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
 
 def _package(market, h, x, f, status, iters, gm):
     portfolio = tree_lp(market).portfolio(h.tolist())
-    from .market import wealth_process
-
     terminal = wealth_process(market, portfolio, x).leaf_values(market)
     return PrimalSolution(f, portfolio, terminal, status, iters, gm)
 

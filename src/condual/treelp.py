@@ -20,10 +20,10 @@ They are read-only numpy arrays: of dtype ``object`` holding the market's
 own numbers when exact, of dtype float otherwise.  Each arithmetic's set is
 built on its first request, so a float market never builds exact rows.  In
 dimension one, each node's constraint set is also kept as an interval
-``(lo, hi)`` (``intervals``), read from its halfspace rows in the set's own
-arithmetic by :func:`condual.convex.halfspace_interval`, the closed form
-from which one-dimensional polyhedra and polyhedral intersections answer
-their own nonemptiness, center, bounding box and projection.
+``(lo, hi)`` (``intervals``): the set's own kept
+:meth:`~condual.convex.ConvexSet.interval`, the closed form from which
+one-dimensional polyhedra and polyhedral intersections answer their own
+nonemptiness, center, bounding box and projection.
 
 The float bounds of the box-shaped sets (in dimension one, every set with a
 halfspace form) are stacked into ``box_lo`` and ``box_hi`` (+-inf at the
@@ -35,7 +35,9 @@ on the market.
 
 Four LP shapes are assembled here, once for every caller:
 :meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
-feasibility start of the primal, sup essinf, and the superhedging price);
+superhedging price, and at shift 0 :meth:`TreeLP.sup_essinf`, solved once
+per arithmetic: the primal's feasibility verdict and start at every
+wealth, the zero claim and the dual's empty-class test);
 :meth:`TreeLP.epigraph`, of a piecewise-linear utility, gives u(x) with x
 fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y).
 The measure-side LPs run over the lifted pairs (q, mu) of
@@ -47,16 +49,15 @@ alpha(q) (inf alpha, the superhedging measure, the dual's minorant bound),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
 dual's start, the certificate measures), solved once per TreeLP in the
 market's arithmetic.  Such answers of the market alone are kept on the
-TreeLP by :meth:`TreeLP.kept`, as :mod:`condual.dual` keeps the superhedge
-of the zero claim and the answer of ``min_support``.
+TreeLP by :meth:`TreeLP.kept`, as are sup essinf and :mod:`condual.dual`'s
+superhedge of the zero claim and answer of ``min_support``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convex import halfspace_interval
-from .linprog import OPTIMAL, solve_lp
+from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel, PortfolioProcess
 from .scalars import INF, NEG_INF
 
@@ -95,7 +96,7 @@ class TreeLP:
                 break
             self._halfspaces.append((i, hs))
             if d == 1:
-                self.intervals[i] = halfspace_interval(*hs, cset.exact)
+                self.intervals[i] = cset.interval()
         self.polyhedral = self._no_halfspaces is None
         self._rows = {}
         self._kept = {}
@@ -162,10 +163,9 @@ class TreeLP:
             out[a:b] = proj(h[a:b])
         return out
 
-    def worst_leaf(self, exact, shift, cap=None):
+    def worst_leaf(self, exact, shift):
         """The max-min LP over the worst leaf: maximize m over (H, m)
-        subject to A H <= b, m <= shift_l + (L H)_l on every leaf l, and
-        m <= cap when a cap is given.
+        subject to A H <= b and m <= shift_l + (L H)_l on every leaf l.
 
         ``shift`` is one number or one per leaf.  Returns the
         :class:`~condual.linprog.LPResult` of minimizing -m, over the
@@ -174,15 +174,26 @@ class TreeLP:
         self.require_polyhedral()
         A, b, L = self.rows(exact)[:3]
         n_a, n_l = len(A), len(L)
-        A_ub = np.zeros((n_a + n_l + (cap is not None), self.n_h + 1), A.dtype)
+        A_ub = np.zeros((n_a + n_l, self.n_h + 1), A.dtype)
         A_ub[:n_a, :-1] = A
-        A_ub[n_a:n_a + n_l, :-1] = -L
+        A_ub[n_a:, :-1] = -L
         A_ub[n_a:, -1] = 1
         b_ub = [b, np.broadcast_to(np.asarray(shift, A.dtype), (n_l,))]
-        if cap is not None:
-            b_ub.append(np.asarray([cap], A.dtype))
         c = [0] * self.n_h + [-1]
         return solve_lp(c, A_ub=A_ub, b_ub=np.concatenate(b_ub), exact=exact)
+
+    def sup_essinf(self, exact):
+        """(sup essinf, hedge): the greatest least leaf gain of an
+        admissible portfolio and stacked holdings (a tuple) attaining it,
+        from :meth:`worst_leaf` at shift 0, solved once per arithmetic and
+        kept; (+inf, None) on a free lunch, (-inf, None) when the class is
+        empty.  The hedge serves every shift x, whose optimum is x more."""
+        def solve():
+            res = self.worst_leaf(exact, 0)
+            if res.status == OPTIMAL:
+                return -res.value, tuple(res.x[:self.n_h])
+            return (INF if res.status == UNBOUNDED else NEG_INF), None
+        return self.kept(("sup essinf", exact), solve)
 
     def epigraph(self, lines, edge, x=None, y=None):
         """The float epigraph LP of U(w) = min_k (c_k + s_k w) on w >= edge:
@@ -275,9 +286,9 @@ class TreeLP:
 
     def kept(self, key, solve):
         """solve(), run on the first request for key and kept: an answer
-        that depends on the market alone (the face point, the superhedge of
-        the zero claim, min_support) never goes stale, since markets are
-        immutable."""
+        that depends on the market alone (the face point, sup essinf, the
+        superhedge of the zero claim, min_support) never goes stale, since
+        markets are immutable."""
         if key not in self._kept:
             self._kept[key] = solve()
         return self._kept[key]

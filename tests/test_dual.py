@@ -448,6 +448,18 @@ def test_dual_smooth_empty_admissible_class(empty_floor_market):
         assert not sol.attained
 
 
+def test_dual_smooth_empty_class_reads_the_zero_claim(monkeypatch,
+                                                      empty_floor_market):
+    # the empty class is the kept worst-leaf LP's -inf: no alpha LP is run
+    def refuse(*args):
+        raise AssertionError("the empty class needs no alpha LP")
+
+    monkeypatch.setattr(dual, "_alpha_lp", refuse)
+    for utility in (LOG, PowerUtility(0.5)):
+        sol = solve_dual(empty_floor_market, utility, 1.0)
+        assert sol.value == NEG_INF and sol.measure is None
+
+
 # floor markets whose admissible class is nonempty: the boxes keep alpha
 # finite; on the drift market both increments are positive, so the floor
 # bounds only the short side of the half-line [-1, inf) and alpha = +inf

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from condual.primal import (
     solve_primal,
 )
 from condual.randomgen import random_market, random_tree_spec
-from condual.scalars import NEG_INF
+from condual.scalars import NEG_INF, is_finite
 from condual.treelp import tree_lp
 from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
                              TabulatedUtility)
@@ -321,6 +322,57 @@ def test_piecewise_primal_solves_no_ascent_lp(monkeypatch, b1_box):
     monkeypatch.setattr(condual.primal, "_feasible_start", refuse)
     monkeypatch.setattr(condual.primal, "find_free_lunch_direction", refuse)
     assert solve_primal(b1_box, KINKED, 1.0).status == "optimal"
+
+
+@pytest.mark.parametrize("spec", [two_period_spec(),
+                                  drifted_binomial_spec(2, floor=1)],
+                         ids=["no-floor", "floor"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_worst_leaf_solved_once_per_arithmetic(monkeypatch, spec, exact):
+    # the worst-leaf hedge is the start at every wealth: a warm market's
+    # smooth primal solves no LP of its own, and answers as a fresh one
+    from condual import treelp
+
+    spec = spec if exact else float_copy(spec)
+    wealths = [Fraction(x) for x in (3, 6, 10)] + [3.0, 6.0, 10.0]
+    fresh = [solve_primal(build_market(spec), LOG, x) for x in wealths]
+    lps = []
+    monkeypatch.setattr(treelp, "solve_lp", lambda *a, _s=treelp.solve_lp,
+                        **k: lps.append(k["exact"]) or _s(*a, **k))
+    market = build_market(spec)
+    for x, sol in zip(wealths, fresh):
+        warm = solve_primal(market, LOG, x)
+        assert (warm.status, warm.value) == (sol.status, sol.value)
+    assert lps == ([True, False] if exact else [False])
+
+
+def test_unbounded_worst_leaf_is_a_free_lunch(monkeypatch, arbitrage_market):
+    import condual.primal
+
+    def refuse(*args):
+        raise AssertionError("an unbounded worst leaf needs no free-lunch LP")
+
+    monkeypatch.setattr(condual.primal, "find_free_lunch_direction", refuse)
+    sol = solve_primal(arbitrage_market, LOG, 1.0)
+    assert (sol.status, sol.value) == ("unbounded", math.inf)
+
+
+def test_feasibility_verdict_matches_primal_feasible():
+    # the kept worst-leaf LP and primal_feasible's own LP agree on either
+    # side of the critical wealth
+    verdicts = set()
+    for seed in range(40):
+        market = random_market(random.Random(seed), max_periods=3)
+        xbar = min_support(market).xbar
+        if not is_finite(xbar):
+            continue
+        delta = 1e-6 * (1 + abs(xbar))
+        for x in (xbar + delta, xbar - delta):
+            infeasible = solve_primal(market, LOG, x,
+                                      max_iter=1).status == "infeasible"
+            assert infeasible == (not primal_feasible(market, x)), (seed, x)
+            verdicts.add(infeasible)
+    assert verdicts == {True, False}
 
 
 def test_piecewise_primal_statuses(b1_pinned, arbitrage_market):
