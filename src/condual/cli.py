@@ -382,6 +382,9 @@ def _parse_json_flag(text, what):
         if what == "utility":
             return text  # bare family name like "log"
         raise SchemaError(f"{what} flag is not valid JSON: {text!r}")
+    if what in ("payoff", "measure") and not isinstance(doc, dict):
+        raise SchemaError(f"{what} flag must be a JSON object of leaf ids, "
+                          f"got {text!r}")
     return doc
 
 

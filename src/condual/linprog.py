@@ -1,11 +1,14 @@
 """Linear programming in float or exact-rational mode.
 
 Variables are free unless listed as nonnegative.  Float mode runs the HiGHS
-solver that scipy vendors (``scipy.optimize._highspy``) through its model
-API: one column-wise ``HighsLp`` per call, the sign restrictions as column
-bounds, with the options and the post-solve check of
+solver that scipy vendors (``scipy.optimize._highspy._core``) through its
+model API: one column-wise ``HighsLp`` per call, the sign restrictions as
+column bounds, with the options and the post-solve check of
 ``scipy.optimize.linprog(method="highs")`` but without its per-call Python
-overhead.
+overhead.  The extension module is loaded by itself (:func:`_load_highs`):
+importing it the ordinary way would first run ``scipy.optimize``'s package
+init, whose scipy.linalg, scipy.sparse and optimizers condual never uses,
+and which cost every process about 0.5 s and 40 MB at start-up.
 
 Exact mode answers from the rational data alone, by one of two routes.  An
 LP of fewer than :data:`EXACT_HIGHS_CELLS` cells (rows times columns) runs a
@@ -36,20 +39,56 @@ with an optimal answer.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
-try:
-    import scipy.optimize._highspy._core as _h
-except ImportError as exc:  # scipy < 1.15 ships no model API for HiGHS
-    raise ImportError("condual needs scipy>=1.15, whose "
-                      "scipy.optimize._highspy runs HiGHS") from exc
 
-from .scalars import integer_row, solve_exact
+def _load_highs(name="scipy.optimize._highspy._core"):
+    """scipy's HiGHS extension module, loaded without running the package
+    init of ``scipy.optimize``.
+
+    A module already in ``sys.modules`` is reused.  Otherwise the extension
+    file is found by the standard import machinery and registered under
+    its full name before it runs, so that a later ``import scipy.optimize``
+    reuses this module instead of loading a second copy.
+    """
+    if name in sys.modules:  # loaded already, or None: known to be missing
+        module = sys.modules[name]
+    else:
+        scipy = importlib.util.find_spec("scipy")  # imports nothing
+        spec = None
+        if scipy is not None:
+            spec = importlib.machinery.FileFinder(
+                os.path.join(scipy.submodule_search_locations[0], "optimize",
+                             "_highspy"),
+                (importlib.machinery.ExtensionFileLoader,
+                 importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        module = None
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[name]
+                raise
+    if module is None:  # scipy < 1.15 ships no model API for HiGHS
+        raise ImportError("condual needs scipy>=1.15, whose "
+                          "scipy.optimize._highspy runs HiGHS", name=name)
+    return module
+
+
+_h = _load_highs()
+
+from .scalars import integer_row, solve_exact  # noqa: E402
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

@@ -146,6 +146,23 @@ def test_embed_endowment_bad_measure_is_input_error(capsys):
     assert "martingale" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("superhedge", "b1.json", "--payoff", "1"),
+    ("superhedge", "b1.json", "--payoff", '"updown"'),
+    ("superhedge", "b1.json", "--payoff", "[1, 0]"),
+    ("superhedge", "b1.json", "--payoff", "null"),
+    ("embed-endowment", "b1_endowment.json", "--measure", "5"),
+    ("embed-endowment", "b1_endowment.json", "--measure", "[1]"),
+    ("embed-endowment", "b1_endowment.json", "--measure", '"up"'),
+])
+def test_payoff_or_measure_not_a_json_object_is_input_error(capsys, argv):
+    command, market, flag, value = argv
+    code, out, err = run_cli(capsys, command, "--market", fixture(market),
+                             flag, value)
+    assert code == 2
+    assert "JSON object" in err and not out
+
+
 def test_properties_subcommand(capsys):
     code, doc, _ = run_json(capsys, "properties", "--seed", "7")
     assert code == 0

@@ -1,9 +1,12 @@
 """Exact simplex vs scipy cross-checks, the certified exact route, input
-validation, and the HiGHS model API against scipy.optimize.linprog."""
+validation, the HiGHS model API against scipy.optimize.linprog, and the
+loading of the HiGHS extension without scipy.optimize's package init."""
 
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,6 +15,7 @@ import pytest
 
 from condual import linprog
 from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from helpers import subprocess_env
 
 
 def test_basic_bounded():
@@ -632,3 +636,48 @@ def test_missing_highs_model_api_names_the_scipy_floor(monkeypatch):
                                                   linprog.__file__)
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_highs_without_scipy_optimize():
+    # the extension is loaded by itself: scipy.optimize's package init,
+    # with scipy.linalg, scipy.sparse and every optimizer, never runs
+    _run_fresh(
+        "import sys\n"
+        "import condual\n"
+        "from condual.linprog import solve_lp\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "res = solve_lp([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],\n"
+        "               nonneg=[0, 1])\n"
+        "assert (res.status, res.route, res.value) == ('optimal', 'highs', 1.0)\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+
+
+def test_scipy_optimize_after_condual_reuses_its_highs_module():
+    # a later import of scipy.optimize finds the extension condual loaded
+    # and runs on that one copy
+    _run_fresh(
+        "import sys\n"
+        "import condual.linprog\n"
+        "import scipy.optimize\n"
+        "res = scipy.optimize.linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]],\n"
+        "                             b_ub=[-1.0], method='highs')\n"
+        "assert res.status == 0 and res.fun == 1.0\n"
+        "assert sys.modules['scipy.optimize._highspy._core'] \\\n"
+        "    is condual.linprog._h\n")
+
+
+def test_condual_after_scipy_optimize_reuses_its_highs_module():
+    _run_fresh(
+        "import scipy.optimize._highspy._core as core\n"
+        "import condual.linprog\n"
+        "from condual.linprog import solve_lp\n"
+        "assert condual.linprog._h is core\n"
+        "res = solve_lp([1.0], A_ub=[[-1.0]], b_ub=[-2.0])\n"
+        "assert (res.status, res.route, res.value) == ('optimal', 'highs', 2.0)\n")

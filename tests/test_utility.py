@@ -29,16 +29,25 @@ LINEAR = PiecewiseLinearUtility((0.0,), (1.0,))
 KINKED = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.0))
 
 
-def dense_grid_conjugate(utility, y, lo=1e-9, hi=50.0, n=400001, knots=()):
-    """Independent oracle: brute maximum of U(x) - xy over a dense grid.
+def dense_grid(utility, lo=1e-9, hi=50.0, n=400001, knots=()):
+    """The points xs of a dense grid and U at each, for the oracle below.
 
     For piecewise families the exact argmax sits on a knot, so knots are
     appended to the grid; U is still evaluated through the ordinary value
     path, independent of the enumeration the implementation uses.
     """
     xs = np.concatenate([np.linspace(lo, hi, n), np.asarray(knots, dtype=float)])
-    vals = np.array([eval_utility(utility, x) for x in xs]) - xs * y
-    return float(vals.max())
+    return xs, np.array([eval_utility(utility, x) for x in xs])
+
+
+def grid_conjugate(grid, y):
+    """Independent oracle: brute maximum of U(x) - xy over a dense grid."""
+    xs, us = grid
+    return float((us - xs * y).max())
+
+
+def dense_grid_conjugate(utility, y, **grid):
+    return grid_conjugate(dense_grid(utility, **grid), y)
 
 
 def test_eval_power_formula():
@@ -77,9 +86,10 @@ def test_conjugate_tabulated_matches_dense_grid():
     tab = TabulatedUtility((0.5, 1.0, 2.0, 4.0), (0.0, 0.6, 1.0, 1.2))
     # final extrapolation slope is 0.1, so V is finite only for y >= 0.1
     assert conjugate(tab, 0.05) == INF
+    # U on the grid does not depend on y: evaluate it once
+    grid = dense_grid(tab, lo=0.0, hi=200.0, n=2000001, knots=tab.grid)
     for y in (0.15, 0.2, 0.7, 2.0):
-        oracle = dense_grid_conjugate(tab, y, lo=0.0, hi=200.0, n=2000001,
-                                      knots=tab.grid)
+        oracle = grid_conjugate(grid, y)
         assert conjugate(tab, y) == pytest.approx(oracle, abs=1e-8)
 
 
@@ -230,8 +240,9 @@ def test_biconjugate_recovers_utility(u):
     # for the kinked family the infimum sits at a slope value, so those
     # points must be on the y-grid for the oracle to be exact
     ys = np.concatenate([np.linspace(1e-4, 400.0, 600001), [0.0, 1.0, 3.0]])
+    vs = np.array([conjugate(u, y) for y in ys])  # does not depend on x
     for x in (0.5, 1.0, 1.7, 3.0):
-        vals = np.array([conjugate(u, y) for y in ys]) + x * ys
+        vals = vs + x * ys
         assert vals.min() == pytest.approx(eval_utility(u, x), abs=1e-6)
 
 
