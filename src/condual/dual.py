@@ -43,6 +43,10 @@ from .utility import (PiecewiseLinearUtility, UtilityFunction, conjugate,
 NEWTON_MAX_STEPS = 100
 # the scaled residuals and mean complementarity at which it stops
 NEWTON_TOL = 1e-12
+# a hedge closes the smooth dual's minorant bound when A H <= b holds within
+# this, on every row (HiGHS's feasibility tolerance, which the bound's LP
+# used to run at, is 1e-7)
+HEDGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -414,8 +418,13 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
     on the LP route the LP optimum (in absolute value, since the optimum is
     the dual value itself), on the Newton route the lower bound given by the
     minimum of the partial linearization at the reported measure (the
-    first-order minorant of E[V] plus the exact support penalty), which is
-    +inf at a point where V or its slope is infinite.  ``attained`` means the value is
+    first-order minorant of E[V] plus the exact support penalty), closed by
+    weak duality with an admissible hedge instead of an LP
+    (_minorant_lower_bound).  The hedge is the one read off the Newton
+    solve's row multipliers, or, when the face point is reported, the
+    market's kept worst-leaf hedge (TreeLP.sup_essinf).  The gap is +inf at
+    a point where V or its slope is infinite, and when the hedge fails A H
+    <= b by more than HEDGE_TOL.  ``attained`` means the value is
     finite and the gap is within max(tol, 1e-6 * max(1, |value|)).
     ``iterations`` counts Newton steps (NEWTON_MAX_STEPS when the solve
     stops at that cap), and is 0 on the LP route.  An empty finite-alpha
@@ -444,11 +453,12 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
             return DualSolution(NEG_INF, None, False, INF, y=y)
         if margin <= MARGIN_TOL:
             return DualSolution(INF, None, False, INF, y=y)
-        q, iterations = _lifted_smooth_solve(market, utility, y, q0)
+        q, hedge, iterations = _lifted_smooth_solve(market, utility, y, q0)
         if q is None:
             q = q0
+            hedge = tree_lp(market).sup_essinf(market.exact)[1]
         value = dual_objective(market, utility, y, tuple(q))
-        lower = _minorant_lower_bound(market, utility, y, q)
+        lower = _minorant_lower_bound(market, utility, y, q, hedge)
         gap = max(0.0, float(value) - lower) if lower != NEG_INF else INF
     measure = measure_from_weights(market, tuple(float(v) for v in q)).scaled(y)
     attained = math.isfinite(value) \
@@ -474,13 +484,24 @@ def _lifted_smooth_solve(market, utility, y, q0):
     by _step_length.  It stops when the primal residual (relative to 1 +
     the largest row of |E| w), the dual residual (relative to 1 + the
     largest gradient entry) and the mean complementarity w . s / len(w)
-    are all at most NEWTON_TOL.  Returns (q, Newton steps); q is None when
-    there is no answer: a singular Schur system, a non-finite residual,
+    are all at most NEWTON_TOL.
+
+    The all-zero rows of E (a holding coordinate that no increment moves
+    and no row of A bounds) would make the Schur system singular, so they
+    are dropped before the loop.
+
+    Returns (q, H, Newton steps).  H is the stacked hedge read off the row
+    multipliers, H = lam[1:] / y, with H = 0 on the dropped rows: the dual
+    residual of the mu columns is y b - A lam[1:] - s with slacks s > 0,
+    so A H <= b holds up to that residual, and it is the hedge of the
+    minorant bound (_minorant_lower_bound).  q and H are None when there
+    is no answer: a singular Schur system, a non-finite residual,
     NEWTON_MAX_STEPS steps without convergence, or a q whose mass is not 1.
     """
     lp = tree_lp(market)
     E, e, _ = lp.lifted(False)
-    e = np.asarray(e, dtype=float)
+    held = np.any(E != 0, axis=1)
+    E, e = E[held], np.asarray(e, dtype=float)[held]
     _, b, _, _, _, probs = lp.rows(False)
     n, y = len(probs), float(y)
     w = np.concatenate([q0, np.ones(len(b))])
@@ -499,7 +520,7 @@ def _lifted_smooth_solve(market, utility, y, q0):
         if err <= NEWTON_TOL:
             break
         if steps == NEWTON_MAX_STEPS or not np.isfinite(err):
-            return None, steps
+            return None, None, steps
         hess = np.concatenate([y * y * d2 / probs, np.zeros_like(b)])
         d_inv = 1.0 / (hess + s / w)
         schur = (E * d_inv) @ E.T
@@ -517,14 +538,16 @@ def _lifted_smooth_solve(market, utility, y, q0):
             sigma = ((w + a * dw) @ (s + a * ds) / len(w) / mean) ** 3
             dw, dlam, ds = direction(sigma * mean - w * s - dw * ds)
         except np.linalg.LinAlgError:
-            return None, steps
+            return None, None, steps
         a = _step_length(n, w, dw, s, ds)
         w, s, lam = w + a * dw, s + a * ds, lam + a * dlam
         steps += 1
     q = w[:n]
     if abs(q.sum() - 1.0) > 1e-6:
-        return None, steps
-    return q, steps
+        return None, None, steps
+    hedge = np.zeros(lp.n_h)
+    hedge[held[1:]] = lam[1:] / y
+    return q, hedge, steps
 
 
 def _step_length(n, w, dw, s, ds):
@@ -564,13 +587,18 @@ def _epigraph_dual(market, utility, y):
     return q / q.sum(), -res.value
 
 
-def _minorant_lower_bound(market, utility, y, q_hat):
-    """Lower bound on the dual value via partial linearization at q_hat.
+def _minorant_lower_bound(market, utility, y, q_hat, hedge):
+    """Lower bound on the dual value via partial linearization at q_hat,
+    closed by weak duality with an admissible hedge.
 
     The conjugate-expectation part of the objective is replaced by its
-    first-order minorant while the (convex, polyhedral) support penalty is
-    kept exact, so the bound is min over the face of a linear term plus
-    y * alpha(q): one lifted LP.
+    first-order minorant at q_hat, with slopes c = y V'(y q_hat/p), while
+    the support penalty is kept exact, so the bound is ev - c . q_hat plus
+    the least c . q + y alpha(q) over the face.  alpha(q) >= q . (L H) for
+    every admissible H, and q is a probability, so that least value is at
+    least min_l (c_l + y (L H)_l): no LP is solved.  The hedge must pass
+    A H <= b within HEDGE_TOL; -inf when it does not, when it is None, or
+    at a q_hat where V or its slope is infinite.
     """
     probs = [float(p) for p in market.tree.leaf_probabilities()]
     ev = 0.0
@@ -584,7 +612,18 @@ def _minorant_lower_bound(market, utility, y, q_hat):
         if z <= 0:
             return NEG_INF  # slope may be unbounded at the boundary
         grad_ev.append(y * conjugate_marginal(utility, z)[1])
-    res = tree_lp(market).lifted_min(False, grad_ev, float(y))
-    if res.status != OPTIMAL:
+    if hedge is None:
         return NEG_INF
-    return ev - float(np.dot(grad_ev, q_hat)) + float(res.value)
+    hedge = np.asarray(hedge, dtype=float)
+    if not _admissible(market, hedge):
+        return NEG_INF
+    L = tree_lp(market).rows(False)[2]
+    worst = (np.asarray(grad_ev) + float(y) * (L @ hedge)).min()
+    return ev - float(np.dot(grad_ev, q_hat)) + float(worst)
+
+
+def _admissible(market, hedge):
+    """True when the stacked float hedge satisfies the market's float rows
+    A H <= b within HEDGE_TOL on every row."""
+    A, b = tree_lp(market).rows(False)[:2]
+    return bool(np.all(A @ hedge - b <= HEDGE_TOL))

@@ -37,7 +37,8 @@ Four LP shapes are assembled here, once for every caller:
 :meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
 superhedging price, and at shift 0 :meth:`TreeLP.sup_essinf`, solved once
 per arithmetic: the primal's feasibility verdict and start at every
-wealth, the zero claim and the dual's empty-class test);
+wealth, the zero claim, the dual's empty-class test and the hedge of its
+gap bound at the face point);
 :meth:`TreeLP.epigraph`, of a piecewise-linear utility, gives u(x) with x
 fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y).
 The measure-side LPs run over the lifted pairs (q, mu) of
@@ -45,7 +46,7 @@ The measure-side LPs run over the lifted pairs (q, mu) of
 b} equals min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization over q
 with alpha in its objective is one LP over (q, mu).  The lifted LPs are
 :meth:`TreeLP.lifted_min`, the least linear cost in q plus a multiple of
-alpha(q) (inf alpha, the superhedging measure, the dual's minorant bound),
+alpha(q) (inf alpha, the superhedging measure),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
 dual's start, the certificate measures), solved once per TreeLP in the
 market's arithmetic.  Such answers of the market alone are kept on the

@@ -24,7 +24,8 @@ from condual.primal import solve_primal
 from condual.randomgen import random_market
 from condual.scalars import INF, NEG_INF, scale_extended
 from condual.treelp import MARGIN_TOL, tree_lp
-from condual.utility import LogUtility, PiecewiseLinearUtility, PowerUtility
+from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
+                             conjugate, conjugate_marginal)
 
 from conftest import (binomial_spec, drift_spec, drifted_binomial_spec,
                       float_copy, two_asset_spec, two_period_spec)
@@ -546,8 +547,8 @@ def test_zero_margin_face_is_plus_infinity(monkeypatch):
 
 def test_second_dual_query_solves_no_max_margin_lp(monkeypatch):
     # the face point is a property of the market, kept on its TreeLP: a
-    # second solve_dual solves only its own minorant LP, with values equal
-    # to the bit to those of a market that has answered no query yet
+    # second solve_dual solves no max-margin LP, with values equal to the
+    # bit to those of a market that has answered no query yet
     from condual.treelp import TreeLP
 
     seeds = (0, 3, 6)
@@ -567,6 +568,120 @@ def test_second_dual_query_solves_no_max_margin_lp(monkeypatch):
             assert (sol.value, sol.gap, sol.measure, sol.iterations) == (
                 expected.value, expected.gap, expected.measure,
                 expected.iterations)
+
+
+def test_dual_query_on_a_kept_face_point_solves_no_lp(monkeypatch):
+    # once the face point is kept, a smooth dual without a floor solves no
+    # LP (with a floor, support_alpha is itself an LP): its minorant bound
+    # is closed by the Newton solve's own hedge, and on the face-point path
+    # by the kept worst-leaf hedge, whose gap stays finite
+    from condual import linprog
+
+    markets = [random_market(random.Random(s), max_periods=3)
+               for s in (0, 6, 24)]
+    markets += [build_market(drifted_binomial_spec(3)),
+                build_market(float_copy(two_period_spec()))]
+    for market in markets:
+        solve_dual(market, LOG, 1.0)
+        tree_lp(market).sup_essinf(market.exact)
+    # every route of solve_lp: float, certified exact and the exact tableau
+    solves = []
+    for route in ("_solve_float", "_certified", "_simplex_exact"):
+        monkeypatch.setattr(linprog, route, lambda *a, _s=getattr(
+            linprog, route): solves.append(a) or _s(*a))
+    for market in markets:
+        for utility in (LOG, PowerUtility(0.5)):
+            for y in (0.5, 2.0):
+                assert solve_dual(market, utility, y).attained
+    assert solves == []
+    monkeypatch.setattr(dual, "_lifted_smooth_solve",
+                        lambda *_: (None, None, 0))
+    for market in markets:
+        sol = solve_dual(market, LOG, 1.0)
+        assert math.isfinite(sol.value) and math.isfinite(sol.gap)
+    assert solves == []
+
+
+def test_zero_row_holding_leaves_the_newton_solve():
+    # the second asset's price never moves and its holding is unbounded:
+    # its row of TreeLP.lifted is zero, which made the Schur system
+    # singular (the face point was reported, -0.75 with gap 0.25).  Dropped,
+    # it gets H = 0, and the value is that of the market with both boxed
+    def market(lower, upper):
+        spec = binomial_spec({"type": "box", "lower": [-1, lower],
+                              "upper": [1, upper]})
+        spec["dimension"] = 2
+        for node in spec["nodes"]:
+            node["prices"] = node["prices"] + [1]
+        return build_market(spec)
+
+    free, boxed = market("-inf", "inf"), market(-1, 1)
+    assert not tree_lp(free).lifted(False)[0][2].any()
+    sol = solve_dual(free, LOG, 1.0)
+    assert sol.attained and sol.iterations > 0
+    assert sol.value == pytest.approx(solve_dual(boxed, LOG, 1.0).value,
+                                      rel=1e-12)
+    assert sol.value == pytest.approx(-0.9411084821716722, rel=1e-12)
+    q0 = _face_interior_point(free)[0]
+    hedge = dual._lifted_smooth_solve(free, LOG, 1.0, q0)[1]
+    assert hedge[1] == 0
+
+
+def _lp_minorant(market, utility, y, q):
+    """The minorant bound at q closed by the lifted LP (TreeLP.lifted_min)
+    instead of a hedge: ev - c . q + min over the face of c . q' + y
+    alpha(q')."""
+    probs = [float(p) for p in market.tree.leaf_probabilities()]
+    z = [y * w / p for w, p in zip(q, probs)]
+    ev = sum(p * conjugate(utility, v) for p, v in zip(probs, z))
+    c = [y * conjugate_marginal(utility, v)[1] for v in z]
+    res = tree_lp(market).lifted_min(False, c, y)
+    assert res.status == OPTIMAL
+    return ev - float(np.dot(c, q)) + res.value
+
+
+def test_hedge_bound_matches_the_lifted_lp_minorant():
+    # weak duality: the bound closed by an admissible hedge is at most the
+    # LP's, and the Newton multipliers are that LP's dual optimum up to the
+    # solve's residuals, so the two agree
+    checked = 0
+    for seed in range(40):
+        market = random_market(random.Random(seed), max_periods=3)
+        found = _face_interior_point(market)
+        if found is None or found[1] <= MARGIN_TOL:
+            continue
+        q0 = found[0]
+        A, b = tree_lp(market).rows(False)[:2]
+        for utility in (LOG, PowerUtility(0.5)):
+            for y in (0.5, 1.5, 2.0):
+                q, hedge, _ = dual._lifted_smooth_solve(market, utility, y, q0)
+                assert (A @ hedge - b).max() <= dual.HEDGE_TOL
+                assert dual._admissible(market, hedge)
+                bound = dual._minorant_lower_bound(market, utility, y, q,
+                                                   hedge)
+                oracle = _lp_minorant(market, utility, y, q)
+                assert bound <= oracle + 1e-12 * max(1.0, abs(oracle))
+                assert bound == pytest.approx(oracle, rel=0, abs=1e-9)
+                checked += 1
+    assert checked == 24 * 6
+
+
+def test_hedge_tolerance_edge(b1_box):
+    # a hedge past HEDGE_TOL on one row is refused (the bound is -inf and
+    # the answer is not attained); one just inside it is accepted
+    q0 = _face_interior_point(b1_box)[0]
+    q, hedge, _ = dual._lifted_smooth_solve(b1_box, LOG, 1.0, q0)
+    A, b = tree_lp(b1_box).rows(False)[:2]
+    row = int(np.argmax(A @ hedge - b))
+    for factor, accepted in ((0.99, True), (1.01, False)):
+        excess = factor * dual.HEDGE_TOL - (A[row] @ hedge - b[row])
+        pushed = hedge + excess * A[row] / (A[row] @ A[row])
+        slack = A @ pushed - b
+        assert slack[row] == pytest.approx(factor * dual.HEDGE_TOL, rel=1e-3)
+        assert np.delete(slack, row).max() < 0
+        assert dual._admissible(b1_box, pushed) is accepted
+        bound = dual._minorant_lower_bound(b1_box, LOG, 1.0, q, pushed)
+        assert math.isfinite(bound) is accepted
 
 
 def test_superhedge_empty_admissible_class(empty_floor_market):

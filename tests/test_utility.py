@@ -46,10 +46,6 @@ def grid_conjugate(grid, y):
     return float((us - xs * y).max())
 
 
-def dense_grid_conjugate(utility, y, **grid):
-    return grid_conjugate(dense_grid(utility, **grid), y)
-
-
 def test_eval_power_formula():
     assert eval_utility(SQRT, 4.0) == pytest.approx(4.0)
 
@@ -73,13 +69,15 @@ def test_conjugate_power_and_fenchel_young_equality():
 
 
 def test_conjugate_piecewise_breakpoint_enumeration():
+    # U on the grid does not depend on y: evaluate it once
+    grid = dense_grid(KINKED, knots=KINKED.breakpoints)
     for y in (3.5, 4.0, 10.0):
         assert conjugate(KINKED, y) == pytest.approx(0.0)
-        assert conjugate(KINKED, y) == pytest.approx(
-            dense_grid_conjugate(KINKED, y, knots=KINKED.breakpoints), abs=1e-8)
+        assert conjugate(KINKED, y) == pytest.approx(grid_conjugate(grid, y),
+                                                     abs=1e-8)
     for y in (0.5, 1.5, 2.5):
-        assert conjugate(KINKED, y) == pytest.approx(
-            dense_grid_conjugate(KINKED, y, knots=KINKED.breakpoints), abs=1e-8)
+        assert conjugate(KINKED, y) == pytest.approx(grid_conjugate(grid, y),
+                                                     abs=1e-8)
 
 
 def test_conjugate_tabulated_matches_dense_grid():
