@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .convex import Cone, ProjectionMatrix, _unit, min_norm_solution, \
     predictable_range_projection, projected_set_closed
-from .dual import measure_from_weights
+from .dual import _noise_floor, _support_on_face, measure_from_weights
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible
 from .primal import find_free_lunch_direction
@@ -206,22 +206,31 @@ def _try_martingale_measure(market):
 
 def _compensator_certificate(market, stage, weights):
     """Stages (ii)/(iii): fixed measure, compensator from support values;
-    None when there are no weights (stage (iii) found no measure)."""
+    None when there are no weights (stage (iii) found no measure).
+
+    Under float weights, a drift component at or below the market's noise
+    floor counts as an exact zero where the support value would otherwise
+    be infinite, as in :func:`~condual.dual.support_alpha`: the measure of
+    a float LP meets the equality faces of its rows only up to rounding.
+    """
     if weights is None:
         return None
     drifts = _conditional_drifts(market, weights)
+    zero_tol = 0 if market.exact and all_exact(weights) \
+        else _noise_floor(market)
+    support = {}
+    for i in market.tree.nonleaf:
+        support[i], drifts[i] = _support_on_face(
+            market.constraint(i).support, drifts[i], zero_tol)
+        if support[i] == INF:
+            return None
     reference = _admissible_reference(market, drifts)
     if reference is None:
         return None
-    compensator = {}
-    for i in market.tree.nonleaf:
-        cset = market.constraint(i)
-        beta = drifts[i]
-        support = cset.support(beta)
-        if support == INF:
-            return None
-        increment = support - sum(h * b for h, b in zip(reference[i], beta))
-        compensator[market.tree.nodes[i].node_id] = increment
+    compensator = {
+        market.tree.nodes[i].node_id:
+            support[i] - sum(h * b for h, b in zip(reference[i], drifts[i]))
+        for i in market.tree.nonleaf}
     return SupermartingaleCertificate(
         True, stage, measure_from_weights(market, weights), reference,
         compensator,

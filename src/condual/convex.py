@@ -9,9 +9,12 @@ that is possible.
 
 Each piece of geometry is written once.  A singleton and a set of pinned
 coordinates are boxes (:class:`Singleton` and :class:`AffineFixed` only set
-their bounds), so they answer every question as a box does.  A set with a
-halfspace form and no closed form of its own (a polyhedron, a polyhedral
-intersection) takes its support value from one LP over those rows and its
+their bounds), so they answer every question as a box does.  So does every
+other set that is its own box, a one-dimensional polyhedron or polyhedral
+intersection: :class:`ConvexSet` answers its support value from its bounds,
+in its own arithmetic, and projects by a clip to them; a one-dimensional
+ball answers its support from the same formula.  Any other set with a
+halfspace form takes its support value from one LP over those rows and its
 projection from one active-set loop started at its center, both on
 :class:`ConvexSet`; an intersection with a ball member keeps only its
 Dykstra loop.
@@ -65,10 +68,15 @@ class ConvexSet:
     def support_argmax(self, xi):
         """(support value, attaining point or None when the value is +inf).
 
-        Here, one LP over the rows of :meth:`halfspaces`, exact when the set
-        and xi are; boxes, balls and pinned products override it.
+        A set that is its own box answers from its bounds, kept on the set,
+        in its own arithmetic: the upper bound where xi is positive, the
+        lower where it is negative, and the point nearest 0 where it is 0.
+        Any other set solves one LP over the rows of :meth:`halfspaces`,
+        exact when the set and xi are; balls and pinned products override it.
         """
         self._check_dim(xi)
+        if self._own_box:
+            return self._box_support_argmax(xi)
         hs = self._halfspace_rows()
         if hs is None:
             raise NotImplementedError(
@@ -81,6 +89,26 @@ class ConvexSet:
         if res.status != OPTIMAL:  # pragma: no cover - nonempty by invariant
             raise RuntimeError("support LP failed on a nonempty set")
         return -res.value, tuple(res.x)
+
+    def _box_support_argmax(self, xi):
+        """support_argmax from :meth:`bounding_box`, built once."""
+        total = 0
+        point = []
+        for x, (lo, hi) in zip(xi, self._memo("_box", self.bounding_box)):
+            if x > 0:
+                if hi == INF:
+                    return INF, None
+                total += hi * x
+                point.append(hi)
+            elif x < 0:
+                if lo == NEG_INF:
+                    return INF, None
+                total += lo * x
+                point.append(lo)
+            else:
+                total += 0 * x  # keeps the arithmetic of xi
+                point.append(_clamp_zero(lo, hi))
+        return total, tuple(point)
 
     def contains(self, point, tol=_ABS_TOL) -> bool:
         raise NotImplementedError
@@ -190,25 +218,6 @@ class Box(ConvexSet):
     def _scalars(self):
         return [v for v in self.lower + self.upper if v not in (INF, NEG_INF)]
 
-    def support_argmax(self, xi):
-        self._check_dim(xi)
-        total = 0
-        point = []
-        for x, lo, hi in zip(xi, self.lower, self.upper):
-            if x > 0:
-                if hi == INF:
-                    return INF, None
-                total += hi * x
-                point.append(hi)
-            elif x < 0:
-                if lo == NEG_INF:
-                    return INF, None
-                total += lo * x
-                point.append(lo)
-            else:
-                point.append(_clamp_zero(lo, hi))
-        return total, tuple(point)
-
     def contains(self, point, tol=_ABS_TOL):
         self._check_dim(point)
         if self.exact and all_exact(point):
@@ -313,6 +322,8 @@ class Ball(ConvexSet):
 
     def support_argmax(self, xi):
         self._check_dim(xi)
+        if self.dim == 1:  # the interval [c - r, c + r]
+            return self._box_support_argmax(xi)
         norm = math.sqrt(float(_dot(xi, xi)))
         value = float(_dot(self.center_point, xi)) + float(self.radius) * norm
         if norm == 0:

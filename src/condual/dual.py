@@ -22,7 +22,6 @@ evaluated at it.  Neither side is copied from the other.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .market import MarketModel
-from .recursion import backward_induction, interval_support
+from .recursion import backward_induction
 from .scalars import INF, NEG_INF, all_exact, is_finite
 from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
 from .utility import (PiecewiseLinearUtility, UtilityFunction, conjugate,
@@ -110,13 +109,10 @@ def support_alpha(market: MarketModel, measure) -> object:
             else _noise_floor(market)
         total = 0
         mass = subtree_weights(market, weights)
-        intervals = tree_lp(market).intervals  # dimension one only
         for i, cset in market.constraints:
-            support = cset.support if i not in intervals \
-                else functools.partial(interval_support, intervals[i])
-            val = _support_with_floor_noise(support,
-                                            node_direction(market, mass, i),
-                                            zero_tol)
+            val, _ = _support_on_face(cset.support,
+                                      node_direction(market, mass, i),
+                                      zero_tol)
             if val == INF:
                 return INF
             total = total + val
@@ -133,17 +129,18 @@ def _leaf_weights(market, weights):
     return weights
 
 
-def _support_with_floor_noise(support, xi, zero_tol):
-    """Support value, retrying with denoised direction only when infinite.
+def _support_on_face(support, xi, zero_tol):
+    """(support value, direction), retrying with the components of xi at or
+    below zero_tol set to 0.0 only when the value is infinite.
 
     Finite values are never perturbed; the retry merely lets float-produced
     directions sit on equality faces they satisfy up to LP tolerance.
     """
     val = support(xi)
     if val != INF or zero_tol == 0:
-        return val
+        return val, xi
     cleaned = tuple(0.0 if abs(float(v)) <= zero_tol else v for v in xi)
-    return val if cleaned == tuple(xi) else support(cleaned)
+    return (val, xi) if cleaned == tuple(xi) else (support(cleaned), cleaned)
 
 
 def _alpha_lp(market, weights):

@@ -5,10 +5,12 @@ solver that scipy vendors (``scipy.optimize._highspy._core``) through its
 model API: one column-wise ``HighsLp`` per call, the sign restrictions as
 column bounds, with the options and the post-solve check of
 ``scipy.optimize.linprog(method="highs")`` but without its per-call Python
-overhead.  The extension module is loaded by itself (:func:`_load_highs`):
-importing it the ordinary way would first run ``scipy.optimize``'s package
-init, whose scipy.linalg, scipy.sparse and optimizers condual never uses,
-and which cost every process about 0.5 s and 40 MB at start-up.
+overhead.  A float LP gets that one HiGHS run; when HiGHS leaves it
+undecided, the exact tableau below answers it.  The extension module is
+loaded by itself (:func:`_load_highs`): importing it the ordinary way would
+first run ``scipy.optimize``'s package init, whose scipy.linalg,
+scipy.sparse and optimizers condual never uses, and which cost every
+process about 0.5 s and 40 MB at start-up.
 
 Exact mode answers from the rational data alone, by one of two routes.  An
 LP of fewer than :data:`EXACT_HIGHS_CELLS` cells (rows times columns) runs a
@@ -125,7 +127,7 @@ class LPResult:
     duals: list | None
     # what answered: "highs" (float mode), "certified" (an exact answer
     # read off HiGHS and certified in rationals) or "tableau" (the Fraction
-    # simplex, in exact mode or as the last rung of the float ladder)
+    # simplex, in exact mode or where HiGHS left a float LP undecided)
     route: str
 
     @property
@@ -188,42 +190,28 @@ def _finite(block):
     return True
 
 
-def _highs(c, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs", options=None):
-    """One HiGHS run on the float copy of the LP (raises OverflowError when
-    a rational does not fit in a float)."""
-    n = len(c)
-
-    def rows(block):
-        return np.asarray(block, dtype=float).reshape(len(block), n)
-
-    return _scipy_linprog(np.asarray(c, dtype=float), A_ub=rows(A_ub),
-                          b_ub=np.asarray(b_ub, dtype=float), A_eq=rows(A_eq),
-                          b_eq=np.asarray(b_eq, dtype=float), nonneg=nonneg,
-                          method=method, options=options)
-
-
 # HiGHS model statuses in scipy.optimize.linprog's codes: 0 optimal, 2
 # infeasible, 3 unbounded.  Every other status, kUnboundedOrInfeasible
-# among them, reads 4 (undecided), so that the float ladder moves on
+# among them, reads 4 (undecided), so that the exact tableau answers
 _STATUS = {_h.HighsModelStatus.kOptimal: 0,
            _h.HighsModelStatus.kInfeasible: 2,
            _h.HighsModelStatus.kUnbounded: 3}
-# the options linprog sets on every run, besides presolve and the solver
+# the options linprog(method="highs") sets on every run
 _OPTIONS = (("output_flag", False), ("log_to_console", False),
             ("simplex_strategy",
              _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-            ("highs_debug_level", _h.HighsDebugLevel.kHighsDebugLevelNone))
+            ("highs_debug_level", _h.HighsDebugLevel.kHighsDebugLevelNone),
+            ("presolve", "on"))
 # scipy's post-solve check: an optimal point must meet every bound and row
 # to within 10 sqrt(tol) for its default tol = 1e-9
 _CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
-def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs",
-                   options=None):
+def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg):
     """min c @ x subject to A_ub x <= b_ub, A_eq x = b_eq and x_j >= 0 for
-    j in nonneg, all float arrays, by one fresh HiGHS solver with the
-    options scipy.optimize.linprog sets for ``method`` ("highs" or
-    "highs-ds") and ``options`` (None or {"presolve": False}).
+    j in nonneg, all float arrays (the row blocks of shape (rows, len(c))),
+    by one fresh HiGHS solver with the options scipy.optimize.linprog sets
+    for ``method="highs"``.
 
     The result holds the fields of linprog's that condual reads:
     ``status`` (0, 2, 3 or 4) and, when 0, ``x``, ``fun``,
@@ -253,10 +241,6 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs",
     highs = _h._Highs()
     for name, value in _OPTIONS:
         highs.setOptionValue(name, value)
-    presolve = (options or {}).get("presolve", True)
-    highs.setOptionValue("presolve", "on" if presolve else "off")
-    if method == "highs-ds":
-        highs.setOptionValue("solver", "simplex")
     # a model HiGHS refuses (a matrix entry of 1e21, say) is undecided too,
     # where linprog reports it infeasible
     if highs.passModel(lp) == _h.HighsStatus.kError \
@@ -290,15 +274,12 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg, method="highs",
 
 
 def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
-    # degenerate instances occasionally leave a HiGHS backend undecided;
-    # walk the ladder, then settle the question in exact arithmetic
-    # (floats convert to rationals exactly, so the answer is definitive).
-    # An LP holding a number HiGHS reads as infinite skips the ladder
+    """One HiGHS run; when HiGHS is undecided, or the LP holds a number
+    HiGHS reads as infinite, the exact tableau settles the question (floats
+    convert to rationals exactly, so its answer is definitive)."""
     data = _highs_data(c, A_ub, b_ub, A_eq, b_eq)
-    attempts = [("highs", None), ("highs-ds", None),
-                ("highs", {"presolve": False})] if data is not None else []
-    for method, options in attempts:
-        res = _highs(*data, nonneg, method, options)
+    if data is not None:
+        res = _scipy_linprog(**data, nonneg=nonneg)
         if res.status == 0:
             return LPResult(OPTIMAL, list(map(float, res.x)), float(res.fun),
                             [-float(v) for v in res.ineqlin.marginals],
@@ -315,15 +296,19 @@ def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     return exact
 
 
-def _highs_data(*blocks):
-    """The blocks as float arrays; None when some entry has magnitude
-    HIGHS_INF or more, or does not fit in a float."""
+def _highs_data(c, A_ub, b_ub, A_eq, b_eq):
+    """The blocks as float arrays by name, the row blocks of shape (rows,
+    len(c)); None when some entry has magnitude HIGHS_INF or more, or does
+    not fit in a float."""
+    blocks = dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     try:
-        data = [np.asarray(block, dtype=float) for block in blocks]
+        data = {k: np.asarray(v, dtype=float) for k, v in blocks.items()}
     except OverflowError:
         return None
-    if any(np.abs(block).max(initial=0.0) >= HIGHS_INF for block in data):
+    if any(np.abs(v).max(initial=0.0) >= HIGHS_INF for v in data.values()):
         return None
+    for k in ("A_ub", "A_eq"):
+        data[k] = data[k].reshape(len(data[k]), len(c))
     return data
 
 
@@ -380,8 +365,9 @@ class _ExactLP:
         if self.F is None:
             return None
         m = self.m_ub
-        res = _highs(self.cf, self.F[:m], self.f[:m], self.F[m:], self.f[m:],
-                     self.nonneg)
+        res = _scipy_linprog(self.cf, A_ub=self.F[:m], b_ub=self.f[:m],
+                             A_eq=self.F[m:], b_eq=self.f[m:],
+                             nonneg=self.nonneg)
         return res if res.status in (0, 2, 3) else None
 
     def vertex_of(self, res):

@@ -13,11 +13,12 @@ any capital).  The node problem is a small LP, and its dual is
     V_n = max over pi in the simplex of sum_c pi_c V_c - sigma_n(sum_c pi_c dS_c)
 
 with sigma_n the support function of C_n.  In dimension one C_n is an
-interval and both sides have closed forms: the dual maximum sits at a single
-child, or at two children whose increments have opposite signs, mixed so
-that the drift vanishes; the hedge is then any point of C_n at which every
-child is covered.  In higher dimension one LP per node gives the hedge, and
-its row multipliers give the weights pi.
+interval and both sides have closed forms, read off the set's own support
+value and :meth:`~condual.convex.ConvexSet.interval`: the dual maximum sits
+at a single child, or at two children whose increments have opposite signs,
+mixed so that the drift vanishes; the hedge is then the point of C_n
+nearest zero at which every child is covered.  In higher dimension one LP
+per node gives the hedge, and its row multipliers give the weights pi.
 
 The node hedges stack into a portfolio that superhedges f from V_root, and
 the products of the weights along each leaf's path form a leaf measure q
@@ -43,16 +44,6 @@ class Backward:
     weights: tuple | None  # leaf measure q; None when value is -inf
 
 
-def interval_support(interval, xi):
-    """sup of h * xi[0] over h in the interval (lo, hi), possibly +inf."""
-    (lo, hi), (s,) = interval, xi
-    if s > 0:
-        return INF if hi == INF else hi * s
-    if s < 0:
-        return INF if lo == NEG_INF else lo * s
-    return 0 * s
-
-
 def backward_induction(market: MarketModel, payoff, exact) -> Backward:
     """Superhedging value, hedge and pricing weights of a leaf payoff.
 
@@ -71,7 +62,7 @@ def backward_induction(market: MarketModel, payoff, exact) -> Backward:
     for i in reversed(nonleaf):  # children carry larger indices
         lines[i] = [(c, value[c], steps[c]) for c in tree.nodes[i].children
                     if value[c] != NEG_INF]
-        value[i], hedge[i], weight[i] = _node(market, lp, i, lines[i], exact)
+        value[i], hedge[i], weight[i] = _node(market, i, lines[i], exact)
     if value[tree.root] == NEG_INF:
         return Backward(NEG_INF, None, None)
 
@@ -83,7 +74,7 @@ def backward_induction(market: MarketModel, payoff, exact) -> Backward:
     for i in nonleaf:
         h = hedge[i]
         if h is None:
-            h = _cover(market, lp, i, lines[i], capital[i], exact)
+            h = _cover(market, i, lines[i], capital[i], exact)
         H[lp.offsets[i]:lp.offsets[i] + lp.dim] = h
         for c in tree.nodes[i].children:
             capital[c] = capital[i] + sum(a * b for a, b in zip(h, steps[c]))
@@ -91,21 +82,17 @@ def backward_induction(market: MarketModel, payoff, exact) -> Backward:
     return Backward(value[tree.root], H, tuple(mass[i] for i in tree.leaves))
 
 
-def _node_bounds(lp, i, exact):
-    return lp.intervals[i] if exact else tuple(map(float, lp.intervals[i]))
-
-
-def _node(market, lp, i, lines, exact):
+def _node(market, i, lines, exact):
     """(V_n, hedge, weights over children) at node i; (-inf, None, None)
     when the node LP is unbounded."""
     num = Fraction if exact else float
     if not lines:
         return NEG_INF, None, None
-    if lp.dim == 1:
-        interval = _node_bounds(lp, i, exact)
+    if market.dim == 1:
+        support = market.constraint(i).support
         best, pi = NEG_INF, None
         for c, v, (s,) in lines:
-            sigma = interval_support(interval, (s,))
+            sigma = support((s,))
             if sigma != INF and v - sigma > best:
                 best, pi = v - sigma, {c: num(1)}
             if s > 0:
@@ -117,13 +104,13 @@ def _node(market, lp, i, lines, exact):
                             best, pi = mixed, {c: 1 - w, c2: w}
         if pi is None:
             return NEG_INF, None, None
-        h = _cover(market, lp, i, lines, best, exact)
+        h = _cover(market, i, lines, best, exact)
     else:
         hs = market.constraint(i).halfspaces()
         A = [(-1,) + tuple(-v for v in s) for _, _, s in lines] \
             + [(0,) + tuple(a) for a in hs[0]]
         b = [-v for _, v, _ in lines] + list(hs[1])
-        res = solve_lp([1] + [0] * lp.dim, A_ub=A, b_ub=b, exact=exact)
+        res = solve_lp([1] + [0] * market.dim, A_ub=A, b_ub=b, exact=exact)
         if res.status == UNBOUNDED:
             return NEG_INF, None, None
         h = tuple(num(v) for v in res.x[1:])
@@ -133,12 +120,13 @@ def _node(market, lp, i, lines, exact):
         h, pi
 
 
-def _cover(market, lp, i, lines, capital, exact):
+def _cover(market, i, lines, capital, exact):
     """A holding in C_i with capital + h . dS_c >= V_c for every child
-    line; in dimension one, the point nearest zero."""
+    line; in dimension one, the point of the set's interval nearest zero."""
     num = Fraction if exact else float
-    if lp.dim == 1:
-        lo, hi = _node_bounds(lp, i, exact)
+    if market.dim == 1:
+        lo, hi = (v if exact else float(v)
+                  for v in market.constraint(i).interval())
         for _, v, (s,) in lines:
             if s > 0:
                 lo = max(lo, (v - capital) / s)
@@ -148,7 +136,7 @@ def _cover(market, lp, i, lines, capital, exact):
     hs = market.constraint(i).halfspaces()
     A = [tuple(-v for v in s) for _, _, s in lines] + [tuple(a) for a in hs[0]]
     b = [capital - v for _, v, _ in lines] + list(hs[1])
-    res = solve_lp([0] * lp.dim, A_ub=A, b_ub=b, exact=exact)
+    res = solve_lp([0] * market.dim, A_ub=A, b_ub=b, exact=exact)
     if res.status != OPTIMAL:  # pragma: no cover - the node's value allows it
         raise RuntimeError("no covering hedge at a node")
     return tuple(num(v) for v in res.x)

@@ -18,12 +18,7 @@ p)``:
 
 They are read-only numpy arrays: of dtype ``object`` holding the market's
 own numbers when exact, of dtype float otherwise.  Each arithmetic's set is
-built on its first request, so a float market never builds exact rows.  In
-dimension one, each node's constraint set is also kept as an interval
-``(lo, hi)`` (``intervals``): the set's own kept
-:meth:`~condual.convex.ConvexSet.interval`, the closed form from which
-one-dimensional polyhedra and polyhedral intersections answer their own
-nonemptiness, center, bounding box and projection.
+built on its first request, so a float market never builds exact rows.
 
 The float bounds of the box-shaped sets (in dimension one, every set with a
 halfspace form) are stacked into ``box_lo`` and ``box_hi`` (+-inf at the
@@ -86,7 +81,6 @@ class TreeLP:
                            for i, cset in market.constraints]
         self._halfspaces = []
         self._no_halfspaces = None
-        self.intervals = {}
         for i, cset in market.constraints:
             hs = cset.halfspaces()
             if hs is None:
@@ -96,8 +90,6 @@ class TreeLP:
                     f"constraints")
                 break
             self._halfspaces.append((i, hs))
-            if d == 1:
-                self.intervals[i] = cset.interval()
         self.polyhedral = self._no_halfspaces is None
         self._rows = {}
         self._kept = {}

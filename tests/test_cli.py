@@ -171,6 +171,22 @@ def test_properties_subcommand(capsys):
     assert all(r["passed"] for r in doc["results"])
 
 
+def test_properties_text_table(capsys):
+    # text is the default format: the results list renders as a table
+    from condual.properties import _REGISTRY
+
+    code, out, _ = run_cli(capsys, "properties", "--seed", "0")
+    assert code == 0
+    lines = out.splitlines()
+    top = lines.index("results:") + 1
+    end = top + 1 + len(_REGISTRY)
+    assert lines[top].split() == ["name", "passed", "cases", "seconds",
+                                  "detail"]
+    rows = [line.split()[:2] for line in lines[top + 1:end]]
+    assert rows == [[name, "True"] for name, _, _ in _REGISTRY]
+    assert lines[end].split() == ["verdict", "pass"]
+
+
 def test_unreadable_market_is_input_error(capsys):
     code, _, err = run_cli(capsys, "xbar", "--market", "does-not-exist.json")
     assert code == 2

@@ -1,6 +1,7 @@
 """Certificates: nonemptiness, closedness, the supermartingale triple,
 the drift condition, and convex compactness."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +18,10 @@ from condual.conditions import (
 )
 from condual.convex import Cone, ProjectionMatrix
 from condual.dual import measure_from_weights
-from condual.market import PortfolioProcess, build_market
+from condual.market import PortfolioProcess, build_market, is_admissible
+from condual.randomgen import random_tree_spec
 
-from conftest import binomial_spec, drift_spec
+from conftest import binomial_spec, drift_spec, float_copy
 
 F = Fraction
 
@@ -38,8 +40,6 @@ def sample_admissible(market, rng, count):
                 point.append(rng.uniform(lo, hi))
             holdings[i] = tuple(point)
         candidate = PortfolioProcess(holdings)
-        from condual.market import is_admissible
-
         if is_admissible(market, candidate):
             out.append(candidate)
     return out
@@ -66,6 +66,25 @@ def test_nonempty_endowment_constraint(b1):
                                    (F(1, 3), F(2, 3)))
     report = check_nonempty(augmented)
     assert report.witness[0] == (0, 1)
+
+
+@pytest.mark.parametrize("floor, witness", [("1/2", (1,)), ("1/4", None)])
+def test_nonempty_floor_lp(floor, witness):
+    # the box [1, 3] against a down move of -1/2: its center 2 loses 1 and
+    # breaches both floors, so the phase-1 LP over the floor rows decides;
+    # under floor 1/2 only h = 1 is admissible, under floor 1/4 nothing is
+    spec = binomial_spec({"type": "box", "lower": [1], "upper": [3]})
+    spec["floor"] = floor
+    market = build_market(spec)
+    center = PortfolioProcess({0: market.constraint(0).center()})
+    assert not is_admissible(market, center)
+    report = check_nonempty(market)
+    assert report.nonempty is (witness is not None)
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert report.witness[0] == witness
+        assert is_admissible(market, report.witness)
 
 
 def test_projected_closedness_polyhedral(b1, d1):
@@ -122,6 +141,29 @@ def test_certificate_martingale_stage(b1):
     assert cert.stage == "martingale-measure"
     assert cert.measure.weights == (F(1, 3), F(2, 3))
     assert all(v == 0 for v in cert.compensator.values())
+
+
+def test_certificate_on_exact_ball_is_exact():
+    # the exact ball [1/4, 3/4] answers its support in Fractions: the
+    # reference is its upper end and the compensator vanishes
+    market = build_market(drift_spec(
+        {"type": "ball", "center": ["1/2"], "radius": "1/4"}))
+    cert = check_supermartingale_condition(market)
+    assert cert.stage == "reference-compensator"
+    (h,), dA = cert.reference[0], cert.compensator["root"]
+    assert (h, dA) == (F(3, 4), 0) and type(h) is type(dA) is F
+
+
+def test_float_twin_certificate_matches_exact():
+    # the float max-margin measure meets a zero drift only up to rounding,
+    # and a half-line node then reads its support on that face: each float
+    # twin keeps the verdict and stage of its exact market
+    for seed in range(40):
+        spec = random_tree_spec(random.Random(seed))
+        exact = check_supermartingale_condition(build_market(spec))
+        twin = check_supermartingale_condition(build_market(float_copy(spec)))
+        assert (twin.certified, twin.stage) \
+            == (exact.certified, exact.stage), seed
 
 
 @pytest.mark.parametrize("fixture", ["b1", "d1", "drift_market", "b1_box",
@@ -202,6 +244,21 @@ def test_drift_generator_barrier():
     assert res and res.beta == (3,)
     res = check_drift_condition([], (F(-3),), barrier)
     assert not res
+
+
+def test_drift_generator_barrier_float_projection():
+    # a float projection onto span{(1, 1)} takes its basis from the SVD; the
+    # barrier cone{(1, 0)} is given by its generator, so the drift splits
+    # by the equality-row LP: (3, 1) = (1, 1) + (2, 0)
+    proj = ProjectionMatrix(((0.5, 0.5), (0.5, 0.5)))
+    barrier = Cone(2, "generator", ((1.0, 0.0),))
+    res = check_drift_condition(proj, (3.0, 1.0), barrier)
+    assert res
+    assert res.mu_hat == pytest.approx((1.0, 1.0), abs=1e-9)
+    assert res.beta == pytest.approx((2.0, 0.0), abs=1e-9)
+    assert abs(res.nu[0]) == pytest.approx(math.sqrt(2), abs=1e-9)
+    # (1, 3) would need the barrier's negative direction
+    assert not check_drift_condition(proj, (1.0, 3.0), barrier)
 
 
 def test_drift_memberships_exact_rational():

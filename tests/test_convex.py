@@ -636,7 +636,7 @@ def test_intersection_interval_against_lps(exact):
 def test_parse_floor_market_solves_no_lp(tmp_path, monkeypatch):
     # a floor-cli-style market: polyhedron and intersection nodes, with a
     # floor; every set is one-dimensional, so parsing it and asking its sets
-    # for their centers, boxes and projections take no LP
+    # for their centers, boxes, support values and projections take no LP
     import condual.convex
     from condual.market import parse_market_file
     from condual.treelp import tree_lp
@@ -670,8 +670,51 @@ def test_parse_floor_market_solves_no_lp(tmp_path, monkeypatch):
         lp = tree_lp(market)
         h = np.linspace(-3, 3, lp.n_h)
         assert np.array_equal(lp.project(h), np.clip(h, lp.box_lo, lp.box_hi))
-        assert lp.intervals == {i: tuple(cset.bounding_box()[0])
-                                for i, cset in market.constraints}
+        for i, cset in market.constraints:
+            lo, hi = cset.interval()
+            assert [(lo, hi)] == cset.bounding_box()
+            assert (cset.support((1,)), cset.support((-1,))) == (hi, -lo)
+
+
+def test_own_box_support_matches_the_halfspace_lp(monkeypatch):
+    # every node set of a one-dimensional random market is its own box and
+    # answers its support from its bounds, with no LP; the value is the
+    # halfspace LP's, exactly, and the point is a member attaining it
+    import condual.convex
+    from condual.randomgen import random_market
+
+    lps = []
+    real = condual.convex.solve_lp
+    monkeypatch.setattr(condual.convex, "solve_lp",
+                        lambda *a, **k: lps.append(a) or real(*a, **k))
+    answers = 0
+    for seed in range(40):
+        for _, cset in random_market(random.Random(seed)).constraints:
+            assert cset.box_bounds() is not None
+            A, b = cset.halfspaces()
+            for xi in (F(1), F(-1), F(1, 2), F(-1, 2), F(0)):
+                built = len(lps)
+                value, point = cset.support_argmax((xi,))
+                assert len(lps) == built and cset.support((xi,)) == value
+                res = solve_lp([-xi], A_ub=A, b_ub=b, exact=True)
+                if res.status == UNBOUNDED:
+                    assert (value, point) == (INF, None)
+                else:
+                    assert value == -res.value and point[0] * xi == value
+                    assert cset.contains(point, tol=0)
+                answers += 1
+    assert answers > 900
+
+
+def test_one_dimensional_ball_support_is_exact():
+    # the interval [c - r, c + r] of an exact ball answers in Fractions
+    ball = Ball((F(1, 2),), F(1, 4))
+    for xi, value, point in (((F(3, 4),), F(9, 16), (F(3, 4),)),
+                             ((F(-2),), F(-1, 2), (F(1, 4),)),
+                             ((F(0),), F(0), (F(1, 4),))):
+        got = ball.support_argmax(xi)
+        assert got == (value, point) and type(got[0]) is type(value)
+    assert support_function(Ball((-1.0,), 0.5), (2.0,)) == -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_random_agreement_with_equalities(seed):
 
 
 def test_float_solve_settles_undecided_highs_exactly(monkeypatch):
-    # when every HiGHS attempt stops undecided (status 4), the float solve
+    # when the one HiGHS run stops undecided (status 4), the float solve
     # answers from the exact simplex: the same x, value and multipliers as
     # HiGHS on this nondegenerate LP, as floats
     from types import SimpleNamespace
@@ -161,9 +161,9 @@ def test_float_solve_settles_undecided_highs_exactly(monkeypatch):
     highs = solve_lp(**lp)
     attempts = []
     monkeypatch.setattr(linprog, "_scipy_linprog", lambda *a, **k: (
-        attempts.append(k["method"]) or SimpleNamespace(status=4)))
+        attempts.append("highs") or SimpleNamespace(status=4)))
     settled = solve_lp(**lp)
-    assert attempts == ["highs", "highs-ds", "highs"]
+    assert attempts == ["highs"]
     assert highs.status == settled.status == OPTIMAL
     assert (highs.route, settled.route) == ("highs", "tableau")
     for a, b in ((highs.x, settled.x), (highs.duals, settled.duals),
@@ -447,8 +447,8 @@ def test_worst_leaf_of_floor_market_is_certified():
 
 # -- HiGHS through its model API against scipy.optimize.linprog -------------
 
-RUNGS = [("highs", None), ("highs-ds", None), ("highs", {"presolve": False})]
-RUNG_IDS = ["highs", "highs-ds", "presolve-off"]
+# the scipy.optimize.linprog method whose one run _scipy_linprog reproduces
+RUNGS = ["highs"]
 
 
 def _random_float_lp(seed):
@@ -473,7 +473,7 @@ def _random_float_lp(seed):
                 b_eq=b_eq, nonneg=[j for j in range(n) if rng.random() < 0.5])
 
 
-def _both(lp, method, options):
+def _both(lp, method):
     """The LP run by linprog._scipy_linprog, and by scipy.optimize.linprog
     called the way condual called it before it ran HiGHS itself."""
     from scipy.optimize import linprog as scipy_linprog
@@ -481,7 +481,7 @@ def _both(lp, method, options):
     c, nonneg = lp["c"], lp["nonneg"]
     ours = linprog._scipy_linprog(
         c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-        b_eq=lp["b_eq"], nonneg=nonneg, method=method, options=options)
+        b_eq=lp["b_eq"], nonneg=nonneg)
     bounds = [(0, None) if j in nonneg else (None, None)
               for j in range(len(c))]
 
@@ -490,15 +490,15 @@ def _both(lp, method, options):
 
     ref = scipy_linprog(c, A_ub=block("A_ub"), b_ub=block("b_ub"),
                         A_eq=block("A_eq"), b_eq=block("b_eq"), bounds=bounds,
-                        method=method, options=options)
+                        method=method)
     return ours, ref
 
 
-@pytest.mark.parametrize("method,options", RUNGS, ids=RUNG_IDS)
-def test_model_api_matches_scipy_linprog(method, options):
+@pytest.mark.parametrize("method", RUNGS)
+def test_model_api_matches_scipy_linprog(method):
     statuses = []
     for seed in range(90):
-        ours, ref = _both(_random_float_lp(seed), method, options)
+        ours, ref = _both(_random_float_lp(seed), method)
         assert ours.status == ref.status, seed
         statuses.append(ours.status)
         if ours.status != 0:
@@ -513,8 +513,8 @@ def test_model_api_matches_scipy_linprog(method, options):
     assert {0, 2, 3} <= set(statuses)
 
 
-@pytest.mark.parametrize("method,options", RUNGS, ids=RUNG_IDS)
-def test_model_api_verdicts(method, options):
+@pytest.mark.parametrize("method", RUNGS)
+def test_model_api_verdicts(method):
     # x0 <= -1 and x0 >= 1 contradict each other; nothing bounds x1 from
     # below while the objective rewards decreasing it
     empty = np.zeros((0, 2))
@@ -526,7 +526,7 @@ def test_model_api_verdicts(method, options):
                      b_ub=np.array([1.0]), A_eq=np.array([[1.0, 0.0]]),
                      b_eq=np.array([0.5]), nonneg=[0])
     for lp, status in ((infeasible, 2), (unbounded, 3)):
-        ours, ref = _both(lp, method, options)
+        ours, ref = _both(lp, method)
         assert ours.status == ref.status == status
 
 
@@ -586,23 +586,21 @@ NEAR = 0.95 * linprog._CHECK_TOL
 def test_post_solve_guard(monkeypatch, edit, status):
     # an optimal HiGHS status stands only for a point without nan that
     # meets every bound and row to within 10 sqrt(1e-9); otherwise the run
-    # is undecided and the float ladder moves on to its next rung
+    # is undecided and the exact tableau answers
     assert linprog._CHECK_TOL == pytest.approx(3.162e-4, rel=1e-3)
     _edited_solutions(monkeypatch, edit, times=1)
     real, attempts = linprog._scipy_linprog, []
 
     def recorded(c, **kwargs):
         res = real(c, **kwargs)
-        attempts.append((kwargs["method"], kwargs["options"], res.status))
+        attempts.append(res.status)
         return res
 
     monkeypatch.setattr(linprog, "_scipy_linprog", recorded)
     res = solve_lp(**GUARDED)
-    assert attempts[0] == ("highs", None, status)
-    if status == 4:
-        assert attempts[1] == ("highs-ds", None, 0)
-    assert len(attempts) == (2 if status == 4 else 1)
-    assert (res.status, res.route) == (OPTIMAL, "highs")
+    assert attempts == [status]
+    route = "highs" if status == 0 else "tableau"
+    assert (res.status, res.route) == (OPTIMAL, route)
     assert res.value == pytest.approx(-1, abs=1e-12)
 
 
@@ -611,7 +609,9 @@ def test_model_error_is_undecided():
     # scipy.optimize.linprog reports as infeasible; here it is undecided,
     # and the exact simplex finds the optimum x = -1e-21
     lp = dict(c=[1.0], A_ub=[[-1e21]], b_ub=[1.0])
-    assert linprog._highs(**lp, A_eq=[], b_eq=[], nonneg=[]).status == 4
+    assert linprog._scipy_linprog(
+        **{k: np.asarray(v) for k, v in lp.items()}, A_eq=np.zeros((0, 1)),
+        b_eq=np.zeros(0), nonneg=[]).status == 4
     res = solve_lp(**lp)
     assert (res.status, res.route, res.x) == (OPTIMAL, "tableau", [-1e-21])
 
