@@ -2,9 +2,13 @@
 
 One subcommand per capability: primal and dual solves, the duality
 verifications, superhedging, the critical wealth, condition certificates,
-endowment embedding, and the seeded randomized property suite.  Exit codes:
-0 all-pass, 1 a verification failed, 2 input/usage errors (including a
-command that needs halfspace constraints on a market without them).
+endowment embedding, and the seeded randomized property suite.  Each
+subcommand's parser binds its handler, which reads the parsed arguments
+directly; `main` checks the flags once before dispatch.  Exit codes:
+0 all-pass, 1 a verification failed, 2 input/usage errors: a flag or a
+market file that is malformed or of the wrong JSON type, an argument the
+library refuses (any ValueError, SchemaError among them), and a command
+that needs halfspace constraints on a market without them.
 
 Setting CONDUAL_EXACT=1 in the environment forces exact rational mode for
 all market-file numbers (floats included).
@@ -16,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .conditions import (
     check_convex_compactness,
@@ -38,65 +41,17 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    market_path: str | None = None
-    utility_doc: object = None
-    x: float | None = None
-    y: float | None = None
-    x_grid: list = field(default_factory=list)
-    y_grid: list = field(default_factory=list)
-    payoff: dict | None = None
-    measure: dict | None = None
-    solver_tol: float = 1e-8
-    verify_tol: float = 1e-5
-    seed: int = 0
-    scale: int = 1
-    output: str | None = None
-
-    def __post_init__(self):
-        if not (self.solver_tol > 0 and self.verify_tol > 0):
-            raise SchemaError("tolerances must be positive")
-        points = (self.x, self.y, *self.x_grid, *self.y_grid)
-        if not all(is_finite(v) for v in points if v is not None):
-            raise SchemaError("--x, --y and grid points must be finite")
-        for grid in (self.x_grid, self.y_grid):
-            if grid and list(grid) != sorted(grid):
-                raise SchemaError("grids must be sorted ascending")
-
-
-def run(config: RunConfig):
-    """Dispatch a config; returns (exit code, report dict)."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise SchemaError(f"unknown command {config.command!r}")
-    return handler(config)
-
-
-def _market(config):
-    if not config.market_path:
-        raise SchemaError("this command needs --market")
-    return parse_market_file(config.market_path)
-
-
-def _utility(config):
-    if config.utility_doc is None:
-        raise SchemaError("this command needs --utility")
-    return parse_utility(config.utility_doc)
-
-
-def _cmd_solve_primal(config):
-    market = _market(config)
-    utility = _utility(config)
-    if config.x is None:
+def _cmd_solve_primal(args):
+    market = parse_market_file(args.market)
+    utility = parse_utility(args.utility)
+    if args.x is None:
         raise SchemaError("solve-primal needs --x")
-    sol = solve_primal(market, utility, config.x, tol=config.solver_tol)
+    sol = solve_primal(market, utility, args.x, tol=args.tol)
     report = {
         "command": "solve-primal",
         "status": sol.status,
         "value": sol.value,
-        "x": config.x,
+        "x": args.x,
     }
     if sol.portfolio is not None:
         ids = {i: market.tree.nodes[i].node_id for i in market.tree.nonleaf}
@@ -108,15 +63,15 @@ def _cmd_solve_primal(config):
     return EXIT_OK, report
 
 
-def _cmd_solve_dual(config):
-    market = _market(config)
-    utility = _utility(config)
-    if config.y is None:
+def _cmd_solve_dual(args):
+    market = parse_market_file(args.market)
+    utility = parse_utility(args.utility)
+    if args.y is None:
         raise SchemaError("solve-dual needs --y")
-    sol = solve_dual(market, utility, config.y, tol=config.solver_tol)
+    sol = solve_dual(market, utility, args.y, tol=args.tol)
     report = {
         "command": "solve-dual",
-        "y": config.y,
+        "y": args.y,
         "value": sol.value,
         "attained": sol.attained,
         "gap": sol.gap,
@@ -128,13 +83,13 @@ def _cmd_solve_dual(config):
     return EXIT_OK, report
 
 
-def _cmd_verify_duality(config):
-    market = _market(config)
-    utility = _utility(config)
-    if not config.x_grid or not config.y_grid:
+def _cmd_verify_duality(args):
+    market = parse_market_file(args.market)
+    utility = parse_utility(args.utility)
+    if not args.x_grid or not args.y_grid:
         raise SchemaError("verify-duality needs --x-grid and --y-grid")
-    rep = verify_conjugacy(market, utility, config.x_grid, config.y_grid,
-                           tol=config.verify_tol)
+    rep = verify_conjugacy(market, utility, args.x_grid, args.y_grid,
+                           tol=args.verify_tol)
     report = {
         "command": "verify-duality",
         "residuals": [{
@@ -148,13 +103,13 @@ def _cmd_verify_duality(config):
     return (EXIT_OK if rep.ok else EXIT_VERIFICATION_FAILED), report
 
 
-def _cmd_verify_link(config):
-    market = _market(config)
-    utility = _utility(config)
-    if config.x is None:
+def _cmd_verify_link(args):
+    market = parse_market_file(args.market)
+    utility = parse_utility(args.utility)
+    if args.x is None:
         raise SchemaError("verify-link needs --x")
-    rep = verify_primal_dual_link(market, utility, config.x,
-                                  tol=config.verify_tol)
+    rep = verify_primal_dual_link(market, utility, args.x,
+                                  tol=args.verify_tol)
     verdict = "abstain" if rep.ok is None else ("pass" if rep.ok else "fail")
     report = {
         "command": "verify-link",
@@ -168,11 +123,9 @@ def _cmd_verify_link(config):
     return (EXIT_OK if verdict == "abstain" else code), report
 
 
-def _cmd_superhedge(config):
-    market = _market(config)
-    if config.payoff is None:
-        raise SchemaError("superhedge needs --payoff")
-    payoff = _leaf_payoff(market, config.payoff)
+def _cmd_superhedge(args):
+    market = parse_market_file(args.market)
+    payoff = _leaf_payoff(market, args.payoff)
     res = superhedge_price(market, payoff)
     leaves = [market.tree.nodes[i].node_id for i in market.tree.leaves]
     report = {
@@ -185,9 +138,9 @@ def _cmd_superhedge(config):
     return EXIT_OK, report
 
 
-def _cmd_xbar(config):
-    market = _market(config)
-    rep = verify_xbar(market, tol=max(config.verify_tol, 1e-6))
+def _cmd_xbar(args):
+    market = parse_market_file(args.market)
+    rep = verify_xbar(market, tol=max(args.verify_tol, 1e-6))
     report = {
         "command": "xbar",
         "from_support": rep.from_support,
@@ -200,8 +153,8 @@ def _cmd_xbar(config):
     return (EXIT_OK if rep.ok else EXIT_VERIFICATION_FAILED), report
 
 
-def _cmd_check_conditions(config):
-    market = _market(config)
+def _cmd_check_conditions(args):
+    market = parse_market_file(args.market)
     nonempty = check_nonempty(market)
     closedness = check_projected_closedness(market)
     cert = check_supermartingale_condition(market)
@@ -238,26 +191,21 @@ def _certificate_payload(market, cert):
     return payload
 
 
-def _cmd_embed_endowment(config):
-    market = _market(config)
-    if config.measure is None:
-        raise SchemaError("embed-endowment needs --measure")
-    with open(config.market_path, encoding="utf-8") as fh:
+def _cmd_embed_endowment(args):
+    market = parse_market_file(args.market)
+    with open(args.market, encoding="utf-8") as fh:
         doc = json.load(fh)
     endowment_doc = doc.get("endowment")
-    if endowment_doc is None:
-        raise SchemaError("the market file carries no endowment")
+    if not isinstance(endowment_doc, dict):
+        raise SchemaError("the market file carries no endowment object")
     endowment = {k: parse_number(v, f"endowment[{k}]")
                  for k, v in endowment_doc.items()}
     measure = {k: parse_number(v, f"measure[{k}]")
-               for k, v in config.measure.items()}
-    try:
-        augmented, offset = embed_endowment(market, endowment, measure)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+               for k, v in args.measure.items()}
+    augmented, offset = embed_endowment(market, endowment, measure)
     augmented_doc = market_to_json(augmented)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(augmented_doc, fh, indent=2)
     report = {
         "command": "embed-endowment",
@@ -265,17 +213,17 @@ def _cmd_embed_endowment(config):
         "augmented_dimension": augmented.dim,
         "synthetic_prices": {n.node_id: augmented.prices[n.index][-1]
                              for n in augmented.tree.nodes},
-        "written_to": config.output,
+        "written_to": args.output,
     }
     return EXIT_OK, report
 
 
-def _cmd_properties(config):
-    results = run_property_suite(config.seed, scale=config.scale)
+def _cmd_properties(args):
+    results = run_property_suite(args.seed, scale=args.scale)
     ok = all(r.passed for r in results)
     report = {
         "command": "properties",
-        "seed": config.seed,
+        "seed": args.seed,
         "results": [{
             "name": r.name, "passed": r.passed, "cases": r.cases,
             "seconds": round(r.seconds, 3), "detail": r.detail,
@@ -293,19 +241,6 @@ def _leaf_payoff(market, doc):
     return tuple(parse_number(doc[nid], f"payoff[{nid}]") for nid in leaves)
 
 
-_HANDLERS = {
-    "solve-primal": _cmd_solve_primal,
-    "solve-dual": _cmd_solve_dual,
-    "verify-duality": _cmd_verify_duality,
-    "verify-link": _cmd_verify_link,
-    "superhedge": _cmd_superhedge,
-    "xbar": _cmd_xbar,
-    "check-conditions": _cmd_check_conditions,
-    "embed-endowment": _cmd_embed_endowment,
-    "properties": _cmd_properties,
-}
-
-
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process: parse_args reads it
@@ -315,10 +250,11 @@ def _build_parser():
         description="Constrained utility-maximization duality on event trees")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *, market=True, utility=False, x=False, y=False,
+    def add(name, handler, *, market=True, utility=False, x=False, y=False,
             grids=False, payoff=False, measure=False, seed=False,
             tol=False, verify_tol=False, output=False):
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         if market:
             p.add_argument("--market", required=True, help="market JSON file")
         if utility:
@@ -343,24 +279,25 @@ def _build_parser():
                            help="multiplier on the per-property case counts")
         if tol:
             p.add_argument("--tol", type=float, default=1e-8,
-                           help="solver tolerance (default 1e-8)")
+                           help="solver tolerance (default %(default)s)")
         if verify_tol:
             p.add_argument("--verify-tol", type=float, default=1e-5,
-                           help="verification tolerance (default 1e-5)")
+                           help="verification tolerance (default %(default)s)")
         if output:
             p.add_argument("--output", help="write the augmented market here")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
 
-    add("solve-primal", utility=True, x=True, tol=True)
-    add("solve-dual", utility=True, y=True, tol=True)
-    add("verify-duality", utility=True, grids=True, verify_tol=True)
-    add("verify-link", utility=True, x=True, verify_tol=True)
-    add("superhedge", payoff=True)
-    add("xbar", verify_tol=True)
-    add("check-conditions")
-    add("embed-endowment", measure=True, output=True)
-    add("properties", market=False, seed=True)
+    add("solve-primal", _cmd_solve_primal, utility=True, x=True, tol=True)
+    add("solve-dual", _cmd_solve_dual, utility=True, y=True, tol=True)
+    add("verify-duality", _cmd_verify_duality, utility=True, grids=True,
+        verify_tol=True)
+    add("verify-link", _cmd_verify_link, utility=True, x=True,
+        verify_tol=True)
+    add("superhedge", _cmd_superhedge, payoff=True)
+    add("xbar", _cmd_xbar, verify_tol=True)
+    add("check-conditions", _cmd_check_conditions)
+    add("embed-endowment", _cmd_embed_endowment, measure=True, output=True)
+    add("properties", _cmd_properties, market=False, seed=True)
     return parser
 
 
@@ -374,8 +311,6 @@ def _parse_grid(text):
 
 
 def _parse_json_flag(text, what):
-    if text is None:
-        return None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -388,29 +323,36 @@ def _parse_json_flag(text, what):
     return doc
 
 
+def _check(args):
+    """Parse the JSON and grid flags in place, then refuse the values that
+    no command accepts."""
+    given = vars(args)
+    for what in ("utility", "payoff", "measure"):
+        if what in given:
+            given[what] = _parse_json_flag(given[what], what)
+    grids = [name for name in ("x_grid", "y_grid") if name in given]
+    for name in grids:
+        given[name] = _parse_grid(given[name])
+    if not all(given[name] > 0 for name in ("tol", "verify_tol")
+               if name in given):
+        raise SchemaError("tolerances must be positive")
+    points = [given.get("x"), given.get("y")]
+    points += [v for name in grids for v in given[name]]
+    if not all(is_finite(v) for v in points if v is not None):
+        raise SchemaError("--x, --y and grid points must be finite")
+    if any(given[name] != sorted(given[name]) for name in grids):
+        raise SchemaError("grids must be sorted ascending")
+    if "scale" in given and given["scale"] < 1:
+        raise SchemaError("--scale must be at least 1")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            market_path=getattr(args, "market", None),
-            utility_doc=_parse_json_flag(getattr(args, "utility", None),
-                                         "utility"),
-            x=getattr(args, "x", None),
-            y=getattr(args, "y", None),
-            x_grid=_parse_grid(getattr(args, "x_grid", None)),
-            y_grid=_parse_grid(getattr(args, "y_grid", None)),
-            payoff=_parse_json_flag(getattr(args, "payoff", None), "payoff"),
-            measure=_parse_json_flag(getattr(args, "measure", None), "measure"),
-            solver_tol=getattr(args, "tol", 1e-8),
-            verify_tol=getattr(args, "verify_tol", 1e-5),
-            seed=getattr(args, "seed", 0),
-            scale=getattr(args, "scale", 1),
-            output=getattr(args, "output", None),
-        )
-        code, report = run(config)
-    except (SchemaError, OSError, NotImplementedError) as exc:
+        _check(args)
+        code, report = args.handler(args)
+    except (ValueError, OSError, NotImplementedError) as exc:
+        # ValueError: a malformed or refused input, SchemaError among them;
         # NotImplementedError: an LP-based command on a market whose sets
         # lack a halfspace form
         sys.stderr.write(f"error: {exc}\n")

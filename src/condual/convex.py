@@ -1001,52 +1001,61 @@ def _project_onto_halfspaces(A, b, start, z, tol=1e-11, max_iter=200):
 
 
 def set_from_json(doc, path="constraint"):
-    from .scalars import SchemaError, parse_number
+    from .scalars import SchemaError, parse_list, parse_number
 
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError("constraint descriptor must be an object with a 'type'",
                           path)
     kind = doc["type"]
 
-    def num(v, sub):
-        return parse_number(v, f"{path}.{sub}")
+    def each(parse, values, sub):
+        where = f"{path}.{sub}"
+        return tuple(parse(v, where) for v in parse_list(values, where))
 
-    def bound(v, sub):
+    def bound(v, where):
         if v in ("inf", "Infinity"):
             return INF
         if v in ("-inf", "-Infinity"):
             return NEG_INF
         if v is None:
-            raise SchemaError("bounds must be numbers or 'inf'/'-inf'", f"{path}.{sub}")
-        return parse_number(v, f"{path}.{sub}")
+            raise SchemaError("bounds must be numbers or 'inf'/'-inf'", where)
+        return parse_number(v, where)
 
     try:
         if kind == "box":
-            lower = [bound(v, "lower") for v in doc["lower"]]
-            upper = [bound(v, "upper") for v in doc["upper"]]
-            return Box(tuple(lower), tuple(upper))
+            return Box(each(bound, doc["lower"], "lower"),
+                       each(bound, doc["upper"], "upper"))
         if kind == "ball":
-            return Ball(tuple(num(v, "center") for v in doc["center"]),
-                        num(doc["radius"], "radius"))
+            return Ball(each(parse_number, doc["center"], "center"),
+                        parse_number(doc["radius"], f"{path}.radius"))
         if kind == "polyhedron":
-            A = [tuple(num(v, "A") for v in row) for row in doc["A"]]
-            b = [num(v, "b") for v in doc["b"]]
-            return Polyhedron(tuple(A), tuple(b))
+            A = tuple(each(parse_number, row, "A")
+                      for row in parse_list(doc["A"], f"{path}.A"))
+            return Polyhedron(A, each(parse_number, doc["b"], "b"))
         if kind == "singleton":
-            return Singleton(tuple(num(v, "point") for v in doc["point"]))
+            return Singleton(each(parse_number, doc["point"], "point"))
         if kind == "affine_fixed":
-            fixed = {int(k): num(v, "fixed") for k, v in doc["fixed"].items()}
-            return AffineFixed(int(doc["dim"]), tuple(sorted(fixed.items())))
+            fixed, dim = doc["fixed"], doc["dim"]
+            if not isinstance(fixed, dict) or isinstance(dim, bool):
+                raise SchemaError("'fixed' must be an object of coordinate "
+                                  "-> value and 'dim' an integer", path)
+            fixed = {int(k): parse_number(v, f"{path}.fixed")
+                     for k, v in fixed.items()}
+            return AffineFixed(int(dim), tuple(sorted(fixed.items())))
         if kind == "cross_fixed":
             base = set_from_json(doc["base"], f"{path}.base")
-            return CrossFixed(base, tuple(num(v, "fixed") for v in doc["fixed"]))
+            return CrossFixed(base, each(parse_number, doc["fixed"], "fixed"))
         if kind == "intersection":
             members = tuple(set_from_json(m, f"{path}.members[{i}]")
-                            for i, m in enumerate(doc["members"]))
+                            for i, m in enumerate(parse_list(
+                                doc["members"], f"{path}.members")))
             return Intersection(members)
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]!r}", path) from exc
-    except ValueError as exc:
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # int() of a list, or the set's own refusal
         raise SchemaError(str(exc), path) from exc
     raise SchemaError(f"unknown constraint type {kind!r}", path)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .convex import ConvexSet, set_from_json, set_to_json
-from .scalars import SchemaError, all_exact, number_to_json, parse_number
+from .scalars import (SchemaError, all_exact, number_to_json,
+                      parse_list, parse_number)
 
 
 @dataclass(frozen=True)
@@ -169,29 +170,39 @@ def build_market(spec: dict) -> MarketModel:
             raise SchemaError(f"missing field {key!r}")
     horizon = spec["horizon"]
     dim = spec["dimension"]
-    if not isinstance(horizon, int) or horizon < 1:
+    # type() rather than isinstance(): a boolean is not an integer here
+    if type(horizon) is not int or horizon < 1:
         raise SchemaError("horizon must be a positive integer", "horizon")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError("dimension must be a positive integer", "dimension")
 
-    raw_nodes = spec["nodes"]
+    raw_nodes = parse_list(spec["nodes"], "nodes")
     if not raw_nodes:
         raise SchemaError("empty node list", "nodes")
     by_id = {}
     for k, doc in enumerate(raw_nodes):
         path = f"nodes[{k}]"
+        if not isinstance(doc, dict):
+            raise SchemaError("a node must be an object", path)
         for fieldname in ("id", "time", "parent", "prob", "prices"):
             if fieldname not in doc:
                 raise SchemaError(f"missing field {fieldname!r}", path)
-        node_id = doc["id"]
+        node_id, parent = doc["id"], doc["parent"]
+        if not isinstance(node_id, str):
+            raise SchemaError("the id must be a string", path)
+        if not (parent is None or isinstance(parent, str)):
+            raise SchemaError("the parent must be a node id or null", path)
+        if isinstance(doc["time"], bool) \
+                or not isinstance(doc["time"], (int, float)):
+            raise SchemaError("the time must be a whole number", path)
         if node_id in by_id:
             raise SchemaError(f"duplicate node id {node_id!r}", path)
-        prices = [parse_number(v, f"{path}.prices") for v in doc["prices"]]
+        prices = [parse_number(v, f"{path}.prices")
+                  for v in parse_list(doc["prices"], f"{path}.prices")]
         if len(prices) != dim:
             raise SchemaError(f"expected {dim} prices, got {len(prices)}", path)
         by_id[node_id] = {
-            "order": k, "id": node_id, "time": doc["time"],
-            "parent": doc["parent"],
+            "order": k, "id": node_id, "time": doc["time"], "parent": parent,
             "prob": parse_number(doc["prob"], f"{path}.prob"),
             "prices": tuple(prices),
         }
@@ -228,50 +239,26 @@ def build_market(spec: dict) -> MarketModel:
         if parent is not None and d["time"] != by_id[order[parent]]["time"] + 1:
             raise SchemaError("child time must be parent time + 1",
                               f"node {nid!r}")
-        prob = d["prob"]
-        if prob <= 0:
-            raise SchemaError("transition probabilities must be positive",
-                              f"node {nid!r}")
         nodes.append(Node(index_of[nid], nid, d["time"], parent,
-                          tuple(index_of[c] for c in children_of[nid]), prob))
+                          tuple(index_of[c] for c in children_of[nid]),
+                          d["prob"]))
     tree = EventTree(tuple(nodes), horizon)
 
-    for n in nodes:
-        if not n.children and n.time != horizon:
-            raise SchemaError(f"leaf {n.node_id!r} at time {n.time}, "
-                              f"expected horizon {horizon}")
-        if n.children and n.time >= horizon:
-            raise SchemaError(f"node {n.node_id!r} at the horizon has children")
-        if n.children:
-            total = sum(nodes[c].cond_prob for c in n.children)
-            tol = 0 if all_exact([nodes[c].cond_prob for c in n.children]) else 1e-9
-            if abs(total - 1) > tol:
-                raise SchemaError(
-                    f"child probabilities of {n.node_id!r} sum to {total}, not 1")
-
-    constraints = {}
+    # a non-leaf node without a set is left for validate_market to name
     raw_constraints = spec["constraints"]
+    if not isinstance(raw_constraints, dict):
+        raise SchemaError("constraints must be an object", "constraints")
     default_doc = raw_constraints.get("default")
+    constraints = {}
     for n in nodes:
-        if not n.children:
-            continue
         doc = raw_constraints.get(n.node_id, default_doc)
-        if doc is None:
-            raise SchemaError(f"no constraint set for non-leaf node {n.node_id!r}",
-                              "constraints")
-        cset = set_from_json(doc, f"constraints[{n.node_id!r}]")
-        if cset.dim != dim:
-            raise SchemaError(
-                f"constraint of {n.node_id!r} has dimension {cset.dim}, "
-                f"market dimension is {dim}")
-        constraints[n.index] = cset
+        if n.children and doc is not None:
+            constraints[n.index] = set_from_json(
+                doc, f"constraints[{n.node_id!r}]")
 
     floor = spec.get("floor")
     if floor is not None:
         floor = parse_number(floor, "floor")
-        if floor < 0:
-            raise SchemaError("the admissibility floor must be nonnegative",
-                              "floor")
 
     market = MarketModel(tree, tuple(by_id[nid]["prices"] for nid in order),
                          tuple(constraints.items()), floor)
@@ -287,12 +274,14 @@ def validate_market(market: MarketModel) -> list[str]:
     tree = market.tree
     for n in tree.nodes:
         if n.children:
-            total = sum(tree.nodes[c].cond_prob for c in n.children)
-            tol = 0 if market.exact else 1e-9
+            probs = [tree.nodes[c].cond_prob for c in n.children]
+            total = sum(probs)
+            # exact children must sum to 1 exactly, even in a float market
+            tol = 0 if all_exact(probs) else 1e-9
             if abs(total - 1) > tol:
                 problems.append(
                     f"probabilities at node {n.node_id!r} sum to {total}")
-            if any(tree.nodes[c].cond_prob <= 0 for c in n.children):
+            if any(p <= 0 for p in probs):
                 problems.append(f"nonpositive probability below {n.node_id!r}")
         if not n.children and n.time != tree.horizon:
             problems.append(f"leaf {n.node_id!r} sits at time {n.time}, "

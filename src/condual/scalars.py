@@ -69,6 +69,13 @@ def parse_number(value, path=None):
     raise SchemaError(f"expected a number, got {type(value).__name__}", path)
 
 
+def parse_list(value, path=None):
+    """A JSON array, read as a list or tuple; anything else is refused."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"expected a list, got {type(value).__name__}", path)
+    return value
+
+
 def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .scalars import INF, NEG_INF, SchemaError
+from .scalars import INF, NEG_INF, SchemaError, parse_list
 
 
 class UtilityFunction:
@@ -447,23 +447,30 @@ def parse_utility(doc, path="utility") -> UtilityFunction:
     if not isinstance(doc, dict) or "family" not in doc:
         raise SchemaError("utility descriptor must name a 'family'", path)
     family = doc["family"]
+
+    def seq(sub):
+        return parse_list(doc[sub], f"{path}.{sub}")
+
     try:
         if family == "log":
             return LogUtility()
         if family == "power":
             return PowerUtility(float(doc["p"]))
         if family == "piecewise":
-            slopes = [INF if s in ("inf", None) else float(s) for s in doc["slopes"]]
+            slopes = [INF if s in ("inf", None) else float(s)
+                      for s in seq("slopes")]
             return PiecewiseLinearUtility(
-                tuple(float(b) for b in doc["breakpoints"]),
+                tuple(float(b) for b in seq("breakpoints")),
                 tuple(slopes),
                 float(doc.get("anchor", 0.0)),
             )
         if family == "table":
-            return TabulatedUtility(tuple(doc["x"]), tuple(doc["u"]))
+            return TabulatedUtility(tuple(seq("x")), tuple(seq("u")))
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]!r}", path) from exc
-    except ValueError as exc:
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # float() of a list or an object, or the family's own refusal
         raise SchemaError(str(exc), path) from exc
     raise SchemaError(f"unknown utility family {family!r}", path)
-

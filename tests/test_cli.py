@@ -146,6 +146,20 @@ def test_embed_endowment_bad_measure_is_input_error(capsys):
     assert "martingale" in err
 
 
+@pytest.mark.parametrize("endowment", [None, [1, 0], "1"])
+def test_embed_endowment_without_an_endowment_object_is_input_error(
+        capsys, tmp_path, endowment):
+    with open(fixture("b1_endowment.json")) as fh:
+        doc = json.load(fh)
+    doc["endowment"] = endowment
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "embed-endowment", "--market", str(path),
+                             "--measure", '{"up": "1/3", "down": "2/3"}')
+    assert code == 2
+    assert err.startswith("error: ") and "endowment" in err and not out
+
+
 @pytest.mark.parametrize("argv", [
     ("superhedge", "b1.json", "--payoff", "1"),
     ("superhedge", "b1.json", "--payoff", '"updown"'),
@@ -264,6 +278,92 @@ def test_nan_tolerance_is_input_error(capsys):
     assert "positive" in err and not out
 
 
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_node(key, value):
+    return lambda doc: doc["nodes"][1].__setitem__(key, value)
+
+
+def _set_root_constraint(descriptor):
+    return lambda doc: doc["constraints"].__setitem__("root", descriptor)
+
+
+@pytest.mark.parametrize("edit", [
+    _set("constraints", []),
+    _set("nodes", 5),
+    _set("horizon", True),
+    _set("dimension", True),
+    _set_node("prices", 2),
+    _set_node("parent", ["root"]),
+    _set_node("id", ["up"]),
+    _set_node("time", True),
+    _set_root_constraint({"type": "box", "lower": 1, "upper": [1]}),
+    _set_root_constraint({"type": "polyhedron", "A": [1, 2], "b": [1, 1]}),
+    _set_root_constraint({"type": "intersection", "members": 5}),
+    _set_root_constraint({"type": "affine_fixed", "dim": 1, "fixed": [1]}),
+    _set_root_constraint({"type": "affine_fixed", "dim": True,
+                          "fixed": {"0": 1}}),
+], ids=["constraints-list", "nodes-int", "horizon-bool", "dimension-bool",
+        "prices-int", "parent-list", "id-list", "time-bool", "box-lower-int",
+        "polyhedron-flat-A", "members-int", "fixed-list", "dim-bool"])
+def test_market_of_the_wrong_json_type_is_input_error(capsys, tmp_path, edit):
+    with open(fixture("b1.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "xbar", "--market", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and not out
+
+
+@pytest.mark.parametrize("utility", [
+    '{"family": "power", "p": [1]}',
+    '{"family": "piecewise", "breakpoints": 5, "slopes": [2, 1]}',
+    '{"family": "piecewise", "breakpoints": "01", "slopes": [2, 1]}',
+    '{"family": "table", "x": 1, "u": [0, 1]}',
+])
+def test_utility_of_the_wrong_json_type_is_input_error(capsys, utility):
+    code, out, err = run_cli(capsys, "solve-primal", "--market",
+                             fixture("b1.json"), "--utility", utility,
+                             "--x", "1")
+    assert code == 2
+    assert err.startswith("error: utility") and not out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify-duality", "--market", fixture("b1.json"), "--utility", "log",
+      "--x-grid", "2,1", "--y-grid", "1,2"), "sorted"),
+    (("verify-link", "--market", fixture("b1.json"), "--utility", "log",
+      "--x", "1", "--verify-tol", "0"), "positive"),
+    (("solve-primal", "--market", fixture("b1.json"), "--utility", "log"),
+     "needs --x"),
+    (("properties", "--seed", "1", "--scale", "-3"), "--scale"),
+    (("properties", "--seed", "1", "--scale", "0"), "--scale"),
+    # below the critical wealth xbar = 1/2 of the pinned market
+    (("verify-duality", "--market", fixture("b1_pinned.json"), "--utility",
+      "log", "--x-grid", "0.1,1", "--y-grid", "1,2"),
+     "critical initial wealth"),
+    (("verify-link", "--market", fixture("b1.json"), "--utility",
+      '{"family": "piecewise", "breakpoints": [0, 1], "slopes": [2, 1]}',
+      "--x", "1"), "smooth"),
+    # the pinned holding h = 1 loses 1/2 on the down move: no wealth
+    # below 1/2 is feasible, so the primal has no optimum to link
+    (("verify-link", "--market", fixture("b1_pinned.json"), "--utility",
+      "log", "--x", "0.2"), "infeasible"),
+    (("solve-dual", "--market", fixture("b1.json"), "--utility", "log",
+      "--y", "-1"), "y > 0"),
+], ids=["unsorted-grid", "zero-verify-tol", "primal-without-x",
+        "negative-scale", "zero-scale", "grid-below-xbar", "link-piecewise",
+        "link-infeasible", "negative-y"])
+def test_refused_argument_is_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err and not out
+
+
 @pytest.mark.parametrize("argv", [
     ("xbar", "--tol", "1e-9"),
     ("superhedge", "--payoff", '{"up": 1, "down": 0}', "--verify-tol", "1e-3"),
@@ -282,10 +382,17 @@ def test_repeated_main_calls_share_no_arguments(capsys, monkeypatch):
     import condual.cli
 
     assert condual.cli._build_parser() is condual.cli._build_parser()
-    configs = []
-    run = condual.cli.run
-    monkeypatch.setattr(condual.cli, "run",
-                        lambda config: configs.append(config) or run(config))
+    seen = []
+
+    def record(name, solver):
+        def wrapper(market, *args, tol):
+            seen.append((name, *args[1:], tol))
+            return solver(market, *args, tol=tol)
+        monkeypatch.setattr(condual.cli, name, wrapper)
+
+    for name in ("solve_primal", "solve_dual", "verify_primal_dual_link",
+                 "verify_xbar"):
+        record(name, getattr(condual.cli, name))
     calls = [
         ("solve-primal", "--market", fixture("b1.json"), "--utility", "log",
          "--x", "1", "--tol", "1e-6"),
@@ -299,12 +406,11 @@ def test_repeated_main_calls_share_no_arguments(capsys, monkeypatch):
     ]
     for argv in calls:
         assert run_json(capsys, *argv)[0] == 0
-    got = [(c.command, c.x, c.y, c.solver_tol, c.verify_tol) for c in configs]
-    assert got == [("solve-primal", 1.0, None, 1e-6, 1e-5),
-                   ("solve-dual", None, 1.0, 1e-8, 1e-5),
-                   ("verify-link", 1.0, None, 1e-8, 1e-3),
-                   ("xbar", None, None, 1e-8, 1e-5),
-                   ("solve-primal", 2.0, None, 1e-8, 1e-5)]
+    assert seen == [("solve_primal", 1.0, 1e-6),
+                    ("solve_dual", 1.0, 1e-8),
+                    ("verify_primal_dual_link", 1.0, 1e-3),
+                    ("verify_xbar", 1e-5),
+                    ("solve_primal", 2.0, 1e-8)]
 
 
 def test_unknown_command_exits_two():

@@ -1,5 +1,9 @@
 """Tree construction, wealth recursion, admissibility, endowment embedding."""
 
+import copy
+import glob
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -14,11 +18,13 @@ from condual.market import (
     validate_market,
     wealth_process,
 )
+from condual.randomgen import random_tree_spec
 from condual.scalars import SchemaError
 
 from conftest import binomial_spec, deterministic_spec, float_copy, two_period_spec
 
 F = Fraction
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def test_build_binomial(b1):
@@ -260,3 +266,133 @@ def test_validate_reports_wrong_leaf_depth(b1):
                          ((0, b1.constraint(0)),))
     problems = validate_market(broken)
     assert any("early-leaf" in p and "time" in p for p in problems)
+
+
+def _reference_accepts(spec):
+    """A reference for build_market's verdict on a document whose structure
+    is valid: a positive probability at every node, leaves at the horizon
+    and no children there, each node's children summing to 1 (exactly when
+    they are exact, else within 1e-9), a nonnegative floor, and leaf path
+    probabilities summing to 1 (exactly in an exact market, else within
+    1e-12)."""
+    from condual.scalars import all_exact, parse_number
+
+    nodes = {n["id"]: n for n in spec["nodes"]}
+    prob = {nid: parse_number(n["prob"]) for nid, n in nodes.items()}
+    kids = {nid: [c for c, n in nodes.items() if n["parent"] == nid]
+            for nid in nodes}
+    for nid, n in nodes.items():
+        below = [prob[c] for c in kids[nid]]
+        if prob[nid] <= 0 or (below and n["time"] >= spec["horizon"]):
+            return False
+        if not below and n["time"] != spec["horizon"]:
+            return False
+        if below and abs(sum(below) - 1) > (0 if all_exact(below) else 1e-9):
+            return False
+    floor = spec.get("floor")
+    if floor is not None and parse_number(floor) < 0:
+        return False
+    mass = 0
+    for nid in nodes:
+        if not kids[nid]:
+            p, up = prob[nid], nodes[nid]["parent"]
+            while up is not None:
+                p, up = p * prob[up], nodes[up]["parent"]
+            mass += p
+    scalars = list(prob.values()) + [parse_number(v) for n in nodes.values()
+                                     for v in n["prices"]]
+    if floor is not None:
+        scalars.append(parse_number(floor))
+    return abs(mass - 1) <= (0 if all_exact(scalars) else 1e-12)
+
+
+def _edits(spec):
+    """The document and copies of it that probe each reference check."""
+    first = next(n for n in spec["nodes"] if n["parent"] == "n0")
+    sibling = next(n for n in spec["nodes"]
+                   if n["parent"] == "n0" and n is not first)
+
+    def edited(change, twin=False):
+        doc = float_copy(spec) if twin else copy.deepcopy(spec)
+        change(doc, {n["id"]: n for n in doc["nodes"]})
+        return doc
+
+    def shift(delta):
+        def change(doc, by_id):
+            by_id[first["id"]]["prob"] = str(F(first["prob"]) + delta)
+            by_id["n0"]["prices"] = [float(F(v))
+                                     for v in by_id["n0"]["prices"]]
+        return change
+
+    def set_field(nid, key, value):
+        return lambda doc, by_id: by_id[nid].__setitem__(key, value)
+
+    def set_top(key, value):
+        return lambda doc, by_id: doc.__setitem__(key, value)
+
+    def float_shift(delta):
+        def change(doc, by_id):
+            by_id[first["id"]]["prob"] += delta
+        return change
+
+    def moved_mass(doc, by_id):
+        by_id[first["id"]]["prob"] = str(-F(first["prob"]))
+        by_id[sibling["id"]]["prob"] = str(F(sibling["prob"])
+                                           + 2 * F(first["prob"]))
+
+    yield spec
+    yield float_copy(spec)
+    # exact children in a float-priced market, off by 1e-13 either way
+    yield edited(shift(F(1, 10**13)))
+    yield edited(shift(-F(1, 10**13)))
+    yield edited(shift(0))
+    # float children inside the per-node tolerance, and outside it
+    for delta in (1e-13, 1e-11, 1e-10, 1e-8):
+        yield edited(float_shift(delta), twin=True)
+    yield edited(moved_mass)
+    for root_prob in (0, -1, "1/2"):
+        yield edited(set_field("n0", "prob", root_prob))
+    for floor in ("-1", "0", "1/2"):
+        yield edited(set_top("floor", floor))
+    yield edited(set_top("horizon", spec["horizon"] + 1))
+    if spec["horizon"] > 1:
+        yield edited(set_top("horizon", spec["horizon"] - 1))
+
+
+def _accepts(spec):
+    try:
+        build_market(spec)
+    except SchemaError:
+        return False
+    return True
+
+
+def test_build_market_verdicts_match_the_reference_rules():
+    # build_market leaves these checks to validate_market
+    verdicts = []
+    for seed in range(40):
+        for doc in _edits(random_tree_spec(random.Random(seed))):
+            verdicts.append(_accepts(doc))
+            assert verdicts[-1] == _reference_accepts(doc), (seed, doc)
+    assert 100 < verdicts.count(True) < len(verdicts) - 100
+
+
+def test_fixtures_pass_the_document_rules():
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert _accepts(doc) and _reference_accepts(doc), path
+
+
+def test_validate_market_holds_exact_children_to_an_exact_sum(b1):
+    # a float-priced market whose exact children sum to 1 + 1e-13: refused
+    # although the market as a whole is not exact
+    from condual.market import EventTree, MarketModel, Node
+
+    up = F(1, 2) + F(1, 10**13)
+    nodes = (Node(0, "root", 0, None, (1, 2), F(1)),
+             Node(1, "up", 1, 0, (), up), Node(2, "down", 1, 0, (), F(1, 2)))
+    market = MarketModel(EventTree(nodes, 1), ((1.0,), (2.0,), (0.5,)),
+                         b1.constraints)
+    assert not market.exact
+    assert any("sum to" in p for p in validate_market(market))
