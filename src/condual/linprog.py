@@ -20,17 +20,17 @@ is then certified exactly against the rational data, in the manner of
 Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
 problems", Oper. Res. Lett. 35 (2007):
 
-* optimal: x is the vertex read off HiGHS's point.  Its basic columns are
-  the free ones and the positive nonnegative ones; its basis rows are the
-  equality rows, then the rows with positive multipliers, then the other
-  tight rows, as far as they are independent; that square system is solved
-  once, by fraction-free Gauss-Jordan in integers
-  (:func:`condual.scalars.gauss_jordan`).  The row multipliers are read off
-  HiGHS's duals in the same way, as a vertex of the dual LP.  x must be
-  exactly feasible, the multipliers exactly dual feasible, and the two
-  objectives equal;
-* infeasible: an exact Farkas vector, the vertex of one auxiliary HiGHS LP
-  read off in the same way;
+* optimal: with the rows written G x <= h (the A_ub rows, then the A_eq
+  rows held with equality), HiGHS's final basis names the basic columns B
+  and the nonbasic, so tight, rows T.  x is the vertex of that basis: one
+  exact solve of G[T, B] x_B = h_T, every other column 0, by fraction-free
+  Gauss-Jordan in integers (:func:`condual.scalars.solve_exact`).  The row
+  multipliers w solve the transposed system c_B + G[T, B]^T w_T = 0 and
+  vanish off T.  x must be exactly feasible, w >= 0 on the inequality
+  rows, the reduced costs c + G^T w >= 0 on the nonnegative columns and 0
+  on the free ones, and c . x = -h . w;
+* infeasible: an exact Farkas vector, the vertex of the final basis of one
+  auxiliary HiGHS LP;
 * unbounded: an exact feasible point and an exact improving ray, likewise.
 
 When a certificate fails, HiGHS is undecided, or the data do not fit in
@@ -110,12 +110,6 @@ EXACT_HIGHS_CELLS = 16
 
 # HiGHS reads every number of this magnitude or more as infinite
 HIGHS_INF = 1e20
-
-# on HiGHS's point, a row whose slack is at most this (relative to 1 + |b|)
-# counts as tight, a multiplier above it as positive, and a nonnegative
-# column above it as basic
-_TIGHT = 1e-7
-
 
 @dataclass
 class LPResult:
@@ -202,6 +196,8 @@ _OPTIONS = (("output_flag", False), ("log_to_console", False),
              _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
             ("highs_debug_level", _h.HighsDebugLevel.kHighsDebugLevelNone),
             ("presolve", "on"))
+# the basis status of a basic column, or of a row whose slack is basic
+_BASIC = int(_h.HighsBasisStatus.kBasic)
 # scipy's post-solve check: an optimal point must meet every bound and row
 # to within 10 sqrt(tol) for its default tol = 1e-9
 _CHECK_TOL = 10 * math.sqrt(1e-9)
@@ -213,11 +209,12 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg):
     by one fresh HiGHS solver with the options scipy.optimize.linprog sets
     for ``method="highs"``.
 
-    The result holds the fields of linprog's that condual reads:
-    ``status`` (0, 2, 3 or 4) and, when 0, ``x``, ``fun``,
-    ``ineqlin.residual`` and the ``marginals`` of ``ineqlin``, ``eqlin``
-    and ``lower``.  An optimal point that holds a nan or misses a bound or
-    row by more than ``_CHECK_TOL`` reads 4, as in linprog.
+    The result holds ``status`` (linprog's 0, 2, 3 or 4) and, when 0,
+    linprog's ``x``, ``fun`` and ``ineqlin.marginals``, and HiGHS's final
+    basis: ``basis.valid`` and the ``basis.col_status`` and
+    ``basis.row_status`` arrays of ``HighsBasisStatus`` codes (the A_ub
+    rows, then the A_eq rows).  An optimal point that holds a nan or misses
+    a bound or row by more than ``_CHECK_TOL`` reads 4, as in linprog.
     """
     n, m_ub = len(c), len(b_ub)
     lower = np.full(n, -np.inf)
@@ -254,23 +251,20 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg):
     x = np.array(solution.col_value)
     slack = rhs - solution.row_value  # b_ub - A_ub x, then b_eq - A_eq x
     fun = highs.getInfo().objective_function_value
-    row_dual = np.array(solution.row_dual)
-    # a column's dual is its bound multiplier where it sits at its lower
-    # bound, and 0 otherwise
-    at_lower = np.array(highs.getBasis().col_status, dtype=np.int8) \
-        == int(_h.HighsBasisStatus.kLower)
     if np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() \
             or (x < lower - _CHECK_TOL).any() \
             or (slack[:m_ub] < -_CHECK_TOL).any() \
             or (np.abs(slack[m_ub:]) > _CHECK_TOL).any():
         status = 4
+    basis = highs.getBasis()
     return SimpleNamespace(
         status=status, x=x, fun=fun,
-        ineqlin=SimpleNamespace(residual=slack[:m_ub],
-                                marginals=row_dual[:m_ub]),
-        eqlin=SimpleNamespace(marginals=row_dual[m_ub:]),
-        lower=SimpleNamespace(
-            marginals=np.where(at_lower, solution.col_dual, 0.0)))
+        ineqlin=SimpleNamespace(
+            marginals=np.array(solution.row_dual[:m_ub])),
+        basis=SimpleNamespace(
+            valid=basis.valid,
+            col_status=np.array(basis.col_status, dtype=np.int8),
+            row_status=np.array(basis.row_status, dtype=np.int8)))
 
 
 def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
@@ -325,14 +319,14 @@ def _certified(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     if res.status == 2:
         # y >= 0 on the A_ub rows with y A = 0 on the free columns,
         # y A >= 0 on the nonnegative ones and y b < 0
-        farkas = lp.dual_lp(farkas=True)
-        y = farkas.vertex_of(farkas.highs())
+        farkas = lp.farkas_lp()
+        y = farkas.vertex(farkas.highs())
         if y is not None and _dot(farkas.c, y) < 0:
             return LPResult(INFEASIBLE, None, None, None, "certified")
     if res.status == 3:
         # a feasible x and a ray d of the recession cone with c d < 0
         ray = lp.ray_lp()
-        xd = ray.vertex_of(ray.highs())
+        xd = ray.vertex(ray.highs())
         if xd is not None and _dot(lp.c, xd[lp.n:]) < 0:
             return LPResult(UNBOUNDED, None, None, None, "certified")
     return None
@@ -370,59 +364,25 @@ class _ExactLP:
                              nonneg=self.nonneg)
         return res if res.status in (0, 2, 3) else None
 
-    def vertex_of(self, res):
-        """The exact vertex read off HiGHS's optimal result, or None."""
-        if res is None or res.status != 0:
+    def vertex(self, res):
+        """The exact vertex of HiGHS's final basis in an optimal result (res
+        may be None): with B its basic columns and T its nonbasic rows, the
+        solution of G[T, B] x_B = h_T with every other column 0.  None when
+        there is no such basis, G[T, B] is not square and nonsingular, or x
+        is infeasible."""
+        if res is None or res.status != 0 or not res.basis.valid:
             return None
-        return self.vertex(res.x, -res.ineqlin.marginals,
-                           res.ineqlin.residual)
-
-    def vertex(self, x, lam, slack):
-        """The exact point of the basis read off a float point x with
-        multipliers lam and slacks of the A_ub rows, if it is feasible;
-        None otherwise.
-
-        The basic columns are the free ones and the nonnegative ones above
-        _TIGHT; the others are 0.  The basis rows are the equality rows,
-        then the A_ub rows with positive multipliers (largest first), then
-        the other tight ones (tightest first), as far as they are
-        independent on the basic columns.  The basic columns that these
-        rows do not pin keep their float value; the pinned ones solve the
-        square system of those rows, in integers, by one elimination
-        (:func:`condual.scalars.solve_exact`).
-        """
-        if self.F is None:
+        B, T = _basis(res)
+        if len(B) != len(T):
             return None
-        n, m_ub, m = self.n, self.m_ub, len(self.G)
-        x, lam, slack = (np.asarray(v, dtype=float) for v in (x, lam, slack))
-        nonneg = set(self.nonneg)
-        basic = [j for j in range(n) if j not in nonneg or x[j] > _TIGHT]
-        tight = slack <= _TIGHT * (1 + np.abs(self.f[:m_ub]))
-        order = list(range(m_ub, m))
-        order += sorted((i for i in range(m_ub) if lam[i] > _TIGHT),
-                        key=lambda i: -lam[i])
-        order += sorted((i for i in range(m_ub)
-                         if lam[i] <= _TIGHT and tight[i]),
-                        key=lambda i: slack[i])
-        S = [order[k] for k in _independent(self.F[np.ix_(order, basic)])]
-        P = basic
-        if len(S) < len(basic):  # P: the columns of a nonsingular S x P
-            P = [basic[k] for k in _independent(self.F[np.ix_(S, basic)].T)]
-            if len(P) < len(S):
-                return None
-        pinned = set(P)
-        value = {j: Fraction(float(x[j])) if abs(x[j]) > _TIGHT else 0
-                 for j in basic if j not in pinned}
-        z = solve_exact([
-            [self.ints[i][j] for j in P]
-            + [self.ints[i][-1] - sum(self.ints[i][j] * v
-                                      for j, v in value.items())]
-            for i in S], len(P))
+        z = solve_exact([[self.ints[i][j] for j in B] + [self.ints[i][-1]]
+                         for i in T], len(B))
         if z is None:
             return None
-        value.update((j, v) for j, (v,) in zip(P, z))
-        out = [Fraction(value.get(j, 0)) for j in range(n)]
-        return out if self.feasible(out) else None
+        x = [Fraction(0)] * self.n
+        for j, (v,) in zip(B, z):
+            x[j] = v
+        return x if self.feasible(x) else None
 
     def feasible(self, x):
         """Exactly: every row holds at x (a list of Fractions) and x_j >= 0
@@ -439,39 +399,48 @@ class _ExactLP:
 
     def optimal(self, res):
         """The certified optimal LPResult from HiGHS's optimal result, or
-        None: an exactly feasible x, and row multipliers exactly feasible
-        for the dual LP whose value equals c . x."""
-        x = self.vertex_of(res)
+        None.  x is the vertex of the final basis (B, T), and the
+        multipliers w solve c_B + G[T, B]^T w_T = 0 and vanish off T.
+        Certified when w >= 0 on the A_ub rows, the reduced costs
+        c + G^T w are >= 0 on the nonnegative columns and 0 on the free
+        ones, and c . x = -h . w."""
+        x = self.vertex(res)
         if x is None:
             return None
-        nn = self.nonneg
-        w = np.concatenate([-res.ineqlin.marginals, -res.eqlin.marginals])
-        w = self.dual_lp().vertex(w, res.x[nn], res.lower.marginals[nn])
+        B, T = _basis(res)
+        z = solve_exact([[self.G[i][j] for i in T] + [-self.c[j]]
+                         for j in B], len(T))
+        if z is None:
+            return None
+        w = [Fraction(0)] * len(self.G)
+        for i, (v,) in zip(T, z):
+            w[i] = v
+        if any(v < 0 for v in w[:self.m_ub]):
+            return None
+        basic, nonneg = set(B), set(self.nonneg)
+        for j in range(self.n):
+            if j not in basic:
+                d = self.c[j] + sum(_rational(self.G[i][j]) * w[i]
+                                    for i in T if self.G[i][j])
+                if d < 0 or (d != 0 and j not in nonneg):
+                    return None
         value = Fraction(_dot(self.c, x))
-        if w is None or value != -_dot(self.h, w):
+        if value != -_dot(self.h, w):
             return None
         return LPResult(OPTIMAL, x, value, w[:self.m_ub], "certified")
 
-    def dual_lp(self, farkas=False):
-        """The dual LP over w, one entry per row (>= 0 on the A_ub rows):
-        minimize h . w subject to w G = -c on the free columns and
-        -w G <= c on the nonnegative ones (rows in that order).  At its
-        optimum -h . w is the LP's value, and w on the A_ub rows are the
-        multipliers.
-
-        With farkas, c is replaced by 0 and the row -h . w <= 1 is added:
-        the optimum is -1 exactly when the LP is infeasible."""
+    def farkas_lp(self):
+        """The Farkas LP over y, one entry per row (>= 0 on the A_ub rows):
+        minimize h . y subject to y G = 0 on the free columns, -y G <= 0 on
+        the nonnegative ones and -h . y <= 1.  Its optimum is -1 exactly
+        when the LP is infeasible."""
         n, nn = self.n, self.nonneg
-        c = [0] * n if farkas else self.c
         cols = list(zip(*self.G)) or [()] * n
-        A_ub = [[-v for v in cols[j]] for j in nn]
-        b_ub = [c[j] for j in nn]
-        if farkas:
-            A_ub.append([-v for v in self.h])
-            b_ub.append(1)
+        A_ub = [[-v for v in cols[j]] for j in nn] + [[-v for v in self.h]]
         free = [j for j in range(n) if j not in set(nn)]
-        return _ExactLP(self.h, A_ub, b_ub, [cols[j] for j in free],
-                        [-c[j] for j in free], range(self.m_ub))
+        return _ExactLP(self.h, A_ub, [0] * len(nn) + [1],
+                        [cols[j] for j in free], [0] * len(free),
+                        range(self.m_ub))
 
     def ray_lp(self):
         """min c . d over (x, d) with x feasible, d in the recession cone and
@@ -491,36 +460,18 @@ class _ExactLP:
                         [*nn, *(n + j for j in nn)])
 
 
+def _basis(res):
+    """The basic columns and the nonbasic rows of HiGHS's final basis."""
+    return (np.flatnonzero(res.basis.col_status == _BASIC).tolist(),
+            np.flatnonzero(res.basis.row_status != _BASIC).tolist())
+
+
 def _rational(v):
     return Fraction(v) if isinstance(v, float) else v
 
 
 def _dot(a, b):
     return sum(u * v for u, v in zip(a, b) if u and v)
-
-
-def _independent(M):
-    """Indices of a maximal linearly independent subset of the rows of the
-    float matrix M, taken greedily in order (Gram-Schmidt, applied
-    twice)."""
-    k, width = M.shape
-    Q = np.zeros((width, width))
-    keep = []
-    for i in range(k):
-        if len(keep) == width:
-            break
-        norm = np.linalg.norm(M[i])
-        if norm == 0:
-            continue
-        v = M[i] / norm
-        q = Q[:len(keep)]
-        for _ in range(2):
-            v -= q.T @ (q @ v)
-        rest = np.linalg.norm(v)
-        if rest > 1e-9:
-            Q[len(keep)] = v / rest
-            keep.append(i)
-    return keep
 
 
 def _frac_rows(rows):

@@ -197,9 +197,11 @@ class LinkReport:
     y_hat: float
     residuals: tuple
     max_residual: float
-    attained: bool
+    attained: bool  # the dual at y_hat is attained (False if not solved)
     tolerance: float
-    ok: bool | None  # None when the verifier abstains (dual not attained)
+    # None when the verifier abstains: the primal ascent stopped short
+    # (max-iterations), so no dual is solved, or the dual is not attained
+    ok: bool | None
 
 
 def verify_primal_dual_link(market: MarketModel, utility: UtilityFunction,
@@ -213,17 +215,24 @@ def verify_primal_dual_link(market: MarketModel, utility: UtilityFunction,
     at y_hat, and the optimal terminal wealth must equal the inverse
     marginal I(y_hat dQ/dP), leaf by leaf, within tol.  Both problems are
     solved at their default tolerances; tol only sets the verdict.
+
+    An ascent that stops short of the optimum (``max-iterations``) gives no
+    verdict: y_hat is read from the terminal wealth it reached, no dual is
+    solved, and ok is None.  An infeasible or unbounded primal has no
+    optimum to link and raises ValueError.
     """
     if not (utility.smooth and utility.strictly_concave):
         raise ValueError("the first-order linkage needs a smooth, strictly "
                          "concave utility family")
     primal = solve_primal(market, utility, x)
-    if primal.status != "optimal":
+    if primal.status not in ("optimal", "max-iterations"):
         raise ValueError(f"primal solve did not converge: {primal.status}")
 
     y_hat = sum(float(p) * utility.marginal(max(float(w), 1e-12))[1]
                 for p, w in zip(market.tree.leaf_probabilities(),
                                 primal.terminal))
+    if primal.status != "optimal":
+        return LinkReport(y_hat, (), INF, False, tol, None)
     dual = solve_dual(market, utility, y_hat)
     if not dual.attained:
         return LinkReport(y_hat, (), INF, False, tol, None)

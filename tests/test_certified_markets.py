@@ -1,7 +1,7 @@
 """The certified exact LP route against a tableau-only run on exact markets
-with and without a floor: identical prices, supports and free-lunch
-verdicts, and every hedge, measure and direction passing its own exact
-check (each route may pick another optimal point)."""
+in one and two dimensions, with and without a floor: identical prices,
+supports and free-lunch verdicts, and every hedge, measure and direction
+passing its own exact check (each route may pick another optimal point)."""
 
 import math
 import random
@@ -33,6 +33,10 @@ def _specs():
         spec = random_tree_spec(random.Random(seed), max_periods=3)
         yield f"random-{seed}", spec
         yield f"random-{seed}-floor", dict(spec, floor=1)
+    for seed in range(12):
+        spec = random_tree_spec(random.Random(seed), max_periods=3, dim=2)
+        yield f"random-2d-{seed}", spec
+        yield f"random-2d-{seed}-floor", dict(spec, floor=1)
 
 
 SPECS = dict(_specs())

@@ -77,6 +77,30 @@ def test_verify_link(capsys):
     assert doc["max_residual"] <= 1e-5
 
 
+def test_verify_link_abstains_on_an_ascent_that_stops_short(capsys,
+                                                            monkeypatch):
+    # just above xbar = -5/4 the log ascent on this market runs out of
+    # iterations: the link check abstains without solving a dual, and the
+    # command exits 0, as for an unattained dual
+    import condual.verify
+    from condual.utility import LogUtility
+    from condual.verify import verify_primal_dual_link
+
+    def no_dual(*_, **__):
+        raise AssertionError("dual solved for a primal that stopped short")
+
+    monkeypatch.setattr(condual.verify, "solve_dual", no_dual)
+    market = parse_market_file(fixture("random24.json"))
+    rep = verify_primal_dual_link(market, LogUtility(), -1.249)
+    assert rep.ok is None and rep.residuals == () and not rep.attained
+    assert math.isfinite(rep.y_hat) and rep.y_hat > 0
+    code, doc, _ = run_json(capsys, "verify-link", "--market",
+                            fixture("random24.json"), "--utility", "log",
+                            "--x=-1.249")
+    assert code == 0
+    assert doc["verdict"] == "abstain" and doc["y_hat"] == rep.y_hat
+
+
 def test_superhedge(capsys):
     code, doc, _ = run_json(capsys, "superhedge", "--market", fixture("b1.json"),
                             "--payoff", '{"up": 1, "down": 0}')

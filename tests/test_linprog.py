@@ -373,20 +373,21 @@ def _exact_lps():
     yield lp
 
 
-@pytest.mark.parametrize("how", ["perturbed-x", "wrong-vertex",
+@pytest.mark.parametrize("how", ["perturbed-basis", "wrong-vertex",
                                  INFEASIBLE, UNBOUNDED])
 def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
-    # whatever HiGHS says, the exact answer stands: a point off the
-    # optimum, the optimum of the negated objective, or a false status fails
-    # its certificate, and the tableau answers
+    # whatever HiGHS says, the exact answer stands: a basis that does not
+    # square up, the optimum of the negated objective, or a false status
+    # fails its certificate, and the tableau answers
     real = linprog._scipy_linprog
 
     def wrong(c, **kwargs):
         res = real(c, **kwargs)
-        if how == "perturbed-x":  # off the optimum, every row looking loose
-            res.x = res.x + 1e-3
-            res.ineqlin.residual = res.ineqlin.residual + 1e-3
-            res.ineqlin.marginals = 0 * res.ineqlin.marginals
+        if how == "perturbed-basis":  # one basic column made nonbasic
+            if res.status == 0:
+                cols = res.basis.col_status
+                basic = np.flatnonzero(cols == linprog._BASIC)
+                cols[basic[0]] = int(linprog._h.HighsBasisStatus.kLower)
         elif how == "wrong-vertex":
             res = real(-c, **kwargs)
         else:
@@ -398,7 +399,7 @@ def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
         assert (len(lp["A_ub"]) + len(lp.get("A_eq", []))) * len(lp["c"]) \
             >= linprog.EXACT_HIGHS_CELLS
         truth = _tableau(lp).status
-        if truth == how or how in ("perturbed-x", "wrong-vertex") \
+        if truth == how or how in ("perturbed-basis", "wrong-vertex") \
                 and truth != OPTIMAL:
             continue
         calls = []
@@ -407,6 +408,45 @@ def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
         monkeypatch.undo()
         assert calls and res.route == "tableau"
         _check_exact_answer(lp, res)
+
+
+def _final_basis(basic_cols, tight_rows, n=2, m=2):
+    """An optimal HiGHS result whose final basis has the given basic
+    columns and nonbasic rows."""
+    status = linprog._h.HighsBasisStatus
+    cols = [int(status.kBasic if j in basic_cols else status.kLower)
+            for j in range(n)]
+    rows = [int(status.kUpper if i in tight_rows else status.kBasic)
+            for i in range(m)]
+    return SimpleNamespace(status=0, basis=SimpleNamespace(
+        valid=True, col_status=np.array(cols, dtype=np.int8),
+        row_status=np.array(rows, dtype=np.int8)))
+
+
+def test_certificate_of_a_final_basis():
+    # min -x0 - 2 x1 over x >= 0 with x0 + x1 <= 1 (row 0) and
+    # x0 - x1 <= 1/2 (row 1): optimal at (0, 1) with multipliers (2, 0)
+    lp = linprog._ExactLP([-1, -2], [[1, 1], [1, -1]], [1, Fraction(1, 2)],
+                          [], [], [0, 1])
+    res = lp.optimal(_final_basis({1}, {0}))
+    assert (res.x, res.value, res.duals) == ([0, 1], -2, [2, 0])
+    # a feasible vertex whose multiplier leaves x1 a negative reduced cost
+    suboptimal = _final_basis({0}, {1})
+    assert lp.vertex(suboptimal) == [Fraction(1, 2), 0]
+    assert lp.optimal(suboptimal) is None
+    # with x0 free (and the LP unbounded) the same basis leaves x0 the
+    # nonzero reduced cost 1
+    free = linprog._ExactLP([-1, -2], [[1, 1], [1, -1]], [1, Fraction(1, 2)],
+                            [], [], [1])
+    assert free.vertex(_final_basis({1}, {0})) == [0, 1]
+    assert free.optimal(_final_basis({1}, {0})) is None
+    # the vertex (1, 0) of row 0 breaks row 1
+    assert lp.vertex(_final_basis({0}, {0})) is None
+    # two tight rows on one basic column do not square up
+    assert lp.vertex(_final_basis({1}, {0, 1})) is None
+    assert lp.vertex(SimpleNamespace(**{
+        **vars(_final_basis({1}, {0})),
+        "basis": SimpleNamespace(valid=False)})) is None
 
 
 def test_huge_rationals_fall_back_to_tableau():
@@ -504,12 +544,14 @@ def test_model_api_matches_scipy_linprog(method):
         if ours.status != 0:
             continue
         for a, b in ((ours.x, ref.x), (ours.fun, ref.fun),
-                     (ours.ineqlin.marginals, ref.ineqlin.marginals),
-                     (ours.ineqlin.residual, ref.ineqlin.residual),
-                     (ours.eqlin.marginals, ref.eqlin.marginals),
-                     (ours.lower.marginals, ref.lower.marginals)):
+                     (ours.ineqlin.marginals, ref.ineqlin.marginals)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12,
                                        err_msg=str(seed))
+        # HiGHS's final basis: as many tight rows as basic columns
+        basis = ours.basis
+        assert basis.valid, seed
+        assert np.sum(basis.row_status != linprog._BASIC) \
+            == np.sum(basis.col_status == linprog._BASIC), seed
     assert {0, 2, 3} <= set(statuses)
 
 
