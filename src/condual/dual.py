@@ -5,7 +5,8 @@ Everything here runs over leaf measures.  Expected terminal gains decompose
 node by node, so the support function of the attainable set is a finite sum
 of per-node constraint-set support values.
 
-Superhedging prices and the critical wealth take one of two routes:
+Superhedging prices, and the critical wealth as the superhedge of the zero
+claim (``min_support``), take one of two routes:
 
 * without a floor, when every set has a halfspace form, by backward
   induction over the tree (:mod:`condual.recursion`): one closed-form step
@@ -23,7 +24,7 @@ evaluated at it.  Neither side is copied from the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,65 +172,19 @@ class MinSupportResult:
 def min_support(market: MarketModel) -> MinSupportResult:
     """(inf over measures of alpha, sup over claims of the worst leaf, xbar).
 
-    Both come from superhedging the zero claim: sup essinf of the attainable
-    gains is minus its price, and inf alpha is its measure-side value.  Each side
-    comes from its own certificate, so their agreement is an LP-duality
-    identity: inf alpha is support_alpha at the minimizing measure, or the
-    lifted LP's optimum; sup essinf is the least terminal gain of backward
-    induction's hedge (TreeLP.L times it), or the optimum of the stacked
-    worst-leaf LP (TreeLP.sup_essinf).  The critical initial wealth is
-    -inf alpha.
-
-    Markets without a floor, with every set in halfspace form, are solved
-    by backward induction (recursion module); otherwise by the lifted LP
-    and the stacked worst-leaf LP.  The hedge side is the superhedge of the
-    zero claim, solved once per market and kept (:func:`_zero_claim`).
-    The answer depends on the market alone, so it too is solved once and
-    kept on the market's TreeLP, and every call returns the same result.
+    All three are read off the superhedge of the zero claim in the
+    market's arithmetic: sup essinf is minus its price, inf alpha minus its
+    dual value (from its own certificate, so their agreement is LP
+    duality), the minimizer its witness, and xbar = -inf alpha.  The answer
+    is solved once per market and kept on its TreeLP.
     """
     def solve():
-        if _recursive(market):
-            return _min_support_recursive(market)
-        return _min_support_lp(market)
+        res = _superhedge(market, (0,) * len(market.tree.leaves),
+                          market.exact)
+        inf_alpha = 0 - res.dual_value
+        return MinSupportResult(inf_alpha, 0 - res.price, -inf_alpha,
+                                res.witness)
     return tree_lp(market).kept("min_support", solve)
-
-
-def _min_support_recursive(market):
-    essinf, back = _zero_claim(market)
-    if back.value == NEG_INF:  # constrained arbitrage
-        return MinSupportResult(INF, INF, NEG_INF, None)
-    minimizer = measure_from_weights(market, back.weights)
-    inf_alpha = support_alpha(market, minimizer)
-    return MinSupportResult(inf_alpha, essinf, _xbar(inf_alpha), minimizer)
-
-
-def _min_support_lp(market):
-    res = tree_lp(market).lifted_min(market.exact,
-                                     (0,) * len(market.tree.leaves))
-    if res.status == INFEASIBLE:
-        # every measure sees an unbounded support value: constrained
-        # arbitrage; the critical wealth is minus infinity
-        inf_alpha = INF
-        minimizer = None
-    elif res.status == UNBOUNDED:
-        # the admissible class is empty (a floor can do that): the support
-        # value is identically minus infinity and no wealth is feasible
-        inf_alpha = NEG_INF
-        minimizer = None
-    else:
-        inf_alpha = res.value
-        minimizer = measure_from_weights(market,
-                                         res.x[:len(market.tree.leaves)])
-    return MinSupportResult(inf_alpha, _zero_claim(market)[0],
-                            _xbar(inf_alpha), minimizer)
-
-
-def _xbar(inf_alpha):
-    if inf_alpha == INF:
-        return NEG_INF
-    if inf_alpha == NEG_INF:
-        return INF
-    return -inf_alpha
 
 
 def _recursive(market):
@@ -238,31 +193,26 @@ def _recursive(market):
     return market.floor is None and tree_lp(market).polyhedral
 
 
-def _zero_claim(market):
-    """(sup essinf, back) from the superhedge of the zero claim in the
-    market's arithmetic: the greatest worst-leaf gain of an admissible
-    portfolio, and backward induction's answer on the recursive route (None
-    on the LP route, which reads the kept TreeLP.sup_essinf).  It depends
-    on the market alone, so it is solved once and kept on the market's
-    TreeLP."""
-    lp = tree_lp(market)
-    if not _recursive(market):
-        return lp.sup_essinf(market.exact)[0], None
-
-    def solve():
-        back = backward_induction(market, (0,) * len(market.tree.leaves),
-                                  market.exact)
-        return _worst_gain(market, back.hedge), back
-    return lp.kept("zero claim", solve)
+def _backward(market, payoff, exact):
+    """backward_induction of the payoff; the zero claim's answer depends on
+    the market alone, so it is solved once per arithmetic and kept."""
+    if any(payoff):
+        return backward_induction(market, payoff, exact)
+    return tree_lp(market).kept(
+        ("zero claim", exact),
+        lambda: backward_induction(market, payoff, exact))
 
 
-def _worst_gain(market, hedge):
-    """Least terminal gain over the leaves of a stacked hedge; +inf for the
-    free lunch (hedge None) of a constrained arbitrage."""
-    if hedge is None:
-        return INF
-    L = tree_lp(market).rows(market.exact)[2].tolist()
-    return min(sum(a * h for a, h in zip(row, hedge) if a) for row in L)
+def _bound(market):
+    """|sup essinf|, the zero claim's |price| (+inf when infinite), from its
+    hedge side alone in the market's arithmetic: its kept backward induction
+    without a floor, the kept TreeLP.sup_essinf with one."""
+    if _recursive(market):
+        value = _backward(market, (0,) * len(market.tree.leaves),
+                          market.exact).value
+    else:
+        value = tree_lp(market).sup_essinf(market.exact)[0]
+    return abs(value) if value not in (INF, NEG_INF) else INF
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +239,39 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
     dominates the payoff on every leaf, and ``dual_value``, the expected
     payoff minus the support penalty under the ``witness`` measure, which
     certifies prices > 0 in the claim-membership test.  ``bound`` is
-    |sup essinf| from the zero claim (|price| <= bound + max |payoff|),
-    whose superhedge is solved once per market and kept.
+    |sup essinf|, read off the hedge side of the zero claim, which is
+    solved once per market and kept (|price| <= bound + max |payoff|).
 
     Markets without a floor, with every set in halfspace form, are priced
     by backward induction (recursion module); otherwise by the stacked
-    primal LP, the lifted measure-side LP and the worst-leaf LP.
+    worst-leaf LP and the lifted measure-side LP.  The payoff needs one
+    finite value per leaf (else ValueError).
     """
     payoff = tuple(payoff)
-    leaves = market.tree.leaves
-    if len(payoff) != len(leaves):
+    if len(payoff) != len(market.tree.leaves):
         raise ValueError("payoff must assign one value per leaf")
-    exact = market.exact and all_exact(payoff)
+    if not all(is_finite(f) for f in payoff):
+        raise ValueError("payoff values must be finite")
+    res = _superhedge(market, payoff, market.exact and all_exact(payoff))
+    return replace(res, bound=_bound(market))
 
+
+def _superhedge(market, payoff, exact):
+    """The superhedge of a payoff by the market's route, without bound."""
     if _recursive(market):
         return _superhedge_recursive(market, payoff, exact)
     return _superhedge_lp(market, payoff, exact)
 
 
 def _superhedge_recursive(market, payoff, exact):
-    back = backward_induction(market, payoff, exact)
-    essinf = _zero_claim(market)[0]
+    back = _backward(market, payoff, exact)
     if back.value == NEG_INF:
-        return SuperhedgeResult(NEG_INF, None, NEG_INF, None, _bound(essinf))
+        return SuperhedgeResult(NEG_INF, None, NEG_INF, None, None)
     witness = measure_from_weights(market, back.weights)
     dual_value = sum(q * f for q, f in zip(witness.weights, payoff)) \
         - support_alpha(market, witness)
     return SuperhedgeResult(back.value, [back.value] + back.hedge, dual_value,
-                            witness, _bound(essinf))
+                            witness, None)
 
 
 def _superhedge_lp(market, payoff, exact):
@@ -339,12 +294,7 @@ def _superhedge_lp(market, payoff, exact):
         # unbounded when the admissible class is empty (alpha = -inf)
         witness = None
         dual_value = INF if dual_res.status == UNBOUNDED else NEG_INF
-    return SuperhedgeResult(price, x, dual_value, witness,
-                            _bound(_zero_claim(market)[0]))
-
-
-def _bound(essinf):
-    return abs(essinf) if essinf not in (INF, NEG_INF) else INF
+    return SuperhedgeResult(price, x, dual_value, witness, None)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +394,8 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         if found is None:
             return DualSolution(INF, None, False, INF, y=y)
         q0, margin = found
-        if market.floor is not None and _zero_claim(market)[0] == NEG_INF:
+        if market.floor is not None \
+                and tree_lp(market).sup_essinf(market.exact)[0] == NEG_INF:
             # only a floor can empty the admissible class (every set is
             # nonempty), and then alpha is -inf at every measure
             return DualSolution(NEG_INF, None, False, INF, y=y)

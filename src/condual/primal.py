@@ -134,17 +134,19 @@ def find_free_lunch_direction(market: MarketModel):
     """Admissible recession direction whose terminal gains are >= 0 on every
     leaf and sum to 1: a certificate that the attainable set is unbounded.
     None without an LP when every set is a bounded box: the recession cone
-    is then {0}, and a floor only shrinks it."""
+    is then {0}, and a floor only shrinks it.  Otherwise the LP is solved
+    once per market and kept on its TreeLP."""
     lp = tree_lp(market)
     if np.isfinite(lp.box_lo).all() and np.isfinite(lp.box_hi).all():
         return None
-    _, _, L, _, R, _ = lp.rows(market.exact)
-    A_ub = np.vstack([R, -L])
-    res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=[0] * len(A_ub),
-                   A_eq=[L.sum(axis=0)], b_eq=[1], exact=market.exact)
-    if res.status != OPTIMAL:
-        return None
-    return lp.portfolio(res.x)
+
+    def solve():
+        _, _, L, _, R, _ = lp.rows(market.exact)
+        A_ub = np.vstack([R, -L])
+        res = solve_lp([0] * lp.n_h, A_ub=A_ub, b_ub=[0] * len(A_ub),
+                       A_eq=[L.sum(axis=0)], b_eq=[1], exact=market.exact)
+        return lp.portfolio(res.x) if res.status == OPTIMAL else None
+    return lp.kept("free lunch", solve)
 
 
 def _projected_gradient(market, utility, x, start, tol, max_iter):

@@ -30,10 +30,9 @@ on the market.
 
 Four LP shapes are assembled here, once for every caller:
 :meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
-superhedging price, and at shift 0 :meth:`TreeLP.sup_essinf`, solved once
-per arithmetic: the primal's feasibility verdict and start at every
-wealth, the zero claim, the dual's empty-class test and the hedge of its
-gap bound at the face point);
+superhedging price, and at shift 0, kept per arithmetic, the zero claim
+and :meth:`TreeLP.sup_essinf`: the primal's feasibility verdict and start,
+the superhedge bound, the dual's empty-class test and its gap's hedge);
 :meth:`TreeLP.epigraph`, of a piecewise-linear utility, gives u(x) with x
 fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y).
 The measure-side LPs run over the lifted pairs (q, mu) of
@@ -45,8 +44,9 @@ alpha(q) (inf alpha, the superhedging measure),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
 dual's start, the certificate measures), solved once per TreeLP in the
 market's arithmetic.  Such answers of the market alone are kept on the
-TreeLP by :meth:`TreeLP.kept`, as are sup essinf and :mod:`condual.dual`'s
-superhedge of the zero claim and answer of ``min_support``.
+TreeLP by :meth:`TreeLP.kept`, as are the free-lunch direction and
+:mod:`condual.dual`'s backward induction of the zero claim and answer of
+``min_support``.
 """
 
 from __future__ import annotations
@@ -162,18 +162,25 @@ class TreeLP:
 
         ``shift`` is one number or one per leaf.  Returns the
         :class:`~condual.linprog.LPResult` of minimizing -m, over the
-        columns (H, m).
+        columns (H, m).  At shift 0 the answer depends on the market
+        alone, so it is solved once per arithmetic and kept.
         """
         self.require_polyhedral()
         A, b, L = self.rows(exact)[:3]
         n_a, n_l = len(A), len(L)
-        A_ub = np.zeros((n_a + n_l, self.n_h + 1), A.dtype)
-        A_ub[:n_a, :-1] = A
-        A_ub[n_a:, :-1] = -L
-        A_ub[n_a:, -1] = 1
-        b_ub = [b, np.broadcast_to(np.asarray(shift, A.dtype), (n_l,))]
-        c = [0] * self.n_h + [-1]
-        return solve_lp(c, A_ub=A_ub, b_ub=np.concatenate(b_ub), exact=exact)
+        shift = np.broadcast_to(np.asarray(shift, A.dtype), (n_l,))
+
+        def solve():
+            A_ub = np.zeros((n_a + n_l, self.n_h + 1), A.dtype)
+            A_ub[:n_a, :-1] = A
+            A_ub[n_a:, :-1] = -L
+            A_ub[n_a:, -1] = 1
+            c = [0] * self.n_h + [-1]
+            return solve_lp(c, A_ub=A_ub, b_ub=np.concatenate([b, shift]),
+                            exact=exact)
+        if shift.any():
+            return solve()
+        return self.kept(("worst leaf", exact), solve)
 
     def sup_essinf(self, exact):
         """(sup essinf, hedge): the greatest least leaf gain of an
@@ -279,9 +286,9 @@ class TreeLP:
 
     def kept(self, key, solve):
         """solve(), run on the first request for key and kept: an answer
-        that depends on the market alone (the face point, sup essinf, the
-        superhedge of the zero claim, min_support) never goes stale, since
-        markets are immutable."""
+        that depends on the market alone (the face point, the zero claim's
+        superhedge, the free-lunch direction, min_support) never goes
+        stale, since markets are immutable."""
         if key not in self._kept:
             self._kept[key] = solve()
         return self._kept[key]

@@ -21,7 +21,7 @@ from condual.dual import (
 from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from condual.market import build_market
 from condual.primal import solve_primal
-from condual.randomgen import random_market
+from condual.randomgen import random_market, random_payoff, random_tree_spec
 from condual.scalars import INF, NEG_INF, scale_extended
 from condual.treelp import MARGIN_TOL, tree_lp
 from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
@@ -730,6 +730,78 @@ def test_zero_claim_priced_once_per_market(monkeypatch, spec, exact):
         # the lifted LP of min_support and the worst-leaf LP of the zero
         # claim: min_support is kept too
         assert runs == [] and len(lps) == 2 * k + 2
+
+
+def _sweep_specs():
+    """40 random specs of up to three periods, then d = 1 (three periods)
+    and d = 2 (two binary periods), with and without floor 1, 12 each."""
+    for seed in range(40):
+        yield random_tree_spec(random.Random(seed), max_periods=3)
+    for dim, kwargs in ((1, dict(max_periods=3)),
+                        (2, dict(max_periods=2, max_children=2))):
+        for floor in (None, 1):
+            for seed in range(12):
+                spec = random_tree_spec(random.Random(seed), dim=dim, **kwargs)
+                if floor is not None:
+                    spec["floor"] = floor
+                yield spec
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_min_support_is_the_zero_claim_superhedge(monkeypatch, exact):
+    # min_support is the superhedge of the zero claim relabelled, and the
+    # two share its solves: asking either first solves the same LPs
+    from condual import convex, recursion, treelp
+
+    lps = []
+    for module in (dual, recursion, treelp, convex):
+        monkeypatch.setattr(module, "solve_lp", lambda *a, _s=module.solve_lp,
+                            **k: lps.append(a) or _s(*a, **k))
+    floors = 0
+    for k, spec in enumerate(_sweep_specs()):
+        floors += "floor" in spec
+        spec = spec if exact else float_copy(spec)
+        rng = random.Random(k)
+        market = build_market(spec)
+        payoffs = [random_payoff(rng, market) for _ in range(2)]
+        if not exact:
+            payoffs = [tuple(float(v) for v in f) for f in payoffs]
+        zero = (0,) * len(market.tree.leaves)
+        answers, counts = [], []
+        for support_first in (True, False):
+            market = build_market(spec)
+            lps.clear()
+            if support_first:
+                ms = min_support(market)
+            prices = [superhedge_price(market, f) for f in payoffs]
+            if not support_first:
+                ms = min_support(market)
+            answers.append((ms, prices))
+            counts.append(len(lps))
+        assert answers[0] == answers[1] and counts[0] == counts[1]
+        if exact:
+            res = superhedge_price(market, zero)
+            assert ms.inf_alpha == 0 - res.dual_value
+            assert ms.sup_essinf == 0 - res.price
+            assert ms.xbar == -ms.inf_alpha and ms.minimizer == res.witness
+            assert ms.inf_alpha == ms.sup_essinf  # LP duality, exactly
+            if ms.sup_essinf not in (INF, NEG_INF):
+                assert res.bound == abs(ms.sup_essinf)
+    assert floors == 24
+
+
+@pytest.mark.parametrize("market", ["b1", "b1-box-floor"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_superhedge_refuses_non_finite_payoff(market, bad):
+    # without a floor a nan payoff used to price at -inf, a free lunch
+    spec = binomial_spec()
+    if market == "b1-box-floor":
+        spec = binomial_spec({"type": "box", "lower": [-1], "upper": [1]})
+        spec["floor"] = "1/2"
+    market = build_market(spec)
+    for payoff in ((bad, 0.0), (F(0), bad)):
+        with pytest.raises(ValueError, match="payoff values must be finite"):
+            superhedge_price(market, payoff)
 
 
 def test_one_dimensional_ball_is_its_interval():

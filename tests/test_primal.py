@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from condual.conditions import check_convex_compactness
 from condual.dual import min_support, solve_dual
 from condual.linprog import OPTIMAL, solve_lp
 from condual.market import PortfolioProcess, build_market, is_admissible
@@ -344,6 +345,20 @@ def test_worst_leaf_solved_once_per_arithmetic(monkeypatch, spec, exact):
         warm = solve_primal(market, LOG, x)
         assert (warm.status, warm.value) == (sol.status, sol.value)
     assert lps == ([True, False] if exact else [False])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_free_lunch_solved_once_per_market(monkeypatch, exact):
+    # the free-lunch direction depends on the market alone: the smooth
+    # primal at every wealth and the compactness check share one LP
+    spec = drifted_binomial_spec(3)
+    spec["constraints"]["default"]["upper"] = ["inf"]
+    market = build_market(spec if exact else float_copy(spec))
+    calls = _counting_solve_lp(monkeypatch)
+    for x in (10, Fraction(21, 2), 11.0):
+        assert solve_primal(market, LOG, x).status == "optimal"
+    assert check_convex_compactness(market).bounded
+    assert len(calls) == 1
 
 
 def test_unbounded_worst_leaf_is_a_free_lunch(monkeypatch, arbitrage_market):
