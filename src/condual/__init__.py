@@ -2,7 +2,8 @@
 
 The library solves and cross-verifies both sides of the constrained
 expected-utility problem on finite discrete-time markets: the portfolio
-side (projected gradient over per-node convex holding constraints) and the
+side (projected gradient over per-node convex holding constraints, with
+projected Newton steps when every set is a box and there is no floor) and the
 measure side (dual value function, attainable-claim support function,
 superhedging prices, critical initial wealth), together with certificates
 for the sufficient no-arbitrage-type conditions.

@@ -286,7 +286,7 @@ def _superhedge_lp(market, payoff, exact):
         price, x = (INF if res.status == INFEASIBLE else NEG_INF), None
 
     # the measure side maximizes payoff . q - alpha(q): minimize its negation
-    dual_res = lp.lifted_min(market.exact, [-f for f in payoff])
+    dual_res = lp.lifted_min(exact, [-f for f in payoff])
     if dual_res.status == OPTIMAL:
         witness = measure_from_weights(market, dual_res.x[:len(payoff)])
         dual_value = -dual_res.value

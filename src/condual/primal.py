@@ -8,7 +8,11 @@ and Raydan, SIAM J. Optim. 10, 2000) over the product of per-node
 constraint sets.  Each projection is ``TreeLP.project``: one clip to the
 stacked bounds of the box-shaped sets, then each other set's own
 ``ConvexSet.project``, whose float data the set builds once and keeps, so
-no LP is solved per projection.  Economic failure modes are statuses,
+no LP is solved per projection.  When every set is a box and there is no
+floor, each iteration first tries a projected Newton step (Bertsekas,
+SIAM J. Control Optim. 20, 1982), which converges in a handful of steps
+there, and takes the gradient step only when the Newton step does not
+strictly raise the objective.  Economic failure modes are statuses,
 not exceptions: infeasible means no admissible portfolio keeps terminal
 wealth in the utility's domain, unbounded means an admissible recession
 direction produces a free lunch while the utility is unbounded.
@@ -48,12 +52,16 @@ class PrimalSolution:
 
 def solve_primal(market: MarketModel, utility: UtilityFunction, x,
                  tol=1e-8, max_iter=20000) -> PrimalSolution:
-    """Best expected utility from initial wealth x and its optimizer; tol
-    and max_iter bound the ascent, and the LP route, which ignores them,
-    needs every set in halfspace form (else NotImplementedError).  On a
-    market without one the ascent starts from the set centers, and when
-    they give no start it raises NotImplementedError too, since no LP can
-    decide feasibility there."""
+    """Best expected utility from initial wealth x and its optimizer.
+
+    Power and log take the spectral projected gradient ascent, with
+    projected Newton steps on a floorless market of boxes; it stops when
+    the gradient mapping is at most tol, or after max_iter iterations.
+    The LP route of a piecewise-linear utility ignores both and needs
+    every set in halfspace form (else NotImplementedError).  On a market
+    without one the ascent starts from the set centers, and when they give
+    no start it raises NotImplementedError too, since no LP can decide
+    feasibility there."""
     _require_finite(x)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -158,9 +166,11 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     x = float(x)
     if isinstance(utility, LogUtility):
         value_fn, marginal_fn = np.log, (lambda w: 1.0 / w)
+        curvature_fn = lambda w: 1.0 / (w * w)  # -U''(w)
     else:
         p = utility.p
         value_fn, marginal_fn = (lambda w: w ** p / p), (lambda w: w ** (p - 1))
+        curvature_fn = lambda w: (1.0 - p) * w ** (p - 2)
 
     def objective(h):
         w = x + L @ h
@@ -173,11 +183,49 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     def gradient(h):
         return L.T @ (leaf_probs * marginal_fn(x + L @ h))
 
+    def arc_search(h, g, d, s, ref, strict=False):
+        """(h, f) at the first point P(h + s d) of the projection arc, s
+        halving, that passes the Armijo test against ref and, when strict,
+        beats ref; None when none does."""
+        for _ in range(60):
+            cand = lp.project(h + s * d)
+            fc = objective(cand)
+            if (fc > ref if strict else fc != NEG_INF) and \
+                    fc >= ref + 1e-4 * float(g @ (cand - h)) - 1e-300:
+                return cand, fc
+            s *= 0.5
+        return None
+
+    def newton_direction(h, g, gm, step):
+        """The projected Newton direction (Bertsekas, SIAM J. Control
+        Optim. 20, 1982) on a floorless product of boxes: the coordinates
+        within min(1e-3, gm) of a bound that g pushes outward take the
+        gradient step, the others the Newton step of their block of the
+        Hessian L^T diag(p U''(w)) L; None when that block is singular."""
+        eps = min(1e-3, gm)
+        free = ~(((h <= lp.box_lo + eps) & (g < 0))
+                 | ((h >= lp.box_hi - eps) & (g > 0)))
+        d = step * g
+        if free.any():
+            # the free block of -Hessian, as S^T S with S = sqrt(p |U''|) L_F
+            root = np.sqrt(leaf_probs * curvature_fn(x + L @ h))
+            S = root[:, None] * L[:, free]
+            hess = S.T @ S
+            try:
+                np.linalg.cholesky(hess)
+            except np.linalg.LinAlgError:
+                return None  # dependent columns of L
+            # numpy has no triangular solve, and one LU solve of the
+            # positive definite block costs half of two on its factor
+            d[free] = np.linalg.solve(hess, g[free])
+        return d
+
     h = np.asarray(start, dtype=float)
     f = objective(h)
     if f == NEG_INF:
         return PrimalSolution(NEG_INF, None, None, "infeasible")
 
+    newton = floor_rows is None and lp.boxed
     step = 1.0
     prev_h = prev_g = None
     recent = [f]  # nonmonotone line-search memory
@@ -194,20 +242,15 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
             denom = -float(dh @ dg)  # >= 0 for a concave objective
             step = (float(dh @ dh) / denom) if denom > 1e-300 else step * 2.0
             step = min(max(step, 1e-12), 1e10)
-        ref = min(recent)  # accept any point beating the worst recent value
-        accepted = False
-        s = step
-        for _ in range(60):
-            cand = lp.project(h + s * g)
-            fc = objective(cand)
-            if fc != NEG_INF and fc >= ref + 1e-4 * float(g @ (cand - h)) - 1e-300:
-                prev_h, prev_g = h, g
-                h, f = cand, fc
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+        # a Newton step must strictly gain; else the nonmonotone gradient
+        # step, which accepts any point beating the worst recent value
+        d = newton_direction(h, g, gm, step) if newton else None
+        moved = ((d is not None and arc_search(h, g, d, 1.0, f, strict=True))
+                 or arc_search(h, g, g, step, min(recent)))
+        if not moved:
             break  # pinned against the domain boundary along this direction
+        prev_h, prev_g = h, g
+        h, f = moved
         recent.append(f)
         if len(recent) > 10:
             recent.pop(0)

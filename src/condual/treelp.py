@@ -103,6 +103,8 @@ class TreeLP:
                 box[:, o:o + d] = bounds
         box.setflags(write=False)
         self.box_lo, self.box_hi = box
+        # every set is box-shaped: project is the clip alone
+        self.boxed = not self._projectors
 
     def require_polyhedral(self):
         """Raise NotImplementedError unless every set has a halfspace form."""

@@ -12,7 +12,7 @@ from condual.cli import main
 from condual.market import build_market, market_to_json, parse_market_file
 from condual.reporting import emit_report
 
-from conftest import binomial_spec, two_asset_spec
+from conftest import binomial_spec, drifted_binomial_spec, two_asset_spec
 from helpers import subprocess_env
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -78,10 +78,11 @@ def test_verify_link(capsys):
 
 
 def test_verify_link_abstains_on_an_ascent_that_stops_short(capsys,
-                                                            monkeypatch):
-    # just above xbar = -5/4 the log ascent on this market runs out of
-    # iterations: the link check abstains without solving a dual, and the
-    # command exits 0, as for an unattained dual
+                                                            monkeypatch,
+                                                            tmp_path):
+    # the floor binds at the log optimum of this market at x = 6, and the
+    # ascent stalls there (max-iterations): the link check abstains without
+    # solving a dual, and the command exits 0, as for an unattained dual
     import condual.verify
     from condual.utility import LogUtility
     from condual.verify import verify_primal_dual_link
@@ -90,10 +91,33 @@ def test_verify_link_abstains_on_an_ascent_that_stops_short(capsys,
         raise AssertionError("dual solved for a primal that stopped short")
 
     monkeypatch.setattr(condual.verify, "solve_dual", no_dual)
+    path = tmp_path / "floor2.json"
+    path.write_text(json.dumps(drifted_binomial_spec(3, floor=2)))
+    market = parse_market_file(str(path))
+    rep = verify_primal_dual_link(market, LogUtility(), 6)
+    assert rep.ok is None and rep.residuals == () and not rep.attained
+    assert rep.y_hat == pytest.approx(0.1549, abs=1e-4)
+    code, doc, _ = run_json(capsys, "verify-link", "--market", str(path),
+                            "--utility", "log", "--x", "6")
+    assert code == 0
+    assert doc["verdict"] == "abstain" and doc["y_hat"] == rep.y_hat
+
+
+def test_verify_link_abstains_on_an_unattained_dual(capsys):
+    # just above xbar = -5/4 the log ascent on this market reaches its
+    # optimum in a few projected Newton steps; the dual at y_hat is solved
+    # but not attained, so the link check abstains and the command exits 0
+    from condual.primal import solve_primal
+    from condual.utility import LogUtility
+    from condual.verify import verify_primal_dual_link
+
     market = parse_market_file(fixture("random24.json"))
+    sol = solve_primal(market, LogUtility(), -1.249)
+    assert sol.status == "optimal" and sol.iterations <= 50
+    assert sol.value == pytest.approx(-1.8198814970, abs=1e-8)
     rep = verify_primal_dual_link(market, LogUtility(), -1.249)
     assert rep.ok is None and rep.residuals == () and not rep.attained
-    assert math.isfinite(rep.y_hat) and rep.y_hat > 0
+    assert rep.y_hat == pytest.approx(283.67, abs=0.01)
     code, doc, _ = run_json(capsys, "verify-link", "--market",
                             fixture("random24.json"), "--utility", "log",
                             "--x=-1.249")

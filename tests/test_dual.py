@@ -790,6 +790,23 @@ def test_min_support_is_the_zero_claim_superhedge(monkeypatch, exact):
     assert floors == 24
 
 
+def test_float_payoff_on_exact_floor_market_prices_in_floats(monkeypatch):
+    # both sides of a float payoff's superhedge run in floats; only the
+    # bound's sup essinf, a property of the market, stays exact
+    from condual import treelp
+
+    market = build_market(drifted_binomial_spec(3, floor=1))
+    arithmetic = []
+    monkeypatch.setattr(treelp, "solve_lp", lambda *a, _s=treelp.solve_lp,
+                        **k: arithmetic.append(k["exact"]) or _s(*a, **k))
+    res = superhedge_price(market, (0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0))
+    assert arithmetic == [False, False, True]
+    assert type(res.price) is float and type(res.dual_value) is float
+    assert res.price == pytest.approx(8 / 9, abs=1e-12)
+    assert res.dual_value == pytest.approx(8 / 9, abs=1e-12)
+    assert res.bound == abs(min_support(market).sup_essinf)
+
+
 @pytest.mark.parametrize("market", ["b1", "b1-box-floor"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_superhedge_refuses_non_finite_payoff(market, bad):

@@ -279,6 +279,38 @@ def test_stalled_line_search_reports_iterations_run():
         sol.status, sol.iterations, sol.value)
 
 
+@pytest.mark.parametrize("x, value", [(3.0, 1.5400301497657785),
+                                      (10.0, 2.5847828042567498)])
+def test_box_market_ascent_takes_newton_steps(x, value):
+    # every set is a box and there is no floor: projected Newton steps
+    # reach the optimum in a handful of iterations, where gradient steps
+    # alone take 545 at x = 3
+    market = build_market(drifted_binomial_spec(8))
+    sol = solve_primal(market, LOG, x)
+    assert sol.status == "optimal" and sol.iterations <= 30
+    assert sol.value == pytest.approx(value, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec, dx, status, value, iterations", [
+    (drifted_binomial_spec(3, floor=2), None, "max-iterations",
+     1.9049486759324805, 30),
+    (drifted_binomial_spec(3, floor=1), None, "max-iterations",
+     1.859638182467915, 34),
+    (random_tree_spec(random.Random(6), max_periods=3, dim=2), 1, "optimal",
+     0.9457858836368284, 73)], ids=["floor-2", "floor-1", "polyhedron"])
+def test_ascent_off_a_box_market_keeps_gradient_steps(spec, dx, status, value,
+                                                      iterations):
+    # neither a floor nor a two-dimensional polyhedron is a clip, so these
+    # markets take the spectral projected gradient steps alone, and their
+    # iteration counts are those steps' own: the floor markets at x = 6
+    # stall where the floor binds
+    market = build_market(spec)
+    x = 6 if dx is None else min_support(market).xbar + dx
+    sol = solve_primal(market, LOG, x)
+    assert (sol.status, sol.iterations) == (status, iterations)
+    assert sol.value == pytest.approx(value, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear utilities: one epigraph LP
 
