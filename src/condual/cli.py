@@ -24,7 +24,6 @@ import sys
 from .conditions import (
     check_convex_compactness,
     check_nonempty,
-    check_projected_closedness,
     check_supermartingale_condition,
 )
 from .dual import solve_dual, superhedge_price
@@ -156,9 +155,9 @@ def _cmd_xbar(args):
 def _cmd_check_conditions(args):
     market = parse_market_file(args.market)
     nonempty = check_nonempty(market)
-    closedness = check_projected_closedness(market)
     cert = check_supermartingale_condition(market)
     compactness = check_convex_compactness(market)
+    closedness = compactness.closedness
     report = {
         "command": "check-conditions",
         "nonempty": bool(nonempty),

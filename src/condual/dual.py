@@ -33,8 +33,7 @@ from .market import MarketModel
 from .recursion import backward_induction
 from .scalars import INF, NEG_INF, all_exact, is_finite
 from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
-from .utility import (PiecewiseLinearUtility, UtilityFunction, conjugate,
-                      conjugate_marginal)
+from .utility import PiecewiseLinearUtility, UtilityFunction, conjugate
 
 # Newton steps the smooth dual's interior-point solve may take before it
 # counts as no answer.  The solves measured stop within 27 steps: the
@@ -319,18 +318,21 @@ def _noise_floor(market):
 def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):
     """E[V(y dQ/dP)] + y alpha(Q) for a mass-one measure Q."""
     weights = _leaf_weights(market, weights)
-    probs = market.tree.leaf_probabilities()
-    total = 0.0
-    for w, p in zip(weights, probs):
-        density = max(float(w), 0.0) / float(p)
-        v = conjugate(utility, y * density)
-        if v == INF:
-            return INF
-        total += float(p) * v
+    ev = _expected_conjugate(market, utility, y, weights)[0]
+    if ev == INF:
+        return INF
     a = support_alpha(market, weights)
     if a == INF:
         return INF
-    return total + y * float(a)
+    return ev + y * float(a)
+
+
+def _expected_conjugate(market, utility, y, weights):
+    """(E[V(z)], z) at the densities z = y max(q, 0) / p of the leaf
+    weights q; +inf where V is."""
+    probs = tree_lp(market).rows(False)[5]
+    z = float(y) * (np.maximum(np.asarray(weights, dtype=float), 0.0) / probs)
+    return float(probs @ conjugate(utility, z)), z
 
 
 def _face_interior_point(market):
@@ -548,26 +550,17 @@ def _minorant_lower_bound(market, utility, y, q_hat, hedge):
     A H <= b within HEDGE_TOL; -inf when it does not, when it is None, or
     at a q_hat where V or its slope is infinite.
     """
-    probs = [float(p) for p in market.tree.leaf_probabilities()]
-    ev = 0.0
-    grad_ev = []
-    for w, p in zip(q_hat, probs):
-        z = y * max(float(w), 0.0) / p
-        v = conjugate(utility, z)
-        if v == INF:
-            return NEG_INF
-        ev += p * float(v)
-        if z <= 0:
-            return NEG_INF  # slope may be unbounded at the boundary
-        grad_ev.append(y * conjugate_marginal(utility, z)[1])
-    if hedge is None:
+    ev, z = _expected_conjugate(market, utility, y, q_hat)
+    # the slope may be unbounded at the boundary z = 0
+    if ev == INF or (z <= 0).any() or hedge is None:
         return NEG_INF
     hedge = np.asarray(hedge, dtype=float)
     if not _admissible(market, hedge):
         return NEG_INF
+    grad_ev = float(y) * utility._dv(z)
     L = tree_lp(market).rows(False)[2]
-    worst = (np.asarray(grad_ev) + float(y) * (L @ hedge)).min()
-    return ev - float(np.dot(grad_ev, q_hat)) + float(worst)
+    worst = (grad_ev + float(y) * (L @ hedge)).min()
+    return ev - float(grad_ev @ np.asarray(q_hat, dtype=float)) + float(worst)
 
 
 def _admissible(market, hedge):

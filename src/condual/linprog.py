@@ -308,8 +308,8 @@ def _highs_data(c, A_ub, b_ub, A_eq, b_eq):
 
 def _certified(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     """The exact answer read off one HiGHS solve and certified in
-    rationals; None when HiGHS is undecided, the data overflow a float, or
-    the certificate fails."""
+    rationals; None when HiGHS is undecided, _highs_data refuses the
+    data, or the certificate fails."""
     lp = _ExactLP(c, A_ub, b_ub, A_eq, b_eq, nonneg)
     res = lp.highs()
     if res is None:
@@ -336,8 +336,8 @@ class _ExactLP:
     """An LP held three ways: its rational rows G x <= h (the A_ub rows,
     then the A_eq rows with equality), the same rows each scaled by the
     least common multiple of its denominators to integers (``ints``, offset
-    last), and the float copy that HiGHS sees (``F``, None when a number
-    does not fit in a float)."""
+    last), and the float copy that HiGHS sees (``data``, None where
+    _highs_data refuses it)."""
 
     def __init__(self, c, A_ub, b_ub, A_eq, b_eq, nonneg):
         self.n, self.m_ub = len(c), len(A_ub)
@@ -347,21 +347,14 @@ class _ExactLP:
         self.nonneg = sorted(nonneg)
         self.ints = [integer_row([*row, rhs])
                      for row, rhs in zip(self.G, self.h)]
-        try:
-            self.F = np.asarray(self.G, float).reshape(len(self.G), self.n)
-            self.f, self.cf = np.asarray(self.h, float), np.asarray(c, float)
-        except OverflowError:
-            self.F = None
+        self.data = _highs_data(c, A_ub, b_ub, A_eq, b_eq)
 
     def highs(self):
         """HiGHS's result on the float copy; None when HiGHS is undecided
         or the float copy does not exist."""
-        if self.F is None:
+        if self.data is None:
             return None
-        m = self.m_ub
-        res = _scipy_linprog(self.cf, A_ub=self.F[:m], b_ub=self.f[:m],
-                             A_eq=self.F[m:], b_eq=self.f[m:],
-                             nonneg=self.nonneg)
+        res = _scipy_linprog(**self.data, nonneg=self.nonneg)
         return res if res.status in (0, 2, 3) else None
 
     def vertex(self, res):

@@ -31,9 +31,11 @@ from .market import (MarketModel, PortfolioProcess, validate_market,
                      wealth_process)
 from .scalars import INF, NEG_INF, is_finite
 from .treelp import tree_lp
-from .utility import LogUtility, PiecewiseLinearUtility, UtilityFunction
+from .utility import PiecewiseLinearUtility, UtilityFunction
 
 _DOMAIN_EPS = 1e-12
+# grid points brute_force_primal evaluates in one array call
+_BLOCK = 1 << 14
 
 
 @dataclass
@@ -164,13 +166,6 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
     if market.floor is not None:
         floor_rows, floor = N, float(market.floor)
     x = float(x)
-    if isinstance(utility, LogUtility):
-        value_fn, marginal_fn = np.log, (lambda w: 1.0 / w)
-        curvature_fn = lambda w: 1.0 / (w * w)  # -U''(w)
-    else:
-        p = utility.p
-        value_fn, marginal_fn = (lambda w: w ** p / p), (lambda w: w ** (p - 1))
-        curvature_fn = lambda w: (1.0 - p) * w ** (p - 2)
 
     def objective(h):
         w = x + L @ h
@@ -178,10 +173,10 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
             return NEG_INF
         if floor_rows is not None and (floor_rows @ h < -floor - 1e-12).any():
             return NEG_INF
-        return float(leaf_probs @ value_fn(w))
+        return float(leaf_probs @ utility._u(w))
 
     def gradient(h):
-        return L.T @ (leaf_probs * marginal_fn(x + L @ h))
+        return L.T @ (leaf_probs * utility._du(x + L @ h))
 
     def arc_search(h, g, d, s, ref, strict=False):
         """(h, f) at the first point P(h + s d) of the projection arc, s
@@ -208,7 +203,7 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         d = step * g
         if free.any():
             # the free block of -Hessian, as S^T S with S = sqrt(p |U''|) L_F
-            root = np.sqrt(leaf_probs * curvature_fn(x + L @ h))
+            root = np.sqrt(leaf_probs * -utility._d2u(x + L @ h))
             S = root[:, None] * L[:, free]
             hess = S.T @ S
             try:
@@ -299,8 +294,9 @@ def brute_force_primal(market: MarketModel, utility: UtilityFunction, x,
     if points ** lp.n_h * max(rounds, 1) > 10 ** 7:
         raise ValueError("grid too large: over the documented 1e7-evaluation cap")
 
+    x = float(x)
     _, _, L, N, _, leaf_probs = lp.rows(False)
-    floor_rows = N if market.floor is not None else None
+    floor = INF if market.floor is None else float(market.floor)
     offset_vec = np.zeros(len(market.tree.leaves))
     if "terminal_offset" in grid_spec:
         ids = [market.tree.nodes[i].node_id for i in market.tree.leaves]
@@ -319,35 +315,30 @@ def brute_force_primal(market: MarketModel, utility: UtilityFunction, x,
                 hi = radius if hi == INF else float(hi)
                 windows.append((lo, hi))
 
+    d = market.dim
     best_val, best_h = NEG_INF, None
     for _ in range(max(rounds, 1)):
         axes = [np.linspace(lo, hi, points) if hi > lo else np.asarray([lo])
                 for lo, hi in windows]
-        for combo in itertools.product(*axes):
-            h = np.asarray(combo)
-            if not _grid_point_admissible(market, lp.offsets, h):
-                continue
-            w = x + L @ h + offset_vec
-            if (w < 0).any():
-                continue
-            vals = [utility(v) for v in w]
-            if any(v == NEG_INF for v in vals):
-                continue
-            if floor_rows is not None and (floor_rows @ h < -float(market.floor)).any():
-                continue
-            val = float(leaf_probs @ np.asarray(vals))
-            if val > best_val:
-                best_val, best_h = val, h
+        # the admissible points of each node's own grid, in product order;
+        # the combinations of these are the grid's admissible points
+        local = []
+        for k, i in enumerate(market.tree.nonleaf):
+            cset = market.constraint(i)
+            grid = itertools.product(*axes[k * d:(k + 1) * d])
+            pts = [pt for pt in grid if cset.contains(pt, 1e-9)]
+            local.append(np.reshape(pts, (-1, d)))
+        picks = itertools.product(*(range(len(p)) for p in local))
+        while block := list(itertools.islice(picks, _BLOCK)):
+            H = np.hstack([p[j] for p, j in zip(local, np.transpose(block))])
+            U = utility(x + H @ L.T + offset_vec)  # -inf below zero wealth
+            skip = (U == NEG_INF).any(axis=1) | (H @ N.T < -floor).any(axis=1)
+            vals = np.where(skip, NEG_INF, U @ leaf_probs)
+            k = int(np.argmax(vals))  # the first maximum
+            if vals[k] > best_val:
+                best_val, best_h = float(vals[k]), H[k]
         if best_h is None:
             break
         windows = [(max(lo, c - (hi - lo) / 5), min(hi, c + (hi - lo) / 5))
                    for (lo, hi), c in zip(windows, best_h)]
     return best_val
-
-
-def _grid_point_admissible(market, offsets, h):
-    for i in market.tree.nonleaf:
-        sl = tuple(h[offsets[i] + k] for k in range(market.dim))
-        if not market.constraint(i).contains(sl, 1e-9):
-            return False
-    return True

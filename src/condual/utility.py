@@ -5,18 +5,27 @@ linear concave, and tabulated concave (the piecewise-linear interpolant of
 its samples, built as a piecewise-linear utility).  Every U lives on
 (0, inf) and is extended by U(0) = inf U and U(x) = -inf for x < 0.
 
-The conjugate is V(y) = sup_x (U(x) - x y).  For the two smooth families it
-is closed form; for the piecewise families the supremum of a concave
-piecewise-linear function minus a linear one is attained at a breakpoint, so
-V is the upper envelope of one line per breakpoint
+The conjugate is V(y) = sup_x (U(x) - x y), extended by V(0) = sup U (its
+limit from the right) and V(y) = +inf for y < 0.  For the two smooth
+families it is closed form; for the piecewise families the supremum of a
+concave piecewise-linear function minus a linear one is attained at a
+breakpoint, so V is the upper envelope of one line per breakpoint
 (:meth:`PiecewiseLinearUtility.conjugate_lines`).
+
+Each family states U and V (``_u``, ``_v``; power and log also ``_du``,
+``_d2u``, ``_dv``, ``_d2v``) once, on a number or on a float array, from
+``_u_edge`` and ``_v_edge`` on; the solvers call them on arrays, and the
+scalar API and the extension at 0 and below derive from them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .scalars import INF, NEG_INF, SchemaError, parse_list
 
@@ -26,20 +35,27 @@ class UtilityFunction:
 
     smooth = False
     strictly_concave = False
+    _u_edge = _v_edge = 0.0
 
-    def value(self, x):
-        raise NotImplementedError
+    def __call__(self, x):
+        """U(x) under the extension, on a number or a float array."""
+        return _extend(self._u, x, self._u_edge, self.inf_value, NEG_INF)
+
+    value = __call__
 
     def marginal(self, x):
         """(left derivative, right derivative) at x > 0."""
-        raise NotImplementedError
+        d = self._du(float(x))
+        return d, d
 
     def conjugate(self, y):
-        raise NotImplementedError
+        """V(y) under the extension, on a number or a float array."""
+        return _extend(self._v, y, self._v_edge, self.sup_value, INF)
 
     def conjugate_marginal(self, y):
         """(left, right) derivative of V at y > 0."""
-        raise NotImplementedError
+        d = self._dv(float(y))
+        return d, d
 
     def sup_value(self):
         """sup of U over (0, inf), possibly +inf; equals V(0+)."""
@@ -53,92 +69,119 @@ class UtilityFunction:
         """Does the right derivative blow up as x -> 0+?"""
         raise NotImplementedError
 
-    # shared extension convention
-    def __call__(self, x):
-        if x < 0:
-            return NEG_INF
-        if x == 0:
-            return self.inf_value()
-        return self.value(x)
+
+def _extend(formula, x, edge, at_zero, outside):
+    """formula(x) at x > 0 from edge on, at_zero() at 0 and outside
+    elsewhere: on a number (formula sees float(x)), or elementwise on a
+    float array (formula sees only the points where it applies)."""
+    if isinstance(x, np.ndarray):
+        inside = x >= edge if edge > 0 else x > 0
+        if inside.all():
+            return formula(x)
+        out = np.where(x == 0, at_zero(), outside)
+        out[inside] = formula(x[inside])
+        return out
+    if x == 0:
+        return at_zero()
+    if x < 0 or x < edge:
+        return outside
+    return formula(float(x))
 
 
-@dataclass(frozen=True)
-class PowerUtility(UtilityFunction):
-    p: float
+def _log(x):
+    """log on a number or elementwise on a float array."""
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def _envelope(lines, x):
+    """The greatest a + b x over the lines (a, b): on a number, or
+    elementwise on a float array."""
+    terms = [a + b * x for a, b in lines]
+    if isinstance(x, np.ndarray):
+        return functools.reduce(np.maximum, terms)
+    return max(terms)
+
+
+def _slopes(lines, x):
+    """(left, right) derivative at the number x of _envelope(lines, x): the
+    least and the greatest b of the lines (a, b) that attain it, ties taken
+    up to rounding, 1e-12 relative to the value."""
+    heights = [a + b * x for a, b in lines]
+    best = max(heights)
+    tied = [b for (_, b), h in zip(lines, heights)
+            if h >= best - 1e-12 * max(1.0, abs(best))]
+    return min(tied), max(tied)
+
+
+class _SmoothUtility(UtilityFunction):
+    """A smooth, strictly concave family with sup U = U'(0+) = +inf."""
 
     smooth = True
     strictly_concave = True
+
+    def conjugate_derivatives(self, z):
+        """(V'(z), V''(z)) elementwise on a float array z > 0."""
+        return self._dv(z), self._d2v(z)
+
+    def sup_value(self):
+        return INF
+
+    def inada_zero(self):
+        return True
+
+
+@dataclass(frozen=True)
+class PowerUtility(_SmoothUtility):
+    p: float
 
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError("power exponent must lie in (0, 1)")
 
-    def value(self, x):
-        return float(x) ** self.p / self.p
+    def _u(self, w):
+        return w ** self.p / self.p
 
-    def marginal(self, x):
-        d = float(x) ** (self.p - 1)
-        return d, d
+    def _du(self, w):
+        return w ** (self.p - 1)
 
-    def conjugate(self, y):
-        if y < 0:
-            return INF
-        if y == 0:
-            return INF
-        return (1.0 / self.p - 1.0) * float(y) ** (self.p / (self.p - 1.0))
+    def _d2u(self, w):
+        return (self.p - 1.0) * w ** (self.p - 2)
 
-    def conjugate_marginal(self, y):
-        d = -float(y) ** (1.0 / (self.p - 1.0))
-        return d, d
+    def _v(self, z):
+        return (1.0 / self.p - 1.0) * z ** (self.p / (self.p - 1.0))
 
-    def conjugate_derivatives(self, z):
-        """(V'(z), V''(z)) elementwise on a float array z > 0."""
-        d1 = -z ** (1.0 / (self.p - 1.0))
-        return d1, d1 / ((self.p - 1.0) * z)
+    def _dv(self, z):
+        return -z ** (1.0 / (self.p - 1.0))
 
-    def sup_value(self):
-        return INF
+    def _d2v(self, z):
+        return self._dv(z) / ((self.p - 1.0) * z)
 
     def inf_value(self):
         return 0.0
 
-    def inada_zero(self):
-        return True
-
 
 @dataclass(frozen=True)
-class LogUtility(UtilityFunction):
-    smooth = True
-    strictly_concave = True
+class LogUtility(_SmoothUtility):
+    def _u(self, w):
+        return _log(w)
 
-    def value(self, x):
-        return math.log(float(x))
+    def _du(self, w):
+        return 1.0 / w
 
-    def marginal(self, x):
-        d = 1.0 / float(x)
-        return d, d
+    def _d2u(self, w):
+        return -1.0 / (w * w)
 
-    def conjugate(self, y):
-        if y <= 0:
-            return INF
-        return -math.log(float(y)) - 1.0
+    def _v(self, z):
+        return -_log(z) - 1.0
 
-    def conjugate_marginal(self, y):
-        d = -1.0 / float(y)
-        return d, d
+    def _dv(self, z):
+        return -1.0 / z
 
-    def conjugate_derivatives(self, z):
-        """(V'(z), V''(z)) elementwise on a float array z > 0."""
-        return -1.0 / z, 1.0 / (z * z)
-
-    def sup_value(self):
-        return INF
+    def _d2v(self, z):
+        return 1.0 / (z * z)
 
     def inf_value(self):
         return NEG_INF
-
-    def inada_zero(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -174,6 +217,21 @@ class PiecewiseLinearUtility(UtilityFunction):
         if self.slopes[0] == INF and len(self.breakpoints) < 2:
             raise ValueError("an infinite first slope needs a second "
                              "breakpoint, where U becomes finite")
+        # U = -max_k (-c_k - s_k w) and V = max_i (v_i - b_i z); a z within
+        # rounding (1e-12 relative) below V's edge counts as on it:
+        # densities of LP measures on that edge land either side
+        lines, edge = self.lines()
+        object.__setattr__(self, "_u_lines", [(-c, -s) for s, c in lines])
+        object.__setattr__(self, "_u_edge", edge)
+        lines, edge = self.conjugate_lines()
+        object.__setattr__(self, "_v_lines", [(v, -b) for v, b in lines])
+        object.__setattr__(self, "_v_edge", edge - 1e-12 * edge)
+
+    def _u(self, w):
+        return -_envelope(self._u_lines, w)
+
+    def _v(self, z):
+        return _envelope(self._v_lines, z)
 
     def _knot_values(self):
         vals = [self.anchor]
@@ -186,29 +244,11 @@ class PiecewiseLinearUtility(UtilityFunction):
                 vals.append(vals[-1] + s * step)
         return vals
 
-    def value(self, x):
-        bps, slopes = self.breakpoints, self.slopes
-        if x < bps[0]:
-            return NEG_INF
-        if slopes[0] == INF and x < bps[1]:
-            return NEG_INF
-        vals = self._knot_values()
-        for i in range(len(bps) - 1, -1, -1):
-            if x >= bps[i]:
-                return vals[i] + slopes[i] * (x - bps[i]) if slopes[i] != INF else vals[i]
-        return NEG_INF  # pragma: no cover
-
     def marginal(self, x):
-        bps, slopes = self.breakpoints, self.slopes
-        if x < bps[0]:
+        if x < self._u_edge:
             return INF, INF  # below the domain
-        for i in range(len(bps)):
-            if x < bps[i]:
-                return slopes[i - 1], slopes[i - 1]
-            if x == bps[i]:
-                left = slopes[i - 1] if i > 0 else INF
-                return left, slopes[i]
-        return slopes[-1], slopes[-1]
+        left, right = _slopes(self._u_lines, x)  # of -U
+        return (INF if x == self._u_edge else -left), -right
 
     def lines(self):
         """(lines, edge): U(w) = min_k (c_k + s_k w) over the (s_k, c_k) in
@@ -234,24 +274,10 @@ class PiecewiseLinearUtility(UtilityFunction):
             lines.append((vals[1], self.breakpoints[1]))
         return lines, [s for s in self.slopes if s != INF][-1]
 
-    def conjugate(self, y):
-        # a y within rounding (1e-12 relative) below the domain edge counts
-        # as on it: densities of LP measures on that edge land either side
-        lines, edge = self.conjugate_lines()
-        if y < 0 or y < edge - 1e-12 * edge:
-            return INF
-        return max(v - b * y for v, b in lines)
-
     def conjugate_marginal(self, y):
         # V is the upper envelope of lines with slopes -b; just below a tie
-        # the steeper line (larger b) is active, just above the flatter one.
-        # Ties are taken up to rounding, 1e-12 relative to V.
-        lines, _ = self.conjugate_lines()
-        heights = [v - b * y for v, b in lines]
-        best = max(heights)
-        tied = [b for (_, b), h in zip(lines, heights)
-                if h >= best - 1e-12 * max(1.0, abs(best))]
-        return -max(tied), -min(tied)
+        # the steeper line (larger b) is active, just above the flatter one
+        return _slopes(self._v_lines, y)
 
     def sup_value(self):
         if self.slopes[-1] > 0:
@@ -364,11 +390,8 @@ def eval_utility(utility: UtilityFunction, x):
 
 
 def conjugate(utility: UtilityFunction, y):
-    """V(y) = sup_x (U(x) - x y); V(0) is the limit from the right (sup U)."""
-    if y < 0:
-        return INF
-    if y == 0:
-        return utility.sup_value()
+    """V(y) = sup_x (U(x) - x y); V(0) is the limit from the right (sup U).
+    y may be a float array, elementwise."""
     return utility.conjugate(y)
 
 
@@ -419,21 +442,17 @@ def check_rae(utility: UtilityFunction, x0, c, grid) -> RaeReport:
     if any(x < x0 for x in grid):
         raise ValueError("all grid points must be >= x0")
     meaningful = utility(x0) > 0
-    worst_ratio, worst_x = NEG_INF, None
-    holds = True
-    for x in grid:
-        ux, u2x = utility(x), utility(2 * x)
-        if u2x > c * ux:
-            holds = False
-        ratio = u2x / ux if ux > 0 else INF
-        if ratio > worst_ratio:
-            worst_ratio, worst_x = ratio, x
+    xs = np.asarray(grid, dtype=float)
+    ux, u2x = utility(xs), utility(2 * xs)
+    ratio = np.divide(u2x, ux, out=np.full(len(xs), INF), where=ux > 0)
+    k = int(np.argmax(ratio))  # the first worst ratio
     analytic = None
     if isinstance(utility, PowerUtility):
         analytic = c >= 2 ** utility.p  # ratio is exactly 2^p at every x
     elif isinstance(utility, LogUtility):
         analytic = utility(x0) > 0  # ratio 1 + log2/log x decreases to 1
-    return RaeReport(holds, worst_ratio, worst_x, meaningful, analytic)
+    return RaeReport(not (u2x > c * ux).any(), float(ratio[k]), grid[k],
+                     meaningful, analytic)
 
 
 def check_inada_zero(utility: UtilityFunction) -> bool:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dual import min_support, solve_dual
 from .market import MarketModel
 from .primal import primal_feasible, solve_primal
 from .scalars import INF, NEG_INF
-from .utility import UtilityFunction, inverse_marginal
+from .utility import UtilityFunction
 
 
 @dataclass
@@ -228,16 +230,16 @@ def verify_primal_dual_link(market: MarketModel, utility: UtilityFunction,
     if primal.status not in ("optimal", "max-iterations"):
         raise ValueError(f"primal solve did not converge: {primal.status}")
 
-    y_hat = sum(float(p) * utility.marginal(max(float(w), 1e-12))[1]
-                for p, w in zip(market.tree.leaf_probabilities(),
-                                primal.terminal))
+    probs = np.asarray(market.tree.leaf_probabilities(), dtype=float)
+    terminal = np.asarray(primal.terminal, dtype=float)
+    y_hat = float(probs @ utility._du(np.maximum(terminal, 1e-12)))
     if primal.status != "optimal":
         return LinkReport(y_hat, (), INF, False, tol, None)
     dual = solve_dual(market, utility, y_hat)
     if not dual.attained:
         return LinkReport(y_hat, (), INF, False, tol, None)
-    residuals = tuple(
-        abs(float(w) - inverse_marginal(utility, max(float(z), 1e-300)))
-        for w, z in zip(primal.terminal, dual.measure.densities))
+    # the optimal wealth is the inverse marginal -V'(y_hat dQ/dP)
+    z = np.maximum(np.asarray(dual.measure.densities, dtype=float), 1e-300)
+    residuals = tuple(np.abs(terminal + utility._dv(z)).tolist())
     worst = max(residuals)
     return LinkReport(y_hat, residuals, worst, True, tol, worst <= tol)

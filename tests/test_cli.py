@@ -173,6 +173,26 @@ def test_check_conditions_failure_exit_code(capsys):
     assert doc["convex_compactness"] == "false"
 
 
+@pytest.mark.parametrize("name", ["d1.json", "arbitrage.json"])
+def test_check_conditions_checks_closedness_once(capsys, monkeypatch, name):
+    # the command reports the closedness that the compactness check
+    # computed: each node's projected set is checked once per run
+    import condual.conditions as conditions
+
+    real, checked = conditions.projected_set_closed, []
+
+    def counted(projection, cset):
+        checked.append(cset)
+        return real(projection, cset)
+
+    monkeypatch.setattr(conditions, "projected_set_closed", counted)
+    tree = parse_market_file(fixture(name)).tree
+    _, doc, _ = run_json(capsys, "check-conditions", "--market", fixture(name))
+    assert len(checked) == len(tree.nonleaf)
+    assert list(doc["projected_closedness"]) == [tree.nodes[i].node_id
+                                                 for i in tree.nonleaf]
+
+
 def test_embed_endowment(capsys, tmp_path):
     out_path = str(tmp_path / "augmented.json")
     code, doc, _ = run_json(capsys, "embed-endowment",

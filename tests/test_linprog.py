@@ -669,6 +669,30 @@ def test_number_highs_reads_as_infinite_skips_the_ladder(monkeypatch):
     assert (res.status, res.route, res.x) == (OPTIMAL, "tableau", [1e21])
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_entry_highs_reads_as_infinite_is_screened_in_both_modes(monkeypatch,
+                                                                 exact):
+    # a 4 x 4 LP, large enough for the exact mode's certified HiGHS route,
+    # with one entry -10^21 that HiGHS reads as infinite: neither mode runs
+    # HiGHS on it, and the tableau answers x0 = 10^21 + 1
+    real, runs = linprog._scipy_linprog, []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "_scipy_linprog", counted)
+    big = -10 ** 21 if exact else -1e21
+    A_ub = [[1, big, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    res = solve_lp([-1] * 4, A_ub=A_ub, b_ub=[1] * 4, exact=exact,
+                   nonneg=range(4))
+    assert runs == []
+    assert (res.status, res.route) == (OPTIMAL, "tableau")
+    number = (lambda v: v) if exact else float
+    assert res.x == [number(v) for v in (10 ** 21 + 1, 1, 1, 1)]
+    assert res.value == number(-(10 ** 21 + 4))
+
+
 def test_missing_highs_model_api_names_the_scipy_floor(monkeypatch):
     import importlib.util
     import sys

@@ -133,6 +133,62 @@ def test_brute_force_zero_increment_market():
                                                                  abs=1e-9)
 
 
+# (spec, utility, x, grid_spec, value): brute_force_primal's values as its
+# one-point-at-a-time loop over the grid gave them; the cases cover box
+# overrides, a floor, a terminal offset, a 2-D polyhedron (also on a random
+# market), a 1-D ball, wealth 0 on the grid, U = -inf below a first knot,
+# and a grid with no admissible point
+ORACLE_CASES = {
+    "box-override-log": (
+        binomial_spec(), LOG, 1.0,
+        {"points": 401, "box": {"root": [(-1.9, 1.9)]}}, 0.058888795598558974),
+    "floor-log": (
+        dict(two_period_spec(), floor="1/2"), LOG, 1.0,
+        {"points": 21, "rounds": 3}, 0.08830206402253274),
+    "offset-log": (
+        two_period_spec(), LOG, 1.0,
+        {"points": 17, "rounds": 4, "terminal_offset": {
+            "uu": Fraction(1), "ud": Fraction(1, 2), "du": Fraction(1, 4),
+            "dd": Fraction(0)}}, 0.3334596894048967),
+    "polyhedron-2d-power": (
+        two_asset_spec({"type": "polyhedron", "A": [[1, 1], [-1, 0], [0, -1]],
+                        "b": [1, 1, 1]}),
+        SQRT, 1.0, {"points": 41, "rounds": 3}, 2.1043976826464834),
+    "ball-1d-power": (
+        binomial_spec({"type": "ball", "center": [0], "radius": "1/2"}),
+        PowerUtility(0.3), 1.0, {"points": 51, "rounds": 2},
+        3.4111028168320954),
+    "zero-wealth-power": (
+        binomial_spec(), SQRT, 1.0, {"points": 31, "box": {"root": [(-1, 2)]}},
+        2.121320343559643),
+    "kinked-two-period": (
+        two_period_spec(),
+        PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.0)), 1.0,
+        {"points": 15, "rounds": 3}, 3.0),
+    "steep-piecewise": (
+        drift_spec(),
+        PiecewiseLinearUtility((0.0, 1.0, 2.0), (math.inf, 1.0, 0.25)), 1.0,
+        {"points": 41, "rounds": 2}, 0.75),
+    "table-floor": (
+        drifted_binomial_spec(2, floor=1),
+        TabulatedUtility((0.5, 1, 2, 4), (0, 1, 1.5, 1.7)), 2.0,
+        {"points": 9, "rounds": 3}, 1.5),
+    "random-2d-log": (
+        random_tree_spec(random.Random(8), dim=2), LOG, 1.8333333333333335,
+        {"points": 61, "rounds": 3}, 0.5219157382785354),
+    "nowhere-admissible-log": (
+        binomial_spec(), LOG, 0.1, {"points": 11, "box": {"root": [(1.5, 1.9)]}},
+        NEG_INF),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_brute_force_regression(name):
+    spec, utility, x, grid_spec, value = ORACLE_CASES[name]
+    found = brute_force_primal(build_market(spec), utility, x, grid_spec)
+    assert found == pytest.approx(value, rel=0, abs=1e-9)
+
+
 def test_brute_force_cap():
     spec = deterministic_spec()
     market = build_market(spec)

@@ -27,6 +27,8 @@ LOG = LogUtility()
 SQRT = PowerUtility(0.5)  # U(x) = 2 sqrt(x)
 LINEAR = PiecewiseLinearUtility((0.0,), (1.0,))
 KINKED = PiecewiseLinearUtility((0.0, 1.0, 2.0), (3.0, 1.0, 0.0))
+TABLE = TabulatedUtility((0.5, 1.0, 2.0, 4.0), (0.0, 0.6, 1.0, 1.2))
+STEEP = PiecewiseLinearUtility((0.5, 1.0, 3.0), (math.inf, 2.0, 0.5), 1.0)
 
 
 def dense_grid(utility, lo=1e-9, hi=50.0, n=400001, knots=()):
@@ -152,6 +154,61 @@ def test_conjugate_derivatives_on_an_array(u):
     slope = (u.conjugate_derivatives(z + h)[0]
              - u.conjugate_derivatives(z - h)[0]) / (2 * h)
     assert d2 == pytest.approx(slope, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "u", [LOG, PowerUtility(0.2), SQRT, PowerUtility(0.8)],
+    ids=["log", "power0.2", "power0.5", "power0.8"])
+def test_smooth_formulas_on_an_array(u):
+    # on a log-spaced grid, the array U, U', -U'' and V are the scalar
+    # API's values and central differences at h = 1e-6 w
+    w = np.logspace(-3, 3, 61)
+    h = 1e-6 * w
+    assert u(w) == pytest.approx([u(v) for v in w], rel=1e-14)
+    assert u._du(w) == pytest.approx([marginal(u, v)[1] for v in w], rel=1e-14)
+    assert u._du(w) == pytest.approx((u(w + h) - u(w - h)) / (2 * h), rel=1e-6)
+    assert -u._d2u(w) == pytest.approx(
+        (u._du(w - h) - u._du(w + h)) / (2 * h), rel=1e-6)
+    assert u.conjugate(w) == pytest.approx([conjugate(u, v) for v in w],
+                                           rel=1e-14)
+    assert u._dv(w) == pytest.approx(
+        (u.conjugate(w + h) - u.conjugate(w - h)) / (2 * h), rel=1e-6)
+    # the extension: U(0) = inf U, -inf below 0; V(0) = sup U, +inf below 0
+    # (no warning is raised: log(0) is never evaluated)
+    edges = np.asarray([-1.0, 0.0, 1.0])
+    assert u(edges).tolist() == [NEG_INF, u.inf_value(), u(1.0)]
+    assert u(0.0) == u.inf_value() == (NEG_INF if u is LOG else 0.0)
+    assert u.conjugate(edges).tolist() == [INF, u.sup_value(),
+                                           conjugate(u, 1.0)]
+
+
+@pytest.mark.parametrize("u", [KINKED, LINEAR, TABLE, STEEP],
+                         ids=["kinked", "linear", "table", "steep"])
+def test_piecewise_formulas_on_an_array(u):
+    # U and V on an array are the scalar API's, knots and the edges of the
+    # domains included, and V's central differences at h = 1e-6 z lie in
+    # its (left, right) slope bracket
+    x = np.concatenate([np.linspace(-1.0, 6.0, 141), u.breakpoints,
+                        [s for s in u.slopes if s != INF]])
+    assert u(x).tolist() == pytest.approx([u(v) for v in x], abs=1e-14)
+    assert u.conjugate(x).tolist() == pytest.approx(
+        [conjugate(u, v) for v in x], abs=1e-14)
+    z = np.linspace(0.05, 6.0, 120)
+    z = z[np.isfinite(u.conjugate(z * (1 - 1e-6)))]
+    h = 1e-6 * z
+    slope = (u.conjugate(z + h) - u.conjugate(z - h)) / (2 * h)
+    for v, s in zip(z, slope):
+        left, right = conjugate_marginal(u, v)
+        assert left - 1e-6 <= s <= right + 1e-6
+    # V at 0 is sup U; a y within 1e-12 relative below V's edge (the last
+    # slope) counts as on it, one further below is outside the domain
+    edge = u.slopes[-1]
+    y = np.asarray([0.0, edge * (1 - 0.5e-12), edge * (1 - 2e-12)])
+    values = u.conjugate(y).tolist()
+    assert values[0] == u.sup_value() == conjugate(u, 0.0)
+    assert values[1:] == [conjugate(u, v) for v in y[1:]]
+    if edge > 0:
+        assert math.isfinite(values[1]) and values[2] == INF
 
 
 # ---------------------------------------------------------------------------
