@@ -12,6 +12,9 @@ finite tree that supermartingale property is the per-node inequality
 with beta(n) the conditional one-step drift under Q, and the compensator
 increment dA(n) = (support of the constraint set at beta(n)) - H_hat(n) .
 beta(n) makes it hold with equality, provided that support value is finite.
+The drifts and support values come from the pass and the face rule of the
+support function (:func:`condual.market.node_directions`,
+:func:`condual.dual.face_supports`).
 
 When these certify, the attainable-claim set from any initial wealth is
 bounded and closed; the converse is not claimed (the search reports "not
@@ -23,14 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .convex import Cone, ProjectionMatrix, _unit, min_norm_solution, \
-    predictable_range_projection, projected_set_closed
-from .dual import _noise_floor, _support_on_face, measure_from_weights
+from .convex import Cone, ProjectionMatrix, min_norm_solution, \
+    projected_set_closed
+from .dual import face_supports, measure_from_weights
 from .linprog import OPTIMAL, solve_lp
-from .market import MarketModel, PortfolioProcess, is_admissible
+from .market import MarketModel, PortfolioProcess, is_admissible, \
+    node_directions
 from .primal import find_free_lunch_direction
 from .scalars import INF, all_exact, gauss_jordan
-from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
+from .treelp import MARGIN_TOL, tree_lp
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +83,12 @@ class ClosednessReport:
 
 
 def check_projected_closedness(market: MarketModel) -> ClosednessReport:
-    verdicts = {}
-    for i in market.tree.nonleaf:
-        node = market.tree.nodes[i]
-        increments = [market.increment(c) for c in node.children]
-        projection = predictable_range_projection(increments)
-        verdicts[node.node_id] = projected_set_closed(projection,
-                                                      market.constraint(i))
+    """Is each constraint set's projection onto the span of its node's
+    price increments closed?  The criteria of :func:`projected_set_closed`
+    read the set alone, so no projection is built."""
+    verdicts = {market.tree.nodes[i].node_id:
+                projected_set_closed(None, cset)
+                for i, cset in market.constraints}
     overall = "true" if all(v == "true" for v, _ in verdicts.values()) else "unknown"
     return ClosednessReport(verdicts, overall)
 
@@ -208,42 +211,37 @@ def _compensator_certificate(market, stage, weights):
     """Stages (ii)/(iii): fixed measure, compensator from support values;
     None when there are no weights (stage (iii) found no measure).
 
-    Under float weights, a drift component at or below the market's noise
-    floor counts as an exact zero where the support value would otherwise
-    be infinite, as in :func:`~condual.dual.support_alpha`: the measure of
-    a float LP meets the equality faces of its rows only up to rounding.
+    The support values, and the drifts under float weights, are those of
+    :func:`~condual.dual.face_supports`, as in
+    :func:`~condual.dual.support_alpha`.
     """
     if weights is None:
         return None
-    drifts = _conditional_drifts(market, weights)
-    zero_tol = 0 if market.exact and all_exact(weights) \
-        else _noise_floor(market)
-    support = {}
-    for i in market.tree.nonleaf:
-        support[i], drifts[i] = _support_on_face(
-            market.constraint(i).support, drifts[i], zero_tol)
-        if support[i] == INF:
-            return None
+    supports = face_supports(market, _conditional_drifts(market, weights),
+                             market.exact and all_exact(weights))
+    if supports is None:
+        return None
+    drifts = {i: beta for i, (_, beta) in supports.items()}
     reference = _admissible_reference(market, drifts)
     if reference is None:
         return None
     compensator = {
         market.tree.nodes[i].node_id:
-            support[i] - sum(h * b for h, b in zip(reference[i], drifts[i]))
-        for i in market.tree.nonleaf}
+            value - sum(h * b for h, b in zip(reference[i], drifts[i]))
+        for i, (value, _) in supports.items()}
     return SupermartingaleCertificate(
         True, stage, measure_from_weights(market, weights), reference,
         compensator,
-        {market.tree.nodes[i].node_id: drifts[i] for i in market.tree.nonleaf},
+        {market.tree.nodes[i].node_id: beta for i, beta in drifts.items()},
     )
 
 
 def _conditional_drifts(market, weights):
     """E[dS | node] at every non-leaf node under the leaf weights, from
-    one pass of subtree masses."""
-    mass = subtree_weights(market, weights)
-    return {i: tuple(v / mass[i] for v in node_direction(market, mass, i))
-            for i in market.tree.nonleaf}
+    the one pass of :func:`~condual.market.node_directions`."""
+    mass, xi = node_directions(market, weights)
+    return {i: tuple(v / mass[i] for v in direction)
+            for i, direction in xi.items()}
 
 
 def _positive_measure_lp(market, require_zero_drift):
@@ -280,7 +278,7 @@ def _escaping_ray(cone: Cone, beta, exact):
     bounded; certifies the infinite support value."""
     rows = [list(r) for r in cone.as_halfspace().rows]
     d = cone.dim
-    flat = rows + [_unit(d, j, s) for j in range(d) for s in (1, -1)]
+    flat = rows + list(Cone.zero(d).rows)
     b = [0] * len(rows) + [1] * (2 * d)
     res = solve_lp([-v for v in beta], A_ub=flat, b_ub=b, exact=exact)
     if res.status == OPTIMAL and -res.value > 0:

@@ -751,16 +751,8 @@ class Cone:
         """True when the cone is exactly {0}."""
         if self.rep == "generator":
             return not self.rows  # zero generators were dropped at construction
-        tol = 0 if self.exact else 1e-9
-        for i in range(self.dim):
-            for sign in (1, -1):
-                direction = _unit(self.dim, i, sign)
-                res = solve_lp([-v for v in direction],
-                               A_ub=list(self.rows) + [list(direction)],
-                               b_ub=[0] * len(self.rows) + [1], exact=self.exact)
-                if res.status != OPTIMAL or -res.value > tol:
-                    return False
-        return True
+        return all(_implied(self.rows, _unit(self.dim, i, sign), self.exact)
+                   for i in range(self.dim) for sign in (1, -1))
 
     def canonical(self) -> "Cone":
         """Normalize rows, drop duplicates and redundant ones, sort."""
@@ -778,21 +770,17 @@ class Cone:
         return Cone(self.dim, self.rep, tuple(sorted(keep)))
 
     def _row_redundant(self, row, rest):
-        exact = self.exact
-        tol = 0 if exact else 1e-9
         if self.rep == "generator":
-            if not rest:
-                return False
-            k = len(rest)
-            A_eq = [[rest[j][i] for j in range(k)] for i in range(self.dim)]
-            res = solve_lp([0] * k, A_eq=A_eq, b_eq=list(row), exact=exact,
-                           nonneg=range(k))
-            return res.status == OPTIMAL
-        # halfspace: row is implied by the others
-        res = solve_lp([-v for v in row],
-                       A_ub=list(rest) + [list(row)],
-                       b_ub=[0] * len(rest) + [1], exact=exact)
-        return res.status == OPTIMAL and -res.value <= tol
+            return Cone(self.dim, "generator", rest).contains(row)
+        return _implied(rest, row, self.exact)
+
+
+def _implied(rows, a, exact):
+    """True when a . h <= 0 follows from r . h <= 0 for every r in rows:
+    the LP max a . h subject to those rows and a . h <= 1 stays at 0."""
+    res = solve_lp([-v for v in a], A_ub=list(rows) + [list(a)],
+                   b_ub=[0] * len(rows) + [1], exact=exact)
+    return res.status == OPTIMAL and -res.value <= (0 if exact else 1e-9)
 
 
 def _normalize_ray(row):
@@ -910,7 +898,9 @@ def projected_set_closed(projection: ProjectionMatrix, convex_set: ConvexSet):
 
     Returns (verdict, reason) with verdict in {"true", "unknown"}; "unknown"
     is reserved for variants with no applicable sufficient criterion, never a
-    wrong "true".
+    wrong "true".  Both criteria (a polyhedron, a compact set) hold for the
+    image under every linear map, so the verdict reads the set alone and
+    the projection is never used.
     """
     if convex_set.halfspaces() is not None:
         return "true", "linear image of a polyhedron is a polyhedron"

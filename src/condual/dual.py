@@ -2,8 +2,11 @@
 value function, superhedging prices, and the critical initial wealth.
 
 Everything here runs over leaf measures.  Expected terminal gains decompose
-node by node, so the support function of the attainable set is a finite sum
-of per-node constraint-set support values.
+node by node, so without a floor the support function of the attainable set
+is a finite sum of per-node constraint-set support values, taken at the
+directions of one pass over the tree (:func:`condual.market.node_directions`)
+by :func:`face_supports`, which the supermartingale certificates of
+:mod:`condual.conditions` also call.
 
 Superhedging prices, and the critical wealth as the superhedge of the zero
 claim (``min_support``), take one of two routes:
@@ -29,10 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from .market import MarketModel
+from .market import MarketModel, node_directions
 from .recursion import backward_induction
 from .scalars import INF, NEG_INF, all_exact, is_finite
-from .treelp import MARGIN_TOL, node_direction, subtree_weights, tree_lp
+from .treelp import MARGIN_TOL, tree_lp
 from .utility import PiecewiseLinearUtility, UtilityFunction, conjugate
 
 # Newton steps the smooth dual's interior-point solve may take before it
@@ -96,30 +99,48 @@ def support_alpha(market: MarketModel, measure) -> object:
     direction.  Positively homogeneous: scaling the measure scales the value
     (with 0 * inf = 0).
 
-    Unless the market and the weights are both exact, induced direction
-    components at or below the market's noise floor count as exact zeros
-    when the support value would otherwise be infinite, so measures
-    produced by float LPs can sit on equality faces (e.g. the martingale
-    face) without the support value spuriously exploding.
+    Without a floor it is the sum of the per-node values of
+    :func:`face_supports` at the directions of
+    :func:`~condual.market.node_directions`.
     """
     weights = _leaf_weights(market, measure.weights
                             if isinstance(measure, DualMeasure) else measure)
     if market.floor is None:
-        zero_tol = 0 if market.exact and all_exact(weights) \
-            else _noise_floor(market)
-        total = 0
-        mass = subtree_weights(market, weights)
-        for i, cset in market.constraints:
-            val, _ = _support_on_face(cset.support,
-                                      node_direction(market, mass, i),
-                                      zero_tol)
-            if val == INF:
-                return INF
-            total = total + val
-        return total
+        supports = face_supports(market, node_directions(market, weights)[1],
+                                 market.exact and all_exact(weights))
+        if supports is None:
+            return INF
+        return sum(value for value, _ in supports.values())
     # intermediate-wealth floor couples the nodes: one stacked LP
     value, _ = _alpha_lp(market, weights)
     return value
+
+
+def face_supports(market: MarketModel, directions, exact):
+    """{node: (support value, direction)} of each constraint set at its
+    node's direction, in tree order; None at the first value that is +inf.
+
+    Unless ``exact`` (market and measure both rational), an infinite value
+    is retried once with the direction's components at or below the noise
+    floor 1e-9 (1 + max |price|) set to 0.0, and that direction is returned:
+    a float LP's measure (e.g. on the martingale face) meets the equality
+    faces of its rows only up to rounding.  Finite values are never
+    perturbed.
+    """
+    out = {}
+    for i, cset in market.constraints:
+        xi = directions[i]
+        value = cset.support(xi)
+        if value == INF and not exact:
+            floor = 1e-9 * (1.0 + max(abs(float(v)) for p in market.prices
+                                      for v in p))
+            cleaned = tuple(0.0 if abs(float(v)) <= floor else v for v in xi)
+            if cleaned != tuple(xi):
+                value, xi = cset.support(cleaned), cleaned
+        if value == INF:
+            return None
+        out[i] = value, xi
+    return out
 
 
 def _leaf_weights(market, weights):
@@ -127,20 +148,6 @@ def _leaf_weights(market, weights):
     if len(weights) != len(market.tree.leaves):
         raise ValueError("a measure needs one weight per leaf")
     return weights
-
-
-def _support_on_face(support, xi, zero_tol):
-    """(support value, direction), retrying with the components of xi at or
-    below zero_tol set to 0.0 only when the value is infinite.
-
-    Finite values are never perturbed; the retry merely lets float-produced
-    directions sit on equality faces they satisfy up to LP tolerance.
-    """
-    val = support(xi)
-    if val != INF or zero_tol == 0:
-        return val, xi
-    cleaned = tuple(0.0 if abs(float(v)) <= zero_tol else v for v in xi)
-    return (val, xi) if cleaned == tuple(xi) else (support(cleaned), cleaned)
 
 
 def _alpha_lp(market, weights):
@@ -308,11 +315,6 @@ class DualSolution:
     gap: object
     iterations: int = 0
     y: object = None
-
-
-def _noise_floor(market):
-    scale = max(abs(float(v)) for p in market.prices for v in p)
-    return 1e-9 * (1.0 + scale)
 
 
 def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):

@@ -14,8 +14,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .convex import ConvexSet, set_from_json, set_to_json
-from .scalars import (SchemaError, all_exact, number_to_json,
+from .convex import (AffineFixed, Box, ConvexSet, CrossFixed, set_from_json,
+                     set_to_json)
+from .scalars import (INF, NEG_INF, SchemaError, all_exact, number_to_json,
                       parse_list, parse_number)
 
 
@@ -128,6 +129,10 @@ class MarketModel:
         object.__setattr__(self, "constraints", tuple(sorted(by_node.items())))
         # kept outside the fields, so equality and hashing ignore it
         object.__setattr__(self, "_by_node", by_node)
+        object.__setattr__(self, "_increments", {
+            n.index: tuple(c - p for c, p in zip(self.prices[n.index],
+                                                  self.prices[n.parent]))
+            for n in self.tree.nodes if n.parent is not None})
         object.__setattr__(self, "dim", len(self.prices[0]))
 
     @property
@@ -148,9 +153,29 @@ class MarketModel:
         return self._by_node[index]
 
     def increment(self, child: int):
-        """Price increment along the edge ending at `child`."""
-        parent = self.tree.nodes[child].parent
-        return tuple(c - p for c, p in zip(self.prices[child], self.prices[parent]))
+        """Price increment along the edge ending at `child`, built once per
+        market."""
+        return self._increments[child]
+
+
+def node_directions(market: MarketModel, leaf_weights):
+    """(mass, xi) of a leaf measure: the subtree mass of every node, summed
+    bottom up, and xi_n = sum over the children c of mass_c dS_c at every
+    non-leaf node n, in tree order.  Expected terminal gains are sum_n H(n)
+    . xi_n, and xi_n / mass_n is the conditional drift.  Raises ValueError
+    unless there is one weight per leaf.
+    """
+    tree = market.tree
+    if len(leaf_weights) != len(tree.leaves):
+        raise ValueError("a measure needs one weight per leaf")
+    mass = dict(zip(tree.leaves, leaf_weights))
+    for i in reversed(tree.nonleaf):  # children carry larger indices
+        mass[i] = sum(mass[c] for c in tree.nodes[i].children)
+    xi = {i: tuple(sum(mass[c] * market.increment(c)[k]
+                       for c in tree.nodes[i].children)
+                   for k in range(market.dim))
+          for i in tree.nonleaf}
+    return mass, xi
 
 
 # ---------------------------------------------------------------------------
@@ -371,46 +396,34 @@ def embed_endowment(market: MarketModel, endowment: dict, measure) -> tuple:
     constraint set gains a pinned unit holding in the new coordinate.
     Returns (augmented market, offset x = -expected payoff).
     """
-    from .convex import AffineFixed, Box, CrossFixed
-    from .scalars import INF, NEG_INF
-    from .treelp import node_direction, subtree_weights
-
     tree = market.tree
-    leaves = tree.leaves
     payoff = _leaf_vector(market, endowment)
     if hasattr(measure, "weights"):
-        weight_list = tuple(measure.weights)
+        weights = tuple(measure.weights)
     elif isinstance(measure, dict):
-        weight_list = _leaf_vector(market, measure)
+        weights = _leaf_vector(market, measure)
     else:
-        weight_list = tuple(measure)
-    weights = dict(zip(leaves, weight_list))
-    measure_exact = all_exact(weight_list)
-
-    if abs(sum(weights.values()) - 1) > (0 if market.exact and measure_exact else 1e-9):
+        weights = tuple(measure)
+    mass, xi = node_directions(market, weights)
+    exact = market.exact and all_exact(weights)
+    tol = 0 if exact else 1e-9
+    if abs(sum(weights) - 1) > tol:
         raise ValueError("the pricing measure must have total mass 1")
-    if any(w <= 0 for w in weights.values()):
+    if any(w <= 0 for w in weights):
         raise ValueError("the pricing measure must be equivalent "
                          "(strictly positive on every leaf)")
-
-    subtree_mass = subtree_weights(market, weight_list)
-    tol = 0 if market.exact and measure_exact else 1e-9
     for i in tree.nonleaf:
-        if any(abs(v) > tol for v in node_direction(market, subtree_mass, i)):
+        if any(abs(v) > tol for v in xi[i]):
             raise ValueError(
                 f"the pricing measure is not a martingale measure for the "
                 f"risky prices (drift at node {tree.nodes[i].node_id!r})")
 
-    synthetic = {}
-    for i in reversed(range(len(tree.nodes))):
-        n = tree.nodes[i]
-        if not n.children:
-            synthetic[i] = payoff[leaves.index(i)]
-        else:
-            synthetic[i] = sum(subtree_mass[c] * synthetic[c]
-                               for c in n.children) / subtree_mass[i]
+    synthetic = dict(zip(tree.leaves, payoff))
+    for i in reversed(tree.nonleaf):
+        synthetic[i] = sum(mass[c] * synthetic[c]
+                           for c in tree.nodes[i].children) / mass[i]
 
-    one = Fraction(1) if market.exact and measure_exact else 1.0
+    one = Fraction(1) if exact else 1.0
     new_constraints = {}
     for i, cset in market.constraints:
         # a plain box only: singletons and pinned sets keep their own type
@@ -427,7 +440,7 @@ def embed_endowment(market: MarketModel, endowment: dict, measure) -> tuple:
                    for i in range(len(tree.nodes)))
     augmented = MarketModel(tree, prices, tuple(new_constraints.items()),
                             market.floor)
-    offset = -sum(weights[i] * payoff[k] for k, i in enumerate(leaves))
+    offset = -sum(w * f for w, f in zip(weights, payoff))
     return augmented, offset
 
 

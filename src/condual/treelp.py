@@ -310,26 +310,3 @@ def tree_lp(market: MarketModel) -> TreeLP:
         object.__setattr__(market, "_tree_lp", lp)
     return lp
 
-
-def subtree_weights(market: MarketModel, leaf_weights):
-    """Mass of each node's subtree under a leaf-indexed measure."""
-    tree = market.tree
-    w = dict(zip(tree.leaves, leaf_weights))
-    mass = {}
-    for i in reversed(range(len(tree.nodes))):
-        n = tree.nodes[i]
-        mass[i] = w[i] if not n.children else sum(mass[c] for c in n.children)
-    return mass
-
-
-def node_direction(market: MarketModel, mass, node):
-    """xi_n: the measure-weighted one-step increment sum at a non-leaf node.
-
-    Expected terminal gains decompose as sum_n H(n) . xi_n, which is what
-    makes every measure-side optimization a per-node affair.
-    """
-    return tuple(
-        sum(mass[c] * (market.prices[c][k] - market.prices[node][k])
-            for c in market.tree.nodes[node].children)
-        for k in range(market.dim)
-    )

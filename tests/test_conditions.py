@@ -2,11 +2,13 @@
 the drift condition, and convex compactness."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from condual import conditions, convex
 from condual.conditions import (
     SupermartingaleCertificate,
     certificate_inequality_residual,
@@ -18,7 +20,8 @@ from condual.conditions import (
 )
 from condual.convex import Cone, ProjectionMatrix
 from condual.dual import measure_from_weights
-from condual.market import PortfolioProcess, build_market, is_admissible
+from condual.market import PortfolioProcess, build_market, is_admissible, \
+    parse_market_file
 from condual.randomgen import random_tree_spec
 
 from conftest import binomial_spec, drift_spec, float_copy
@@ -92,6 +95,18 @@ def test_projected_closedness_polyhedral(b1, d1):
         report = check_projected_closedness(market)
         assert report
         assert all(v == "true" for v, _ in report.verdicts.values())
+
+
+def test_projected_closedness_builds_no_projection(b1, d1, monkeypatch):
+    # both closedness criteria read the set alone: the projection onto the
+    # increments' span is never needed
+    def refuse(increments):
+        raise AssertionError("a projection was built")
+    for module in (convex, conditions):
+        monkeypatch.setattr(module, "predictable_range_projection", refuse,
+                            raising=False)
+    for market in (b1, d1):
+        assert check_projected_closedness(market)
 
 
 def test_projected_closedness_ball():
@@ -176,6 +191,34 @@ def test_certificate_soundness_random_portfolios(fixture, request):
     for H in sample_admissible(market, rng, 100):
         residual = certificate_inequality_residual(market, cert, H)
         assert float(residual) <= 1e-10
+
+
+def test_certificate_of_random24_matches_its_record():
+    # random24's zero portfolio is not admissible, and no equivalent
+    # martingale measure exists, so the certificate comes from stage (ii):
+    # the reference measure, the per-node support argmax as reference and
+    # the support-value compensator.  Every field, recorded exactly
+    market = parse_market_file(os.path.join(
+        os.path.dirname(__file__), "fixtures", "random24.json"))
+    cert = check_supermartingale_condition(market)
+    assert (cert.certified, cert.stage) == (True, "reference-compensator")
+    assert cert.measure.weights == (
+        F(1, 108), F(1, 54), F(1, 36), F(1, 9), F(1, 9), F(2, 27), F(1, 27),
+        F(1, 9), F(9, 160), F(3, 32), F(3, 80), F(5, 52), F(3, 26), F(1, 26),
+        F(1, 32), F(1, 32))
+    assert cert.measure.weights == market.tree.leaf_probabilities()
+    assert cert.reference.holdings == (
+        (0, (F(-2),)), (1, (F(1, 2),)), (2, (F(4, 3),)), (3, (F(0),)),
+        (4, (F(-1, 2),)), (5, (F(-1),)), (6, (F(-4),)), (7, (F(3, 2),)),
+        (8, (F(-2, 3),)))
+    assert cert.compensator == {f"n{i}": 0 for i in range(9)}
+    assert cert.drifts == {
+        "n0": (F(-4, 3),), "n1": (F(8, 9),), "n2": (F(1, 24),),
+        "n3": (F(-1, 12),), "n4": (F(1, 6),), "n5": (F(-2, 9),),
+        "n6": (F(-3, 20),), "n7": (F(7, 26),), "n8": (F(0),)}
+    assert (cert.failure_node, cert.failure_direction, cert.notes) \
+        == (None, None, [])
+    assert cert.total_compensator == 0
 
 
 def test_certificate_not_certified_reports_witness(arbitrage_market):

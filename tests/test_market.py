@@ -15,10 +15,11 @@ from condual.market import (
     embed_endowment,
     is_admissible,
     market_to_json,
+    parse_market_file,
     validate_market,
     wealth_process,
 )
-from condual.randomgen import random_tree_spec
+from condual.randomgen import random_market, random_tree_spec
 from condual.scalars import SchemaError
 
 from conftest import binomial_spec, deterministic_spec, float_copy, two_period_spec
@@ -71,6 +72,16 @@ def test_build_rejects_empty_constraint():
     spec = binomial_spec({"type": "box", "lower": [1], "upper": [0]})
     with pytest.raises(SchemaError):
         build_market(spec)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_increments_are_built_once_per_market(seed):
+    market = random_market(random.Random(seed), dim=1 + seed % 2)
+    for n in market.tree.nodes[1:]:
+        increment = market.increment(n.index)
+        assert market.increment(n.index) is increment
+        assert increment == tuple(c - p for c, p in zip(
+            market.prices[n.index], market.prices[n.parent]))
 
 
 def test_wealth_forced_arithmetic(b1):
@@ -197,6 +208,21 @@ def test_embed_requires_martingale_measure(b1):
 def test_embed_requires_equivalence(b1):
     with pytest.raises(ValueError):
         embed_endowment(b1, {"up": F(1), "down": F(0)}, (F(1), F(0)))
+
+
+def test_embed_refuses_a_measure_of_the_wrong_length():
+    # a short measure used to escape as a KeyError from inside the subtree
+    # pass; a long one was cut to the leaf count, so that the trailing 0
+    # went unseen by the equivalence check
+    market = random_market(random.Random(0))
+    payoff = {market.tree.nodes[i].node_id: F(1) for i in market.tree.leaves}
+    assert len(market.tree.leaves) == 8
+    with pytest.raises(ValueError, match="one weight per leaf"):
+        embed_endowment(market, payoff, (F(1, 7),) * 7)
+    b1 = parse_market_file(os.path.join(FIXTURES, "b1.json"))
+    with pytest.raises(ValueError, match="one weight per leaf"):
+        embed_endowment(b1, {"up": F(1), "down": F(0)},
+                        (F(1, 3), F(2, 3), F(0)))
 
 
 def test_embed_zero_endowment_zero_prices(b1):

@@ -3,11 +3,13 @@
 import glob
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from condual.market import build_market, parse_market_file, wealth_process
+from condual.market import (build_market, node_directions, parse_market_file,
+                            wealth_process)
 from condual.randomgen import random_admissible_portfolio, random_market
 from condual.treelp import tree_lp
 
@@ -132,3 +134,23 @@ def test_stacked_projection_matches_per_node(exact):
         expected = np.concatenate([cset.project(h[o:o + d]) for o, cset in sets])
         out = lp.project(h)
         assert out.dtype == float and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_node_directions_are_blocks_of_the_transposed_gain_rows(seed):
+    # expected terminal gains are sum_n H(n) . xi_n, so xi_n is node n's
+    # block of L^T q: the dense product checks the per-node pass exactly
+    rng = random.Random(5000 + seed)
+    market = random_market(rng, dim=1 + seed % 2)
+    raw = [rng.randint(1, 9) for _ in market.tree.leaves]
+    q = [Fraction(r, sum(raw)) for r in raw]
+    lp = tree_lp(market)
+    dense = lp.rows(True)[2].T @ np.asarray(q, dtype=object)
+    mass, xi = node_directions(market, q)
+    assert list(xi) == list(market.tree.nonleaf)
+    for i in market.tree.nonleaf:
+        assert xi[i] == tuple(dense[lp.offsets[i]:lp.offsets[i] + lp.dim])
+    for n in market.tree.nodes:
+        assert mass[n.index] == sum(
+            w for leaf, w in zip(market.tree.leaves, q)
+            if n.index in market.tree.path_to_leaf(leaf))
