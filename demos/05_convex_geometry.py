@@ -1,8 +1,8 @@
 """The convex-set toolbox under the solvers.
 
 Support functions, recession and polar cones, the projection onto the span
-of price increments, and minimal-norm solves; everything exact on rational
-inputs.
+of price increments, and the closedness of a set's projected image;
+everything exact on rational inputs.
 """
 
 from fractions import Fraction
@@ -10,7 +10,6 @@ from fractions import Fraction
 from condual import (
     Box,
     Polyhedron,
-    min_norm_solution,
     polar_cone,
     predictable_range_projection,
     projected_set_closed,
@@ -45,14 +44,8 @@ def main():
         print(f"  {row}")
     print(f"rank {P.rank}; holdings (3,1) and (5,0) differ by a null direction:")
     print(f"  projected difference = {P.apply((F(-2), F(1)))}")
-    verdict, reason = projected_set_closed(P, wedge)
+    verdict, reason = projected_set_closed(wedge)
     print(f"projected wedge closed? {verdict} ({reason})")
-
-    print("\n== minimal-norm solves ==")
-    print(f"one equation x + y = 2, least-norm answer: "
-          f"{min_norm_solution([[F(1), F(1)]], [F(2)])}")
-    print(f"rank-deficient diagonal, target (3, 0): "
-          f"{min_norm_solution([[F(1), F(0)], [F(0), F(0)]], [F(3), F(0)])}")
 
 
 if __name__ == "__main__":

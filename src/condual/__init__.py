@@ -25,7 +25,6 @@ from .convex import (
     ProjectionMatrix,
     Singleton,
     contains,
-    min_norm_solution,
     polar_cone,
     predictable_range_projection,
     projected_set_closed,
@@ -36,7 +35,6 @@ from .convex import (
 )
 from .conditions import (
     check_convex_compactness,
-    check_drift_condition,
     check_nonempty,
     check_projected_closedness,
     check_supermartingale_condition,
@@ -73,7 +71,6 @@ from .primal import (
 from .properties import run_property_suite
 from .scalars import INF, NEG_INF, SchemaError
 from .utility import (
-    ConjugateFunction,
     LogUtility,
     PiecewiseLinearUtility,
     PowerUtility,

@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .convex import Cone, ProjectionMatrix, min_norm_solution, \
-    projected_set_closed
+from .convex import Cone, projected_set_closed
 from .dual import face_supports, measure_from_weights
 from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible, \
     node_directions
 from .primal import find_free_lunch_direction
-from .scalars import INF, all_exact, gauss_jordan
+from .scalars import INF, all_exact
 from .treelp import MARGIN_TOL, tree_lp
 
 
@@ -52,7 +51,9 @@ class NonemptyReport:
 
 def check_nonempty(market: MarketModel) -> NonemptyReport:
     """Select one point per constraint set; fall back to a phase-1 LP when a
-    floor couples the nodes."""
+    floor couples the nodes.  That LP needs every set's halfspace form:
+    when the centers break the floor and some set has none, it raises
+    NotImplementedError rather than report an empty class."""
     holdings = {i: market.constraint(i).center() for i in market.tree.nonleaf}
     witness = PortfolioProcess(holdings)
     if is_admissible(market, witness):
@@ -60,8 +61,7 @@ def check_nonempty(market: MarketModel) -> NonemptyReport:
     if market.floor is None:  # centers are in their sets by construction
         return NonemptyReport(False, None)  # pragma: no cover
     lp = tree_lp(market)
-    if not lp.polyhedral:
-        return NonemptyReport(False, None)
+    lp.require_polyhedral()
     A, b = lp.rows(market.exact)[:2]
     res = solve_lp([0] * lp.n_h, A_ub=A, b_ub=b, exact=market.exact)
     if res.status != OPTIMAL:
@@ -87,7 +87,7 @@ def check_projected_closedness(market: MarketModel) -> ClosednessReport:
     price increments closed?  The criteria of :func:`projected_set_closed`
     read the set alone, so no projection is built."""
     verdicts = {market.tree.nodes[i].node_id:
-                projected_set_closed(None, cset)
+                projected_set_closed(cset)
                 for i, cset in market.constraints}
     overall = "true" if all(v == "true" for v, _ in verdicts.values()) else "unknown"
     return ClosednessReport(verdicts, overall)
@@ -289,7 +289,6 @@ def _escaping_ray(cone: Cone, beta, exact):
 def certificate_inequality_residual(market, cert, portfolio):
     """max over nodes of E_Q[(H - H_hat) . dS | node] - dA(node); a valid
     certificate keeps this at or below zero for every admissible H."""
-    weights = cert.measure.weights
     worst = None
     for i in market.tree.nonleaf:
         nid = market.tree.nodes[i].node_id
@@ -299,99 +298,6 @@ def certificate_inequality_residual(market, cert, portfolio):
         resid = lhs - cert.compensator[nid]
         worst = resid if worst is None else max(worst, resid)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# the drift condition at a single node
-
-
-@dataclass
-class DriftResult:
-    feasible: bool
-    mu_hat: tuple | None = None
-    nu: tuple | None = None
-    beta: tuple | None = None
-
-    def __bool__(self):
-        return self.feasible
-
-
-def check_drift_condition(span, drift, barrier: Cone) -> DriftResult:
-    """Does the span of the volatility directions meet drift - barrier-cone?
-
-    `span` is either a ProjectionMatrix or a list of spanning vectors; on
-    success the returned mu_hat lies in the span, nu is the minimal-norm
-    coordinate vector with basis @ nu = mu_hat, and beta = drift - mu_hat
-    lies in the barrier cone (exactly so for rational inputs).
-    """
-    if isinstance(span, ProjectionMatrix):
-        basis = _projection_basis(span)
-    else:
-        basis = [tuple(v) for v in span]
-    basis = [b for b in basis if any(v != 0 for v in b)]
-    d = len(drift)
-    exact = all_exact([v for vec in basis for v in vec]) and all_exact(drift) \
-        and barrier.exact
-    k = len(basis)
-    if k == 0:
-        # trivial span: the condition reduces to drift in the barrier cone
-        if barrier.contains(drift, tol=0 if exact else 1e-9):
-            zero = tuple(0 * v for v in drift)
-            return DriftResult(True, zero, (), tuple(drift))
-        return DriftResult(False)
-    barrier_h = barrier if barrier.rep == "halfspace" else None
-
-    if barrier_h is not None:
-        # variables nu (k): mu_hat = sum nu_i basis_i; G (drift - mu_hat) <= 0
-        A_ub, b_ub = [], []
-        for row in barrier_h.rows:
-            coeff = [-sum(row[j] * basis[i][j] for j in range(d)) for i in range(k)]
-            A_ub.append(coeff)
-            b_ub.append(-sum(r * m for r, m in zip(row, drift)))
-        res = solve_lp([0] * k, A_ub=A_ub or None, b_ub=b_ub or None, exact=exact)
-        if res.status != OPTIMAL:
-            return DriftResult(False)
-        nu0 = res.x
-    else:
-        # generator barrier: drift - basis^T nu = sum lambda_i g_i, lambda >= 0
-        gens = [list(r) for r in barrier.rows]
-        m = len(gens)
-        A_eq = []
-        b_eq = list(drift)
-        for j in range(d):
-            row = [basis[i][j] for i in range(k)] + [gens[g][j] for g in range(m)]
-            A_eq.append(row)
-        res = solve_lp([0] * (k + m), A_eq=A_eq, b_eq=b_eq, exact=exact,
-                       nonneg=range(k, k + m))
-        if res.status != OPTIMAL:
-            return DriftResult(False)
-        nu0 = res.x[:k]
-
-    mu_hat = tuple(sum(basis[i][j] * nu0[i] for i in range(k)) for j in range(d))
-    matrix = [[basis[i][j] for i in range(k)] for j in range(d)]
-    nu = min_norm_solution(matrix, mu_hat)
-    beta = tuple(m - h for m, h in zip(drift, mu_hat))
-    if not barrier.contains(beta, tol=0 if exact else 1e-9):
-        return DriftResult(False)  # pragma: no cover - LP guarantees this
-    return DriftResult(True, mu_hat, tuple(nu), beta)
-
-
-def _projection_basis(projection: ProjectionMatrix):
-    """A basis of the range of the projection: exactly, the columns of the
-    matrix that no earlier columns span (the pivot columns of
-    :func:`gauss_jordan`), as Fractions; in floats, the leading left
-    singular vectors."""
-    cols = [tuple(row[j] for row in projection.matrix)
-            for j in range(projection.dim)]
-    if projection.exact:
-        _, pivots = gauss_jordan(projection.matrix)
-        return [tuple(Fraction(v) for v in cols[j]) for j in pivots]
-    import numpy as np
-
-    arr = np.asarray([[float(v) for v in c] for c in cols]).T
-    u, s, _ = np.linalg.svd(arr)
-    rank = int((s > 1e-10 * max(1.0, s[0])).sum())
-    return [tuple(float(v) for v in u[:, i]) for i in range(rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +315,14 @@ class ConvexCompactnessResult:
         return self.verdict == "true"
 
 
-def check_convex_compactness(market: MarketModel, x=0) -> ConvexCompactnessResult:
+def check_convex_compactness(market: MarketModel) -> ConvexCompactnessResult:
     """Bounded + closed attainable-claim set, finite-tree style.
 
     Boundedness fails exactly when some admissible recession direction has
     nonnegative terminal gains on every leaf and positive somewhere (the
     free-lunch LP); closedness comes from the projected-constraint check.
-    The initial wealth x shifts the set without changing either property;
-    it is accepted for interface fidelity.
+    The initial wealth shifts the set without changing either property, so
+    it is not an argument.
     """
     direction = find_free_lunch_direction(market)
     closedness = check_projected_closedness(market)

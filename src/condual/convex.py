@@ -893,51 +893,20 @@ def predictable_range_projection(increments) -> ProjectionMatrix:
     return ProjectionMatrix(tuple(tuple(float(v) for v in row) for row in P))
 
 
-def projected_set_closed(projection: ProjectionMatrix, convex_set: ConvexSet):
-    """Is the image of the set under the projection closed?
+def projected_set_closed(convex_set: ConvexSet):
+    """Is the image of the set under every linear map (its node's projection
+    among them) closed?
 
     Returns (verdict, reason) with verdict in {"true", "unknown"}; "unknown"
     is reserved for variants with no applicable sufficient criterion, never a
     wrong "true".  Both criteria (a polyhedron, a compact set) hold for the
-    image under every linear map, so the verdict reads the set alone and
-    the projection is never used.
+    image under every linear map, so the verdict reads the set alone.
     """
     if convex_set.halfspaces() is not None:
         return "true", "linear image of a polyhedron is a polyhedron"
     if convex_set.is_bounded():
         return "true", "continuous image of a compact set is compact"
     return "unknown", "no sufficient closedness criterion applies"
-
-
-# ---------------------------------------------------------------------------
-# minimal-norm solves
-
-
-def min_norm_solution(M, target):
-    """Least-squares solution of M x = target with minimal Euclidean norm.
-
-    Rational inputs give the exact pseudoinverse solution from a rank
-    factorization: the nonzero reduced rows R of M (:func:`gauss_jordan`)
-    span its row space, so the solution is R^T z, with z the least-squares
-    solution of (M R^T) z = target, found from its normal equations.  Float
-    inputs go through numpy's lstsq.
-    """
-    M = [list(r) for r in M]
-    target = list(target)
-    if M and all_exact([v for r in M for v in r]) and all_exact(target):
-        a, pivots = gauss_jordan(M)
-        R = a[:len(pivots)]
-        if not R:
-            return tuple(Fraction(0) for _ in M[0])
-        K = [[_dot(row, r) for r in R] for row in M]
-        z = solve_exact([[_dot(u, v) for v in zip(*K)] + [_dot(u, target)]
-                         for u in zip(*K)], len(R))
-        return tuple(sum(r[j] * v for r, (v,) in zip(R, z))
-                     for j in range(len(M[0])))
-    arr = np.asarray([[float(v) for v in r] for r in M], dtype=float)
-    t = np.asarray([float(v) for v in target], dtype=float)
-    sol, *_ = np.linalg.lstsq(arr, t, rcond=None)
-    return tuple(float(v) for v in sol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .conditions import (
     check_projected_closedness,
     check_supermartingale_condition,
 )
-from .convex import Cone, min_norm_solution, polar_cone, \
-    predictable_range_projection, recession_cone, support_function
+from .convex import Cone, polar_cone, predictable_range_projection, \
+    recession_cone, support_function
 from .dual import dual_objective, min_support, superhedge_price, support_alpha
 from .market import wealth_process
 from .primal import solve_primal
@@ -184,21 +184,6 @@ def _projection_props(rng, cases):
         assert np.allclose(P @ P, P, atol=1e-10), "projection not idempotent"
         assert np.allclose(P, P.T, atol=1e-10), "projection not symmetric"
     return "within 1e-10"
-
-
-@_property("min-norm-minimality", 40)
-def _min_norm(rng, cases):
-    import numpy as np
-
-    for _ in range(cases):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        M = np.asarray([[rng.gauss(0, 1) for _ in range(n)] for _ in range(m)])
-        v = np.asarray([rng.gauss(0, 1) for _ in range(n)])
-        x = np.asarray(min_norm_solution(M.tolist(), (M @ v).tolist()))
-        assert np.linalg.norm(x) <= np.linalg.norm(v) + 1e-9, \
-            "solution is not norm-minimal"
-        assert np.allclose(M @ x, M @ v, atol=1e-8), "residual too large"
-    return "norm-minimal consistent solves"
 
 
 @_property("superhedge-lp-duality", 15)

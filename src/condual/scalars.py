@@ -12,10 +12,10 @@ The only nonstandard convention is ``0 * inf == 0``, which enters exactly
 once, in the positive-homogeneity identity for support functions; use
 :func:`scale_extended` for that.
 
-Every exact linear solve of the package (certified LP bases, minimal-norm
-solutions, projections onto the increments' span and the bases of their
-ranges in the drift condition) runs the one fraction-free elimination
-:func:`gauss_jordan` on rows made integer by :func:`integer_row`.
+Every exact linear solve of the package (certified LP bases and
+projections onto the increments' span) runs the one fraction-free
+elimination :func:`gauss_jordan` on rows made integer by
+:func:`integer_row`.
 """
 
 from __future__ import annotations

@@ -351,34 +351,6 @@ def _segment_slopes(grid, values):
             in zip(zip(grid, grid[1:]), zip(values, values[1:]))]
 
 
-class ConjugateFunction:
-    """Callable view of a utility's convex conjugate V, with memoization.
-
-    V(y) = sup_x (U(x) - x y); V(0) is the right limit (sup U).  Evaluations
-    are cached per instance, so sharing one view across threads is safe in
-    the usual CPython sense but separate instances are cheaper than locks.
-    """
-
-    def __init__(self, utility: UtilityFunction):
-        self.utility = utility
-        self.closed_form = utility.smooth  # power/log have analytic V
-        self._cache = {}
-
-    def __call__(self, y):
-        key = float(y)
-        if key not in self._cache:
-            self._cache[key] = conjugate(self.utility, y)
-        return self._cache[key]
-
-    def marginal(self, y):
-        """(left, right) derivative of V at y > 0."""
-        return conjugate_marginal(self.utility, y)
-
-    def inverse_marginal(self, y):
-        """-V'(y), the wealth with marginal utility y (smooth families)."""
-        return inverse_marginal(self.utility, y)
-
-
 # ---------------------------------------------------------------------------
 # functional wrappers
 

@@ -101,6 +101,27 @@ def two_asset_spec(constraint):
     }
 
 
+def ball_floor_spec():
+    """One period, two assets: S0 = (1, 1) moves to (2, 3/2) or (1/2, 3/4),
+    w.p. 1/2 each, under floor 0.  The ball of center (5, 0) and radius 5
+    holds the admissible zero portfolio, but its center loses 5/2 on the
+    down move, and the ball has no halfspace form."""
+    return {
+        "horizon": 1,
+        "dimension": 2,
+        "nodes": [
+            {"id": "root", "time": 0, "parent": None, "prob": 1,
+             "prices": [1, 1]},
+            {"id": "up", "time": 1, "parent": "root", "prob": "1/2",
+             "prices": [2, "3/2"]},
+            {"id": "down", "time": 1, "parent": "root", "prob": "1/2",
+             "prices": ["1/2", "3/4"]},
+        ],
+        "constraints": {"root": {"type": "ball", "center": [5, 0], "radius": 5}},
+        "floor": 0,
+    }
+
+
 def two_period_spec(constraint=None):
     """Recombining-free two-period binary tree with rational data."""
     constraint = constraint or {"type": "box", "lower": [-2], "upper": [2]}

@@ -12,7 +12,8 @@ from condual.cli import main
 from condual.market import build_market, market_to_json, parse_market_file
 from condual.reporting import emit_report
 
-from conftest import binomial_spec, drifted_binomial_spec, two_asset_spec
+from conftest import ball_floor_spec, binomial_spec, drifted_binomial_spec, \
+    two_asset_spec
 from helpers import subprocess_env
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -181,9 +182,9 @@ def test_check_conditions_checks_closedness_once(capsys, monkeypatch, name):
 
     real, checked = conditions.projected_set_closed, []
 
-    def counted(projection, cset):
+    def counted(cset):
         checked.append(cset)
-        return real(projection, cset)
+        return real(cset)
 
     monkeypatch.setattr(conditions, "projected_set_closed", counted)
     tree = parse_market_file(fixture(name)).tree
@@ -289,6 +290,18 @@ def test_lp_commands_on_ball_market_are_input_errors(capsys, tmp_path):
         assert err.startswith("error: ") and "halfspace" in err
     code, doc, _ = run_json(capsys, "check-conditions", "--market", str(path))
     assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_check_conditions_on_floor_ball_market_is_input_error(capsys, tmp_path):
+    # the ball's center breaks the floor, and nonemptiness then needs the
+    # phase-1 LP, which a ball in dimension two cannot enter
+    path = tmp_path / "ball_floor.json"
+    path.write_text(json.dumps(ball_floor_spec()))
+    code, out, err = run_cli(capsys, "check-conditions", "--market", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "halfspace" in err
+    assert err.count("\n") == 1
 
 
 def test_piecewise_primal_on_ball_market_is_input_error(capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Certificates: nonemptiness, closedness, the supermartingale triple,
-the drift condition, and convex compactness."""
+and convex compactness."""
 
-import math
 import os
 import random
 from fractions import Fraction
@@ -13,18 +12,16 @@ from condual.conditions import (
     SupermartingaleCertificate,
     certificate_inequality_residual,
     check_convex_compactness,
-    check_drift_condition,
     check_nonempty,
     check_projected_closedness,
     check_supermartingale_condition,
 )
-from condual.convex import Cone, ProjectionMatrix
 from condual.dual import measure_from_weights
 from condual.market import PortfolioProcess, build_market, is_admissible, \
     parse_market_file
 from condual.randomgen import random_tree_spec
 
-from conftest import binomial_spec, drift_spec, float_copy
+from conftest import ball_floor_spec, binomial_spec, drift_spec, float_copy
 
 F = Fraction
 
@@ -88,6 +85,18 @@ def test_nonempty_floor_lp(floor, witness):
     else:
         assert report.witness[0] == witness
         assert is_admissible(market, report.witness)
+
+
+def test_nonempty_floor_lp_needs_halfspaces():
+    # the ball's center breaks the floor, so only the phase-1 LP could
+    # decide, and the ball has no rows for it: an error, not "empty" (the
+    # zero portfolio is admissible)
+    market = build_market(ball_floor_spec())
+    assert is_admissible(market, PortfolioProcess({0: (0, 0)}))
+    assert not is_admissible(
+        market, PortfolioProcess({0: market.constraint(0).center()}))
+    with pytest.raises(NotImplementedError, match="halfspace"):
+        check_nonempty(market)
 
 
 def test_projected_closedness_polyhedral(b1, d1):
@@ -250,70 +259,6 @@ def test_certificate_cone_scaling(drift_market):
         scaled._market = market
         for H in portfolios:
             assert float(certificate_inequality_residual(market, scaled, H)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# the drift condition
-
-
-def test_drift_full_span():
-    res = check_drift_condition([(F(1),)], (F(1),), Cone.zero(1))
-    assert res
-    assert res.mu_hat == (1,) and res.nu == (1,) and res.beta == (0,)
-
-
-def test_drift_zero_span_trivial_barrier():
-    res = check_drift_condition([], (F(1),), Cone.zero(1))
-    assert not res
-
-
-def test_drift_zero_span_full_barrier():
-    res = check_drift_condition([], (F(1),), Cone.full(1))
-    assert res
-    assert res.mu_hat == (0,) and res.beta == (1,)
-
-
-def test_drift_projection_input():
-    proj = ProjectionMatrix(((F(1), F(0)), (F(0), F(0))))
-    barrier = Cone(2, "halfspace", ((F(0), F(1)), (F(0), F(-1))))  # x-axis
-    res = check_drift_condition(proj, (F(2), F(0)), barrier)
-    assert res
-    assert res.beta[1] == 0
-
-
-def test_drift_generator_barrier():
-    barrier = Cone(1, "generator", ((F(1),),))  # nonnegative half-line
-    res = check_drift_condition([], (F(3),), barrier)
-    assert res and res.beta == (3,)
-    res = check_drift_condition([], (F(-3),), barrier)
-    assert not res
-
-
-def test_drift_generator_barrier_float_projection():
-    # a float projection onto span{(1, 1)} takes its basis from the SVD; the
-    # barrier cone{(1, 0)} is given by its generator, so the drift splits
-    # by the equality-row LP: (3, 1) = (1, 1) + (2, 0)
-    proj = ProjectionMatrix(((0.5, 0.5), (0.5, 0.5)))
-    barrier = Cone(2, "generator", ((1.0, 0.0),))
-    res = check_drift_condition(proj, (3.0, 1.0), barrier)
-    assert res
-    assert res.mu_hat == pytest.approx((1.0, 1.0), abs=1e-9)
-    assert res.beta == pytest.approx((2.0, 0.0), abs=1e-9)
-    assert abs(res.nu[0]) == pytest.approx(math.sqrt(2), abs=1e-9)
-    # (1, 3) would need the barrier's negative direction
-    assert not check_drift_condition(proj, (1.0, 3.0), barrier)
-
-
-def test_drift_memberships_exact_rational():
-    basis = [(F(1), F(2))]
-    barrier = Cone(2, "halfspace", ((F(-1), F(0)), (F(0), F(-1))))
-    drift = (F(3), F(4))
-    res = check_drift_condition(basis, drift, barrier)
-    if res:
-        assert all(isinstance(v, F) or v == int(v) for v in res.mu_hat)
-        assert barrier.contains(res.beta, tol=0)
-        span_check = res.mu_hat[0] * basis[0][1] == res.mu_hat[1] * basis[0][0]
-        assert span_check
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Convex-set primitives: support functions, cones, projections, pinv."""
+"""Convex-set primitives: support functions, cones, projections."""
 
 import json
 import math
@@ -21,7 +21,6 @@ from condual.convex import (
     Singleton,
     _project_onto_halfspaces,
     contains,
-    min_norm_solution,
     polar_cone,
     predictable_range_projection,
     projected_set_closed,
@@ -256,10 +255,9 @@ def test_projection_identifies_equivalent_portfolios():
 
 
 def test_closedness_polyhedron_and_ball():
-    P = predictable_range_projection([(1.0, 0.0)])
-    verdict, _ = projected_set_closed(P, Polyhedron(((F(1), F(1)),), (F(1),)))
+    verdict, _ = projected_set_closed(Polyhedron(((F(1), F(1)),), (F(1),)))
     assert verdict == "true"
-    verdict, _ = projected_set_closed(P, Ball((0.0, 0.0), 1.0))
+    verdict, _ = projected_set_closed(Ball((0.0, 0.0), 1.0))
     assert verdict == "true"
 
 
@@ -273,43 +271,8 @@ def test_closedness_unknown_for_exotic_variant():
         def is_bounded(self):
             return None
 
-    P = predictable_range_projection([(1.0, 0.0)])
-    verdict, _ = projected_set_closed(P, Exotic())
+    verdict, _ = projected_set_closed(Exotic())
     assert verdict == "unknown"
-
-
-# ---------------------------------------------------------------------------
-# minimal-norm solutions
-
-
-def test_min_norm_diagonal():
-    assert min_norm_solution([[F(1), F(0)], [F(0), F(0)]], [F(3), F(0)]) == (3, 0)
-
-
-def test_min_norm_underdetermined():
-    assert min_norm_solution([[F(1), F(1)]], [F(2)]) == (1, 1)
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_min_norm_against_svd_oracle(seed):
-    rng = np.random.default_rng(seed)
-    M = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
-    t = rng.normal(size=M.shape[0])
-    got = np.asarray(min_norm_solution(M.tolist(), t.tolist()))
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
-    s_inv = np.where(s > 1e-12, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    oracle = vt.T @ (s_inv * (u.T @ t))
-    assert np.allclose(got, oracle, atol=1e-9)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_min_norm_minimality(seed):
-    rng = np.random.default_rng(100 + seed)
-    M = rng.normal(size=(3, 4))
-    v = rng.normal(size=4)
-    x = np.asarray(min_norm_solution(M.tolist(), (M @ v).tolist()))
-    assert np.linalg.norm(x) <= np.linalg.norm(v) + 1e-9
-    assert np.allclose(M @ x, M @ v, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

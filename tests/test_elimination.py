@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import sympy
 
-from condual.conditions import _projection_basis
-from condual.convex import min_norm_solution, predictable_range_projection
+from condual.convex import predictable_range_projection
 from condual.scalars import gauss_jordan, integer_row, solve_exact
 
 F = Fraction
@@ -105,16 +104,6 @@ def test_inverse_matches_sympy():
         assert all(isinstance(v, Fraction) for row in inverse for v in row)
 
 
-def test_min_norm_solution_matches_pinv():
-    rng = random.Random(7)
-    for M in MATRICES:
-        for target in ([_entry(rng) for _ in M], [0] * len(M)):
-            x = min_norm_solution(M, target)
-            expected = _sym(M).pinv() * _sym([[v] for v in target])
-            assert x == tuple(_frac(v) for v in expected), (M, target)
-            assert all(isinstance(v, Fraction) for v in x)
-
-
 def test_projection_and_basis_match_sympy():
     # the increments are the rows of M: P projects onto their span
     for M in MATRICES:
@@ -123,10 +112,6 @@ def test_projection_and_basis_match_sympy():
         assert P.matrix == tuple(tuple(_frac(v) for v in row)
                                  for row in (B * B.pinv()).tolist()), M
         assert all(isinstance(v, Fraction) for row in P.matrix for v in row)
-        # the basis of its range: the columns no earlier column spans
-        pivots = _sym(P.matrix).rref()[1]
-        assert _projection_basis(P) == [
-            tuple(P.matrix[i][j] for i in range(P.dim)) for j in pivots], M
 
 
 def test_integer_row_scales_by_the_least_common_multiple():

@@ -345,13 +345,3 @@ def test_piecewise_without_finite_piece_is_rejected():
     steep = PiecewiseLinearUtility((0.0, 1.0), (math.inf, 1.0))
     assert steep(0.5) == -math.inf and steep(2.0) == 1.0
 
-
-def test_conjugate_view_caches_and_delegates():
-    from condual.utility import ConjugateFunction
-
-    V = ConjugateFunction(LOG)
-    assert V(1.0) == pytest.approx(-1.0)
-    assert V(1.0) is V(1.0)  # memoized object round trip
-    assert V.marginal(2.0) == (-0.5, -0.5)
-    assert V.inverse_marginal(2.0) == pytest.approx(0.5)
-    assert V.closed_form
