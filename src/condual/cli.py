@@ -27,7 +27,8 @@ from .conditions import (
     check_supermartingale_condition,
 )
 from .dual import solve_dual, superhedge_price
-from .market import embed_endowment, market_to_json, parse_market_file
+from .market import (_read_market_doc, build_market, embed_endowment,
+                     market_to_json, parse_market_file)
 from .primal import solve_primal
 from .properties import run_property_suite
 from .reporting import emit_report
@@ -191,9 +192,8 @@ def _certificate_payload(market, cert):
 
 
 def _cmd_embed_endowment(args):
-    market = parse_market_file(args.market)
-    with open(args.market, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_market_doc(args.market)
+    market = build_market(doc)
     endowment_doc = doc.get("endowment")
     if not isinstance(endowment_doc, dict):
         raise SchemaError("the market file carries no endowment object")

@@ -108,23 +108,12 @@ class SupermartingaleCertificate:
     failure_node: str | None = None
     failure_direction: tuple | None = None
     notes: list = field(default_factory=list)
+    # largest compensator accumulated along a root-to-leaf path, when
+    # certified; derived from compensator
+    total_compensator: object = field(default=None, repr=False)
 
     def __bool__(self):
         return self.certified
-
-    @property
-    def total_compensator(self):
-        """Largest accumulated compensator over root-to-leaf paths."""
-        if not self.certified:
-            return None
-        return max(self._path_sum(leaf) for leaf in self._market.tree.leaves)
-
-    def _path_sum(self, leaf):
-        tree = self._market.tree
-        total = 0
-        for i in tree.path_to_leaf(leaf)[:-1]:
-            total = total + self.compensator[tree.nodes[i].node_id]
-        return total
 
 
 def check_supermartingale_condition(market: MarketModel) -> SupermartingaleCertificate:
@@ -150,7 +139,6 @@ def check_supermartingale_condition(market: MarketModel) -> SupermartingaleCerti
             market, "searched-measure",
             _positive_measure_lp(market, require_zero_drift=False))
     if cert is not None:
-        cert._market = market
         return cert
     failure = _failure_witness(market)
     out = SupermartingaleCertificate(False, failure_node=failure[0],
@@ -158,7 +146,6 @@ def check_supermartingale_condition(market: MarketModel) -> SupermartingaleCerti
     out.notes.append("all three search stages failed; the sufficient "
                      "condition could not be certified (this is not a "
                      "proof of failure)")
-    out._market = market
     return out
 
 
@@ -170,17 +157,10 @@ def _admissible_reference(market, drifts=None):
     if is_admissible(market, zero):
         return zero
     if drifts is not None:
-        holdings = {}
-        for i, cset in market.constraints:
-            _, point = cset.support_argmax(drifts[i])
-            if point is None:
-                holdings = None
-                break
-            holdings[i] = point
-        if holdings is not None:
-            cand = PortfolioProcess(holdings)
-            if is_admissible(market, cand):
-                return cand
+        cand = PortfolioProcess({i: cset.support_argmax(drifts[i])[1]
+                                 for i, cset in market.constraints})
+        if is_admissible(market, cand):
+            return cand
     cand = PortfolioProcess({i: market.constraint(i).center()
                              for i in market.tree.nonleaf})
     return cand if is_admissible(market, cand) else None
@@ -204,6 +184,7 @@ def _try_martingale_measure(market):
         {market.tree.nodes[i].node_id: drift
          for i, drift in _conditional_drifts(market, weights).items()},
         notes=["zero-drift measure found: the compensator vanishes"],
+        total_compensator=zero,
     )
 
 
@@ -226,14 +207,24 @@ def _compensator_certificate(market, stage, weights):
     if reference is None:
         return None
     compensator = {
-        market.tree.nodes[i].node_id:
-            value - sum(h * b for h, b in zip(reference[i], drifts[i]))
+        i: value - sum(h * b for h, b in zip(reference[i], drifts[i]))
         for i, (value, _) in supports.items()}
+    tree = market.tree
     return SupermartingaleCertificate(
         True, stage, measure_from_weights(market, weights), reference,
-        compensator,
-        {market.tree.nodes[i].node_id: beta for i, beta in drifts.items()},
+        {tree.nodes[i].node_id: v for i, v in compensator.items()},
+        {tree.nodes[i].node_id: beta for i, beta in drifts.items()},
+        total_compensator=_largest_path_sum(tree, compensator),
     )
+
+
+def _largest_path_sum(tree, increments):
+    """The largest sum of increments[i] over the non-leaf nodes i of a
+    root-to-leaf path, accumulated down the tree (parents come first)."""
+    total = {tree.root: 0}
+    for n in tree.nodes[1:]:
+        total[n.index] = total[n.parent] + increments[n.parent]
+    return max(total[leaf] for leaf in tree.leaves)
 
 
 def _conditional_drifts(market, weights):

@@ -75,10 +75,6 @@ class DualMeasure:
     def densities(self):
         return tuple(w / p for w, p in zip(self.weights, self.probabilities))
 
-    @property
-    def exact(self):
-        return all_exact(self.weights) and all_exact(self.probabilities)
-
     def scaled(self, lam):
         return DualMeasure(tuple(lam * w for w in self.weights),
                            self.probabilities)
@@ -199,23 +195,12 @@ def _recursive(market):
     return market.floor is None and tree_lp(market).polyhedral
 
 
-def _backward(market, payoff, exact):
-    """backward_induction of the payoff; the zero claim's answer depends on
-    the market alone, so it is solved once per arithmetic and kept."""
-    if any(payoff):
-        return backward_induction(market, payoff, exact)
-    return tree_lp(market).kept(
-        ("zero claim", exact),
-        lambda: backward_induction(market, payoff, exact))
-
-
 def _bound(market):
     """|sup essinf|, the zero claim's |price| (+inf when infinite), from its
-    hedge side alone in the market's arithmetic: its kept backward induction
+    hedge side alone in the market's arithmetic: the kept min_support
     without a floor, the kept TreeLP.sup_essinf with one."""
     if _recursive(market):
-        value = _backward(market, (0,) * len(market.tree.leaves),
-                          market.exact).value
+        value = min_support(market).sup_essinf
     else:
         value = tree_lp(market).sup_essinf(market.exact)[0]
     return abs(value) if value not in (INF, NEG_INF) else INF
@@ -232,9 +217,6 @@ class SuperhedgeResult:
     dual_value: object
     witness: DualMeasure | None
     bound: object  # |price| <= bound + max |payoff|
-
-    def __float__(self):
-        return float(self.price)
 
 
 def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
@@ -270,7 +252,7 @@ def _superhedge(market, payoff, exact):
 
 
 def _superhedge_recursive(market, payoff, exact):
-    back = _backward(market, payoff, exact)
+    back = backward_induction(market, payoff, exact)
     if back.value == NEG_INF:
         return SuperhedgeResult(NEG_INF, None, NEG_INF, None, None)
     witness = measure_from_weights(market, back.weights)
@@ -321,6 +303,11 @@ def dual_objective(market: MarketModel, utility: UtilityFunction, y, weights):
     """E[V(y dQ/dP)] + y alpha(Q) for a mass-one measure Q."""
     weights = _leaf_weights(market, weights)
     ev = _expected_conjugate(market, utility, y, weights)[0]
+    return _plus_penalty(market, y, weights, ev)
+
+
+def _plus_penalty(market, y, weights, ev):
+    """ev + y alpha(Q) at the leaf weights of Q; +inf when either term is."""
     if ev == INF:
         return INF
     a = support_alpha(market, weights)
@@ -409,8 +396,9 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         if q is None:
             q = q0
             hedge = tree_lp(market).sup_essinf(market.exact)[1]
-        value = dual_objective(market, utility, y, tuple(q))
-        lower = _minorant_lower_bound(market, utility, y, q, hedge)
+        ev, z = _expected_conjugate(market, utility, y, q)
+        value = _plus_penalty(market, y, tuple(q), ev)
+        lower = _minorant_lower_bound(market, utility, y, q, hedge, ev, z)
         gap = max(0.0, float(value) - lower) if lower != NEG_INF else INF
     measure = measure_from_weights(market, tuple(float(v) for v in q)).scaled(y)
     attained = math.isfinite(value) \
@@ -539,9 +527,10 @@ def _epigraph_dual(market, utility, y):
     return q / q.sum(), -res.value
 
 
-def _minorant_lower_bound(market, utility, y, q_hat, hedge):
+def _minorant_lower_bound(market, utility, y, q_hat, hedge, ev, z):
     """Lower bound on the dual value via partial linearization at q_hat,
-    closed by weak duality with an admissible hedge.
+    closed by weak duality with an admissible hedge; ``ev, z`` is
+    _expected_conjugate at q_hat.
 
     The conjugate-expectation part of the objective is replaced by its
     first-order minorant at q_hat, with slopes c = y V'(y q_hat/p), while
@@ -552,7 +541,6 @@ def _minorant_lower_bound(market, utility, y, q_hat, hedge):
     A H <= b within HEDGE_TOL; -inf when it does not, when it is None, or
     at a q_hat where V or its slope is infinite.
     """
-    ev, z = _expected_conjugate(market, utility, y, q_hat)
     # the slope may be unbounded at the boundary z = 0
     if ev == INF or (z <= 0).any() or hedge is None:
         return NEG_INF

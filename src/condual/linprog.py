@@ -124,10 +124,6 @@ class LPResult:
     # simplex, in exact mode or where HiGHS left a float LP undecided)
     route: str
 
-    @property
-    def ok(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False, *,
              nonneg=()):

@@ -84,9 +84,11 @@ class PortfolioProcess:
         pairs = tuple(sorted((int(i), tuple(v))
                              for i, v in dict(self.holdings).items()))
         object.__setattr__(self, "holdings", pairs)
+        # kept outside the fields, so equality and hashing ignore it
+        object.__setattr__(self, "_by_node", dict(pairs))
 
     def __getitem__(self, index):
-        return dict(self.holdings)[index]
+        return self._by_node[index]
 
     def as_dict(self):
         return dict(self.holdings)
@@ -108,7 +110,6 @@ class PortfolioProcess:
 
 @dataclass(frozen=True)
 class WealthProcess:
-    initial: object
     values: tuple  # per node index
 
     def leaf_values(self, market: "MarketModel"):
@@ -350,7 +351,7 @@ def wealth_process(market: MarketModel, portfolio: PortfolioProcess, x) -> Wealt
             h = holdings[n.parent]
             ds = market.increment(n.index)
             values[n.index] = values[n.parent] + sum(a * b for a, b in zip(h, ds))
-    return WealthProcess(x, tuple(values))
+    return WealthProcess(tuple(values))
 
 
 @dataclass(frozen=True)
@@ -461,14 +462,19 @@ def _leaf_vector(market: MarketModel, leaf_map: dict):
 
 
 def parse_market_file(path) -> MarketModel:
+    return build_market(_read_market_doc(path))
+
+
+def _read_market_doc(path):
+    """The JSON document of a market file; SchemaError when it cannot be
+    read or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read market file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"market file is not valid JSON: {exc}") from exc
-    return build_market(doc)
 
 
 def market_to_json(market: MarketModel) -> dict:

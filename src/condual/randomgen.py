@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .convex import AffineFixed, Ball, Box, CrossFixed, Polyhedron, Singleton
+from .convex import Box, Polyhedron
 from .market import MarketModel, PortfolioProcess, build_market
 from .scalars import INF, NEG_INF
 
@@ -123,13 +123,8 @@ def random_admissible_portfolio(rng, market, tries=200):
 
 
 def sample_point(rng, cset):
-    """Random member of a constraint set (rational where the set allows)."""
-    if isinstance(cset, Singleton):
-        return cset.point
-    if isinstance(cset, AffineFixed):  # a Box subclass: test it first
-        fixed = dict(cset.fixed)
-        return tuple(fixed.get(i, F(rng.randint(-4, 4), 2))
-                     for i in range(cset.dim))
+    """Random member of a box, a half-line box or a polyhedron, rational
+    where the set is; the center of any other set."""
     if isinstance(cset, Box):
         out = []
         for lo, hi in zip(cset.lower, cset.upper):
@@ -137,16 +132,6 @@ def sample_point(rng, cset):
             hi = F(5) if hi == INF else hi
             out.append(lo + (hi - lo) * F(rng.randint(0, 12), 12))
         return tuple(out)
-    if isinstance(cset, Ball):
-        import math
-
-        direction = [rng.gauss(0, 1) for _ in range(cset.dim)]
-        norm = math.sqrt(sum(d * d for d in direction)) or 1.0
-        r = float(cset.radius) * rng.random()
-        return tuple(float(c) + r * d / norm
-                     for c, d in zip(cset.center_point, direction))
-    if isinstance(cset, CrossFixed):
-        return tuple(sample_point(rng, cset.base)) + cset.fixed_tail
     if isinstance(cset, Polyhedron):
         center = cset.center()
         other = cset.support_argmax(

@@ -9,7 +9,6 @@ JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from .scalars import INF, NEG_INF, number_to_json
@@ -26,8 +25,6 @@ def to_jsonable(value):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if is_dataclass(value):
-        return to_jsonable(asdict(value))
     return str(value)
 
 

@@ -27,8 +27,6 @@ from fractions import Fraction
 INF = math.inf
 NEG_INF = -math.inf
 
-Number = object  # Fraction | int | float; kept loose on purpose
-
 
 class SchemaError(ValueError):
     """Raised when an input document violates the documented schema."""

@@ -45,8 +45,7 @@ and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
 dual's start, the certificate measures), solved once per TreeLP in the
 market's arithmetic.  Such answers of the market alone are kept on the
 TreeLP by :meth:`TreeLP.kept`, as are the free-lunch direction and
-:mod:`condual.dual`'s backward induction of the zero claim and answer of
-``min_support``.
+:mod:`condual.dual`'s answer of ``min_support``.
 """
 
 from __future__ import annotations
@@ -187,15 +186,13 @@ class TreeLP:
     def sup_essinf(self, exact):
         """(sup essinf, hedge): the greatest least leaf gain of an
         admissible portfolio and stacked holdings (a tuple) attaining it,
-        from :meth:`worst_leaf` at shift 0, solved once per arithmetic and
-        kept; (+inf, None) on a free lunch, (-inf, None) when the class is
-        empty.  The hedge serves every shift x, whose optimum is x more."""
-        def solve():
-            res = self.worst_leaf(exact, 0)
-            if res.status == OPTIMAL:
-                return -res.value, tuple(res.x[:self.n_h])
-            return (INF if res.status == UNBOUNDED else NEG_INF), None
-        return self.kept(("sup essinf", exact), solve)
+        read off the kept answer of :meth:`worst_leaf` at shift 0; (+inf,
+        None) on a free lunch, (-inf, None) when the class is empty.  The
+        hedge serves every shift x, whose optimum is x more."""
+        res = self.worst_leaf(exact, 0)
+        if res.status == OPTIMAL:
+            return -res.value, tuple(res.x[:self.n_h])
+        return (INF if res.status == UNBOUNDED else NEG_INF), None
 
     def epigraph(self, lines, edge, x=None, y=None):
         """The float epigraph LP of U(w) = min_k (c_k + s_k w) on w >= edge:

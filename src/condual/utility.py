@@ -41,8 +41,6 @@ class UtilityFunction:
         """U(x) under the extension, on a number or a float array."""
         return _extend(self._u, x, self._u_edge, self.inf_value, NEG_INF)
 
-    value = __call__
-
     def marginal(self, x):
         """(left derivative, right derivative) at x > 0."""
         d = self._du(float(x))
@@ -371,20 +369,6 @@ def marginal(utility: UtilityFunction, x):
     if x <= 0:
         raise ValueError("marginals are defined for x > 0")
     return utility.marginal(x)
-
-
-def conjugate_marginal(utility: UtilityFunction, y):
-    if y <= 0:
-        raise ValueError("conjugate marginals are defined for y > 0")
-    return utility.conjugate_marginal(y)
-
-
-def inverse_marginal(utility: UtilityFunction, y):
-    """-V'(y): the wealth level with marginal utility y (smooth families)."""
-    if not (utility.smooth and utility.strictly_concave):
-        raise ValueError("inverse marginal requires a smooth, strictly "
-                         "concave family")
-    return -utility.conjugate_marginal(y)[0]
 
 
 @dataclass

@@ -23,7 +23,7 @@ from condual.conditions import (
 from condual.convex import Cone, polar_cone, predictable_range_projection, \
     support_function
 from condual.dual import superhedge_price
-from condual.market import build_market, embed_endowment
+from condual.market import embed_endowment
 from condual.primal import brute_force_primal, solve_primal
 from condual.randomgen import random_constraint_doc, random_direction, \
     random_market, random_payoff
@@ -39,7 +39,6 @@ from condual.utility import (
 )
 from condual.verify import verify_conjugacy, verify_primal_dual_link, verify_xbar
 
-from conftest import binomial_spec, deterministic_spec, two_period_spec
 from helpers import subprocess_env
 from test_conditions import sample_admissible
 

@@ -207,6 +207,23 @@ def test_embed_endowment(capsys, tmp_path):
     assert augmented.dim == 2
 
 
+def test_embed_endowment_reads_the_market_file_once(capsys, monkeypatch):
+    loads, load = [], json.load
+    monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name)
+                        or load(fh))
+    code, _, _ = run_json(capsys, "embed-endowment",
+                          "--market", fixture("b1_endowment.json"),
+                          "--measure", '{"up": "1/3", "down": "2/3"}')
+    assert code == 0 and loads == [fixture("b1_endowment.json")]
+    # the refusals of parse_market_file: a missing file, and this one
+    for market in ("does-not-exist.json", __file__):
+        code, out, err = run_cli(capsys, "embed-endowment", "--market",
+                                 market, "--measure", '{"up": 1}')
+        assert code == 2 and out == ""
+        assert err.startswith(("error: cannot read market file",
+                               "error: market file is not valid JSON"))
+
+
 def test_embed_endowment_bad_measure_is_input_error(capsys):
     code, _, err = run_json(capsys, "embed-endowment",
                             "--market", fixture("b1_endowment.json"),
@@ -244,6 +261,24 @@ def test_payoff_or_measure_not_a_json_object_is_input_error(capsys, argv):
                              flag, value)
     assert code == 2
     assert "JSON object" in err and not out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("solve-dual", "--utility", "log"), "needs --y"),
+    (("verify-duality", "--utility", "log", "--x-grid", "1"),
+     "needs --x-grid and --y-grid"),
+    (("verify-link", "--utility", "log"), "needs --x"),
+    (("superhedge", "--payoff", '{"up": 1}'), "payoff missing leaves"),
+    (("verify-duality", "--utility", "log", "--x-grid", "1,two",
+      "--y-grid", "1"), "bad grid"),
+    (("superhedge", "--payoff", "{up: 1}"), "payoff flag is not valid JSON"),
+], ids=["dual-without-y", "duality-without-grids", "link-without-x",
+        "payoff-missing-leaf", "malformed-grid", "payoff-not-json"])
+def test_refused_flags_are_input_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--market", fixture("b1.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_properties_subcommand(capsys):

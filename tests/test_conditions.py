@@ -16,7 +16,6 @@ from condual.conditions import (
     check_projected_closedness,
     check_supermartingale_condition,
 )
-from condual.dual import measure_from_weights
 from condual.market import PortfolioProcess, build_market, is_admissible, \
     parse_market_file
 from condual.randomgen import random_tree_spec

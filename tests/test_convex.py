@@ -1,7 +1,6 @@
 """Convex-set primitives: support functions, cones, projections."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from condual.convex import (
     CrossFixed,
     Intersection,
     Polyhedron,
-    ProjectionMatrix,
     Singleton,
     _project_onto_halfspaces,
     contains,

@@ -25,7 +25,7 @@ from condual.randomgen import random_market, random_payoff, random_tree_spec
 from condual.scalars import INF, NEG_INF, scale_extended
 from condual.treelp import MARGIN_TOL, tree_lp
 from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
-                             conjugate, conjugate_marginal)
+                             conjugate)
 
 from conftest import (binomial_spec, drift_spec, drifted_binomial_spec,
                       float_copy, two_asset_spec, two_period_spec)
@@ -634,7 +634,7 @@ def _lp_minorant(market, utility, y, q):
     probs = [float(p) for p in market.tree.leaf_probabilities()]
     z = [y * w / p for w, p in zip(q, probs)]
     ev = sum(p * conjugate(utility, v) for p, v in zip(probs, z))
-    c = [y * conjugate_marginal(utility, v)[1] for v in z]
+    c = [y * utility.conjugate_marginal(v)[1] for v in z]
     res = tree_lp(market).lifted_min(False, c, y)
     assert res.status == OPTIMAL
     return ev - float(np.dot(c, q)) + res.value
@@ -657,8 +657,9 @@ def test_hedge_bound_matches_the_lifted_lp_minorant():
                 q, hedge, _ = dual._lifted_smooth_solve(market, utility, y, q0)
                 assert (A @ hedge - b).max() <= dual.HEDGE_TOL
                 assert dual._admissible(market, hedge)
-                bound = dual._minorant_lower_bound(market, utility, y, q,
-                                                   hedge)
+                bound = dual._minorant_lower_bound(
+                    market, utility, y, q, hedge,
+                    *dual._expected_conjugate(market, utility, y, q))
                 oracle = _lp_minorant(market, utility, y, q)
                 assert bound <= oracle + 1e-12 * max(1.0, abs(oracle))
                 assert bound == pytest.approx(oracle, rel=0, abs=1e-9)
@@ -680,7 +681,9 @@ def test_hedge_tolerance_edge(b1_box):
         assert slack[row] == pytest.approx(factor * dual.HEDGE_TOL, rel=1e-3)
         assert np.delete(slack, row).max() < 0
         assert dual._admissible(b1_box, pushed) is accepted
-        bound = dual._minorant_lower_bound(b1_box, LOG, 1.0, q, pushed)
+        bound = dual._minorant_lower_bound(
+            b1_box, LOG, 1.0, q, pushed,
+            *dual._expected_conjugate(b1_box, LOG, 1.0, q))
         assert math.isfinite(bound) is accepted
 
 

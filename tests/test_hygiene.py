@@ -1,9 +1,10 @@
 """Source hygiene of the package, read off its syntax trees.
 
 No linter ships with the test dependencies, so two checks are made here:
-every module-level import is used (the package ``__init__`` re-exports its
-imports, so it is exempt), and every name a function assigns to is read
-somewhere in that function.  Tuple unpacking and loop targets are left out:
+every module-level import of the package and of the test files is used
+(the package ``__init__`` re-exports its imports, so it is exempt), and
+every name a function of the package assigns to is read somewhere in that
+function.  Tuple unpacking and loop targets are left out:
 they bind names that document the shape of what is unpacked.
 """
 
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "condual"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "condual"
 MODULES = sorted(SRC.glob("*.py"))
 IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]  # it re-exports
+IMPORTERS += sorted(TESTS.glob("*.py"))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -90,7 +93,8 @@ def unread_locals(tree):
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
+@pytest.mark.parametrize("path", IMPORTERS, ids=[
+    p.name if p.parent == SRC else f"tests/{p.name}" for p in IMPORTERS])
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
 

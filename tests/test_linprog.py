@@ -373,12 +373,19 @@ def _exact_lps():
     yield lp
 
 
+# final bases (basic columns, nonbasic rows) of the first of _exact_lps: x0
+# alone on the row x1 <= 1 is a singular system, and x3 alone on the row
+# -x3 <= 1 is the vertex x3 = -1 of a nonnegative column
+CORRUPTED = {"singular-basis": ({0}, {2}), "negative-vertex": ({3}, {7})}
+
+
 @pytest.mark.parametrize("how", ["perturbed-basis", "wrong-vertex",
-                                 INFEASIBLE, UNBOUNDED])
+                                 INFEASIBLE, UNBOUNDED, *CORRUPTED])
 def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
     # whatever HiGHS says, the exact answer stands: a basis that does not
-    # square up, the optimum of the negated objective, or a false status
-    # fails its certificate, and the tableau answers
+    # square up or is singular, a vertex off a sign bound, the optimum of
+    # the negated objective, or a false status fails its certificate, and
+    # the tableau answers
     real = linprog._scipy_linprog
 
     def wrong(c, **kwargs):
@@ -388,6 +395,9 @@ def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
                 cols = res.basis.col_status
                 basic = np.flatnonzero(cols == linprog._BASIC)
                 cols[basic[0]] = int(linprog._h.HighsBasisStatus.kLower)
+        elif how in CORRUPTED:
+            res.basis = _final_basis(*CORRUPTED[how], n=len(c),
+                                     m=len(res.basis.row_status)).basis
         elif how == "wrong-vertex":
             res = real(-c, **kwargs)
         else:
@@ -399,7 +409,7 @@ def test_wrong_highs_answer_falls_back_to_tableau(monkeypatch, how):
         assert (len(lp["A_ub"]) + len(lp.get("A_eq", []))) * len(lp["c"]) \
             >= linprog.EXACT_HIGHS_CELLS
         truth = _tableau(lp).status
-        if truth == how or how in ("perturbed-basis", "wrong-vertex") \
+        if truth == how or how not in (INFEASIBLE, UNBOUNDED) \
                 and truth != OPTIMAL:
             continue
         calls = []
@@ -447,6 +457,34 @@ def test_certificate_of_a_final_basis():
     assert lp.vertex(SimpleNamespace(**{
         **vars(_final_basis({1}, {0})),
         "basis": SimpleNamespace(valid=False)})) is None
+
+
+def _klee_minty(n):
+    """The Klee-Minty cube: minimize -sum_j 2^(n-j) x_j over x >= 0 with
+    sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i for i = 1..n; optimum -5^n at
+    x = 5^n e_n."""
+    c = [-2 ** (n - j) for j in range(1, n + 1)]
+    A_ub = [[2 ** (i - j + 1) if j < i else int(j == i)
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return dict(c=c, A_ub=A_ub, b_ub=[5 ** i for i in range(1, n + 1)],
+                nonneg=range(n))
+
+
+def test_tableau_switches_to_blands_rule():
+    # on the cube Dantzig's rule takes 2^(n-1) pivots in each phase of the
+    # tableau (its phase 1 drives out the artificial of every row): 256 at
+    # n = 9, past the 200 after which Bland's rule picks the columns
+    res = _tableau(_klee_minty(9))
+    assert (res.status, res.value) == (OPTIMAL, -5 ** 9)
+    assert res.x == [0] * 8 + [5 ** 9]
+
+
+def test_tableau_drops_a_redundant_equality_row():
+    # the repeated row leaves its artificial basic at 0 after phase 1, in a
+    # row with no structural entry: the row is dropped
+    lp = dict(c=[1, 2], A_eq=[[1, 1], [1, 1]], b_eq=[1, 1], nonneg=[0, 1])
+    res = _tableau(lp)
+    assert (res.status, res.x, res.value) == (OPTIMAL, [1, 0], 1)
 
 
 def test_huge_rationals_fall_back_to_tableau():

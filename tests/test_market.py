@@ -22,7 +22,7 @@ from condual.market import (
 from condual.randomgen import random_market, random_tree_spec
 from condual.scalars import SchemaError
 
-from conftest import binomial_spec, deterministic_spec, float_copy, two_period_spec
+from conftest import binomial_spec, deterministic_spec, float_copy
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

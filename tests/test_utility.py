@@ -16,9 +16,7 @@ from condual.utility import (
     check_inada_zero,
     check_rae,
     conjugate,
-    conjugate_marginal,
     eval_utility,
-    inverse_marginal,
     marginal,
     parse_utility,
 )
@@ -128,16 +126,13 @@ def test_marginal_piecewise_breakpoint_two_sided():
 
 
 def test_inverse_marginal_against_finite_differences():
-    # -V'(2) for the sqrt family: finite-difference oracle at h = 1e-6
+    # -V'(2), the wealth of marginal utility 2, for the sqrt family:
+    # finite-difference oracle at h = 1e-6
     h = 1e-6
     fd = -(conjugate(SQRT, 2.0 + h) - conjugate(SQRT, 2.0 - h)) / (2 * h)
-    assert inverse_marginal(SQRT, 2.0) == pytest.approx(0.25, abs=1e-12)
-    assert inverse_marginal(SQRT, 2.0) == pytest.approx(fd, abs=1e-4)
-
-
-def test_inverse_marginal_rejects_nonsmooth():
-    with pytest.raises(ValueError):
-        inverse_marginal(KINKED, 1.0)
+    inverse = -SQRT.conjugate_marginal(2.0)[0]
+    assert inverse == pytest.approx(0.25, abs=1e-12)
+    assert inverse == pytest.approx(fd, abs=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +143,7 @@ def test_conjugate_derivatives_on_an_array(u):
     # V' at h = 1e-6 z, on a log-spaced grid
     z = np.logspace(-3, 3, 61)
     d1, d2 = u.conjugate_derivatives(z)
-    assert d1 == pytest.approx([conjugate_marginal(u, v)[0] for v in z],
+    assert d1 == pytest.approx([u.conjugate_marginal(v)[0] for v in z],
                                rel=1e-14)
     h = 1e-6 * z
     slope = (u.conjugate_derivatives(z + h)[0]
@@ -198,7 +193,7 @@ def test_piecewise_formulas_on_an_array(u):
     h = 1e-6 * z
     slope = (u.conjugate(z + h) - u.conjugate(z - h)) / (2 * h)
     for v, s in zip(z, slope):
-        left, right = conjugate_marginal(u, v)
+        left, right = u.conjugate_marginal(v)
         assert left - 1e-6 <= s <= right + 1e-6
     # V at 0 is sup U; a y within 1e-12 relative below V's edge (the last
     # slope) counts as on it, one further below is outside the domain
@@ -303,7 +298,7 @@ def test_biconjugate_recovers_utility(u):
 
 def test_conjugate_marginal_bracket_on_kink():
     # V of the kinked family switches active breakpoint at slope values
-    left, right = conjugate_marginal(KINKED, 1.0)
+    left, right = KINKED.conjugate_marginal(1.0)
     assert left <= right
     assert left == -2.0 and right == -1.0
 
