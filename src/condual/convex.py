@@ -7,13 +7,15 @@ solvers ask: support values in a direction, membership, recession
 directions, Euclidean projection, and conversion to halfspace form where
 that is possible.
 
-Each piece of geometry is written once.  A singleton and a set of pinned
-coordinates are boxes (:class:`Singleton` and :class:`AffineFixed` only set
-their bounds), so they answer every question as a box does.  So does every
-other set that is its own box, a one-dimensional polyhedron or polyhedral
-intersection: :class:`ConvexSet` answers its support value from its bounds,
-in its own arithmetic, and projects by a clip to them; a one-dimensional
-ball answers its support from the same formula.  Any other set with a
+Each piece of geometry is written once.  :meth:`ConvexSet.box` alone
+decides whether a set equals the box of its bounds, and names them.  The
+boxes are :class:`Box` (with :class:`Singleton` and :class:`AffineFixed`,
+which only set its bounds), a pinned product over a box and, in dimension
+one, every set: there a ball, a polyhedron or an intersection is its
+interval.  A box takes its support value and its projection (a clip) from
+its bounds, in its own arithmetic, on :class:`ConvexSet`, which also
+derives from them the halfspace rows, membership, boundedness and bounding
+box of the boxes that state none of their own.  Any other set with a
 halfspace form takes its support value from one LP over those rows and its
 projection from one active-set loop started at its center, both on
 :class:`ConvexSet`; an intersection with a ball member keeps only its
@@ -68,15 +70,32 @@ class ConvexSet:
     def support_argmax(self, xi):
         """(support value, attaining point or None when the value is +inf).
 
-        A set that is its own box answers from its bounds, kept on the set,
-        in its own arithmetic: the upper bound where xi is positive, the
-        lower where it is negative, and the point nearest 0 where it is 0.
-        Any other set solves one LP over the rows of :meth:`halfspaces`,
-        exact when the set and xi are; balls and pinned products override it.
+        A box answers from its bounds (:meth:`box`), in its own arithmetic:
+        the upper bound where xi is positive, the lower where it is
+        negative, and the point nearest 0 where it is 0.  Any other set
+        solves one LP over the rows of :meth:`halfspaces`, exact when the
+        set and xi are; balls and pinned products override it.
         """
         self._check_dim(xi)
-        if self._own_box:
-            return self._box_support_argmax(xi)
+        box = self.box()
+        if len(box) == self.dim:
+            total = 0
+            point = []
+            for x, (lo, hi) in zip(xi, box):
+                if x > 0:
+                    if hi == INF:
+                        return INF, None
+                    total += hi * x
+                    point.append(hi)
+                elif x < 0:
+                    if lo == NEG_INF:
+                        return INF, None
+                    total += lo * x
+                    point.append(lo)
+                else:
+                    total += 0 * x  # keeps the arithmetic of xi
+                    point.append(_clamp_zero(lo, hi))
+            return total, tuple(point)
         hs = self._halfspace_rows()
         if hs is None:
             raise NotImplementedError(
@@ -90,42 +109,27 @@ class ConvexSet:
             raise RuntimeError("support LP failed on a nonempty set")
         return -res.value, tuple(res.x)
 
-    def _box_support_argmax(self, xi):
-        """support_argmax from :meth:`bounding_box`, built once."""
-        total = 0
-        point = []
-        for x, (lo, hi) in zip(xi, self._memo("_box", self.bounding_box)):
-            if x > 0:
-                if hi == INF:
-                    return INF, None
-                total += hi * x
-                point.append(hi)
-            elif x < 0:
-                if lo == NEG_INF:
-                    return INF, None
-                total += lo * x
-                point.append(lo)
-            else:
-                total += 0 * x  # keeps the arithmetic of xi
-                point.append(_clamp_zero(lo, hi))
-        return total, tuple(point)
-
     def contains(self, point, tol=_ABS_TOL) -> bool:
-        raise NotImplementedError
+        """Is point in the set, up to tol (with none when the set and the
+        point are rational)?  Here, a box's answer: bound by bound."""
+        self._check_dim(point)
+        if self.exact and all_exact(point):
+            tol = 0
+        return all(lo - tol <= x <= hi + tol
+                   for x, (lo, hi) in zip(point, self.box()))
 
     def project(self, point):
         """Euclidean projection of a float array onto the set, as a float
         array; float-mode operation.
 
-        Here, the clip to :meth:`box_bounds` when the set is its own box,
-        else the active-set projection onto the rows of :meth:`halfspaces`
-        from :meth:`center`; balls and pinned products override it.  The
-        float data it needs (bounds, the halfspace rows and the start) is
-        built on the first call and kept on the set.  A one-dimensional
-        polyhedron or polyhedral intersection is its own box, so its
-        projection is this clip and solves no LP; in higher dimensions such
-        a set solves its center LP at most once, however often it is
-        projected onto.
+        Here, the clip to :meth:`box_bounds` for a box, else the active-set
+        projection onto the rows of :meth:`halfspaces` from :meth:`center`;
+        balls and pinned products override it.  The float data it needs
+        (bounds, the halfspace rows and the start) is built on the first
+        call and kept on the set.  Every one-dimensional set is a box, so
+        its projection is this clip and solves no LP; in higher dimensions
+        a polyhedral set solves its center LP at most once, however often
+        it is projected onto.
         """
         bounds = self.box_bounds()
         if bounds is not None:
@@ -136,15 +140,28 @@ class ConvexSet:
             for v in (*self._halfspace_rows(), self.center())))
         return _project_onto_halfspaces(A, b, start, point)
 
-    _own_box = False  # True where the set equals its bounding_box()
+    def box(self):
+        """The bounds ((lo, hi), ...) of the set, +-inf where unbounded, in
+        its own arithmetic, when the set equals the box they bound, else ();
+        kept on the set.  A set is a box when this has one pair per
+        coordinate.  Here, in dimension one, the interval of the rows of
+        :meth:`halfspaces` (() when empty), else (): a set that inherits
+        this defines halfspaces(), and boxes, balls and pinned products
+        override it."""
+        def build():
+            if self.dim != 1:
+                return ()
+            ends = halfspace_interval(*self._halfspace_rows(), self.exact)
+            return () if ends is None else (ends,)
+        return self._memo("_box", build)
 
     def box_bounds(self):
-        """Float rows (lo, hi), +-inf where unbounded, when the set is the
-        box they bound, built once; None for any other set."""
-        if not self._own_box:
+        """The float view of :meth:`box`: rows (lo, hi), +-inf where
+        unbounded, built once; None for a set that is not a box."""
+        if len(self.box()) != self.dim:
             return None
         return self._memo("_bounds", lambda: np.asarray(
-            self.bounding_box(), dtype=float).reshape(-1, 2).T)
+            self.box(), dtype=float).reshape(-1, 2).T)
 
     def _memo(self, key, build):
         """self.__dict__[key], set to build() on first use: sets are immutable."""
@@ -154,22 +171,27 @@ class ConvexSet:
             object.__setattr__(self, key, value)
         return value
 
-    def interval(self):
-        """(lo, hi) of a one-dimensional set with a halfspace form, from
-        :func:`halfspace_interval` in the set's own arithmetic (None when
-        empty), kept on the set; () for any other set."""
-        def build():
-            hs = self.halfspaces() if self.dim == 1 else None
-            return () if hs is None else halfspace_interval(*hs, self.exact)
-        return self._memo("_interval", build)
-
     def center(self):
         """Some canonical member of the set (used as witness/start point)."""
         raise NotImplementedError
 
     def halfspaces(self):
-        """(A, b) with the set equal to {h: A h <= b}, or None (e.g. balls)."""
-        return None
+        """(A, b) with the set equal to {h: A h <= b}, or None (e.g. balls
+        in dimension two and up).  Here, for a box, one row per finite
+        bound, coordinate by coordinate, the upper before the lower; None
+        for any other set."""
+        box = self.box()
+        if len(box) != self.dim:
+            return None
+        A, b = [], []
+        for i, (lo, hi) in enumerate(box):
+            if hi != INF:
+                A.append(_unit(self.dim, i, 1))
+                b.append(hi)
+            if lo != NEG_INF:
+                A.append(_unit(self.dim, i, -1))
+                b.append(-lo)
+        return A, b
 
     def _halfspace_rows(self):
         """halfspaces(), built once and kept on the set."""
@@ -183,12 +205,14 @@ class ConvexSet:
         return Cone(self.dim, "halfspace", hs[0])
 
     def is_bounded(self):
-        """True/False, or None when undecidable for this variant."""
-        raise NotImplementedError
+        """True/False, or None when undecidable for this variant.  Here, a
+        box's answer: every bound finite."""
+        return all(lo != NEG_INF and hi != INF for lo, hi in self.box())
 
     def bounding_box(self):
-        """Per-coordinate (lo, hi) with +-inf where unbounded."""
-        raise NotImplementedError
+        """Per-coordinate (lo, hi) with +-inf where unbounded.  Here, a
+        box's: its bounds."""
+        return list(self.box())
 
     def _check_dim(self, vec):
         if len(vec) != self.dim:
@@ -200,7 +224,6 @@ class ConvexSet:
 class Box(ConvexSet):
     lower: tuple
     upper: tuple
-    _own_box = True
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
@@ -210,6 +233,9 @@ class Box(ConvexSet):
         for lo, hi in zip(self.lower, self.upper):
             if lo > hi:
                 raise ValueError("empty box: a lower bound exceeds its upper bound")
+            if lo == INF or hi == NEG_INF:
+                raise ValueError("empty box: a lower bound of +inf or an "
+                                 "upper bound of -inf admits no point")
 
     @property
     def dim(self):
@@ -217,13 +243,6 @@ class Box(ConvexSet):
 
     def _scalars(self):
         return [v for v in self.lower + self.upper if v not in (INF, NEG_INF)]
-
-    def contains(self, point, tol=_ABS_TOL):
-        self._check_dim(point)
-        if self.exact and all_exact(point):
-            tol = 0
-        return all(lo - tol <= x <= hi + tol
-                   for x, lo, hi in zip(point, self.lower, self.upper))
 
     def center(self):
         # a pinned coordinate is its own center, in its own arithmetic
@@ -234,23 +253,8 @@ class Box(ConvexSet):
             for lo, hi in zip(self.lower, self.upper)
         )
 
-    def halfspaces(self):
-        A, b = [], []
-        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if hi != INF:
-                A.append(_unit(self.dim, i, 1))
-                b.append(hi)
-            if lo != NEG_INF:
-                A.append(_unit(self.dim, i, -1))
-                b.append(-lo)
-        return A, b
-
-    def is_bounded(self):
-        return all(lo != NEG_INF and hi != INF
-                   for lo, hi in zip(self.lower, self.upper))
-
-    def bounding_box(self):
-        return list(zip(self.lower, self.upper))
+    def box(self):
+        return self._memo("_box", lambda: tuple(zip(self.lower, self.upper)))
 
 
 def _clamp_zero(lo, hi):
@@ -321,9 +325,9 @@ class Ball(ConvexSet):
         return self.center_point + (self.radius,)
 
     def support_argmax(self, xi):
+        if self.box():
+            return super().support_argmax(xi)
         self._check_dim(xi)
-        if self.dim == 1:  # the interval [c - r, c + r]
-            return self._box_support_argmax(xi)
         norm = math.sqrt(float(_dot(xi, xi)))
         value = float(_dot(self.center_point, xi)) + float(self.radius) * norm
         if norm == 0:
@@ -339,6 +343,8 @@ class Ball(ConvexSet):
         return math.sqrt(float(_dot(diff, diff))) <= float(self.radius) + tol
 
     def project(self, point):
+        if self.box():
+            return super().project(point)
         c, r = self._memo("_floats", self._build_floats)
         d = point - c
         n = float(np.linalg.norm(d))
@@ -350,13 +356,11 @@ class Ball(ConvexSet):
     def center(self):
         return self.center_point
 
-    def halfspaces(self):
+    def box(self):
         """In dimension one the interval [c - r, c + r], in the ball's own
-        arithmetic; None in higher dimensions."""
-        if self.dim != 1:
-            return None
-        (c,), r = self.center_point, self.radius
-        return [(1,), (-1,)], [c + r, r - c]
+        arithmetic; () in higher dimensions."""
+        return self._memo("_box", lambda: tuple(self.bounding_box())
+                          if self.dim == 1 else ())
 
     def recession(self):
         return Cone.zero(self.dim)
@@ -390,7 +394,7 @@ class Singleton(Box):
 class Polyhedron(ConvexSet):
     """{h : A h <= b}; nonemptiness is checked at construction.
 
-    In dimension one the set is the interval of its rows (:meth:`interval`),
+    In dimension one the set is the interval of its rows (:meth:`box`),
     which answers nonemptiness, the center, the bounding box and the
     projection (a clip) without an LP; in higher dimensions each takes an
     LP, and the projection an active-set loop.
@@ -414,16 +418,12 @@ class Polyhedron(ConvexSet):
     def dim(self):
         return len(self.A[0]) if self.A else 0
 
-    @property
-    def _own_box(self):
-        return self.dim == 1
-
     def _scalars(self):
         return [v for row in self.A for v in row] + list(self.b)
 
     def _empty(self):
-        if self._own_box:
-            return self.interval() is None
+        if self.dim == 1:
+            return not self.box()
         res = solve_lp([0] * self.dim, A_ub=self.A, b_ub=self.b, exact=self.exact)
         return res.status == INFEASIBLE
 
@@ -439,8 +439,8 @@ class Polyhedron(ConvexSet):
         return self._memo("_center", self._chebyshev_center)
 
     def _chebyshev_center(self):
-        if self._own_box:
-            return (_interval_center(*self.interval(), self.exact),)
+        if self.box():
+            return (_interval_center(*self.box()[0], self.exact),)
         n = self.dim
         c = [0] * n + [-1]
         A_ub = [list(row) + [sum(abs(v) for v in row)] for row in self.A]
@@ -459,8 +459,8 @@ class Polyhedron(ConvexSet):
         return self.recession().is_trivial()
 
     def bounding_box(self):
-        if self._own_box:
-            return [self.interval()]
+        if self.box():
+            return list(self.box())
         return [(-self.support(_unit(self.dim, i, -1)),
                  self.support(_unit(self.dim, i, 1))) for i in range(self.dim)]
 
@@ -505,12 +505,17 @@ class CrossFixed(ConvexSet):
         return self.base.dim + len(self.fixed_tail)
 
     @property
-    def _own_box(self):
-        return self.base.box_bounds() is not None
-
-    @property
     def exact(self):
         return self.base.exact and all_exact(self.fixed_tail)
+
+    def box(self):
+        """The base's bounds and the pinned values, when the base is a box."""
+        def build():
+            head = self.base.box()
+            if len(head) != self.base.dim:
+                return ()
+            return head + tuple((v, v) for v in self.fixed_tail)
+        return self._memo("_box", build)
 
     def _split(self, vec):
         k = self.base.dim
@@ -602,10 +607,6 @@ class Intersection(ConvexSet):
     def exact(self):
         return all(m.exact for m in self.members)
 
-    @property
-    def _own_box(self):
-        return bool(self.interval())
-
     def halfspaces(self):
         rows, offs = [], []
         for m in self.members:
@@ -617,10 +618,10 @@ class Intersection(ConvexSet):
         return rows, offs
 
     def _feasible_point(self):
-        if self.interval() is None:
+        if self.box():
+            return (_interval_center(*self.box()[0], self.exact),)
+        if self.dim == 1:
             return None  # an empty interval
-        if self._own_box:
-            return (_interval_center(*self.interval(), self.exact),)
         hs = self._halfspace_rows()
         if hs is not None:
             res = solve_lp([0] * self.dim, A_ub=hs[0], b_ub=hs[1], exact=self.exact)
@@ -675,8 +676,8 @@ class Intersection(ConvexSet):
         return None
 
     def bounding_box(self):
-        if self._own_box:
-            return [self.interval()]
+        if self.box():
+            return list(self.box())
         boxes = [m.bounding_box() for m in self.members]
         return [(max(b[i][0] for b in boxes), min(b[i][1] for b in boxes))
                 for i in range(self.dim)]

@@ -66,13 +66,6 @@ class EventTree:
             object.__setattr__(self, "_leaf_probabilities", probs)
         return probs
 
-    def path_to_leaf(self, leaf: int):
-        """Node indices from the root down to the leaf."""
-        chain = [leaf]
-        while self.nodes[chain[-1]].parent is not None:
-            chain.append(self.nodes[chain[-1]].parent)
-        return tuple(reversed(chain))
-
 
 @dataclass(frozen=True)
 class PortfolioProcess:

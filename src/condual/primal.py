@@ -6,16 +6,17 @@ projected gradient ascent with Barzilai-Borwein steps and nonmonotone
 Armijo backtracking (the spectral projected gradient of Birgin, Martinez
 and Raydan, SIAM J. Optim. 10, 2000) over the product of per-node
 constraint sets.  Each projection is ``TreeLP.project``: one clip to the
-stacked bounds of the box-shaped sets, then each other set's own
-``ConvexSet.project``, whose float data the set builds once and keeps, so
-no LP is solved per projection.  When every set is a box and there is no
-floor, each iteration first tries a projected Newton step (Bertsekas,
-SIAM J. Control Optim. 20, 1982), which converges in a handful of steps
-there, and takes the gradient step only when the Newton step does not
-strictly raise the objective.  Economic failure modes are statuses,
-not exceptions: infeasible means no admissible portfolio keeps terminal
-wealth in the utility's domain, unbounded means an admissible recession
-direction produces a free lunch while the utility is unbounded.
+stacked bounds of the sets that are boxes (``ConvexSet.box``), then each
+other set's own ``ConvexSet.project``, whose float data the set builds once
+and keeps, so no LP is solved per projection.  When every set is a box (in
+dimension one, every set is) and there is no floor, each iteration first
+tries a projected Newton step (Bertsekas, SIAM J. Control Optim. 20, 1982),
+which converges in a handful of steps there, and takes the gradient step
+only when the Newton step does not strictly raise the objective.  Economic
+failure modes are statuses, not exceptions: infeasible means no admissible
+portfolio keeps terminal wealth in the utility's domain, unbounded means an
+admissible recession direction produces a free lunch while the utility is
+unbounded.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ any capital).  The node problem is a small LP, and its dual is
 
 with sigma_n the support function of C_n.  In dimension one C_n is an
 interval and both sides have closed forms, read off the set's own support
-value and :meth:`~condual.convex.ConvexSet.interval`: the dual maximum sits
+value and :meth:`~condual.convex.ConvexSet.box`: the dual maximum sits
 at a single child, or at two children whose increments have opposite signs,
 mixed so that the drift vanishes; the hedge is then the point of C_n
 nearest zero at which every child is covered.  In higher dimension one LP
@@ -126,7 +126,7 @@ def _cover(market, i, lines, capital, exact):
     num = Fraction if exact else float
     if market.dim == 1:
         lo, hi = (v if exact else float(v)
-                  for v in market.constraint(i).interval())
+                  for v in market.constraint(i).box()[0])
         for _, v, (s,) in lines:
             if s > 0:
                 lo = max(lo, (v - capital) / s)

@@ -20,10 +20,10 @@ They are read-only numpy arrays: of dtype ``object`` holding the market's
 own numbers when exact, of dtype float otherwise.  Each arithmetic's set is
 built on its first request, so a float market never builds exact rows.
 
-The float bounds of the box-shaped sets (in dimension one, every set with a
-halfspace form) are stacked into ``box_lo`` and ``box_hi`` (+-inf at the
-other nodes), so that :meth:`TreeLP.project` is one clip plus the own
-projector of each other node.
+The float bounds of the sets that are boxes (``ConvexSet.box``; in
+dimension one, every set) are stacked into ``box_lo`` and ``box_hi`` (+-inf
+at the other nodes), so that :meth:`TreeLP.project` is one clip plus the
+own projector of each other node.
 
 :func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
 on the market.
@@ -39,8 +39,8 @@ The measure-side LPs run over the lifted pairs (q, mu) of
 :meth:`TreeLP.lifted`, by LP duality: alpha(q) = max {(L^T q) . H : A H <=
 b} equals min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization over q
 with alpha in its objective is one LP over (q, mu).  The lifted LPs are
-:meth:`TreeLP.lifted_min`, the least linear cost in q plus a multiple of
-alpha(q) (inf alpha, the superhedging measure),
+:meth:`TreeLP.lifted_min`, the least linear cost in q plus alpha(q) (inf
+alpha, the superhedging measure),
 and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
 dual's start, the certificate measures), solved once per TreeLP in the
 market's arithmetic.  Such answers of the market alone are kept on the
@@ -62,9 +62,9 @@ MARGIN_TOL = 1e-10
 
 class TreeLP:
     """Rows of a market's LPs over the stacked holdings; see the module
-    docstring.  On a market with a ball constraint, A and b are None and
-    the operations that need them raise NotImplementedError; L, N, R and p
-    always exist."""
+    docstring.  On a market with a ball of dimension two or more, A and b
+    are None and the operations that need them raise NotImplementedError;
+    L, N, R and p always exist."""
 
     def __init__(self, market: MarketModel):
         tree, d = market.tree, market.dim
@@ -236,17 +236,17 @@ class TreeLP:
         rows[1:, n:] = A.T
         return rows, [1] + [0] * self.n_h, range(n + n_mu)
 
-    def lifted_min(self, exact, q_cost, mu_cost=1):
-        """Minimize q_cost . q + mu_cost (b . mu) over the lifted polytope.
+    def lifted_min(self, exact, q_cost):
+        """Minimize q_cost . q + b . mu over the lifted polytope.
 
         For fixed q the least b . mu is alpha(q), so the optimum is the
-        least q_cost . q + mu_cost alpha(q) over the finite-alpha face.
-        Returns the LPResult over the columns (q, mu): infeasible when the
-        face is empty, unbounded (for mu_cost > 0) when the admissible class
-        is empty and alpha is -inf.
+        least q_cost . q + alpha(q) over the finite-alpha face.  Returns
+        the LPResult over the columns (q, mu): infeasible when the face is
+        empty, unbounded when the admissible class is empty and alpha is
+        -inf.
         """
         A_eq, b_eq, nonneg = self.lifted(exact)
-        c = list(q_cost) + [mu_cost * v for v in self.rows(exact)[1]]
+        c = list(q_cost) + list(self.rows(exact)[1])
         if not exact:
             c = [float(v) for v in c]
         return solve_lp(c, A_eq=A_eq, b_eq=b_eq, exact=exact, nonneg=nonneg)

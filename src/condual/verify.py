@@ -20,6 +20,8 @@ from .primal import primal_feasible, solve_primal
 from .scalars import INF, NEG_INF
 from .utility import UtilityFunction
 
+_BRACKET = (-100.0, 100.0)
+
 
 @dataclass
 class ConjugacyRecord:
@@ -143,8 +145,7 @@ class XbarReport:
     ok: bool
 
 
-def verify_xbar(market: MarketModel, tol=1e-6,
-                bracket=(-100.0, 100.0)) -> XbarReport:
+def verify_xbar(market: MarketModel, tol=1e-6) -> XbarReport:
     """Three independent routes to the critical initial wealth: the two
     sides of min_support, a = inf alpha and b = -sup essinf, and the float
     phase-1 LP of primal_feasible.
@@ -158,26 +159,24 @@ def verify_xbar(market: MarketModel, tol=1e-6,
     infeasible_at are the wealth levels checked (None if not reached), and
     spread is |a - b|.
 
-    The bracket edges stand in for an infinite critical wealth (constrained
-    arbitrage pushes it to -inf, an empty admissible class to +inf): both
-    sides must give the same infinity, and the market must be feasible at
-    bracket[0] for -inf, infeasible at bracket[1] for +inf, since a
-    feasibility LP can only certify "at or beyond the bracket".
+    The edges of _BRACKET stand in for an infinite critical wealth
+    (constrained arbitrage pushes it to -inf, an empty admissible class to
+    +inf): both sides must give the same infinity, and the market must be
+    feasible at the lower edge for -inf, infeasible at the upper for +inf,
+    since a feasibility LP can only certify "at or beyond the bracket".
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not bracket[0] < bracket[1]:
-        raise ValueError("bracket must be an increasing pair")
     ms = min_support(market)
     a, b = ms.xbar, -ms.sup_essinf
     feasible_at = infeasible_at = None
     if INF in (a, b) or NEG_INF in (a, b):
         spread = 0.0 if a == b else INF
         if a == b == NEG_INF:
-            feasible_at = bracket[0]
+            feasible_at = _BRACKET[0]
             ok = primal_feasible(market, feasible_at)
         elif a == b == INF:
-            infeasible_at = bracket[1]
+            infeasible_at = _BRACKET[1]
             ok = not primal_feasible(market, infeasible_at)
         else:
             ok = False

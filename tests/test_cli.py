@@ -281,6 +281,35 @@ def test_refused_flags_are_input_errors(capsys, argv, message):
     assert err.count("\n") == 1
 
 
+MARKET_COMMANDS = [
+    ("solve-primal", "--utility", "log", "--x", "1"),
+    ("solve-dual", "--utility", "log", "--y", "1"),
+    ("verify-duality", "--utility", "log", "--x-grid", "1", "--y-grid", "1"),
+    ("verify-link", "--utility", "log", "--x", "1"),
+    ("superhedge", "--payoff", '{"up": 1, "down": 0}'),
+    ("xbar",),
+    ("check-conditions",),
+    ("embed-endowment", "--measure", '{"up": "1/2", "down": "1/2"}'),
+]
+
+
+@pytest.mark.parametrize("lower,upper", [("inf", "inf"), ("-inf", "-inf")],
+                         ids=["lower-inf", "upper-minus-inf"])
+def test_box_with_no_finite_point_is_an_input_error(capsys, tmp_path, lower,
+                                                    upper):
+    # a lower bound of +inf or an upper bound of -inf leaves the box no
+    # point: every command refuses the market with one error line that names
+    # the node's set
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(binomial_spec(
+        {"type": "box", "lower": [lower], "upper": [upper]})))
+    for argv in MARKET_COMMANDS:
+        code, out, err = run_cli(capsys, *argv, "--market", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: constraints['root']: empty box")
+        assert err.count("\n") == 1
+
+
 def test_properties_subcommand(capsys):
     code, doc, _ = run_json(capsys, "properties", "--seed", "7")
     assert code == 0

@@ -1,5 +1,6 @@
 """Convex-set primitives: support functions, cones, projections."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from condual.convex import (
     Singleton,
     _project_onto_halfspaces,
     contains,
+    halfspace_interval,
     polar_cone,
     predictable_range_projection,
     projected_set_closed,
@@ -30,7 +32,9 @@ from condual.convex import (
 from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from condual.scalars import INF, NEG_INF
 
+from conftest import float_copy
 from helpers import cones_equal_lp, extreme_rays
+from test_treelp import MIXED_SETS
 
 
 F = Fraction
@@ -632,39 +636,92 @@ def test_parse_floor_market_solves_no_lp(tmp_path, monkeypatch):
         h = np.linspace(-3, 3, lp.n_h)
         assert np.array_equal(lp.project(h), np.clip(h, lp.box_lo, lp.box_hi))
         for i, cset in market.constraints:
-            lo, hi = cset.interval()
+            ((lo, hi),) = cset.box()
             assert [(lo, hi)] == cset.bounding_box()
             assert (cset.support((1,)), cset.support((-1,))) == (hi, -lo)
 
 
-def test_own_box_support_matches_the_halfspace_lp(monkeypatch):
-    # every node set of a one-dimensional random market is its own box and
-    # answers its support from its bounds, with no LP; the value is the
-    # halfspace LP's, exactly, and the point is a member attaining it
+def _counted_lps(monkeypatch):
+    """The list that every LP solved in condual.convex is appended to."""
     import condual.convex
-    from condual.randomgen import random_market
 
     lps = []
     real = condual.convex.solve_lp
     monkeypatch.setattr(condual.convex, "solve_lp",
                         lambda *a, **k: lps.append(a) or real(*a, **k))
+    return lps
+
+
+def _box_support_matches_the_halfspace_lp(cset, xi, lps):
+    """A box answers its support from its bounds, with no LP; the value is
+    the halfspace LP's (exactly when the set is rational), and the point is
+    a member attaining it."""
+    built = len(lps)
+    value, point = cset.support_argmax(xi)
+    assert len(lps) == built and cset.support(xi) == value
+    A, b = cset.halfspaces()
+    res = solve_lp([-x for x in xi], A_ub=A, b_ub=b, exact=cset.exact)
+    if res.status == UNBOUNDED:
+        assert (value, point) == (INF, None)
+        return
+    assert abs(value + res.value) <= (0 if cset.exact else 1e-9)
+    assert sum(p * x for p, x in zip(point, xi)) == value
+    assert cset.contains(point, tol=0)
+
+
+def test_own_box_support_matches_the_halfspace_lp(monkeypatch):
+    # every node set of a one-dimensional random market is its own box
+    from condual.randomgen import random_market
+
+    lps = _counted_lps(monkeypatch)
     answers = 0
     for seed in range(40):
         for _, cset in random_market(random.Random(seed)).constraints:
-            assert cset.box_bounds() is not None
-            A, b = cset.halfspaces()
+            assert cset.box_bounds() is not None and cset.exact
             for xi in (F(1), F(-1), F(1, 2), F(-1, 2), F(0)):
-                built = len(lps)
-                value, point = cset.support_argmax((xi,))
-                assert len(lps) == built and cset.support((xi,)) == value
-                res = solve_lp([-xi], A_ub=A, b_ub=b, exact=True)
-                if res.status == UNBOUNDED:
-                    assert (value, point) == (INF, None)
-                else:
-                    assert value == -res.value and point[0] * xi == value
-                    assert cset.contains(point, tol=0)
+                _box_support_matches_the_halfspace_lp(cset, (xi,), lps)
                 answers += 1
     assert answers > 900
+
+
+ONE_DIMENSIONAL_SETS = [
+    {"type": "box", "lower": ["-1/2"], "upper": ["inf"]},
+    {"type": "polyhedron", "A": [[2], [-1], [1]], "b": [3, 1, 2]},
+    {"type": "intersection", "members": [
+        {"type": "ball", "center": ["1/2"], "radius": 2},
+        {"type": "polyhedron", "A": [[3]], "b": [2]}]},
+    {"type": "ball", "center": ["-1/3"], "radius": "3/4"},
+]
+BOX_CONTRACT_SETS = MIXED_SETS + ONE_DIMENSIONAL_SETS
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("doc", BOX_CONTRACT_SETS, ids=[
+    f"{k}-{set_from_json(doc).dim}d-{doc['type']}"
+    for k, doc in enumerate(BOX_CONTRACT_SETS)])
+def test_box_contract(monkeypatch, doc, exact):
+    # box() alone says whether a set is its box and what the bounds are:
+    # where it names bounds, the bounding box, the float bounds, the
+    # interval of the rows and the support values all agree with them
+    twin = float_copy({"horizon": 0, "dimension": 1, "nodes": [],
+                       "constraints": {"set": doc}})["constraints"]["set"]
+    cset = set_from_json(doc if exact else twin)
+    assert cset.exact is exact
+    box = cset.box()
+    assert cset.box() is box  # kept on the set
+    if not box:
+        assert cset.box_bounds() is None
+        return
+    assert len(box) == cset.dim and list(box) == cset.bounding_box()
+    assert np.array_equal(cset.box_bounds(),
+                          np.asarray(box, dtype=float).T)
+    if cset.dim == 1:
+        assert box == (halfspace_interval(*cset.halfspaces(), exact),)
+    lps = _counted_lps(monkeypatch)
+    num = F if exact else float
+    for xi in itertools.product((1, -1, F(1, 2), F(-3, 2), 0), repeat=cset.dim):
+        _box_support_matches_the_halfspace_lp(
+            cset, tuple(num(v) for v in xi), lps)
 
 
 def test_one_dimensional_ball_support_is_exact():

@@ -630,14 +630,14 @@ def test_zero_row_holding_leaves_the_newton_solve():
 def _lp_minorant(market, utility, y, q):
     """The minorant bound at q closed by the lifted LP (TreeLP.lifted_min)
     instead of a hedge: ev - c . q + min over the face of c . q' + y
-    alpha(q')."""
+    alpha(q'), which is y times the least (c / y) . q' + alpha(q')."""
     probs = [float(p) for p in market.tree.leaf_probabilities()]
     z = [y * w / p for w, p in zip(q, probs)]
     ev = sum(p * conjugate(utility, v) for p, v in zip(probs, z))
     c = [y * utility.conjugate_marginal(v)[1] for v in z]
-    res = tree_lp(market).lifted_min(False, c, y)
+    res = tree_lp(market).lifted_min(False, [v / y for v in c])
     assert res.status == OPTIMAL
-    return ev - float(np.dot(c, q)) + res.value
+    return ev - float(np.dot(c, q)) + y * res.value
 
 
 def test_hedge_bound_matches_the_lifted_lp_minorant():

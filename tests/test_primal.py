@@ -347,6 +347,25 @@ def test_box_market_ascent_takes_newton_steps(x, value):
     assert sol.value == pytest.approx(value, abs=1e-10)
 
 
+def test_one_dimensional_ball_market_is_a_box_market(monkeypatch):
+    # the ball of center 0 and radius 2 is the interval [-2, 2], so a ball
+    # at every node answers as the box does: its sets are clipped, the free
+    # lunch check needs no LP, and the ascent takes the same projected
+    # Newton steps to the same value (gradient steps alone take 6)
+    box = build_market(drifted_binomial_spec(6))
+    spec = drifted_binomial_spec(6)
+    spec["constraints"]["default"] = {"type": "ball", "center": [0],
+                                      "radius": 2}
+    ball = build_market(spec)
+    assert tree_lp(ball).boxed
+    calls = _counting_solve_lp(monkeypatch)
+    assert find_free_lunch_direction(ball) is None and not calls
+    got, want = (solve_primal(m, LOG, 10.0) for m in (ball, box))
+    assert (want.status, want.iterations) == ("optimal", 3)
+    assert (got.value, got.status, got.iterations) \
+        == (want.value, want.status, want.iterations)
+
+
 @pytest.mark.parametrize("spec, dx, status, value, iterations", [
     (drifted_binomial_spec(3, floor=2), None, "max-iterations",
      1.9049486759324805, 30),

@@ -127,7 +127,9 @@ def test_stacked_projection_matches_per_node(exact):
             assert (lo == -np.inf).all() and (hi == np.inf).all()
         else:
             assert np.array_equal(lo, bounds[0]) and np.array_equal(hi, bounds[1])
-    assert sum(cset.box_bounds() is None for _, cset in sets) == 4
+    # the polyhedron, the two-dimensional ball and the intersection; the
+    # set pinned over a one-dimensional ball is a box
+    assert sum(cset.box_bounds() is None for _, cset in sets) == 3
     rng = np.random.default_rng(11)
     for _ in range(40):
         h = 3 * rng.standard_normal(lp.n_h)
@@ -150,7 +152,12 @@ def test_node_directions_are_blocks_of_the_transposed_gain_rows(seed):
     assert list(xi) == list(market.tree.nonleaf)
     for i in market.tree.nonleaf:
         assert xi[i] == tuple(dense[lp.offsets[i]:lp.offsets[i] + lp.dim])
-    for n in market.tree.nodes:
-        assert mass[n.index] == sum(
-            w for leaf, w in zip(market.tree.leaves, q)
-            if n.index in market.tree.path_to_leaf(leaf))
+    # the mass of a node is the weight of the leaves below it, found by
+    # walking up from each leaf
+    expected = [0] * len(market.tree.nodes)
+    for leaf, w in zip(market.tree.leaves, q):
+        node = leaf
+        while node is not None:
+            expected[node] += w
+            node = market.tree.nodes[node].parent
+    assert [mass[n.index] for n in market.tree.nodes] == expected
