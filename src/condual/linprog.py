@@ -5,12 +5,14 @@ solver that scipy vendors (``scipy.optimize._highspy._core``) through its
 model API: one column-wise ``HighsLp`` per call, the sign restrictions as
 column bounds, with the options and the post-solve check of
 ``scipy.optimize.linprog(method="highs")`` but without its per-call Python
-overhead.  A float LP gets that one HiGHS run; when HiGHS leaves it
-undecided, the exact tableau below answers it.  The extension module is
-loaded by itself (:func:`_load_highs`): importing it the ordinary way would
-first run ``scipy.optimize``'s package init, whose scipy.linalg,
-scipy.sparse and optimizers condual never uses, and which cost every
-process about 0.5 s and 40 MB at start-up.
+overhead.  Every LP runs on one HiGHS solver that the process (each of its
+threads) keeps, with its options set once (:func:`_solver`), and the final
+basis is read only for the certified route below.  A float LP gets that one
+HiGHS run; when HiGHS leaves it undecided, the exact tableau below answers
+it.  The extension module is loaded by itself (:func:`_load_highs`):
+importing it the ordinary way would first run ``scipy.optimize``'s package
+init, whose scipy.linalg, scipy.sparse and optimizers condual never uses,
+and which cost every process about 0.5 s and 40 MB at start-up.
 
 Exact mode answers from the rational data alone, by one of two routes.  An
 LP of fewer than :data:`EXACT_HIGHS_CELLS` cells (rows times columns) runs a
@@ -46,6 +48,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -97,15 +100,20 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 # Exact LPs of at least this many cells (rows times columns) are solved by
-# HiGHS and certified.  Measured per LP (best of three) on the exact LPs of
-# one pass of the benchmark's pricing and floor workloads (shared two-core
-# Xeon, Python 3.11, scipy 1.17): one HiGHS run costs about 1 ms, so the
-# certified route takes 1.0-1.4 ms up to 36 cells.  The tableau wins below
-# 16 cells (0.4 against 1.4 ms at 3 cells, 0.7 against 1.1 ms at 8, 1.0
-# against 1.1 ms at 15) and loses from 16 cells on (1.4 against 1.0 ms at
-# 16, 2.9 against 1.3 ms at 33, 8.7 against 2.7 ms at 69, 112 against
-# 5.4 ms at 416).  The host drifts by up to a factor of two between
-# repeats, but that order held in each of three.
+# HiGHS and certified.  Measured per LP (best of three, kept HiGHS solver)
+# on the exact LPs of the benchmark's pricing and floor workloads at seeds
+# 1-4 and of the tests (two-core Xeon, Python 3.11, scipy 1.17): one HiGHS
+# run costs 0.13-0.2 ms, and the certified route 0.3-0.6 ms up to 45
+# cells.  The tableau wins up to 4 cells (0.08 against 0.28 ms at 1 cell,
+# 0.22 against 0.34 ms at 4), breaks even at 5 and 6, and loses from 7
+# cells on (0.6 against 0.34 ms at 7, 0.74 against 0.44 ms at 12, 0.76
+# against 0.44 ms at 15, 1.0 against 0.4 ms at 16, 5.7 against 0.76 ms at
+# 88, 52 against 1.4 ms at 416).  The threshold stays at 16 all the same:
+# on a degenerate LP the certified route may stop at another optimal
+# vertex, or other multipliers, than the tableau, and of the tests' 571
+# distinct 15-cell LPs, 152 would change their x or multipliers, among them
+# a node of backward induction (whose multipliers are a witness measure),
+# Chebyshev centers and support points.
 EXACT_HIGHS_CELLS = 16
 
 # HiGHS reads every number of this magnitude or more as infinite
@@ -144,7 +152,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False, *,
     A_eq = [] if A_eq is None else A_eq
     b_eq = [] if b_eq is None else b_eq
     for name, rows, rhs in (("ub", A_ub, b_ub), ("eq", A_eq, b_eq)):
-        if any(len(row) != n for row in rows):
+        if not _rows_of_length(rows, n):
             raise ValueError(
                 f"LP A_{name} row length does not match objective length")
         if len(rhs) != len(rows):
@@ -166,11 +174,21 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False, *,
     return _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, nonneg)
 
 
+def _rows_of_length(rows, n):
+    """True when every row of rows (a sequence of rows or a 2-d numpy
+    array) has n entries; a 2-d array is judged by its shape."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows.shape[1] == n or not len(rows)
+    return all(len(row) == n for row in rows)
+
+
 def _finite(block):
     """False when some float entry of block (a vector or a sequence of rows)
     is nan or infinite; integers and fractions are finite, however large."""
-    if isinstance(block, np.ndarray) and block.dtype != object:
-        return bool(np.isfinite(block).all())
+    if isinstance(block, np.ndarray):
+        if block.dtype != object:
+            return bool(np.isfinite(block).all())
+        block = block.ravel()  # one pass over the entries, not one per row
     for v in block:
         if isinstance(v, (list, tuple, np.ndarray)):
             if not _finite(v):
@@ -199,18 +217,40 @@ _BASIC = int(_h.HighsBasisStatus.kBasic)
 _CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
-def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg):
+_kept = threading.local()  # the kept HiGHS solver, see _solver
+
+
+def _solver():
+    """The one HiGHS solver of this process (of this thread, since HiGHS
+    runs without the interpreter lock), made with ``_OPTIONS`` on the first
+    LP.
+
+    ``passModel`` clears the previous model, solution and basis, so each run
+    on the kept solver is the run a fresh solver would make.  The solver is
+    kept for the class ``_h._Highs`` in effect: a substituted class gets a
+    solver of its own, and the real one a new solver when it comes back.
+    """
+    highs = getattr(_kept, "highs", None)
+    if type(highs) is not _h._Highs:
+        highs = _kept.highs = _h._Highs()
+        for name, value in _OPTIONS:
+            highs.setOptionValue(name, value)
+    return highs
+
+
+def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg, basis=True):
     """min c @ x subject to A_ub x <= b_ub, A_eq x = b_eq and x_j >= 0 for
     j in nonneg, all float arrays (the row blocks of shape (rows, len(c))),
-    by one fresh HiGHS solver with the options scipy.optimize.linprog sets
-    for ``method="highs"``.
+    by one run of the kept HiGHS solver (:func:`_solver`) with the options
+    scipy.optimize.linprog sets for ``method="highs"``.
 
     The result holds ``status`` (linprog's 0, 2, 3 or 4) and, when 0,
-    linprog's ``x``, ``fun`` and ``ineqlin.marginals``, and HiGHS's final
-    basis: ``basis.valid`` and the ``basis.col_status`` and
-    ``basis.row_status`` arrays of ``HighsBasisStatus`` codes (the A_ub
-    rows, then the A_eq rows).  An optimal point that holds a nan or misses
-    a bound or row by more than ``_CHECK_TOL`` reads 4, as in linprog.
+    linprog's ``x``, ``fun`` and ``ineqlin.marginals``, and, unless
+    ``basis`` is false, HiGHS's final basis: ``basis.valid`` and the
+    ``basis.col_status`` and ``basis.row_status`` arrays of
+    ``HighsBasisStatus`` codes (the A_ub rows, then the A_eq rows).  An
+    optimal point that holds a nan or misses a bound or row by more than
+    ``_CHECK_TOL`` reads 4, as in linprog.
     """
     n, m_ub = len(c), len(b_ub)
     lower = np.full(n, -np.inf)
@@ -231,9 +271,7 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg):
     lp.row_lower_ = np.concatenate((np.full(m_ub, -np.inf), b_eq))
     lp.row_upper_ = rhs
 
-    highs = _h._Highs()
-    for name, value in _OPTIONS:
-        highs.setOptionValue(name, value)
+    highs = _solver()
     # a model HiGHS refuses (a matrix entry of 1e21, say) is undecided too,
     # where linprog reports it infeasible
     if highs.passModel(lp) == _h.HighsStatus.kError \
@@ -246,21 +284,23 @@ def _scipy_linprog(c, *, A_ub, b_ub, A_eq, b_eq, nonneg):
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = rhs - solution.row_value  # b_ub - A_ub x, then b_eq - A_eq x
-    fun = highs.getInfo().objective_function_value
+    fun = highs.getObjectiveValue()
     if np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() \
             or (x < lower - _CHECK_TOL).any() \
             or (slack[:m_ub] < -_CHECK_TOL).any() \
             or (np.abs(slack[m_ub:]) > _CHECK_TOL).any():
         status = 4
-    basis = highs.getBasis()
-    return SimpleNamespace(
+    res = SimpleNamespace(
         status=status, x=x, fun=fun,
         ineqlin=SimpleNamespace(
-            marginals=np.array(solution.row_dual[:m_ub])),
-        basis=SimpleNamespace(
-            valid=basis.valid,
-            col_status=np.array(basis.col_status, dtype=np.int8),
-            row_status=np.array(basis.row_status, dtype=np.int8)))
+            marginals=np.array(solution.row_dual[:m_ub])))
+    if basis:
+        final = highs.getBasis()
+        res.basis = SimpleNamespace(
+            valid=final.valid,
+            col_status=np.array(final.col_status, dtype=np.int8),
+            row_status=np.array(final.row_status, dtype=np.int8))
+    return res
 
 
 def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
@@ -269,7 +309,7 @@ def _solve_float(c, A_ub, b_ub, A_eq, b_eq, nonneg):
     convert to rationals exactly, so its answer is definitive)."""
     data = _highs_data(c, A_ub, b_ub, A_eq, b_eq)
     if data is not None:
-        res = _scipy_linprog(**data, nonneg=nonneg)
+        res = _scipy_linprog(**data, nonneg=nonneg, basis=False)
         if res.status == 0:
             return LPResult(OPTIMAL, list(map(float, res.x)), float(res.fun),
                             [-float(v) for v in res.ineqlin.marginals],

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -694,6 +695,131 @@ def test_model_error_is_undecided():
         b_eq=np.zeros(0), nonneg=[]).status == 4
     res = solve_lp(**lp)
     assert (res.status, res.route, res.x) == (OPTIMAL, "tableau", [-1e-21])
+
+
+# -- the one HiGHS solver kept for the process -----------------------------
+
+def _status_sequence():
+    """HiGHS inputs that change status, each with whether its route reads
+    the final basis: float LPs (no basis) and the float copies of exact
+    LPs (the certified route, which reads it), optimal, infeasible and
+    unbounded, then a model HiGHS refuses, then optimal LPs again, then
+    LPs of one shape, unbounded and optimal."""
+    float_lps = {}
+    for seed in range(90):
+        lp = _random_float_lp(seed)
+        status = linprog._scipy_linprog(**lp).status
+        float_lps.setdefault(status, []).append(lp)
+    exact_lps = [linprog._ExactLP(lp["c"], lp["A_ub"], lp["b_ub"],
+                                  lp.get("A_eq", []), lp.get("b_eq", []),
+                                  lp.get("nonneg", ()))
+                 for lp in _exact_lps()]
+    refused = dict(c=np.array([1.0]), A_ub=np.array([[-1e21]]),
+                   b_ub=np.array([1.0]), A_eq=np.zeros((0, 1)),
+                   b_eq=np.zeros(0), nonneg=[])
+    seq = []
+    for status, lp in zip((0, 2, 3), exact_lps):
+        seq += [(float_lps[status][0], False),
+                (dict(lp.data, nonneg=lp.nonneg), True)]
+    seq.append((refused, False))
+    seq += [(float_lps[0][1], False), (seq[1][0], True),
+            (dict(exact_lps[0].farkas_lp().data,
+                  nonneg=list(range(exact_lps[0].m_ub))), True)]
+    # a run of LPs of one shape, which a solver that kept the previous
+    # basis would warm start
+    rng = np.random.default_rng(5)
+    for k in range(8):
+        A_ub = rng.uniform(-2, 2, (10, 4))
+        A_ub[2:] = np.vstack((np.eye(4), -np.eye(4))) if k % 3 else 0
+        b_ub = rng.uniform(-1, 3, 10)
+        b_ub[2:] = 5.0
+        seq.append((dict(c=rng.uniform(-1, 1, 4), A_ub=A_ub, b_ub=b_ub,
+                         A_eq=np.zeros((0, 4)), b_eq=np.zeros(0),
+                         nonneg=[0]), True))
+    return seq
+
+
+def _outcome(res, basis):
+    """Everything a route reads of a _scipy_linprog result, as bytes."""
+    out = [res.status]
+    if res.status == 0:
+        out += [res.x.tobytes(), np.float64(res.fun).tobytes(),
+                res.ineqlin.marginals.tobytes()]
+        if basis:
+            out += [res.basis.valid, res.basis.col_status.tobytes(),
+                    res.basis.row_status.tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_kept_solver_matches_a_fresh_one(monkeypatch, order):
+    # the kept solver answers each LP of a sequence that moves between
+    # optimal, infeasible, unbounded and a refused model bit for bit as a
+    # fresh HiGHS solver does, whatever came before it
+    seq = _status_sequence()
+    assert [linprog._scipy_linprog(**lp).status for lp, _ in seq] \
+        == [0, 0, 2, 2, 3, 3, 4, 0, 0, 0] + [3, 0, 0] * 2 + [3, 0]
+    if order == "reversed":
+        seq.reverse()
+    kept = [_outcome(linprog._scipy_linprog(**lp, basis=basis), basis)
+            for lp, basis in seq]
+    fresh = []
+    for lp, basis in seq:
+        monkeypatch.setattr(linprog._kept, "highs", None)  # a new solver
+        fresh.append(_outcome(linprog._scipy_linprog(**lp, basis=basis),
+                              basis))
+    assert kept == fresh
+
+
+def test_each_thread_keeps_its_own_solver():
+    # HiGHS runs without the interpreter lock, so threads that solve LPs at
+    # once each keep a solver: every thread answers every LP as a single
+    # thread does
+    seq = _status_sequence()
+    want = [_outcome(linprog._scipy_linprog(**lp, basis=basis), basis)
+            for lp, basis in seq]
+    got, interval = [], sys.getswitchinterval()
+
+    def work():
+        got.append([[_outcome(linprog._scipy_linprog(**lp, basis=basis), basis)
+                     for lp, basis in seq] for _ in range(10)])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want] * 10] * 4
+
+
+def test_solver_is_made_once_and_basis_read_by_certified_route(monkeypatch):
+    # one solver for every LP, its options set once; a float LP reads no
+    # final basis, a certified exact LP reads at least one
+    real, made, calls = linprog._h._Highs, [], []
+
+    class Highs:
+        def __init__(self):
+            made.append(1)
+            self._highs = real()
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self._highs, name)
+
+    monkeypatch.setattr(linprog, "_h", SimpleNamespace(
+        **{**vars(linprog._h), "_Highs": Highs}))
+    assert solve_lp(**_box_lp(6)).route == "highs"
+    assert solve_lp(**GUARDED).route == "highs"
+    assert "getBasis" not in calls and calls.count("run") == 2
+    assert solve_lp(**_box_lp(6), exact=True).route == "certified"
+    assert calls.count("getBasis") >= 1
+    assert made == [1]
+    assert calls.count("setOptionValue") == len(linprog._OPTIONS)
 
 
 def test_number_highs_reads_as_infinite_skips_the_ladder(monkeypatch):
