@@ -421,10 +421,11 @@ def _lifted_smooth_solve(market, utility, y, q0):
     the dense Schur system (E D^-1 E^T) dlam = r of 1 + n_h rows, with the
     diagonal D = diag(y^2 V''(y q/p) / p, 0) + s/w, once for the predictor
     and once for the corrector (centring sigma = (mu_aff/mu)^3), each cut
-    by _step_length.  It stops when the primal residual (relative to 1 +
-    the largest row of |E| w), the dual residual (relative to 1 + the
-    largest gradient entry) and the mean complementarity w . s / len(w)
-    are all at most NEWTON_TOL.
+    by _step_length; E^T, |E| and the y b and 0 halves of the gradient
+    and of D are formed once.  It stops when the primal residual (relative
+    to 1 + the largest row of |E| w), the dual residual (relative to 1 +
+    the largest gradient entry) and the mean complementarity w . s /
+    len(w) are all at most NEWTON_TOL.
 
     The all-zero rows of E (a holding coordinate that no increment moves
     and no row of A bounds) would make the Schur system singular, so they
@@ -447,29 +448,30 @@ def _lifted_smooth_solve(market, utility, y, q0):
     w = np.concatenate([q0, np.ones(len(b))])
     s = np.ones_like(w)
     lam = np.zeros(len(E))
-    abs_E = np.abs(E)
+    E_T, abs_E, yb, zero_b = E.T, np.abs(E), y * b, np.zeros_like(b)
     steps = 0
     while True:
         d1, d2 = utility.conjugate_derivatives(y * w[:n] / probs)
-        grad = np.concatenate([y * d1, y * b])
+        grad = np.concatenate([y * d1, yb])
         r_p = E @ w - e
-        r_d = grad - E.T @ lam - s
+        r_d = grad - E_T @ lam - s
         mean = w @ s / len(w)
-        err = np.max([np.abs(r_p).max() / (1.0 + (abs_E @ w).max()),
-                      np.abs(r_d).max() / (1.0 + np.abs(grad).max()), mean])
+        res_p = np.abs(r_p).max() / (1.0 + (abs_E @ w).max())
+        res_d = np.abs(r_d).max() / (1.0 + np.abs(grad).max())
+        err = res_p + res_d + mean  # NaN when a term is: max may drop it
+        err = err if math.isnan(err) else max(res_p, res_d, mean)
         if err <= NEWTON_TOL:
             break
-        if steps == NEWTON_MAX_STEPS or not np.isfinite(err):
+        if steps == NEWTON_MAX_STEPS or not math.isfinite(err):
             return None, None, steps
-        hess = np.concatenate([y * y * d2 / probs, np.zeros_like(b)])
-        d_inv = 1.0 / (hess + s / w)
-        schur = (E * d_inv) @ E.T
+        d_inv = 1.0 / (np.concatenate([y * y * d2 / probs, zero_b]) + s / w)
+        schur = (E * d_inv) @ E_T
 
         def direction(r_c):
             # H dw - E^T dlam - ds = -r_d, E dw = -r_p, s dw + w ds = r_c
             t = d_inv * (r_c / w - r_d)
             dlam = np.linalg.solve(schur, -r_p - E @ t)
-            dw = t + d_inv * (E.T @ dlam)
+            dw = t + d_inv * (E_T @ dlam)
             return dw, dlam, (r_c - s * dw) / w
 
         try:
@@ -493,7 +495,8 @@ def _lifted_smooth_solve(market, utility, y, q0):
 def _step_length(n, w, dw, s, ds):
     """The longest step along (dw, ds), at most 1, that goes at most half
     of the way to q = 0 for the leaf masses q = w[:n], and at most 0.995 of
-    the way to the boundary for the multipliers w[n:] and the slacks s.
+    the way to the boundary for the multipliers w[n:] and the slacks s,
+    read off one masked divide of the stacked (w, s) by (dw, ds).
 
     V'' grows without bound as q falls to 0 (as 1/q^2 for log, 1/q^3 for
     power(1/2)), so the quadratic model at q overrates a step that takes q
@@ -501,12 +504,9 @@ def _step_length(n, w, dw, s, ds):
     benchmark's power duals at y = 2 cycle between q near 0 and q beyond
     the optimum until the step cap.
     """
-    def room(v, dv):
-        down = dv < 0
-        return (-v[down] / dv[down]).min(initial=np.inf)
-
-    return min(1.0, 0.5 * room(w[:n], dw[:n]),
-               0.995 * min(room(w[n:], dw[n:]), room(s, ds)))
+    v, dv = np.concatenate([w, s]), np.concatenate([dw, ds])
+    room = np.divide(-v, dv, out=np.full(len(v), np.inf), where=dv < 0)
+    return min(1.0, 0.5 * room[:n].min(), 0.995 * room[n:].min())
 
 
 def _epigraph_dual(market, utility, y):

@@ -288,8 +288,14 @@ def build_market(spec: dict) -> MarketModel:
 
 
 def validate_market(market: MarketModel) -> list[str]:
-    """Re-run the invariant checks; an empty list means the model is valid."""
-    problems = []
+    """The invariant checks' problems, [] when the model is valid; checked
+    once per market, and each call returns a fresh list."""
+    if "_problems" not in market.__dict__:
+        object.__setattr__(market, "_problems", tuple(_problems(market)))
+    return list(market._problems)
+
+
+def _problems(market):
     tree = market.tree
     for n in tree.nodes:
         if n.children:
@@ -298,29 +304,26 @@ def validate_market(market: MarketModel) -> list[str]:
             # exact children must sum to 1 exactly, even in a float market
             tol = 0 if all_exact(probs) else 1e-9
             if abs(total - 1) > tol:
-                problems.append(
-                    f"probabilities at node {n.node_id!r} sum to {total}")
+                yield f"probabilities at node {n.node_id!r} sum to {total}"
             if any(p <= 0 for p in probs):
-                problems.append(f"nonpositive probability below {n.node_id!r}")
+                yield f"nonpositive probability below {n.node_id!r}"
         if not n.children and n.time != tree.horizon:
-            problems.append(f"leaf {n.node_id!r} sits at time {n.time}, "
-                            f"not the horizon {tree.horizon}")
+            yield (f"leaf {n.node_id!r} sits at time {n.time}, "
+                   f"not the horizon {tree.horizon}")
     total = sum(tree.leaf_probabilities())
     tol = 0 if market.exact else 1e-12
     if abs(total - 1) > tol:
-        problems.append(f"leaf path probabilities sum to {total}")
+        yield f"leaf path probabilities sum to {total}"
     constraint_map = dict(market.constraints)
     for i in tree.nonleaf:
         if i not in constraint_map:
-            problems.append(f"missing constraint set at node "
-                            f"{tree.nodes[i].node_id!r}")
+            yield f"missing constraint set at node {tree.nodes[i].node_id!r}"
     for i, cset in market.constraints:
         if len(market.prices[i]) != cset.dim:
-            problems.append(f"constraint dimension mismatch at node "
-                            f"{tree.nodes[i].node_id!r}")
+            yield (f"constraint dimension mismatch at node "
+                   f"{tree.nodes[i].node_id!r}")
     if market.floor is not None and market.floor < 0:
-        problems.append("negative admissibility floor")
-    return problems
+        yield "negative admissibility floor"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ and keeps, so no LP is solved per projection.  When every set is a box (in
 dimension one, every set is) and there is no floor, each iteration first
 tries a projected Newton step (Bertsekas, SIAM J. Control Optim. 20, 1982),
 which converges in a handful of steps there, and takes the gradient step
-only when the Newton step does not strictly raise the objective.  Economic
+only when the Newton step does not strictly raise the objective.  Both steps
+reuse the wealth x + L h the arc search computed for the iterate.  Economic
 failure modes are statuses, not exceptions: infeasible means no admissible
 portfolio keeps terminal wealth in the utility's domain, unbounded means an
 admissible recession direction produces a free lunch while the utility is
@@ -22,6 +23,7 @@ unbounded.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,29 +172,25 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
 
     def objective(h):
         w = x + L @ h
-        if (w < _DOMAIN_EPS).any():
-            return NEG_INF
-        if floor_rows is not None and (floor_rows @ h < -floor - 1e-12).any():
-            return NEG_INF
-        return float(leaf_probs @ utility._u(w))
-
-    def gradient(h):
-        return L.T @ (leaf_probs * utility._du(x + L @ h))
+        if (w < _DOMAIN_EPS).any() or floor_rows is not None \
+                and (floor_rows @ h < -floor - 1e-12).any():
+            return NEG_INF, w
+        return float(leaf_probs @ utility._u(w)), w
 
     def arc_search(h, g, d, s, ref, strict=False):
-        """(h, f) at the first point P(h + s d) of the projection arc, s
+        """(h, f, w) at the first point P(h + s d) of the projection arc, s
         halving, that passes the Armijo test against ref and, when strict,
-        beats ref; None when none does."""
+        beats ref; None when none does; w = x + L h is its wealth."""
         for _ in range(60):
             cand = lp.project(h + s * d)
-            fc = objective(cand)
+            fc, wc = objective(cand)
             if (fc > ref if strict else fc != NEG_INF) and \
                     fc >= ref + 1e-4 * float(g @ (cand - h)) - 1e-300:
-                return cand, fc
+                return cand, fc, wc
             s *= 0.5
         return None
 
-    def newton_direction(h, g, gm, step):
+    def newton_direction(h, w, g, gm, step):
         """The projected Newton direction (Bertsekas, SIAM J. Control
         Optim. 20, 1982) on a floorless product of boxes: the coordinates
         within min(1e-3, gm) of a bound that g pushes outward take the
@@ -204,31 +202,32 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
         d = step * g
         if free.any():
             # the free block of -Hessian, as S^T S with S = sqrt(p |U''|) L_F
-            root = np.sqrt(leaf_probs * -utility._d2u(x + L @ h))
+            root = np.sqrt(leaf_probs * -utility._d2u(w))
             S = root[:, None] * L[:, free]
             hess = S.T @ S
+            # numpy has no triangular solve, and one LU solve of the
+            # positive definite block costs half of two on its factor (LU
+            # can still find singular a block that passes Cholesky)
             try:
                 np.linalg.cholesky(hess)
+                d[free] = np.linalg.solve(hess, g[free])
             except np.linalg.LinAlgError:
                 return None  # dependent columns of L
-            # numpy has no triangular solve, and one LU solve of the
-            # positive definite block costs half of two on its factor
-            d[free] = np.linalg.solve(hess, g[free])
         return d
 
     h = np.asarray(start, dtype=float)
-    f = objective(h)
+    f, wealth = objective(h)
     if f == NEG_INF:
         return PrimalSolution(NEG_INF, None, None, "infeasible")
 
     newton = floor_rows is None and lp.boxed
     step = 1.0
     prev_h = prev_g = None
-    recent = [f]  # nonmonotone line-search memory
+    recent = deque([f], maxlen=10)  # nonmonotone line-search memory
     gm = None
     it = 0
     for it in range(1, max_iter + 1):
-        g = gradient(h)
+        g = L.T @ (leaf_probs * utility._du(wealth))
         gm = float(np.linalg.norm(h - lp.project(h + g)))
         if gm <= tol:
             return _package(market, h, x, f, "optimal", it, gm)
@@ -240,16 +239,14 @@ def _projected_gradient(market, utility, x, start, tol, max_iter):
             step = min(max(step, 1e-12), 1e10)
         # a Newton step must strictly gain; else the nonmonotone gradient
         # step, which accepts any point beating the worst recent value
-        d = newton_direction(h, g, gm, step) if newton else None
+        d = newton_direction(h, wealth, g, gm, step) if newton else None
         moved = ((d is not None and arc_search(h, g, d, 1.0, f, strict=True))
                  or arc_search(h, g, g, step, min(recent)))
         if not moved:
             break  # pinned against the domain boundary along this direction
         prev_h, prev_g = h, g
-        h, f = moved
+        h, f, wealth = moved
         recent.append(f)
-        if len(recent) > 10:
-            recent.pop(0)
     status = "optimal" if gm is not None and gm <= tol else "max-iterations"
     return _package(market, h, x, f, status, it, gm)
 

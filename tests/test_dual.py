@@ -904,3 +904,41 @@ def test_dual_piecewise_on_equality_face(b1):
     expected = (0.5 * conjugate(kinked, (1 / 3) / 0.5)
                 + 0.5 * conjugate(kinked, (2 / 3) / 0.5))
     assert sol.value == pytest.approx(expected, abs=1e-8)
+
+
+def _three_room_step(n, w, dw, s, ds):
+    """_step_length as three masked reductions, one per group."""
+    def room(v, dv):
+        down = dv < 0
+        return (-v[down] / dv[down]).min(initial=np.inf)
+
+    return min(1.0, 0.5 * room(w[:n], dw[:n]),
+               0.995 * min(room(w[n:], dw[n:]), room(s, ds)))
+
+
+def test_step_length_matches_three_room_reductions():
+    rng = np.random.default_rng(7)
+
+    def check(n, w, dw, s, ds):
+        with np.errstate(all="raise"):
+            step = dual._step_length(n, w, dw, s, ds)
+            assert step == _three_room_step(n, w, dw, s, ds)
+        return step
+
+    for _ in range(300):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        w, s = rng.uniform(0.0, 2.0, n + m), rng.uniform(0.0, 2.0, n + m)
+        dw, ds = rng.normal(0, 3, n + m), rng.normal(0, 3, n + m)
+        # zero entries, in the point and in the direction
+        for v in (w, s, dw, ds):
+            v[rng.random(n + m) < 0.2] = 0.0
+        check(n, w, dw, s, ds)
+        # a direction that falls nowhere takes the full step
+        assert check(n, w, np.abs(dw), s, np.abs(ds)) == 1.0
+    w, s = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 1.0, 1.0])
+    ds = np.array([-0.1, 0.0, 0.5, -0.2])
+    # a leaf mass binds at the 0.5 rule: half of 2 / 4
+    assert check(2, w, np.array([0.0, -4.0, -0.5, 1.0]), s, ds) == 0.25
+    # a slack binds at the 0.995 rule: 0.995 of 1 / 2
+    assert check(2, w, np.array([-0.1, 0.0, -0.5, 1.0]), s,
+                 np.array([-0.1, -2.0, 0.5, -0.2])) == 0.995 * 0.5

@@ -7,10 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from condual import market as market_module
 from condual.conditions import check_convex_compactness
+from condual.convex import Box
 from condual.dual import min_support, solve_dual
 from condual.linprog import OPTIMAL, solve_lp
-from condual.market import PortfolioProcess, build_market, is_admissible
+from condual.market import (EventTree, MarketModel, Node, PortfolioProcess,
+                            build_market, is_admissible, validate_market)
 from condual.primal import (
     brute_force_primal,
     find_free_lunch_direction,
@@ -347,6 +350,16 @@ def test_box_market_ascent_takes_newton_steps(x, value):
     assert sol.value == pytest.approx(value, abs=1e-10)
 
 
+def test_newton_block_singular_to_lu_takes_the_gradient_step():
+    # two assets and a node with one move: the free block of the Hessian
+    # passes the Cholesky test, but LU finds it singular; that iteration
+    # takes the gradient step instead of raising LinAlgError
+    market = random_market(random.Random(575818), max_periods=4, dim=2,
+                           constraint_palette=("box",))
+    sol = solve_primal(market, LOG, float(min_support(market).xbar) + 2.0)
+    assert sol.status == "optimal" and math.isfinite(sol.value)
+
+
 def test_one_dimensional_ball_market_is_a_box_market(monkeypatch):
     # the ball of center 0 and radius 2 is the interval [-2, 2], so a ball
     # at every node answers as the box does: its sets are clipped, the free
@@ -591,3 +604,36 @@ def test_wealth_above_infinite_critical_wealth_is_rejected():
     assert xbar == NEG_INF
     with pytest.raises(ValueError, match="initial wealth"):
         solve_primal(market, LOG, xbar + 0.01)
+
+
+def test_invalid_market_is_refused_on_every_primal():
+    # built directly, the market skips build_market's check: its root's
+    # children sum to 3/2, and solve_primal refuses it each time it is asked
+    half = Fraction(1, 2)
+    nodes = (Node(0, "root", 0, None, (1, 2), 1),
+             Node(1, "up", 1, 0, (), 1), Node(2, "down", 1, 0, (), half))
+    market = MarketModel(EventTree(nodes, 1), ((1.0,), (2.0,), (0.5,)),
+                         ((0, Box((-1,), (1,))),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sum to 3/2"):
+            solve_primal(market, LOG, 1.0)
+
+
+def test_market_is_validated_once(monkeypatch):
+    walks = []
+    checks = market_module._problems
+
+    def counting(market):
+        walks.append(market)
+        return checks(market)
+
+    monkeypatch.setattr(market_module, "_problems", counting)
+    market = build_market(binomial_spec())
+    assert len(walks) == 1
+    for x in (1.0, 2.0):
+        assert solve_primal(market, LOG, x).status == "optimal"
+    assert len(walks) == 1
+    # each call hands out its own list: editing one leaves the verdict
+    problems = validate_market(market)
+    problems.append("edited")
+    assert validate_market(market) == [] and len(walks) == 1
