@@ -1,10 +1,12 @@
 """Certificates for the no-arbitrage-flavoured sufficient conditions.
 
-Three checks feed the main one: the admissible class is nonempty, every
-projected constraint set is closed, and there is a triple (Q, H-hat, A) of a
-strictly positive leaf measure, an admissible reference portfolio, and a
-nondecreasing compensator such that relative gains minus the compensator are
-a Q-supermartingale for every admissible portfolio simultaneously.  On a
+Three checks feed the main one: the admissible class is nonempty (the
+center selection, or, when it breaks a floor, the market's kept zero-claim
+solve, the one verdict on an empty class), every projected constraint set
+is closed, and there is a triple (Q, H-hat, A) of a strictly positive leaf
+measure, an admissible reference portfolio, and a nondecreasing
+compensator such that relative gains minus the compensator are a
+Q-supermartingale for every admissible portfolio simultaneously.  On a
 finite tree that supermartingale property is the per-node inequality
 
     sup_{h in constraint set} (h - H_hat(n)) . beta(n) <= dA(n),
@@ -32,7 +34,7 @@ from .linprog import OPTIMAL, solve_lp
 from .market import MarketModel, PortfolioProcess, is_admissible, \
     node_directions
 from .primal import find_free_lunch_direction
-from .scalars import INF, all_exact
+from .scalars import INF, NEG_INF, all_exact
 from .treelp import MARGIN_TOL, tree_lp
 
 
@@ -50,10 +52,13 @@ class NonemptyReport:
 
 
 def check_nonempty(market: MarketModel) -> NonemptyReport:
-    """Select one point per constraint set; fall back to a phase-1 LP when a
-    floor couples the nodes.  That LP needs every set's halfspace form:
-    when the centers break the floor and some set has none, it raises
-    NotImplementedError rather than report an empty class."""
+    """Select one point per constraint set.  When a floor couples the nodes
+    and the centers break it, the market's kept zero-claim solve
+    (TreeLP.sup_essinf) decides: the class is empty when its sup essinf is
+    -inf, and its hedge is the witness (None on a free lunch, where that
+    solve is unbounded and holds no point).  That solve needs every set's
+    halfspace form: when some set has none, it raises NotImplementedError
+    rather than report an empty class."""
     holdings = {i: market.constraint(i).center() for i in market.tree.nonleaf}
     witness = PortfolioProcess(holdings)
     if is_admissible(market, witness):
@@ -61,12 +66,9 @@ def check_nonempty(market: MarketModel) -> NonemptyReport:
     if market.floor is None:  # centers are in their sets by construction
         return NonemptyReport(False, None)  # pragma: no cover
     lp = tree_lp(market)
-    lp.require_polyhedral()
-    A, b = lp.rows(market.exact)[:2]
-    res = solve_lp([0] * lp.n_h, A_ub=A, b_ub=b, exact=market.exact)
-    if res.status != OPTIMAL:
-        return NonemptyReport(False, None)
-    return NonemptyReport(True, lp.portfolio(res.x))
+    value, hedge = lp.sup_essinf(market.exact)
+    return NonemptyReport(value != NEG_INF,
+                          None if hedge is None else lp.portfolio(hedge))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,9 @@ def check_supermartingale_condition(market: MarketModel) -> SupermartingaleCerti
 def _admissible_reference(market, drifts=None):
     """Reference portfolio: all-zero when admissible, else the per-node
     support argmax against the drift (attained whenever finite), else the
-    center selection."""
+    witness of :func:`check_nonempty` where every set has a halfspace form
+    (the centers, or the kept zero-claim hedge when they break a floor),
+    else the centers when admissible."""
     zero = PortfolioProcess.constant(market, (0,) * market.dim)
     if is_admissible(market, zero):
         return zero
@@ -161,6 +165,8 @@ def _admissible_reference(market, drifts=None):
                                  for i, cset in market.constraints})
         if is_admissible(market, cand):
             return cand
+    if tree_lp(market).polyhedral:
+        return check_nonempty(market).witness
     cand = PortfolioProcess({i: market.constraint(i).center()
                              for i in market.tree.nonleaf})
     return cand if is_admissible(market, cand) else None

@@ -14,14 +14,14 @@ claim (``min_support``), take one of two routes:
 * without a floor, when every set has a halfspace form, by backward
   induction over the tree (:mod:`condual.recursion`): one closed-form step
   per node in dimension one, one small LP per node otherwise;
-* with a floor, which couples the nodes, by global LPs over the stacked
-  holdings and over the lifted (measure, multiplier) polytope of
-  :class:`condual.treelp.TreeLP`.
+* with a floor, which couples the nodes, by the global worst-leaf LP over
+  the stacked holdings (:meth:`condual.treelp.TreeLP.worst_leaf`).
 
 Either route returns certificates for both sides of LP duality: a hedging
 portfolio, whose worst leaf is read off its terminal gains, and a pricing
 measure, whose value is its expected payoff minus the support function
-evaluated at it.  Neither side is copied from the other.
+evaluated at it.  The measure is read off the multipliers of the solve
+that prices it, and valued on its own.
 """
 
 from __future__ import annotations
@@ -231,9 +231,10 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
     solved once per market and kept (|price| <= bound + max |payoff|).
 
     Markets without a floor, with every set in halfspace form, are priced
-    by backward induction (recursion module); otherwise by the stacked
-    worst-leaf LP and the lifted measure-side LP.  The payoff needs one
-    finite value per leaf (else ValueError).
+    by backward induction (recursion module), whose node weights give the
+    witness; otherwise by the stacked worst-leaf LP, whose leaf-row
+    multipliers give it.  The payoff needs one finite value per leaf (else
+    ValueError).
     """
     payoff = tuple(payoff)
     if len(payoff) != len(market.tree.leaves):
@@ -247,42 +248,38 @@ def superhedge_price(market: MarketModel, payoff) -> SuperhedgeResult:
 def _superhedge(market, payoff, exact):
     """The superhedge of a payoff by the market's route, without bound."""
     if _recursive(market):
-        return _superhedge_recursive(market, payoff, exact)
+        back = backward_induction(market, payoff, exact)
+        return _priced(market, payoff, back.value, back.hedge, back.weights)
     return _superhedge_lp(market, payoff, exact)
-
-
-def _superhedge_recursive(market, payoff, exact):
-    back = backward_induction(market, payoff, exact)
-    if back.value == NEG_INF:
-        return SuperhedgeResult(NEG_INF, None, NEG_INF, None, None)
-    witness = measure_from_weights(market, back.weights)
-    dual_value = sum(q * f for q, f in zip(witness.weights, payoff)) \
-        - support_alpha(market, witness)
-    return SuperhedgeResult(back.value, [back.value] + back.hedge, dual_value,
-                            witness, None)
 
 
 def _superhedge_lp(market, payoff, exact):
     lp = tree_lp(market)
     # x + gains_l >= payoff_l on every leaf is m = -x <= gains_l - payoff_l,
     # so the price is the least -m: +inf when no portfolio is admissible,
-    # -inf on a free lunch
+    # -inf on a free lunch.  The leaf rows' multipliers are the pricing
+    # measure (those of A H <= b its mu), float noise below 0 clipped
     res = lp.worst_leaf(exact, [-f for f in payoff])
-    if res.status == OPTIMAL:
-        price, x = res.value, [res.value] + res.x[:lp.n_h]
-    else:
-        price, x = (INF if res.status == INFEASIBLE else NEG_INF), None
+    if res.status != OPTIMAL:
+        price = INF if res.status == INFEASIBLE else NEG_INF
+        return _priced(market, payoff, price, None, None)
+    zero = 0 if exact else 0.0
+    weights = [max(v, zero) for v in res.duals[-len(payoff):]]
+    return _priced(market, payoff, res.value, res.x[:lp.n_h], weights)
 
-    # the measure side maximizes payoff . q - alpha(q): minimize its negation
-    dual_res = lp.lifted_min(exact, [-f for f in payoff])
-    if dual_res.status == OPTIMAL:
-        witness = measure_from_weights(market, dual_res.x[:len(payoff)])
-        dual_value = -dual_res.value
-    else:
-        # unbounded when the admissible class is empty (alpha = -inf)
-        witness = None
-        dual_value = INF if dual_res.status == UNBOUNDED else NEG_INF
-    return SuperhedgeResult(price, x, dual_value, witness, None)
+
+def _priced(market, payoff, price, hedge, weights):
+    """The SuperhedgeResult of a price, its stacked hedge and the leaf
+    weights of its pricing measure q, valued on its own as sum q f -
+    alpha(q).  Without weights the price is infinite and so is the dual
+    value: -inf on a free lunch (no measure has finite alpha), +inf when
+    the admissible class is empty (alpha is -inf at every measure)."""
+    if weights is None:
+        return SuperhedgeResult(price, None, price, None, None)
+    witness = measure_from_weights(market, weights)
+    dual_value = sum(q * f for q, f in zip(witness.weights, payoff)) \
+        - support_alpha(market, witness)
+    return SuperhedgeResult(price, [price] + hedge, dual_value, witness, None)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +362,12 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
     <= b by more than HEDGE_TOL.  ``attained`` means the value is
     finite and the gap is within max(tol, 1e-6 * max(1, |value|)).
     ``iterations`` counts Newton steps (NEWTON_MAX_STEPS when the solve
-    stops at that cap), and is 0 on the LP route.  An empty finite-alpha
-    face, a face of zero margin on the Newton route and an unbounded
-    epigraph LP give +inf, and an empty admissible class -inf, each
-    without a measure, with gap +inf, ``attained`` False and 0 iterations.
+    stops at that cap), and is 0 on the LP route.  An empty admissible
+    class gives -inf (on the Newton route the market's kept worst-leaf
+    solve decides it, before the face is asked for), and an empty
+    finite-alpha face, a face of zero margin on the Newton route and an
+    unbounded epigraph LP give +inf, each without a measure, with gap
+    +inf, ``attained`` False and 0 iterations.
     """
     if not is_finite(y) or y <= 0:
         raise ValueError(f"the dual is solved for finite y > 0, got y = {y}")
@@ -381,15 +380,15 @@ def solve_dual(market: MarketModel, utility: UtilityFunction, y,
         # the LP optimum is the dual value: a difference either way is error
         gap = abs(float(value) - float(optimum))
     else:
-        found = _face_interior_point(market)
-        if found is None:
-            return DualSolution(INF, None, False, INF, y=y)
-        q0, margin = found
         if market.floor is not None \
                 and tree_lp(market).sup_essinf(market.exact)[0] == NEG_INF:
             # only a floor can empty the admissible class (every set is
             # nonempty), and then alpha is -inf at every measure
             return DualSolution(NEG_INF, None, False, INF, y=y)
+        found = _face_interior_point(market)
+        if found is None:
+            return DualSolution(INF, None, False, INF, y=y)
+        q0, margin = found
         if margin <= MARGIN_TOL:
             return DualSolution(INF, None, False, INF, y=y)
         q, hedge, iterations = _lifted_smooth_solve(market, utility, y, q0)

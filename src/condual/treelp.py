@@ -28,20 +28,19 @@ own projector of each other node.
 :func:`tree_lp` compiles a market's TreeLP once, on first use, and keeps it
 on the market.
 
-Four LP shapes are assembled here, once for every caller:
+Three LP shapes are assembled here, once for every caller:
 :meth:`TreeLP.worst_leaf` is the max-min LP over the worst leaf (the
-superhedging price, and at shift 0, kept per arithmetic, the zero claim
-and :meth:`TreeLP.sup_essinf`: the primal's feasibility verdict and start,
-the superhedge bound, the dual's empty-class test and its gap's hedge);
+superhedging price, whose leaf-row multipliers are its pricing measure,
+and at shift 0, kept per arithmetic, the zero claim and
+:meth:`TreeLP.sup_essinf`: the primal's feasibility verdict and start,
+the superhedge bound, the one verdict on an empty admissible class and
+its admissible witness, and the dual's gap hedge);
 :meth:`TreeLP.epigraph`, of a piecewise-linear utility, gives u(x) with x
 fixed and v(y) with x free (its LP duality is u(x) = min_y v(y) + x y).
-The measure-side LPs run over the lifted pairs (q, mu) of
+The measure-side LP runs over the lifted pairs (q, mu) of
 :meth:`TreeLP.lifted`, by LP duality: alpha(q) = max {(L^T q) . H : A H <=
-b} equals min {b . mu : A^T mu = L^T q, mu >= 0}, so an optimization over q
-with alpha in its objective is one LP over (q, mu).  The lifted LPs are
-:meth:`TreeLP.lifted_min`, the least linear cost in q plus alpha(q) (inf
-alpha, the superhedging measure),
-and :meth:`TreeLP.max_margin`, the measure farthest inside the face (the
+b} equals min {b . mu : A^T mu = L^T q, mu >= 0}.  It is
+:meth:`TreeLP.max_margin`, the measure farthest inside the face (the
 dual's start, the certificate measures), solved once per TreeLP in the
 market's arithmetic.  Such answers of the market alone are kept on the
 TreeLP by :meth:`TreeLP.kept`, as are the free-lunch direction and
@@ -235,21 +234,6 @@ class TreeLP:
         rows[1:, :n] = -L.T
         rows[1:, n:] = A.T
         return rows, [1] + [0] * self.n_h, range(n + n_mu)
-
-    def lifted_min(self, exact, q_cost):
-        """Minimize q_cost . q + b . mu over the lifted polytope.
-
-        For fixed q the least b . mu is alpha(q), so the optimum is the
-        least q_cost . q + alpha(q) over the finite-alpha face.  Returns
-        the LPResult over the columns (q, mu): infeasible when the face is
-        empty, unbounded when the admissible class is empty and alpha is
-        -inf.
-        """
-        A_eq, b_eq, nonneg = self.lifted(exact)
-        c = list(q_cost) + list(self.rows(exact)[1])
-        if not exact:
-            c = [float(v) for v in c]
-        return solve_lp(c, A_eq=A_eq, b_eq=b_eq, exact=exact, nonneg=nonneg)
 
     def max_margin(self, multipliers=True):
         """(q, t): a leaf measure of the lifted polytope maximizing the

@@ -53,9 +53,11 @@ def verify_conjugacy(market: MarketModel, utility: UtilityFunction,
     """Check v(y) ~ sup_x (u(x) - xy) and u(x) ~ inf_y (v(y) + xy) on grids.
 
     Grid extrema are one-sided approximations of the true conjugates, so
-    each verdict allows tol plus a concavity-based resolution bound; a grid
-    whose extremum sits on its edge is flagged (the bracket missed the
-    optimizer) and fails the verdict.
+    each verdict allows tol plus a concavity-based resolution bound.  A
+    grid whose extremum sits on its edge is flagged (``boundary``: the
+    bracket may have missed the optimizer); its bound is +inf, so only the
+    lower side, residual >= -tol, is checked there, and the record can
+    still pass.
     """
     if not x_grid or not y_grid:
         raise ValueError("grids must be nonempty")

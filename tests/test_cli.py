@@ -155,6 +155,14 @@ def test_xbar_pinned(capsys):
     assert doc["verdict"] == "pass"
 
 
+def test_xbar_of_an_empty_class_with_an_empty_face(capsys):
+    code, doc, _ = run_json(capsys, "xbar", "--market",
+                            fixture("empty_floor_face.json"))
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["from_support"] == doc["from_essinf"] == "inf"
+    assert doc["infeasible_at"] == 100.0
+
+
 def test_check_conditions_deterministic(capsys):
     code, doc, _ = run_json(capsys, "check-conditions",
                             "--market", fixture("d1.json"))

@@ -9,6 +9,7 @@ import pytest
 
 from condual import conditions, convex
 from condual.conditions import (
+    NonemptyReport,
     SupermartingaleCertificate,
     certificate_inequality_residual,
     check_convex_compactness,
@@ -19,8 +20,11 @@ from condual.conditions import (
 from condual.market import PortfolioProcess, build_market, is_admissible, \
     parse_market_file
 from condual.randomgen import random_tree_spec
+from condual.scalars import INF
+from condual.treelp import tree_lp
 
-from conftest import ball_floor_spec, binomial_spec, drift_spec, float_copy
+from conftest import ball_floor_spec, binomial_spec, drift_spec, \
+    drifted_binomial_spec, float_copy
 
 F = Fraction
 
@@ -70,7 +74,7 @@ def test_nonempty_endowment_constraint(b1):
 @pytest.mark.parametrize("floor, witness", [("1/2", (1,)), ("1/4", None)])
 def test_nonempty_floor_lp(floor, witness):
     # the box [1, 3] against a down move of -1/2: its center 2 loses 1 and
-    # breaches both floors, so the phase-1 LP over the floor rows decides;
+    # breaches both floors, so the market's kept zero-claim LP decides;
     # under floor 1/2 only h = 1 is admissible, under floor 1/4 nothing is
     spec = binomial_spec({"type": "box", "lower": [1], "upper": [3]})
     spec["floor"] = floor
@@ -87,15 +91,65 @@ def test_nonempty_floor_lp(floor, witness):
 
 
 def test_nonempty_floor_lp_needs_halfspaces():
-    # the ball's center breaks the floor, so only the phase-1 LP could
-    # decide, and the ball has no rows for it: an error, not "empty" (the
-    # zero portfolio is admissible)
+    # the ball's center breaks the floor, so only the kept zero-claim LP
+    # could decide, and the ball has no rows for it: an error, not "empty"
+    # (the zero portfolio is admissible)
     market = build_market(ball_floor_spec())
     assert is_admissible(market, PortfolioProcess({0: (0, 0)}))
     assert not is_admissible(
         market, PortfolioProcess({0: market.constraint(0).center()}))
     with pytest.raises(NotImplementedError, match="halfspace"):
         check_nonempty(market)
+
+
+def _drifted_box_floor(periods, floor):
+    spec = drifted_binomial_spec(periods, floor=floor)
+    spec["constraints"]["default"] = {"type": "box", "lower": [1],
+                                      "upper": [3]}
+    return build_market(spec)
+
+
+@pytest.mark.parametrize("periods, floor", [(2, 1), (3, 2)])
+def test_certificate_when_the_centers_break_the_floor(periods, floor):
+    # dS = +1 or -1/2: the measure of up-weight 1/3 has zero drift (margin
+    # 4/9 at T = 2), but neither 0 nor the centers 2 are admissible, since
+    # two down moves at 2 lose 2; the kept zero-claim hedge (1 at every
+    # node) is the reference
+    market = _drifted_box_floor(periods, floor)
+    cert = check_supermartingale_condition(market)
+    assert (cert.certified, cert.stage) == (True, "martingale-measure")
+    assert is_admissible(market, cert.reference)
+    assert cert.reference == check_nonempty(market).witness
+    if periods == 2:
+        assert tree_lp(market).max_margin(False)[1] == F(4, 9)
+
+
+def test_no_certificate_for_an_empty_class():
+    # three down moves at the least holding 1 lose 3/2, past the floor of 1
+    market = _drifted_box_floor(3, 1)
+    assert not check_nonempty(market)
+    assert not check_supermartingale_condition(market).certified
+
+
+def test_nonempty_with_a_free_lunch_past_the_centers():
+    # the root box [1, 3] as in test_nonempty_floor_lp at floor 1/2, and
+    # at both time-1 nodes the half-line [0, inf) against two rising
+    # prices: the least leaf gain grows without bound, so the kept
+    # zero-claim LP is unbounded and holds no point
+    nodes = [{"id": "r", "time": 0, "parent": None, "prob": 1, "prices": [1]}]
+    for parent, price, children in (("u", 2, (3, 4)), ("d", "1/2", (1, 2))):
+        nodes.append({"id": parent, "time": 1, "parent": "r", "prob": "1/2",
+                      "prices": [price]})
+        nodes += [{"id": parent + str(k), "time": 2, "parent": parent,
+                   "prob": "1/2", "prices": [child]}
+                  for k, child in enumerate(children)]
+    market = build_market({
+        "horizon": 2, "dimension": 1, "nodes": nodes, "floor": "1/2",
+        "constraints": {
+            "r": {"type": "box", "lower": [1], "upper": [3]},
+            "default": {"type": "box", "lower": [0], "upper": ["inf"]}}})
+    assert tree_lp(market).sup_essinf(True) == (INF, None)
+    assert check_nonempty(market) == NonemptyReport(True, None)
 
 
 def test_projected_closedness_polyhedral(b1, d1):

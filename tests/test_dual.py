@@ -1,6 +1,7 @@
 """Dual-side solvers: support function, dual value, superhedging, xbar."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from condual.dual import (
     support_alpha,
 )
 from condual.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from condual.market import build_market
+from condual.market import build_market, parse_market_file
 from condual.primal import solve_primal
 from condual.randomgen import random_market, random_payoff, random_tree_spec
 from condual.scalars import INF, NEG_INF, scale_extended
@@ -29,6 +30,7 @@ from condual.utility import (LogUtility, PiecewiseLinearUtility, PowerUtility,
 
 from conftest import (binomial_spec, drift_spec, drifted_binomial_spec,
                       float_copy, two_asset_spec, two_period_spec)
+from helpers import check_certificates
 
 F = Fraction
 LOG = LogUtility()
@@ -628,14 +630,18 @@ def test_zero_row_holding_leaves_the_newton_solve():
 
 
 def _lp_minorant(market, utility, y, q):
-    """The minorant bound at q closed by the lifted LP (TreeLP.lifted_min)
+    """The minorant bound at q closed by the lifted LP (TreeLP.lifted)
     instead of a hedge: ev - c . q + min over the face of c . q' + y
-    alpha(q'), which is y times the least (c / y) . q' + alpha(q')."""
+    alpha(q'), which is y times the least (c / y) . q' + b . mu over the
+    lifted pairs (q', mu)."""
     probs = [float(p) for p in market.tree.leaf_probabilities()]
     z = [y * w / p for w, p in zip(q, probs)]
     ev = sum(p * conjugate(utility, v) for p, v in zip(probs, z))
     c = [y * utility.conjugate_marginal(v)[1] for v in z]
-    res = tree_lp(market).lifted_min(False, [v / y for v in c])
+    lp = tree_lp(market)
+    A_eq, b_eq, nonneg = lp.lifted(False)
+    cost = np.concatenate([np.asarray(c) / y, lp.rows(False)[1]])
+    res = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
     assert res.status == OPTIMAL
     return ev - float(np.dot(c, q)) + y * res.value
 
@@ -794,20 +800,74 @@ def test_min_support_is_the_zero_claim_superhedge(monkeypatch, exact):
 
 
 def test_float_payoff_on_exact_floor_market_prices_in_floats(monkeypatch):
-    # both sides of a float payoff's superhedge run in floats; only the
-    # bound's sup essinf, a property of the market, stays exact
+    # both sides of a float payoff's superhedge run in floats (the
+    # worst-leaf LP, then the support LP at its measure); only the bound's
+    # sup essinf, a property of the market, stays exact
     from condual import treelp
 
     market = build_market(drifted_binomial_spec(3, floor=1))
     arithmetic = []
-    monkeypatch.setattr(treelp, "solve_lp", lambda *a, _s=treelp.solve_lp,
-                        **k: arithmetic.append(k["exact"]) or _s(*a, **k))
+    for module in (treelp, dual):
+        monkeypatch.setattr(module, "solve_lp", lambda *a, _s=solve_lp, **k:
+                            arithmetic.append(k["exact"]) or _s(*a, **k))
     res = superhedge_price(market, (0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0))
     assert arithmetic == [False, False, True]
     assert type(res.price) is float and type(res.dual_value) is float
     assert res.price == pytest.approx(8 / 9, abs=1e-12)
     assert res.dual_value == pytest.approx(8 / 9, abs=1e-12)
     assert res.bound == abs(min_support(market).sup_essinf)
+
+
+def _empty_class_markets():
+    # the fixture's root pin loses 2 on the down move, past the floor of 1;
+    # both children hold half-lines [0, inf) whose increments are all
+    # positive, so every measure has alpha = +inf there: the class and the
+    # finite-alpha face are both empty.  Random(118) is one such market
+    yield parse_market_file(os.path.join(os.path.dirname(__file__),
+                                         "fixtures", "empty_floor_face.json"))
+    spec = random_tree_spec(random.Random(118), max_periods=3, dim=2)
+    spec["floor"] = 1
+    yield build_market(spec)
+
+
+@pytest.mark.parametrize("market", list(_empty_class_markets()),
+                         ids=["empty_floor_face", "random118"])
+def test_an_empty_class_decides_before_an_empty_face(market):
+    # alpha is -inf at every measure once the class is empty, whatever the
+    # face: xbar = +inf, the zero claim's dual value is +inf like its
+    # price, and the dual value function is -inf
+    assert _face_interior_point(market) is None
+    assert tuple(min_support(market)) == (NEG_INF, NEG_INF, INF)
+    res = superhedge_price(market, (0,) * len(market.tree.leaves))
+    assert (res.price, res.dual_value, res.witness) == (INF, INF, None)
+    for utility in (LOG, PowerUtility(0.5)):
+        sol = solve_dual(market, utility, 1.0)
+        assert (sol.value, sol.attained, sol.measure) == (NEG_INF, False, None)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_floor_superhedge_certificates(dim):
+    # the floor route reads its witness off the worst-leaf LP's leaf-row
+    # multipliers: exactly a probability whose value is the price, and on
+    # the float twin a value within 1e-12 relative of the price
+    finite = 0
+    for seed in range(40):
+        for floor in ("1/2", 1, 2):
+            spec = random_tree_spec(random.Random(seed), max_periods=3,
+                                    dim=dim)
+            spec["floor"] = floor
+            market, twin = build_market(spec), build_market(float_copy(spec))
+            payoff = random_payoff(random.Random(seed), market)
+            res = superhedge_price(market, payoff)
+            flt = superhedge_price(twin, tuple(float(v) for v in payoff))
+            if res.price in (INF, NEG_INF):
+                assert res.dual_value == res.price and res.witness is None
+                assert flt.price == flt.dual_value == res.price
+                continue
+            check_certificates(market, payoff, res)
+            assert flt.dual_value == pytest.approx(flt.price, rel=1e-12)
+            finite += 1
+    assert finite == {1: 86, 2: 85}[dim]
 
 
 @pytest.mark.parametrize("market", ["b1", "b1-box-floor"])
